@@ -28,14 +28,15 @@ import numpy as np
 
 from . import __version__
 from .config import (build_driver, build_geometry_config, build_marcus_config,
-                     build_problem, dump_config, jump_law_from, load_config)
+                     build_path_params, build_problem, dump_config,
+                     load_config)
 from .convergence import fit_order
 from .decompose import (LinearSystem, decompose_linear_sde,
                         decompose_pointwise, verify_composition)
 from .errors import ConfigError, IntegrationFailure
 from .marcus import solve_ensemble, solve_point, solve_with_jacobian, \
     trajectory_to_csv
-from .semimartingale import PathParams, path_to_csv, refine
+from .semimartingale import path_to_csv, refine
 from .stratjump import verify_ivk
 
 RATIO_BOUND = 0.6
@@ -189,17 +190,7 @@ def _run_ensemble(cfg, problem, outdir):
         raise ConfigError("driver.type: ensemble needs a levy driver")
     if "ensemble" not in cfg:
         raise ConfigError("ensemble: section required for this subcommand")
-    drv = cfg["driver"]
-    seed = cfg.get("_seed_override")
-    law = jump_law_from(drv["jump_law"]) if drv.get("jump_law") else None
-    params = PathParams(
-        horizon=float(drv["horizon"]), step=float(drv["step"]),
-        brownian_scale=drv.get("brownian_scale", 1.0),
-        drift=drv.get("drift", 0.0),
-        jump_intensity=drv.get("jump_intensity", 0.0),
-        jump_law=law,
-        seed=int(seed if seed is not None else drv.get("seed", 0)),
-        dimension=int(drv.get("dimension", 1)))
+    params = build_path_params(cfg, cfg.get("_seed_override"))
     mcfg = build_marcus_config(cfg)
     name = cfg["ensemble"]["observable"]
     observables = {}

@@ -9,7 +9,6 @@ identical mapping (the reproducibility contract for configs), and
 from __future__ import annotations
 
 import copy
-import math
 
 import numpy as np
 import yaml
@@ -19,8 +18,8 @@ from .geometry import ComplementaryPair, Distribution, GeometryConfig
 from .marcus import MarcusConfig
 from .mesh import MeshChart
 from .odeflow import OdeConfig, VectorFieldSet
-from .semimartingale import (JumpLaw, PathParams, deterministic_path,
-                             sample_levy_jump_diffusion)
+from .semimartingale import (JumpLaw, PathParams, _grid_for,
+                             deterministic_path, sample_levy_jump_diffusion)
 
 SCENARIOS = ("rotation", "custom-linear", "sphere-tangent", "radial-linear",
              "ivk-commuting", "ivk-generic")
@@ -167,28 +166,32 @@ def jump_law_from(cfg_law: dict) -> JumpLaw:
                       "or gaussian")
 
 
+def build_path_params(cfg: dict, seed_override=None) -> PathParams:
+    """Sampling parameters of the config's levy driver."""
+    drv = cfg["driver"]
+    law = jump_law_from(drv["jump_law"]) if drv.get("jump_law") else None
+    return PathParams(
+        horizon=float(drv["horizon"]), step=float(drv["step"]),
+        brownian_scale=drv.get("brownian_scale", 1.0),
+        drift=drv.get("drift", 0.0),
+        jump_intensity=drv.get("jump_intensity", 0.0),
+        jump_law=law,
+        seed=int(seed_override if seed_override is not None
+                 else drv.get("seed", 0)),
+        dimension=int(drv.get("dimension", 1)))
+
+
 def build_driver(cfg: dict, seed_override=None):
     """Realize the config's driving path."""
     drv = cfg["driver"]
-    horizon, step = float(drv["horizon"]), float(drv["step"])
     if drv["type"] == "levy":
-        law = jump_law_from(drv["jump_law"]) if drv.get("jump_law") else None
-        params = PathParams(
-            horizon=horizon, step=step,
-            brownian_scale=drv.get("brownian_scale", 1.0),
-            drift=drv.get("drift", 0.0),
-            jump_intensity=drv.get("jump_intensity", 0.0),
-            jump_law=law,
-            seed=int(seed_override if seed_override is not None
-                     else drv.get("seed", 0)),
-            dimension=int(drv.get("dimension", 1)))
-        return sample_levy_jump_diffusion(params)
-    ramp = np.asarray(drv["ramp_to"], dtype=float)
-    n = int(math.ceil(horizon / step - 1e-12))
-    grid = np.unique(np.append(np.arange(n + 1) * step, horizon))
-    grid = grid[grid <= horizon + 1e-12]
-    values = np.outer(grid / horizon, ramp)
-    jumps = [(float(j["time"]), np.asarray(j["size"], dtype=float))
+        return sample_levy_jump_diffusion(build_path_params(cfg, seed_override))
+    horizon, step = float(drv["horizon"]), float(drv["step"])
+    grid = _grid_for(horizon, step)
+    values = np.outer(grid / horizon, np.asarray(drv["ramp_to"], dtype=float))
+    # jump times are validated multiples of step: snap each to its grid point
+    jumps = [(float(grid[round(j["time"] / step)]),
+              np.asarray(j["size"], dtype=float))
              for j in drv.get("jumps", [])]
     jumps.sort(key=lambda item: item[0])
     return deterministic_path(grid, values, jumps)

@@ -5,6 +5,11 @@ driver increments (Stratonovich-consistent); a jump of size dz is applied as
 the exact-order unit-time flow of sum_i X_i dz_i.  Both the pre-jump and the
 post-jump state are recorded at every jump time, so downstream integrals can
 evaluate left limits exactly.
+
+Every solver is one sweep, ``_sweep``, over one grid loop: it advances a
+state or a batch of states and carries the flow Jacobian only when asked.
+``solve_point`` and ``solve_with_jacobian`` record every grid time;
+``solve_map_batch`` stops each row at its own time.
 """
 
 from __future__ import annotations
@@ -16,20 +21,16 @@ import numpy as np
 
 from .errors import IntegrationFailure
 from .odeflow import OdeConfig, VectorFieldSet, flow, flow_with_jacobian
-from .semimartingale import JumpPath, PathParams, sample_levy_jump_diffusion, _substream
+from .semimartingale import (JumpPath, PathParams, _grid_for, _substream,
+                             sample_levy_jump_diffusion)
 
 
 @dataclass(frozen=True)
 class MarcusConfig:
-    """Solver settings: jump-flow integration plus the Heun scheme tag."""
+    """Solver settings: jump-flow integration and Jacobian recording."""
 
     ode: OdeConfig = field(default_factory=OdeConfig)
-    scheme: str = "heun"
     record_jacobian: bool = False
-
-    def __post_init__(self):
-        if self.scheme != "heun":
-            raise ValueError("only the heun predictor-corrector is provided")
 
 
 @dataclass(frozen=True)
@@ -57,22 +58,96 @@ class Trajectory:
         return self.post[-1].copy()
 
 
-def _heun_state(fields, x, dz):
+def _heun(fields, x, J, dz):
+    """One Heun step of x; with a Jacobian J, also of J (else J stays None)."""
     F0 = fields.field_matrix(x)
     xhat = x + F0 @ dz
     F1 = fields.field_matrix(xhat)
-    return x + 0.5 * (F0 + F1) @ dz
-
-
-def _heun_state_jac(fields, x, J, dz):
-    F0 = fields.field_matrix(x)
-    D0 = fields.combo_jacobian(x, dz)
-    xhat = x + F0 @ dz
-    F1 = fields.field_matrix(xhat)
-    D1 = fields.combo_jacobian(xhat, dz)
     x_new = x + 0.5 * (F0 + F1) @ dz
-    M = 0.5 * (D0 + D1 + D1 @ D0)
-    return x_new, J + M @ J
+    if J is None:
+        return x_new, None
+    D0 = fields.combo_jacobian(x, dz)
+    D1 = fields.combo_jacobian(xhat, dz)
+    return x_new, J + 0.5 * (D0 + D1 + D1 @ D0) @ J
+
+
+def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
+           freeze_side=None):
+    """Advance a state (n,) or a batch (B, n) along the driver grid.
+
+    With ``jacobian`` the derivative with respect to ``x`` rides along.
+    Without freeze indices every grid time is recorded, pre and post jump,
+    and a Trajectory is returned.  With them, row r stops at grid index
+    ``freeze_index[r]`` on side ``freeze_side[r]`` (0: the left limit, 1:
+    after the jump) and (states, jacobians) at the stops are returned.
+    """
+    if fields.count != driver.dimension:
+        raise ValueError("field count must match driver dimension")
+    X = np.array(x, dtype=float)
+    K = driver.grid.shape[0]
+    n = X.shape[-1]
+    J = (np.broadcast_to(np.eye(n), X.shape[:-1] + (n, n)).copy()
+         if jacobian else None)
+    record = freeze_index is None
+    if record:
+        live = Ellipsis
+        # side 0 holds left limits, side 1 cadlag values, at every grid time
+        states = np.empty((2, K) + X.shape)
+        jacs = np.empty((2, K) + J.shape) if jacobian else None
+    else:
+        fidx = np.asarray(freeze_index, dtype=int)
+        fside = np.asarray(freeze_side, dtype=int)
+        if np.any(fidx < 0) or np.any(fidx > K - 1):
+            raise ValueError("freeze_index out of range")
+        states = X.copy()
+        jacs = J.copy() if jacobian else None
+
+    def store(k, side):
+        if record:
+            dst, src = (side, k), Ellipsis
+        else:
+            dst = src = (fidx == k) & (fside == side)
+        states[dst] = X[src]
+        if jacobian:
+            jacs[dst] = J[src]
+
+    # no jump can sit at t=0, so both sides start at x
+    store(0, 0)
+    store(0, 1)
+    dzc = np.diff(driver.continuous_values, axis=0)
+    mask = driver.jump_mask
+    sizes = driver.jump_size_at_grid()
+    for k in range(1, K):
+        if not record:
+            live = fidx >= k
+            if not np.any(live):
+                break
+        xs, js = _heun(fields, X[live], J[live] if jacobian else None,
+                       dzc[k - 1])
+        if not np.all(np.isfinite(xs)):
+            raise IntegrationFailure("state blew up at t=%g" % driver.grid[k],
+                                     time=float(driver.grid[k]))
+        X[live] = xs
+        if jacobian:
+            J[live] = js
+        store(k, 0)
+        if mask[k]:
+            hop = live if record else live & ~((fidx == k) & (fside == 0))
+            if record or np.any(hop):
+                if jacobian:
+                    xs, js = flow_with_jacobian(fields, sizes[k], X[hop], 1.0,
+                                                cfg.ode)
+                    J[hop] = js @ J[hop]
+                else:
+                    xs = flow(fields, sizes[k], X[hop], 1.0, cfg.ode)
+                X[hop] = xs
+        store(k, 1)
+    if not record:
+        return states, jacs
+    return Trajectory(times=driver.grid.copy(), pre=states[0], post=states[1],
+                      is_jump=mask, path=driver,
+                      jacobians_pre=jacs[0] if jacobian else None,
+                      jacobians_post=jacs[1] if jacobian else None)
 
 
 def solve_point(fields: VectorFieldSet, driver: JumpPath, x0,
@@ -82,28 +157,7 @@ def solve_point(fields: VectorFieldSet, driver: JumpPath, x0,
     Exact order of operations per grid time: continuous Heun step up to the
     left limit, then the unit-time jump flow if a jump is recorded there.
     """
-    if fields.count != driver.dimension:
-        raise ValueError("field count must match driver dimension")
-    x = np.asarray(x0, dtype=float).copy()
-    K = driver.grid.shape[0]
-    n = x.shape[0]
-    pre = np.empty((K, n))
-    post = np.empty((K, n))
-    dzc = np.diff(driver.continuous_values, axis=0)
-    mask = driver.jump_mask
-    sizes = driver.jump_size_at_grid()
-    pre[0] = post[0] = x
-    for k in range(K - 1):
-        x = _heun_state(fields, x, dzc[k])
-        if not np.all(np.isfinite(x)):
-            raise IntegrationFailure("state blew up at t=%g" % driver.grid[k + 1],
-                                     time=float(driver.grid[k + 1]))
-        pre[k + 1] = x
-        if mask[k + 1]:
-            x = flow(fields, sizes[k + 1], x, 1.0, cfg.ode)
-        post[k + 1] = x
-    return Trajectory(times=driver.grid.copy(), pre=pre, post=post,
-                      is_jump=mask, path=driver)
+    return _sweep(fields, driver, x0, cfg, jacobian=False)
 
 
 def solve_with_jacobian(fields: VectorFieldSet, driver: JumpPath, x0,
@@ -113,34 +167,7 @@ def solve_with_jacobian(fields: VectorFieldSet, driver: JumpPath, x0,
     The continuous part propagates the exact derivative of the discrete Heun
     map; jumps compose with the variational jump flow.
     """
-    if fields.count != driver.dimension:
-        raise ValueError("field count must match driver dimension")
-    x = np.asarray(x0, dtype=float).copy()
-    K = driver.grid.shape[0]
-    n = x.shape[0]
-    pre = np.empty((K, n)); post = np.empty((K, n))
-    jpre = np.empty((K, n, n)); jpost = np.empty((K, n, n))
-    J = np.eye(n)
-    dzc = np.diff(driver.continuous_values, axis=0)
-    mask = driver.jump_mask
-    sizes = driver.jump_size_at_grid()
-    pre[0] = post[0] = x
-    jpre[0] = jpost[0] = J
-    for k in range(K - 1):
-        x, J = _heun_state_jac(fields, x, J, dzc[k])
-        if not np.all(np.isfinite(x)):
-            raise IntegrationFailure("state blew up at t=%g" % driver.grid[k + 1],
-                                     time=float(driver.grid[k + 1]))
-        pre[k + 1] = x
-        jpre[k + 1] = J
-        if mask[k + 1]:
-            x, Jf = flow_with_jacobian(fields, sizes[k + 1], x, 1.0, cfg.ode)
-            J = Jf @ J
-        post[k + 1] = x
-        jpost[k + 1] = J
-    return Trajectory(times=driver.grid.copy(), pre=pre, post=post,
-                      is_jump=mask, path=driver,
-                      jacobians_pre=jpre, jacobians_post=jpost)
+    return _sweep(fields, driver, x0, cfg, jacobian=True)
 
 
 def solve_map_batch(fields: VectorFieldSet, driver: JumpPath, bases,
@@ -157,46 +184,7 @@ def solve_map_batch(fields: VectorFieldSet, driver: JumpPath, bases,
     it is how pushforward Jacobians along a moving base point are obtained at
     every grid time in one sweep.
     """
-    bases = np.asarray(bases, dtype=float)
-    fidx = np.asarray(freeze_index, dtype=int)
-    fside = np.asarray(freeze_side, dtype=int)
-    B, n = bases.shape
-    K = driver.grid.shape[0]
-    if np.any(fidx < 0) or np.any(fidx > K - 1):
-        raise ValueError("freeze_index out of range")
-    X = bases.copy()
-    J = np.broadcast_to(np.eye(n), (B, n, n)).copy()
-    out_x = bases.copy()
-    out_j = J.copy()
-    dzc = np.diff(driver.continuous_values, axis=0)
-    mask = driver.jump_mask
-    sizes = driver.jump_size_at_grid()
-    # rows frozen at index 0 keep their base value (no jump can sit at t=0)
-    for k in range(K - 1):
-        active = fidx >= k + 1
-        if not np.any(active):
-            break
-        xa, ja = _heun_state_jac(fields, X[active], J[active], dzc[k])
-        if not np.all(np.isfinite(xa)):
-            raise IntegrationFailure("batch state blew up at t=%g"
-                                     % driver.grid[k + 1],
-                                     time=float(driver.grid[k + 1]))
-        X[active] = xa
-        J[active] = ja
-        stop_pre = active & (fidx == k + 1) & (fside == 0)
-        out_x[stop_pre] = X[stop_pre]
-        out_j[stop_pre] = J[stop_pre]
-        if mask[k + 1]:
-            hop = active & ~((fidx == k + 1) & (fside == 0))
-            if np.any(hop):
-                xh, jh = flow_with_jacobian(fields, sizes[k + 1], X[hop], 1.0,
-                                            cfg.ode)
-                X[hop] = xh
-                J[hop] = jh @ J[hop]
-        stop_post = active & (fidx == k + 1) & (fside == 1)
-        out_x[stop_post] = X[stop_post]
-        out_j[stop_post] = J[stop_post]
-    return out_x, out_j
+    return _sweep(fields, driver, bases, cfg, True, freeze_index, freeze_side)
 
 
 @dataclass(frozen=True)
@@ -225,7 +213,7 @@ def solve_ensemble(fields: VectorFieldSet, params: PathParams, x0,
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     observables = observables or {}
-    base = _grid_of(params)
+    base = _grid_for(params.horizon, params.step)
     n = np.asarray(x0, dtype=float).shape[0]
     K = base.shape[0]
     acc = np.zeros((K, n)); acc2 = np.zeros((K, n))
@@ -261,11 +249,6 @@ def solve_ensemble(fields: VectorFieldSet, params: PathParams, x0,
     return EnsembleSummary(times=base, mean=mean, variance=var,
                            n_paths=n_paths, n_failures=failures,
                            observable_mean=omean, observable_variance=ovar)
-
-
-def _grid_of(params: PathParams) -> np.ndarray:
-    from .semimartingale import _grid_for
-    return _grid_for(params.horizon, params.step)
 
 
 def trajectory_to_csv(traj: Trajectory, fh, include_jacobian: bool = False) -> None:

@@ -4,7 +4,9 @@ The unit-time flow of a weighted field combination is the jump primitive of
 the whole library: a jump of size dz is realized as the time-1 flow of
 sum_i X_i * dz_i.  A classical fixed-step 4th-order Runge-Kutta stepper is
 used throughout, with an optional matrix-exponential fast path for linear
-field sets (validated against the generic stepper in the tests).
+field sets (validated against the generic stepper in the tests).  One
+stepper, ``_rk4``, and one flow, ``_flow``, serve both ``flow`` and
+``flow_with_jacobian``; the Jacobian is computed only when asked for.
 """
 
 from __future__ import annotations
@@ -104,8 +106,6 @@ class VectorFieldSet:
         if self.vectorized:
             return np.stack([np.asarray(f(X), dtype=float) for f in self._evals],
                             axis=-1)
-        if X.ndim == 1:
-            return np.stack([self.eval(i, X) for i in range(self.count)], axis=-1)
         flat = X.reshape(-1, self.dimension)
         out = np.stack([np.stack([self.eval(i, p) for i in range(self.count)],
                                  axis=-1) for p in flat])
@@ -118,8 +118,6 @@ class VectorFieldSet:
             return np.broadcast_to(self.matrices[i], X.shape[:-1] + self.matrices[i].shape)
         if self.vectorized and self._jacs[i] is not None:
             return np.asarray(self._jacs[i](X), dtype=float)
-        if X.ndim == 1:
-            return self.jacobian(i, X)
         flat = X.reshape(-1, self.dimension)
         out = np.stack([self.jacobian(i, p) for p in flat])
         return out.reshape(X.shape[:-1] + (self.dimension, self.dimension))
@@ -152,14 +150,11 @@ class OdeConfig:
     """
 
     substeps: int = 64
-    method: str = "rk4"
     use_expm: bool = True
 
     def __post_init__(self):
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
-        if self.method != "rk4":
-            raise ValueError("only the fixed-step rk4 method is provided")
 
 
 def _combined(fields: VectorFieldSet, weights):
@@ -177,48 +172,48 @@ def _check_finite(X, u):
             "flow integration blew up at flow time %g" % u, time=float(u))
 
 
-def _rk4_batch(fields, weights, X0, u, cfg):
-    W = _combined(fields, weights)
-    nsteps = max(1, int(np.ceil(abs(u) * cfg.substeps)))
-    dt = u / nsteps
-    X = np.asarray(X0, dtype=float).copy()
-    for k in range(nsteps):
-        k1 = W(X)
-        k2 = W(X + 0.5 * dt * k1)
-        k3 = W(X + 0.5 * dt * k2)
-        k4 = W(X + dt * k3)
-        X = X + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        _check_finite(X, (k + 1) * dt)
-    return X
-
-
-def _rk4_jac_batch(fields, weights, X0, u, cfg):
-    """RK4 on states and the exact derivative of the discrete stepper."""
+def _rk4(fields, weights, X0, u, cfg, jacobian):
+    """Fixed-step RK4 on states; with ``jacobian``, also the exact derivative
+    of the discrete stepper (the variational stages reuse the state stages).
+    Returns (X, J), J None without ``jacobian``."""
     W = _combined(fields, weights)
     w = np.asarray(weights, dtype=float)
     nsteps = max(1, int(np.ceil(abs(u) * cfg.substeps)))
     dt = u / nsteps
     X = np.asarray(X0, dtype=float).copy()
     n = fields.dimension
-    eye = np.broadcast_to(np.eye(n), X.shape[:-1] + (n, n)).copy()
-    J = eye.copy()
+    J = (np.broadcast_to(np.eye(n), X.shape[:-1] + (n, n)).copy()
+         if jacobian else None)
     for k in range(nsteps):
-        x1 = X
-        k1 = W(x1)
+        k1 = W(X)
         x2 = X + 0.5 * dt * k1
         k2 = W(x2)
         x3 = X + 0.5 * dt * k2
         k3 = W(x3)
         x4 = X + dt * k3
         k4 = W(x4)
-        K1 = fields.combo_jacobian(x1, w) @ J
-        K2 = fields.combo_jacobian(x2, w) @ (J + 0.5 * dt * K1)
-        K3 = fields.combo_jacobian(x3, w) @ (J + 0.5 * dt * K2)
-        K4 = fields.combo_jacobian(x4, w) @ (J + dt * K3)
+        if jacobian:
+            K1 = fields.combo_jacobian(X, w) @ J
+            K2 = fields.combo_jacobian(x2, w) @ (J + 0.5 * dt * K1)
+            K3 = fields.combo_jacobian(x3, w) @ (J + 0.5 * dt * K2)
+            K4 = fields.combo_jacobian(x4, w) @ (J + dt * K3)
+            J = J + (dt / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
         X = X + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        J = J + (dt / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
         _check_finite(X, (k + 1) * dt)
     return X, J
+
+
+def _flow(fields, weights, x0, u, cfg, jacobian):
+    """(x, J) of the time-u flow; J is None without ``jacobian``."""
+    x0 = np.asarray(x0, dtype=float)
+    if fields.is_linear and cfg.use_expm:
+        A = np.einsum("m,mij->ij", np.asarray(weights, dtype=float), fields.matrices)
+        E = expm(u * A)
+        x = np.einsum("ij,...j->...i", E, x0)
+        if not jacobian:
+            return x, None
+        return x, np.broadcast_to(E, x0.shape[:-1] + E.shape).copy()
+    return _rk4(fields, weights, x0, u, cfg, jacobian)
 
 
 def flow(fields: VectorFieldSet, weights, x0, u: float, cfg: OdeConfig) -> np.ndarray:
@@ -227,12 +222,7 @@ def flow(fields: VectorFieldSet, weights, x0, u: float, cfg: OdeConfig) -> np.nd
     Raises IntegrationFailure (with the failure time) if the state leaves the
     finite range.  Linear sets with use_expm take the exact exponential.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if fields.is_linear and cfg.use_expm:
-        A = np.einsum("m,mij->ij", np.asarray(weights, dtype=float), fields.matrices)
-        E = expm(u * A)
-        return np.einsum("ij,...j->...i", E, x0)
-    return _rk4_batch(fields, weights, x0, u, cfg)
+    return _flow(fields, weights, x0, u, cfg, jacobian=False)[0]
 
 
 def flow_with_jacobian(fields: VectorFieldSet, weights, x0, u: float,
@@ -243,14 +233,7 @@ def flow_with_jacobian(fields: VectorFieldSet, weights, x0, u: float,
     variational stages reuse the state stages), so it matches finite
     differences of ``flow`` to the FD error, not just to O(step^4).
     """
-    x0 = np.asarray(x0, dtype=float)
-    if fields.is_linear and cfg.use_expm:
-        A = np.einsum("m,mij->ij", np.asarray(weights, dtype=float), fields.matrices)
-        E = expm(u * A)
-        x = np.einsum("ij,...j->...i", E, x0)
-        J = np.broadcast_to(E, x0.shape[:-1] + E.shape) if x0.ndim > 1 else E
-        return x, J.copy()
-    return _rk4_jac_batch(fields, weights, x0, u, cfg)
+    return _flow(fields, weights, x0, u, cfg, jacobian=True)
 
 
 def curve_average(H, fields: VectorFieldSet, weights, x0, cfg: OdeConfig,
@@ -280,7 +263,7 @@ def curve_average(H, fields: VectorFieldSet, weights, x0, cfg: OdeConfig,
         sub = OdeConfig(substeps=max(1, int(np.ceil(cfg.substeps * du))),
                         use_expm=cfg.use_expm)
         for _ in range(nint):
-            x = _rk4_batch(fields, weights, x, du, sub)
+            x, _ = _rk4(fields, weights, x, du, sub, jacobian=False)
             samples.append(np.asarray(H(x), dtype=float))
 
     w = np.ones(nint + 1)

@@ -351,6 +351,12 @@ def _concat_residual(outer, inner, orbit: _CompositeOrbit, cfg) -> float | None:
     return worst
 
 
+def _ratios(rungs):
+    """Successive residual quotients down the ladder (0 after an exact rung)."""
+    return [float(b.residual_sup / a.residual_sup) if a.residual_sup > 0
+            else 0.0 for a, b in zip(rungs[:-1], rungs[1:])]
+
+
 def verify_ivk(outer: VectorFieldSet, inner: VectorFieldSet, driver: JumpPath,
                x0, cfg: MarcusConfig, ladder: int = 3) -> CompositionReport:
     """Residuals of the two-flow composition identity on a refinement ladder.
@@ -371,12 +377,8 @@ def verify_ivk(outer: VectorFieldSet, inner: VectorFieldSet, driver: JumpPath,
         rung, orbit = _one_rung(outer, inner, refine(driver, 2 ** r), x0, cfg)
         rungs.append(rung)
         last_orbit = orbit
-    ratios = []
-    for a, b in zip(rungs[:-1], rungs[1:]):
-        ratios.append(float(b.residual_sup / a.residual_sup)
-                      if a.residual_sup > 0 else 0.0)
     concat = _concat_residual(outer, inner, last_orbit, cfg)
-    return CompositionReport(rungs=rungs, ratios=ratios,
+    return CompositionReport(rungs=rungs, ratios=_ratios(rungs),
                              jump_concat_residual=concat)
 
 
@@ -398,9 +400,5 @@ def verify_leibniz(outer: VectorFieldSet, inner: VectorFieldSet,
                         residual_series=r.residual_series,
                         max_interval_residual=r.max_interval_residual)
              for r in base.rungs]
-    ratios = []
-    for a, b in zip(rungs[:-1], rungs[1:]):
-        ratios.append(float(b.residual_sup / a.residual_sup)
-                      if a.residual_sup > 0 else 0.0)
-    return CompositionReport(rungs=rungs, ratios=ratios,
+    return CompositionReport(rungs=rungs, ratios=_ratios(rungs),
                              jump_concat_residual=base.jump_concat_residual)

@@ -117,6 +117,37 @@ def test_ensemble_outputs_moments(tmp_path):
     assert len(report["observable_mean"]) == len(report["times"])
 
 
+def _simulate_rotation(tmp_path, driver):
+    path = tmp_path / "rotation.yaml"
+    path.write_text(yaml.safe_dump({"scenario": "rotation",
+                                    "driver": driver}))
+    out = str(tmp_path / "run")
+    code = main(["simulate", "--config", str(path), "--out", out])
+    return code, out
+
+
+def test_grid_has_no_sliver_interval(tmp_path):
+    # 0.7 / 0.1 rounds below 7: the grid is 0, 0.1, ..., 0.6, 0.7 with no
+    # second point 1e-16 past the horizon
+    code, out = _simulate_rotation(tmp_path, {"type": "deterministic",
+                                              "horizon": 0.7, "step": 0.1})
+    assert code == 0
+    summary = json.loads(_read(os.path.join(out, "summary.json")))
+    assert summary["n_steps"] == 7
+
+
+def test_jump_time_snaps_to_grid(tmp_path):
+    # 3 * 0.1 != 0.3 in floating point; the jump must still land on the grid
+    code, out = _simulate_rotation(tmp_path, {
+        "type": "deterministic", "horizon": 1.0, "step": 0.1,
+        "jumps": [{"time": 0.3, "size": [0.5]}]})
+    assert code == 0
+    lines = _read(os.path.join(out, "driver.csv")).decode().splitlines()
+    flagged = [row.split(",")[0] for row in lines[1:]
+               if row.split(",")[2] == "1"]
+    assert len(flagged) == 1 and abs(float(flagged[0]) - 0.3) < 1e-12
+
+
 def test_dump_config_round_trips(tmp_path, capsys):
     assert main(["simulate", "--config", _cfg("rotation.yaml"),
                  "--dump-config"]) == 0

@@ -114,27 +114,50 @@ def test_jacobian_matches_finite_differences_nonlinear():
     assert np.max(np.abs(traj.jacobians_post[-1] - fd)) < 1e-6
 
 
-def test_map_batch_equals_prefix_runs():
+def _field_kinds():
+    """One field set of each kind: vectorized callables, linear (exponential
+    jumps) and per-point callables."""
     def f(x):
         return np.stack([x[..., 1], -np.sin(x[..., 0])], axis=-1)
 
-    fields = VectorFieldSet.from_callables(2, [f], vectorized=True)
+    def g(x):
+        return np.array([x[1], -np.sin(x[0])])
+
+    return [VectorFieldSet.from_callables(2, [f], vectorized=True),
+            VectorFieldSet.linear(np.array([[[0.1, -0.6], [0.6, 0.1]]])),
+            VectorFieldSet.from_callables(2, [g])]
+
+
+def test_map_batch_equals_prefix_runs():
     path = _ramp_with_jumps(2.5e-2)
     bases = np.array([[0.5, 0.0], [0.0, 0.5], [-0.3, 0.4]])
     K = path.grid.shape[0]
     fidx = np.array([K // 4, K // 2, K - 1])
     fside = np.array([0, 1, 1])
     cfg = MarcusConfig()
-    states, jacs = solve_map_batch(fields, path, bases, fidx, fside, cfg)
-    for r in range(3):
-        t = float(path.grid[fidx[r]])
-        sub = prefix(path, t, include_jump_at_end=bool(fside[r]))
-        ref = solve_with_jacobian(fields, sub, bases[r], cfg)
-        pick = ref.post[-1] if fside[r] else ref.pre[-1]
-        jpick = (ref.jacobians_post[-1] if fside[r]
-                 else ref.jacobians_pre[-1])
-        assert np.max(np.abs(states[r] - pick)) == 0.0
-        assert np.max(np.abs(jacs[r] - jpick)) == 0.0
+    for fields in _field_kinds():
+        states, jacs = solve_map_batch(fields, path, bases, fidx, fside, cfg)
+        for r in range(3):
+            t = float(path.grid[fidx[r]])
+            sub = prefix(path, t, include_jump_at_end=bool(fside[r]))
+            ref = solve_with_jacobian(fields, sub, bases[r], cfg)
+            pick = ref.post[-1] if fside[r] else ref.pre[-1]
+            jpick = (ref.jacobians_post[-1] if fside[r]
+                     else ref.jacobians_pre[-1])
+            assert np.max(np.abs(states[r] - pick)) == 0.0
+            assert np.max(np.abs(jacs[r] - jpick)) == 0.0
+
+
+def test_state_run_equals_jacobian_run_states():
+    path = _ramp_with_jumps(2.5e-2)
+    x0 = np.array([0.5, -0.2])
+    cfg = MarcusConfig()
+    for fields in _field_kinds():
+        plain = solve_point(fields, path, x0, cfg)
+        full = solve_with_jacobian(fields, path, x0, cfg)
+        assert np.array_equal(plain.pre, full.pre)
+        assert np.array_equal(plain.post, full.post)
+        assert plain.jacobians_post is None
 
 
 def test_random_driver_determinism():

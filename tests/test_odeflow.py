@@ -87,6 +87,27 @@ def test_variational_jacobian_matches_fd():
     assert np.max(np.abs(J - fd)) < 1e-8
 
 
+def test_flow_equals_state_of_flow_with_jacobian():
+    def f(p):
+        return np.stack([np.sin(p[..., 1]), p[..., 0] ** 2], axis=-1)
+
+    def g(p):
+        return np.array([np.sin(p[1]), p[0] ** 2])
+
+    kinds = [VectorFieldSet.from_callables(2, [f], vectorized=True),
+             VectorFieldSet.linear(ROT),
+             VectorFieldSet.from_callables(2, [g])]
+    X0 = np.array([[0.4, 0.3], [-0.2, 0.1]])
+    for fields in kinds:
+        for use_expm in (True, False):
+            cfg = OdeConfig(substeps=16, use_expm=use_expm)
+            for x0 in (X0[0], X0):
+                x = flow(fields, np.array([0.7]), x0, 1.0, cfg)
+                xj, _ = flow_with_jacobian(fields, np.array([0.7]), x0, 1.0,
+                                           cfg)
+                assert np.array_equal(x, xj)
+
+
 def test_linear_jacobian_is_exponential():
     fields = VectorFieldSet.linear(ROT)
     _, J = flow_with_jacobian(fields, np.array([0.9]), np.array([2.0, -1.0]),
