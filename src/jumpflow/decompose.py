@@ -28,8 +28,7 @@ from .errors import DegeneracyError, IntegrationFailure, MeshInversionError
 from .geometry import ComplementaryPair, GeometryConfig, DEFAULT_GEOMETRY
 from .marcus import MarcusConfig
 from .mesh import MeshChart, interp_mesh, invert_mesh_map, mesh_jacobian
-from .odeflow import VectorFieldSet
-from .reference import matrix_exp
+from .odeflow import VectorFieldSet, expm
 from .semimartingale import JumpPath
 
 TAU_REASONS = ("horizon", "split_degenerate", "det_block_zero",
@@ -159,25 +158,24 @@ def _structured_rhs(Xi, Psi, A_dz, p, geo):
     Both factors split the combined linear field through the moving frame
     S = [E_H | Xi[:, p:]]: the horizontal coefficient feeds xi (top rows
     only) and the vertical one feeds psi (bottom rows only), so the
-    structural blocks of each factor never move.
+    structural blocks never move and S = [[I, W], [0, I]], W = Xi[:p, p:]:
+    det S = 1, S^-1 = [[I, -W], [0, I]], cond S = (s/2 + hypot(1, s/2))^2
+    with s = |W|_2.
     """
-    n = Xi.shape[0]
-    S = np.empty((n, n))
-    S[:, :p] = np.eye(n)[:, :p]
-    S[:, p:] = Xi[:, p:]
-    det = float(np.linalg.det(S))
+    W = Xi[:p, p:]
+    det = 1.0 if np.all(np.isfinite(W)) else np.nan
     if not np.isfinite(det) or abs(det) <= geo.eps_det:
         raise DegeneracyError("frame matrix singular", det=det)
-    cond = float(np.linalg.cond(S))
+    half = 0.5 * float(np.linalg.norm(W, 2))
+    cond = float((half + np.hypot(1.0, half)) ** 2)
     if cond >= geo.cond_cap:
         raise DegeneracyError("frame matrix ill conditioned",
                               det=det, condition=cond)
-    rhs = np.concatenate([A_dz @ Xi, A_dz @ (Xi @ Psi)], axis=1)
-    C = np.linalg.solve(S, rhs)
+    AX = A_dz @ Xi
     dXi = np.zeros_like(Xi)
-    dXi[:p] = C[:p, :n]
+    dXi[:p] = AX[:p] - W @ AX[p:]
     dPsi = np.zeros_like(Psi)
-    dPsi[p:] = C[p:, n:]
+    dPsi[p:] = AX[p:] @ Psi
     return dXi, dPsi, cond
 
 
@@ -287,8 +285,11 @@ def decompose_linear_sde(system: LinearSystem, driver: JumpPath,
         if jumped:
             dzj = jump_sizes[k + 1]
             A_j = np.einsum("i,ijk->jk", dzj, A)
-            E = matrix_exp(A_j).value
-            Phi_target = E @ Phi
+            Phi_target = expm(A_j) @ Phi
+            if not np.all(np.isfinite(Phi_target)):
+                record(grid[k + 1], True, cond)    # at the left limit
+                tau, reason = float(grid[k + 1]), "blowup"
+                break
             det_target = float(np.linalg.det(Phi_target[p:, p:]))
             det_pre_jump[k + 1] = float(np.linalg.det(Phi[p:, p:]))
             if abs(det_target) <= geo.eps_det:

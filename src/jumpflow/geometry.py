@@ -38,13 +38,12 @@ DEFAULT_GEOMETRY = GeometryConfig()
 class Distribution:
     """Rank-k subbundle of R^n given by a full-column-rank basis map."""
 
-    def __init__(self, dimension, rank, basis_fn, domain=None, vectorized=False):
+    def __init__(self, dimension, rank, basis_fn, vectorized=False):
         self.dimension = int(dimension)
         self.rank = int(rank)
         if not (1 <= self.rank <= self.dimension):
             raise ValueError("rank must be between 1 and the dimension")
         self._basis_fn = basis_fn
-        self._domain = domain
         self.vectorized = bool(vectorized)
 
     @classmethod
@@ -70,11 +69,6 @@ class Distribution:
         flat = X.reshape(-1, self.dimension)
         out = np.stack([self.basis(p) for p in flat])
         return out.reshape(X.shape[:-1] + (self.dimension, self.rank))
-
-    def contains_point(self, x) -> bool:
-        if self._domain is None:
-            return True
-        return bool(self._domain(np.asarray(x, dtype=float)))
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,11 @@ def _heun(fields, x, J, dz):
     return x_new, J + 0.5 * (D0 + D1 + D1 @ D0) @ J
 
 
+def _check_finite(xs, t):
+    if not np.all(np.isfinite(xs)):
+        raise IntegrationFailure("state blew up at t=%g" % t, time=float(t))
+
+
 def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
            freeze_side=None):
     """Advance a state (n,) or a batch (B, n) along the driver grid.
@@ -124,9 +129,7 @@ def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
                 break
         xs, js = _heun(fields, X[live], J[live] if jacobian else None,
                        dzc[k - 1])
-        if not np.all(np.isfinite(xs)):
-            raise IntegrationFailure("state blew up at t=%g" % driver.grid[k],
-                                     time=float(driver.grid[k]))
+        _check_finite(xs, driver.grid[k])
         X[live] = xs
         if jacobian:
             J[live] = js
@@ -140,6 +143,7 @@ def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
                     J[hop] = js @ J[hop]
                 else:
                     xs = flow(fields, sizes[k], X[hop], 1.0, cfg.ode)
+                _check_finite(xs, driver.grid[k])
                 X[hop] = xs
         store(k, 1)
     if not record:

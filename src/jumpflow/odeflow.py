@@ -3,8 +3,8 @@
 The unit-time flow of a weighted field combination is the jump primitive of
 the whole library: a jump of size dz is realized as the time-1 flow of
 sum_i X_i * dz_i.  A classical fixed-step 4th-order Runge-Kutta stepper is
-used throughout, with an optional matrix-exponential fast path for linear
-field sets (validated against the generic stepper in the tests).  One
+used throughout; linear field sets may take the exact Pade-13 ``expm``
+instead (validated against the generic stepper in the tests).  One
 stepper, ``_rk4``, and one flow, ``_flow``, serve both ``flow`` and
 ``flow_with_jacobian``; the Jacobian is computed only when asked for.
 """
@@ -12,11 +12,37 @@ stepper, ``_rk4``, and one flow, ``_flow``, serve both ``flow`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb, perm
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import IntegrationFailure
+
+# Pade-13 coefficients 13! (26-k)! / (26! k! (13-k)!) and the 1-norm up to
+# which r_13 has double accuracy (Higham, SIAM J. Matrix Anal. Appl. 2005)
+_PADE13 = [comb(13, k) / perm(26, k) for k in range(14)]
+_THETA13 = 5.371920351148152
+
+
+def expm(A) -> np.ndarray:
+    """exp(A) of one square matrix by Pade-13 scaling and squaring."""
+    # s = ceil(log2(|A|_1 / theta)), or 0 for inf/NaN: non-finite input or
+    # overflow while squaring gives a non-finite result, never an exception
+    s = max(0, int(np.frexp(np.linalg.norm(A, 1) / _THETA13)[1]))
+    A = np.asarray(A, dtype=float) * 2.0 ** -s
+    c = _PADE13
+    I = np.eye(A.shape[0])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (c[13] * A6 + c[11] * A4 + c[9] * A2)
+             + c[7] * A6 + c[5] * A4 + c[3] * A2 + c[1] * I)
+    V = (A6 @ (c[12] * A6 + c[10] * A4 + c[8] * A2)
+         + c[6] * A6 + c[4] * A4 + c[2] * A2 + c[0] * I)
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 def _fd_jacobian(fn, x, eps_base: float = 1e-6):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -146,6 +148,64 @@ def test_jump_time_snaps_to_grid(tmp_path):
     flagged = [row.split(",")[0] for row in lines[1:]
                if row.split(",")[2] == "1"]
     assert len(flagged) == 1 and abs(float(flagged[0]) - 0.3) < 1e-12
+
+
+def _overflowing_jump(tmp_path, command, time):
+    # custom-linear with one jump whose exponential overflows double range
+    path = tmp_path / "overflow.yaml"
+    path.write_text(yaml.safe_dump({
+        "scenario": "custom-linear", "x0": [1.0, 0.5, -0.25],
+        "horizontal_dim": 1,
+        "fields": {"matrices": [
+            [[0.0, -0.3, 0.0], [0.3, 0.0, 0.1], [0.0, -0.1, 0.0]],
+            [[0.1, 0.0, 0.2], [0.0, -0.1, 0.0], [-0.2, 0.0, 0.1]]]},
+        "driver": {"type": "deterministic", "horizon": 1.0, "step": 0.01,
+                   "ramp_to": [0.0, 0.0],
+                   "jumps": [{"time": time, "size": [0.0, 8000.0]}]}}))
+    out = str(tmp_path / "run")
+    return main([command, "--config", str(path), "--out", out]), out
+
+
+def _strict_loads(text):
+    def reject(name):
+        raise ValueError("non-finite JSON value %s" % name)
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("time", [0.5, 1.0])
+def test_simulate_overflowing_jump_fails_at_jump_time(tmp_path, capsys, time):
+    code, out = _overflowing_jump(tmp_path, "simulate", time)
+    assert code == 3
+    assert not os.path.exists(os.path.join(out, "summary.json"))
+    assert "at t=%g:" % time in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_decompose_overflowing_jump_stops_with_blowup(tmp_path):
+    code, out = _overflowing_jump(tmp_path, "decompose", 0.5)
+    assert code == 4
+    summary = _strict_loads(_read(os.path.join(out, "summary.json")))
+    assert summary["tau_reason"] == "blowup"
+    assert summary["tau"] == 0.5
+    assert not summary["degenerate_jump_target"]
+    rows = [_strict_loads(line) for line in
+            _read(os.path.join(out, "diagnostics.jsonl")).splitlines()]
+    assert rows[-1]["t"] == 0.5
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, jumpflow.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_dump_config_round_trips(tmp_path, capsys):

@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from jumpflow.decompose import (TAU_REASONS, LinearSystem,
+from jumpflow.decompose import (TAU_REASONS, LinearSystem, _structured_rhs,
                                 decompose_linear_algebraic,
                                 decompose_linear_sde, decompose_pointwise,
                                 validity_monitor, verify_composition)
+from jumpflow.errors import DegeneracyError
 from jumpflow.geometry import ComplementaryPair, Distribution, GeometryConfig
 from jumpflow.marcus import MarcusConfig, solve_with_jacobian
 from jumpflow.mesh import MeshChart
@@ -156,6 +157,50 @@ def test_linear_record_rows_are_json_safe():
     assert "NaN" not in text
     assert set(rows[0]) == {"t", "det_block", "condition", "residual_sup",
                             "is_jump"}
+
+
+def _structured_state(rng, n, p, w_norm):
+    """Factor stages as the integrator holds them: Xi = [[X11, W], [0, I]],
+    Psi = [[I, 0], [P21, P22]], with |W|_2 = w_norm."""
+    Xi = np.eye(n)
+    Xi[:p] = rng.standard_normal((p, n))
+    W = rng.standard_normal((p, n - p))
+    Xi[:p, p:] = W * (w_norm / np.linalg.norm(W, 2))
+    Psi = np.eye(n)
+    Psi[p:] = rng.standard_normal((n - p, n))
+    return Xi, Psi, rng.standard_normal((n, n))
+
+
+@pytest.mark.parametrize("n,p", [(2, 1), (3, 1), (3, 2), (5, 2)])
+def test_structured_rhs_matches_frame_solve(n, p):
+    # the explicit frame must reproduce a general solve against
+    # S = [E_H | Xi[:, p:]] and its 2-norm condition number
+    rng = np.random.default_rng(100 * n + p)
+    geo = GeometryConfig(cond_cap=1e12)
+    for w_norm in (0.0, 1e-3, 0.5, 1.0, 7.0, 1e2, 1e3):
+        Xi, Psi, A_dz = _structured_state(rng, n, p, w_norm)
+        S = np.eye(n)
+        S[:, p:] = Xi[:, p:]
+        C = np.linalg.solve(S, np.concatenate([A_dz @ Xi, A_dz @ (Xi @ Psi)],
+                                              axis=1))
+        dXi, dPsi, cond = _structured_rhs(Xi, Psi, A_dz, p, geo)
+        want_x = np.zeros((n, n))
+        want_x[:p] = C[:p, :n]
+        want_p = np.zeros((n, n))
+        want_p[p:] = C[p:, n:]
+        assert np.max(np.abs(dXi - want_x)) <= 1e-12 * np.max(np.abs(want_x))
+        assert np.max(np.abs(dPsi - want_p)) <= 1e-12 * np.max(np.abs(want_p))
+        assert abs(cond - np.linalg.cond(S)) <= 1e-10 * np.linalg.cond(S)
+
+
+def test_structured_rhs_degenerate_frame_raises():
+    rng = np.random.default_rng(5)
+    Xi, Psi, A_dz = _structured_state(rng, 3, 1, 1e3)
+    with pytest.raises(DegeneracyError):
+        _structured_rhs(Xi, Psi, A_dz, 1, GeometryConfig(cond_cap=1e5))
+    Xi[0, 2] = np.inf
+    with pytest.raises(DegeneracyError):
+        _structured_rhs(Xi, Psi, A_dz, 1, GeometryConfig())
 
 
 def test_linear_system_validation():

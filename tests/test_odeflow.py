@@ -4,11 +4,38 @@ import numpy as np
 import pytest
 
 from jumpflow.errors import IntegrationFailure
-from jumpflow.odeflow import (OdeConfig, VectorFieldSet, curve_average, flow,
-                              flow_with_jacobian)
+from jumpflow.odeflow import (OdeConfig, VectorFieldSet, curve_average, expm,
+                              flow, flow_with_jacobian)
 from jumpflow.reference import matrix_exp
 
 ROT = np.array([[[0.0, -1.0], [1.0, 0.0]]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_expm_against_oracle(n):
+    rng = np.random.default_rng(40 + n)
+    for norm in np.logspace(-8, 2, 21):
+        for _ in range(3):
+            A = rng.standard_normal((n, n))
+            A *= norm / np.linalg.norm(A, 1)
+            ref = matrix_exp(A)
+            E = expm(A)
+            assert np.max(np.abs(E - ref.value)) <= ref.error_bound
+            if norm <= 30:
+                rel = (np.linalg.norm(E - ref.value, 1)
+                       / np.linalg.norm(ref.value, 1))
+                assert rel <= 1e-13
+
+
+def test_expm_exact_cases():
+    eps = np.finfo(float).eps
+    assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
+    # a nilpotent Jordan block: the series stops after A^2 / 2
+    J = np.diag([1.0, 1.0], 1)
+    want = np.array([[1.0, 1.0, 0.5], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+    assert np.max(np.abs(expm(J) - want)) <= 4 * eps
+    quarter = expm(np.pi / 2 * ROT[0])
+    assert np.max(np.abs(quarter - [[0.0, -1.0], [1.0, 0.0]])) <= 4 * eps
 
 
 def test_linear_flow_uses_exponential():
