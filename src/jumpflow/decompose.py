@@ -285,7 +285,8 @@ def decompose_linear_sde(system: LinearSystem, driver: JumpPath,
         if jumped:
             dzj = jump_sizes[k + 1]
             A_j = np.einsum("i,ijk->jk", dzj, A)
-            Phi_target = expm(A_j) @ Phi
+            with np.errstate(over="ignore", invalid="ignore"):
+                Phi_target = expm(A_j) @ Phi
             if not np.all(np.isfinite(Phi_target)):
                 record(grid[k + 1], True, cond)    # at the left limit
                 tau, reason = float(grid[k + 1]), "blowup"

@@ -9,7 +9,8 @@ evaluate left limits exactly.
 Every solver is one sweep, ``_sweep``, over one grid loop: it advances a
 state or a batch of states and carries the flow Jacobian only when asked.
 ``solve_point`` and ``solve_with_jacobian`` record every grid time;
-``solve_map_batch`` stops each row at its own time.
+``solve_map_batch`` stops each row at its own time; ``solve_ensemble``
+steps blocks of drivers, one per row, each row as ``solve_point`` would.
 """
 
 from __future__ import annotations
@@ -58,12 +59,16 @@ class Trajectory:
         return self.post[-1].copy()
 
 
+# Row-steps in one ensemble block: its memory is bounded at any path count
+_BLOCK_ROW_STEPS = 2 ** 14
+
+
 def _heun(fields, x, J, dz):
     """One Heun step of x; with a Jacobian J, also of J (else J stays None)."""
     F0 = fields.field_matrix(x)
-    xhat = x + F0 @ dz
+    xhat = x + (F0 @ dz[..., None])[..., 0]
     F1 = fields.field_matrix(xhat)
-    x_new = x + 0.5 * (F0 + F1) @ dz
+    x_new = x + (0.5 * (F0 + F1) @ dz[..., None])[..., 0]
     if J is None:
         return x_new, None
     D0 = fields.combo_jacobian(x, dz)
@@ -71,33 +76,37 @@ def _heun(fields, x, J, dz):
     return x_new, J + 0.5 * (D0 + D1 + D1 @ D0) @ J
 
 
-def _check_finite(xs, t):
-    if not np.all(np.isfinite(xs)):
-        raise IntegrationFailure("state blew up at t=%g" % t, time=float(t))
-
-
 def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
            freeze_side=None):
     """Advance a state (n,) or a batch (B, n) along the driver grid.
 
-    With ``jacobian`` the derivative with respect to ``x`` rides along.
-    Without freeze indices every grid time is recorded, pre and post jump,
-    and a Trajectory is returned.  With them, row r stops at grid index
-    ``freeze_index[r]`` on side ``freeze_side[r]`` (0: the left limit, 1:
-    after the jump) and (states, jacobians) at the stops are returned.
+    ``driver`` is a JumpPath that every row follows, or a block from
+    ``_pack``.  With ``jacobian`` the derivative with respect to ``x`` rides
+    along.  Without freeze indices every grid time is recorded, pre and post
+    jump, and a Trajectory is returned.  With them, row r stops at grid
+    index ``freeze_index[r]`` on side ``freeze_side[r]`` (0: the left limit,
+    1: after the jump) and (states, jacobians) at the stops are returned.
+    A non-finite state raises IntegrationFailure at its grid time, but a
+    block row leaves the live set; a block returns (post, failed rows).
     """
-    if fields.count != driver.dimension:
+    if isinstance(driver, JumpPath):
+        sizes = driver.jump_size_at_grid()
+        times, dzc = driver.grid, np.diff(driver.continuous_values, axis=0)
+        jumps = [(k, Ellipsis, sizes[k]) for k in np.flatnonzero(driver.jump_mask)]
+        failed = None
+    else:
+        (times, dzc, jumps), failed = driver, np.zeros(len(x), dtype=bool)
+    if fields.count != dzc.shape[-1]:
         raise ValueError("field count must match driver dimension")
-    X = np.array(x, dtype=float)
-    K = driver.grid.shape[0]
+    X = np.array(x, dtype=float, order="C")  # strided rows round differently
+    K = dzc.shape[0] + 1
     n = X.shape[-1]
     J = (np.broadcast_to(np.eye(n), X.shape[:-1] + (n, n)).copy()
          if jacobian else None)
     record = freeze_index is None
     if record:
-        live = Ellipsis
-        # side 0 holds left limits, side 1 cadlag values, at every grid time
-        states = np.empty((2, K) + X.shape)
+        # slot 0: left limits, slot -1: cadlag values; a block keeps only -1
+        states = np.empty((1 + (failed is None), K) + X.shape)
         jacs = np.empty((2, K) + J.shape) if jacobian else None
     else:
         fidx = np.asarray(freeze_index, dtype=int)
@@ -109,47 +118,68 @@ def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
 
     def store(k, side):
         if record:
-            dst, src = (side, k), Ellipsis
+            dst, src = (-side, k), Ellipsis
         else:
             dst = src = (fidx == k) & (fside == side)
         states[dst] = X[src]
         if jacobian:
             jacs[dst] = J[src]
 
+    def check(k, rows, why=None):
+        if failed is not None:
+            failed[rows] |= ~np.isfinite(X[rows]).all(axis=-1)
+        elif why or not np.all(np.isfinite(X[rows])):
+            t = float(times[k])
+            raise IntegrationFailure(why or "state blew up at t=%g" % t, time=t)
+
     # no jump can sit at t=0, so both sides start at x
     store(0, 0)
     store(0, 1)
-    dzc = np.diff(driver.continuous_values, axis=0)
-    mask = driver.jump_mask
-    sizes = driver.jump_size_at_grid()
-    for k in range(1, K):
-        if not record:
-            live = fidx >= k
-            if not np.any(live):
-                break
-        xs, js = _heun(fields, X[live], J[live] if jacobian else None,
-                       dzc[k - 1])
-        _check_finite(xs, driver.grid[k])
-        X[live] = xs
-        if jacobian:
-            J[live] = js
-        store(k, 0)
-        if mask[k]:
-            hop = live if record else live & ~((fidx == k) & (fside == 0))
-            if record or np.any(hop):
-                if jacobian:
-                    xs, js = flow_with_jacobian(fields, sizes[k], X[hop], 1.0,
-                                                cfg.ode)
-                    J[hop] = js @ J[hop]
-                else:
-                    xs = flow(fields, sizes[k], X[hop], 1.0, cfg.ode)
-                _check_finite(xs, driver.grid[k])
+    live, j = Ellipsis, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, K):
+            if not record:
+                live = fidx >= k
+                if not np.any(live):
+                    break
+            elif failed is not None and failed.any():
+                live = ~failed
+            dz = dzc[k - 1] if dzc.ndim == 2 else dzc[k - 1][live]
+            xs, js = _heun(fields, X[live], J[live] if jacobian else None, dz)
+            X[live] = xs
+            if jacobian:
+                J[live] = js
+            check(k, live)
+            store(k, 0)
+            while j < len(jumps) and jumps[j][0] == k:
+                _, hop, size = jumps[j]
+                j += 1
+                if not record:
+                    hop = live & ~((fidx == k) & (fside == 0))
+                    if not np.any(hop):
+                        continue
+                elif failed is not None and failed[hop]:
+                    continue
+                why = None
+                try:
+                    if jacobian:
+                        xs, js = flow_with_jacobian(fields, size, X[hop], 1.0,
+                                                    cfg.ode)
+                        J[hop] = js @ J[hop]
+                    else:
+                        xs = flow(fields, size, X[hop], 1.0, cfg.ode)
+                except IntegrationFailure as exc:
+                    # a blow-up inside the flow fails at the jump's grid time
+                    xs, why = np.nan, str(exc)
                 X[hop] = xs
-        store(k, 1)
+                check(k, hop, why)
+            store(k, 1)
     if not record:
         return states, jacs
+    if failed is not None:
+        return states[0], failed
     return Trajectory(times=driver.grid.copy(), pre=states[0], post=states[1],
-                      is_jump=mask, path=driver,
+                      is_jump=driver.jump_mask, path=driver,
                       jacobians_pre=jacs[0] if jacobian else None,
                       jacobians_post=jacs[1] if jacobian else None)
 
@@ -204,55 +234,67 @@ class EnsembleSummary:
     observable_variance: dict
 
 
+def _pack(paths, base):
+    """Step-aligned block (None, dz, [(step, row, size)]) of drivers, each row
+    padded at the end with zero increments, and their ``base`` time indices."""
+    dzs, jumps, at = [], [], []
+    for r, p in enumerate(paths):
+        dzs.append(np.diff(p.continuous_values, axis=0))
+        jumps += [(k, r, size) for k, size in
+                  zip(np.searchsorted(p.grid, p.jump_times), p.jump_sizes)]
+        at.append(np.searchsorted(p.grid, base))
+    dz = np.zeros((max(d.shape[0] for d in dzs), len(dzs), dzs[0].shape[1]))
+    for r, d in enumerate(dzs):
+        dz[:d.shape[0], r] = d
+    jumps.sort(key=lambda jump: jump[0])
+    return (None, dz, jumps), np.array(at)
+
+
 def solve_ensemble(fields: VectorFieldSet, params: PathParams, x0,
                    cfg: MarcusConfig, n_paths: int, observables=None) -> EnsembleSummary:
     """Monte-Carlo sweep: independent driver draws, common statistics grid.
 
     Per-path seeds derive from params.seed through the documented substream
     scheme (purpose key 3), so the ensemble is reproducible and insensitive
-    to n_paths changes path-by-path.  Integration failures are counted and
-    skipped, never fatal.  ``observables`` maps name -> f(times, states)
-    returning a per-time scalar series.
+    to n_paths changes path-by-path.  Blocks of paths are stepped together,
+    each row exactly as ``solve_point`` steps it, and moments are summed per
+    path in path order.  A path whose states, observable series or their
+    squares are not finite is counted as a failure and skipped, never
+    fatal.  ``observables`` maps name -> f(times, states) returning a
+    per-time scalar series.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     observables = observables or {}
     base = _grid_for(params.horizon, params.step)
-    n = np.asarray(x0, dtype=float).shape[0]
-    K = base.shape[0]
-    acc = np.zeros((K, n)); acc2 = np.zeros((K, n))
-    obs_acc = {k: np.zeros(K) for k in observables}
-    obs_acc2 = {k: np.zeros(K) for k in observables}
-    failures = 0
+    # sums and sums of squares of the states, then of each observable
+    acc = acc2 = [0.0] * (1 + len(observables))
     done = 0
-    for r in range(n_paths):
-        child = int(_substream(params.seed, 3, r).integers(0, 2 ** 63))
-        draw = replace(params, seed=child)
-        path = sample_levy_jump_diffusion(draw)
-        try:
-            traj = solve_point(fields, path, x0, cfg)
-        except IntegrationFailure:
-            failures += 1
-            continue
-        idx = np.searchsorted(traj.times, base)
-        states = traj.post[idx]
-        acc += states
-        acc2 += states ** 2
-        for name, fn in observables.items():
-            series = np.asarray(fn(base, states), dtype=float)
-            obs_acc[name] += series
-            obs_acc2[name] += series ** 2
-        done += 1
+    block = max(1, _BLOCK_ROW_STEPS // (base.shape[0] - 1))
+    for start in range(0, n_paths, block):
+        driver, at = _pack((sample_levy_jump_diffusion(replace(
+            params, seed=int(_substream(params.seed, 3, r).integers(0, 2 ** 63))))
+            for r in range(start, min(start + block, n_paths))), base)
+        post, failed = _sweep(fields, driver, np.broadcast_to(
+            x0, (at.shape[0],) + np.shape(x0)), cfg, False)
+        for r in np.flatnonzero(~failed):
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = [post[at[r], r]]
+                vals += [np.asarray(fn(base, vals[0]), dtype=float)
+                         for fn in observables.values()]
+                squares = [v ** 2 for v in vals]
+            if all(np.all(np.isfinite(sq)) for sq in squares):
+                acc = [a + v for a, v in zip(acc, vals)]
+                acc2 = [a + sq for a, sq in zip(acc2, squares)]
+                done += 1
     if done == 0:
         raise IntegrationFailure("every path in the ensemble failed")
-    mean = acc / done
-    var = np.maximum(acc2 / done - mean ** 2, 0.0)
-    omean = {k: v / done for k, v in obs_acc.items()}
-    ovar = {k: np.maximum(obs_acc2[k] / done - omean[k] ** 2, 0.0)
-            for k in obs_acc}
-    return EnsembleSummary(times=base, mean=mean, variance=var,
-                           n_paths=n_paths, n_failures=failures,
-                           observable_mean=omean, observable_variance=ovar)
+    mean = [a / done for a in acc]
+    var = [np.maximum(a2 / done - m ** 2, 0.0) for a2, m in zip(acc2, mean)]
+    return EnsembleSummary(times=base, mean=mean[0], variance=var[0],
+                           n_paths=n_paths, n_failures=n_paths - done,
+                           observable_mean=dict(zip(observables, mean[1:])),
+                           observable_variance=dict(zip(observables, var[1:])))
 
 
 def trajectory_to_csv(traj: Trajectory, fh, include_jacobian: bool = False) -> None:

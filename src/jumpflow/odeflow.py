@@ -40,8 +40,9 @@ def expm(A) -> np.ndarray:
     V = (A6 @ (c[12] * A6 + c[10] * A4 + c[8] * A2)
          + c[6] * A6 + c[4] * A4 + c[2] * A2 + c[0] * I)
     E = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        E = E @ E
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            E = E @ E
     return E
 
 

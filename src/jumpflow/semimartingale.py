@@ -158,22 +158,23 @@ class JumpPath:
             raise ValueError("continuous_values must have one row per grid point")
         if jt.shape[0] != js.shape[0] or js.shape[1] != cont.shape[1]:
             raise ValueError("jump ledger shapes are inconsistent")
+        idx = np.searchsorted(grid, jt)
         if jt.shape[0]:
             if np.any(np.diff(jt) <= 0):
                 raise ValueError("jump times must be strictly increasing")
             if jt[0] <= 0.0 or jt[-1] > grid[-1]:
                 raise ValueError("jump times must lie in (0, horizon]")
-            if not np.all(np.isin(jt, grid)):
+            # np.isin would import numpy.ma; a NaN time sorts past the end
+            if not np.all(grid[idx.clip(max=grid.shape[0] - 1)] == jt):
                 raise ValueError("every jump time must be a grid point")
         if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(cont))
                 and np.all(np.isfinite(js))):
             raise ValueError("path data must be finite")
 
-        idx = np.searchsorted(grid, jt)
-        cum = np.zeros_like(cont)
-        np.add.at(cum, idx, js)
-        cum = np.cumsum(cum, axis=0)
-        strict = cum - _scatter(idx, js, cont.shape)
+        at_grid = np.zeros_like(cont)
+        np.add.at(at_grid, idx, js)
+        cum = np.cumsum(at_grid, axis=0)
+        strict = cum - at_grid
 
         for arr in (grid, cont, jt, js, cum, strict):
             arr.setflags(write=False)
@@ -216,12 +217,6 @@ class JumpPath:
         return out
 
 
-def _scatter(idx, vals, shape):
-    out = np.zeros(shape)
-    np.add.at(out, idx, vals)
-    return out
-
-
 def _grid_for(horizon: float, step: float) -> np.ndarray:
     n = max(1, int(np.ceil(horizon / step - 1e-12)))
     grid = np.arange(n, dtype=float) * step
@@ -247,13 +242,13 @@ def sample_levy_jump_diffusion(params: PathParams) -> JumpPath:
         count = int(rng_t.poisson(params.jump_intensity * T))
         if count:
             jump_times = np.sort(rng_t.uniform(0.0, T, size=count))
-            jump_times = np.unique(jump_times[jump_times > 0.0])
+            # distinct and positive; np.unique would import numpy.ma
+            jump_times = jump_times[np.diff(jump_times, prepend=0.0) > 0]
             rng_s = _substream(params.seed, 2)
             jump_sizes = params.jump_law.sample(rng_s, jump_times.shape[0])
 
-    grid = np.union1d(base, jump_times)
-    if grid[0] != 0.0:
-        grid = np.concatenate([[0.0], grid])
+    grid = np.sort(np.concatenate([base, jump_times]))
+    grid = grid[np.diff(grid, prepend=-1.0) > 0]
 
     scale = params.scale_vector()
     drift = params.drift_vector()

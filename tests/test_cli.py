@@ -173,8 +173,6 @@ def _strict_loads(text):
     return json.loads(text, parse_constant=reject)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("time", [0.5, 1.0])
 def test_simulate_overflowing_jump_fails_at_jump_time(tmp_path, capsys, time):
     code, out = _overflowing_jump(tmp_path, "simulate", time)
@@ -183,8 +181,6 @@ def test_simulate_overflowing_jump_fails_at_jump_time(tmp_path, capsys, time):
     assert "at t=%g:" % time in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_decompose_overflowing_jump_stops_with_blowup(tmp_path):
     code, out = _overflowing_jump(tmp_path, "decompose", 0.5)
     assert code == 4
@@ -195,6 +191,42 @@ def test_decompose_overflowing_jump_stops_with_blowup(tmp_path):
     rows = [_strict_loads(line) for line in
             _read(os.path.join(out, "diagnostics.jsonl")).splitlines()]
     assert rows[-1]["t"] == 0.5
+
+
+def test_ensemble_overflowing_squares_are_failures(tmp_path, capsys):
+    # jumps of up to 3000: some paths stay finite, but their squares overflow
+    path = tmp_path / "ensemble.yaml"
+    path.write_text(yaml.safe_dump({
+        "scenario": "custom-linear", "x0": [1.0, 0.5, -0.25],
+        "fields": {"matrices": [
+            [[0.0, -0.3, 0.0], [0.3, 0.0, 0.1], [0.0, -0.1, 0.0]],
+            [[0.1, 0.0, 0.2], [0.0, -0.1, 0.0], [-0.2, 0.0, 0.1]]]},
+        "driver": {"type": "levy", "horizon": 1.0, "step": 0.02, "seed": 1,
+                   "dimension": 2, "brownian_scale": 0.25,
+                   "jump_intensity": 3.0,
+                   "jump_law": {"kind": "uniform", "low": [-3000, -3000],
+                                "high": [3000, 3000]}},
+        "ensemble": {"n_paths": 20, "observable": "norm"}}))
+    out = str(tmp_path / "run")
+    assert main(["ensemble", "--config", str(path), "--out", out]) == 0
+    report = _strict_loads(_read(os.path.join(out, "ensemble.json")))
+    assert 0 < report["n_failures"] < 20
+    assert capsys.readouterr().err == ""
+
+
+def test_nonlinear_jump_blowup_reports_grid_time(tmp_path, capsys):
+    # the RK4 jump flow blows up at flow time 0.96875 of the jump at t=0.7
+    path = tmp_path / "ivk.yaml"
+    path.write_text(yaml.safe_dump({
+        "scenario": "ivk-generic", "x0": [0.4, 0.2],
+        "driver": {"type": "deterministic", "horizon": 1.0, "step": 0.1,
+                   "ramp_to": [0.1, 0.1],
+                   "jumps": [{"time": 0.7, "size": [0.0, 10000.0]}]}}))
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--config", str(path), "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "integration failure at t=0.7:" in err
+    assert "flow time 0.96875" in err
 
 
 def test_cli_import_does_not_load_scipy():

@@ -1,16 +1,20 @@
 """Canonical jump-SDE solver: exactness, order, invariance, ensembles."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 
+from jumpflow.config import build_problem
+from jumpflow.errors import IntegrationFailure
 from jumpflow.marcus import (MarcusConfig, solve_ensemble, solve_map_batch,
                              solve_point, solve_with_jacobian,
                              trajectory_to_csv)
 from jumpflow.odeflow import VectorFieldSet
 from jumpflow.reference import matrix_exp
-from jumpflow.semimartingale import (JumpLaw, PathParams, deterministic_path,
-                                     prefix, sample_levy_jump_diffusion)
+from jumpflow.semimartingale import (JumpLaw, PathParams, _grid_for,
+                                     _substream, deterministic_path, prefix,
+                                     sample_levy_jump_diffusion)
 
 
 def _linear_oracle(A, path, x0):
@@ -230,3 +234,116 @@ def test_trajectory_csv_layout():
     assert len(lines) == 1 + traj.times.shape[0]
     parsed = np.array([float(v) for v in lines[-1].split(",")[3:5]])
     assert np.array_equal(parsed, traj.post[-1])
+
+
+def _ensemble_by_points(fields, params, x0, n_paths, observables):
+    """The ensemble moments from one solve_point per child driver, summed in
+    path order; a path that raises IntegrationFailure is skipped."""
+    base = _grid_for(params.horizon, params.step)
+    acc = acc2 = 0.0
+    oacc = {name: 0.0 for name in observables}
+    oacc2 = {name: 0.0 for name in observables}
+    done = 0
+    for r in range(n_paths):
+        child = int(_substream(params.seed, 3, r).integers(0, 2 ** 63))
+        path = sample_levy_jump_diffusion(replace(params, seed=child))
+        try:
+            traj = solve_point(fields, path, x0, MarcusConfig())
+        except IntegrationFailure:
+            continue
+        states = traj.post[np.searchsorted(traj.times, base)]
+        acc = acc + states
+        acc2 = acc2 + states ** 2
+        for name, fn in observables.items():
+            series = np.asarray(fn(base, states), dtype=float)
+            oacc[name] = oacc[name] + series
+            oacc2[name] = oacc2[name] + series ** 2
+        done += 1
+    mean = acc / done
+    omean = {name: oacc[name] / done for name in observables}
+    return (mean, np.maximum(acc2 / done - mean ** 2, 0.0), omean,
+            {name: np.maximum(oacc2[name] / done - omean[name] ** 2, 0.0)
+             for name in observables}, n_paths - done)
+
+
+def _assert_ensemble_is_sum_of_points(fields, params, x0, n_paths):
+    obs = {"norm": lambda t, x: np.linalg.norm(x, axis=-1),
+           "first": lambda t, x: x[..., 0]}
+    got = solve_ensemble(fields, params, x0, MarcusConfig(), n_paths,
+                         observables=obs)
+    mean, var, omean, ovar, failures = _ensemble_by_points(
+        fields, params, x0, n_paths, obs)
+    assert np.array_equal(got.mean, mean)
+    assert np.array_equal(got.variance, var)
+    for name in obs:
+        assert np.array_equal(got.observable_mean[name], omean[name])
+        assert np.array_equal(got.observable_variance[name], ovar[name])
+    assert got.n_failures == failures
+    return got
+
+
+def test_ensemble_equals_point_runs_linear_with_jumps():
+    # 20 paths x 1024 steps: more row-steps than one block of 2**14 holds
+    mats = np.array([[[0.0, -0.3, 0.0], [0.3, 0.0, 0.1], [0.0, -0.1, 0.0]],
+                     [[0.1, 0.0, 0.2], [0.0, -0.1, 0.0], [-0.2, 0.0, 0.1]]])
+    params = PathParams(horizon=1.0, step=2.0 ** -10, brownian_scale=0.25,
+                        drift=0.0, jump_intensity=3.0,
+                        jump_law=JumpLaw.uniform([-0.3, -0.3], [0.3, 0.3]),
+                        seed=5, dimension=2)
+    got = _assert_ensemble_is_sum_of_points(
+        VectorFieldSet.linear(mats), params, np.array([1.0, 0.5, -0.25]), 20)
+    assert got.n_failures == 0
+
+
+def test_ensemble_equals_point_runs_sphere_tangent_with_jumps():
+    # nonlinear fields: RK4 jump flows; 9 paths x 2048 steps span two blocks
+    fields = build_problem({"scenario": "sphere-tangent"})["fields"]
+    params = PathParams(horizon=1.0, step=2.0 ** -11, brownian_scale=0.3,
+                        drift=0.1, jump_intensity=2.0,
+                        jump_law=JumpLaw.gaussian([0.0, 0.0], [0.2, 0.2]),
+                        seed=42, dimension=2)
+    _assert_ensemble_is_sum_of_points(fields, params, np.array([1.0, 0.0]), 9)
+
+
+def test_single_path_ensemble_is_child_zero():
+    params = PathParams(horizon=1.0, step=0.02, brownian_scale=0.3,
+                        jump_intensity=2.0, jump_law=JumpLaw.constant([0.2]),
+                        seed=8)
+    fields = VectorFieldSet.linear(np.array([[[0.5]]]))
+    got = solve_ensemble(fields, params, np.array([1.0]), MarcusConfig(), 1)
+    child = int(_substream(8, 3, 0).integers(0, 2 ** 63))
+    traj = solve_point(fields, sample_levy_jump_diffusion(
+        replace(params, seed=child)), np.array([1.0]), MarcusConfig())
+    assert np.array_equal(got.mean,
+                          traj.post[np.searchsorted(traj.times, got.times)])
+    assert np.array_equal(got.variance, np.zeros_like(got.mean))
+
+
+def test_ensemble_with_failing_rows_gives_survivor_moments():
+    # x = exp(Z): every path with a jump of 800 overflows, the rest survive
+    params = PathParams(horizon=1.0, step=2.0 ** -10, brownian_scale=0.5,
+                        jump_intensity=1.0, jump_law=JumpLaw.constant([800.0]),
+                        seed=13)
+    fields = VectorFieldSet.linear(np.array([[[1.0]]]))
+    got = _assert_ensemble_is_sum_of_points(fields, params, np.array([1.0]),
+                                            20)
+    assert 0 < got.n_failures < 20
+
+
+def test_ensemble_path_with_overflowing_squares_fails():
+    # x = exp(Z): one jump of 500 leaves x finite but x**2 overflows, so
+    # every path with a jump fails and the moments stay finite
+    params = PathParams(horizon=1.0, step=0.02, brownian_scale=0.1,
+                        jump_intensity=1.0, jump_law=JumpLaw.constant([500.0]),
+                        seed=4)
+    fields = VectorFieldSet.linear(np.array([[[1.0]]]))
+    got = solve_ensemble(fields, params, np.array([1.0]), MarcusConfig(), 30,
+                         observables={"first": lambda t, x: x[..., 0]})
+    jumped = sum(sample_levy_jump_diffusion(replace(params, seed=int(
+        _substream(4, 3, r).integers(0, 2 ** 63)))).jump_times.shape[0] > 0
+        for r in range(30))
+    assert 0 < jumped < 30
+    assert got.n_failures == jumped
+    for arr in (got.mean, got.variance, got.observable_mean["first"],
+                got.observable_variance["first"]):
+        assert np.all(np.isfinite(arr))

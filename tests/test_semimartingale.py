@@ -1,6 +1,9 @@
 """Driving-path sampling, path algebra and serialization."""
 
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -199,3 +202,19 @@ def test_multichannel_brownian_channels_independent():
     corr = np.corrcoef(incs.T)
     off = corr[~np.eye(3, dtype=bool)]
     assert np.max(np.abs(off)) < 0.35
+
+
+def test_sampling_does_not_load_numpy_ma():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys\n"
+             "from jumpflow.semimartingale import (JumpLaw, PathParams,\n"
+             "    sample_levy_jump_diffusion)\n"
+             "sample_levy_jump_diffusion(PathParams(\n"
+             "    horizon=1.0, step=0.01, jump_intensity=5.0,\n"
+             "    jump_law=JumpLaw.constant([0.5]), seed=3))\n"
+             "print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
