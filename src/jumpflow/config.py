@@ -61,10 +61,13 @@ def _expect(cond, path, msg):
         raise ConfigError("%s: %s" % (path, msg))
 
 
+def _is_number(val):
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _num(cfg, path, key, positive=False):
     val = cfg.get(key)
-    _expect(isinstance(val, (int, float)) and not isinstance(val, bool),
-            "%s.%s" % (path, key), "expected a number")
+    _expect(_is_number(val), "%s.%s" % (path, key), "expected a number")
     if positive:
         _expect(val > 0, "%s.%s" % (path, key), "must be positive")
     return float(val)
@@ -112,6 +115,8 @@ def normalize_config(raw: dict) -> dict:
         if drv.get("jump_intensity", 0.0):
             _expect(isinstance(drv.get("jump_law"), dict), "driver.jump_law",
                     "required when jump_intensity > 0")
+        if drv.get("jump_law"):
+            jump_law_from(drv["jump_law"], drv["dimension"])
     else:
         drv.setdefault("ramp_to", [1.0])
         _expect(isinstance(drv["ramp_to"], list) and drv["ramp_to"],
@@ -151,25 +156,44 @@ def dump_config(cfg: dict) -> str:
     return yaml.safe_dump(cfg, sort_keys=True, default_flow_style=None)
 
 
-def jump_law_from(cfg_law: dict) -> JumpLaw:
+# each jump law kind's documented keys, with their defaults
+_JUMP_LAWS = {
+    "constant": (JumpLaw.constant, {"value": [1.0]}),
+    "uniform": (JumpLaw.uniform, {"low": [-1.0], "high": [1.0]}),
+    "gaussian": (JumpLaw.gaussian, {"mean": [0.0], "scale": [1.0]}),
+}
+
+
+def jump_law_from(cfg_law, dimension: int) -> JumpLaw:
+    """The jump law of a ``driver.jump_law`` mapping for an m-dim driver."""
+    _expect(isinstance(cfg_law, dict), "driver.jump_law", "must be a mapping")
     kind = cfg_law.get("kind")
-    if kind == "constant":
-        return JumpLaw.constant(np.asarray(cfg_law.get("value", [1.0]),
-                                           dtype=float))
-    if kind == "uniform":
-        return JumpLaw.uniform(np.asarray(cfg_law.get("low", [-1.0]), float),
-                               np.asarray(cfg_law.get("high", [1.0]), float))
-    if kind == "gaussian":
-        return JumpLaw.gaussian(np.asarray(cfg_law.get("mean", [0.0]), float),
-                                np.asarray(cfg_law.get("scale", [1.0]), float))
-    raise ConfigError("driver.jump_law.kind: must be constant, uniform "
-                      "or gaussian")
+    _expect(kind in _JUMP_LAWS, "driver.jump_law.kind",
+            "must be constant, uniform or gaussian")
+    make, defaults = _JUMP_LAWS[kind]
+    for key in cfg_law:
+        _expect(key == "kind" or key in defaults, "driver.jump_law.%s" % key,
+                "not a key of the %s law (expected %s)"
+                % (kind, ", ".join(defaults)))
+    args = []
+    for key, default in defaults.items():
+        val = cfg_law.get(key, default)
+        val = val if isinstance(val, list) else [val]  # a 1-D law's number
+        _expect(len(val) == dimension and all(_is_number(v) for v in val),
+                "driver.jump_law.%s" % key,
+                "must be a list of %d numbers (driver.dimension)" % dimension)
+        args.append(np.asarray(val, dtype=float))
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError("driver.jump_law: %s" % exc)
 
 
 def build_path_params(cfg: dict, seed_override=None) -> PathParams:
     """Sampling parameters of the config's levy driver."""
     drv = cfg["driver"]
-    law = jump_law_from(drv["jump_law"]) if drv.get("jump_law") else None
+    law = (jump_law_from(drv["jump_law"], int(drv.get("dimension", 1)))
+           if drv.get("jump_law") else None)
     return PathParams(
         horizon=float(drv["horizon"]), step=float(drv["step"]),
         brownian_scale=drv.get("brownian_scale", 1.0),
@@ -304,6 +328,15 @@ def _matrices_from(cfg, key, path):
     return arr
 
 
+def _x0(cfg, default, n):
+    """The config's x0, or the scenario's default, as an n-vector."""
+    x0 = cfg.get("x0", default)
+    _expect(isinstance(x0, list) and len(x0) == n
+            and all(_is_number(v) for v in x0), "x0",
+            "must be a list of %d numbers (the state dimension)" % n)
+    return np.asarray(x0, dtype=float)
+
+
 def build_problem(cfg: dict) -> dict:
     """Turn a normalized config into library objects for the CLI runners.
 
@@ -320,20 +353,17 @@ def build_problem(cfg: dict) -> dict:
         mats = np.array([[[0.0, -1.0], [1.0, 0.0]]])
         out.update(kind="linear", matrices=mats,
                    fields=VectorFieldSet.linear(mats),
-                   x0=np.asarray(cfg.get("x0", [1.0, 0.0]), dtype=float),
+                   x0=_x0(cfg, [1.0, 0.0], 2),
                    horizontal_dim=int(cfg.get("horizontal_dim", 1)))
     elif scenario == "custom-linear":
         mats = _matrices_from(fields_cfg, "matrices", "fields.matrices")
-        x0 = cfg.get("x0")
-        _expect(isinstance(x0, list) and len(x0) == mats.shape[1], "x0",
-                "must be a list matching the state dimension")
         out.update(kind="linear", matrices=mats,
                    fields=VectorFieldSet.linear(mats),
-                   x0=np.asarray(x0, dtype=float),
+                   x0=_x0(cfg, None, mats.shape[1]),
                    horizontal_dim=int(cfg.get("horizontal_dim", 1)))
     elif scenario == "sphere-tangent":
         out.update(kind="nonlinear", fields=_sphere_tangent_fields(),
-                   x0=np.asarray(cfg.get("x0", [1.0, 0.0]), dtype=float))
+                   x0=_x0(cfg, [1.0, 0.0], 2))
     elif scenario == "radial-linear":
         default = [[[0.25, 0.1], [0.0, 0.15]]]
         mats = np.asarray(fields_cfg.get("matrices", default), dtype=float)
@@ -350,7 +380,7 @@ def build_problem(cfg: dict) -> dict:
             probes = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
         out.update(kind="mesh", matrices=mats,
                    fields=VectorFieldSet.linear(mats),
-                   x0=np.asarray(cfg.get("x0", [1.0, 0.0]), dtype=float),
+                   x0=_x0(cfg, [1.0, 0.0], 2),
                    pair=_radial_pair(), chart=chart,
                    probes=np.asarray(probes, dtype=float))
     elif scenario == "ivk-commuting":
@@ -360,14 +390,21 @@ def build_problem(cfg: dict) -> dict:
         outer = VectorFieldSet.linear(np.array([a * np.eye(dim)]))
         inner = VectorFieldSet.linear(np.array([b * np.eye(dim)]))
         out.update(kind="ivk", fields=outer, inner_fields=inner,
-                   x0=np.asarray(cfg.get("x0", [1.0] * dim), dtype=float),
+                   x0=_x0(cfg, [1.0] * dim, dim),
                    outer_rate=a, inner_rate=b)
     elif scenario == "ivk-generic":
         outer, inner = _ivk_generic_fields()
         out.update(kind="ivk", fields=outer, inner_fields=inner,
-                   x0=np.asarray(cfg.get("x0", [0.4, 0.2]), dtype=float))
+                   x0=_x0(cfg, [0.4, 0.2], 2))
     else:
         raise ConfigError("scenario: unknown scenario %r" % scenario)
+    drv = cfg.get("driver")  # absent when only a scenario's fields are wanted
+    if drv is not None:
+        count = out["fields"].count
+        levy = drv["type"] == "levy"
+        _expect((drv["dimension"] if levy else len(drv["ramp_to"])) == count,
+                "driver.dimension" if levy else "driver.ramp_to",
+                "must match the scenario's %d driving field(s)" % count)
     return out
 
 

@@ -283,14 +283,20 @@ def solve_ensemble(fields: VectorFieldSet, params: PathParams, x0,
                 vals += [np.asarray(fn(base, vals[0]), dtype=float)
                          for fn in observables.values()]
                 squares = [v ** 2 for v in vals]
-            if all(np.all(np.isfinite(sq)) for sq in squares):
-                acc = [a + v for a, v in zip(acc, vals)]
-                acc2 = [a + sq for a, sq in zip(acc2, squares)]
-                done += 1
+                if all(np.all(np.isfinite(sq)) for sq in squares):
+                    acc = [a + v for a, v in zip(acc, vals)]
+                    acc2 = [a + sq for a, sq in zip(acc2, squares)]
+                    done += 1
     if done == 0:
         raise IntegrationFailure("every path in the ensemble failed")
     mean = [a / done for a in acc]
     var = [np.maximum(a2 / done - m ** 2, 0.0) for a2, m in zip(acc2, mean)]
+    # finite paths can still overflow their sums: fail at the first such time
+    bad = ~np.all([np.isfinite(v).reshape(len(base), -1).all(axis=1)
+                   for v in mean + var], axis=0)
+    if bad.any():
+        t = float(base[np.argmax(bad)])
+        raise IntegrationFailure("ensemble moments overflowed", time=t)
     return EnsembleSummary(times=base, mean=mean[0], variance=var[0],
                            n_paths=n_paths, n_failures=n_paths - done,
                            observable_mean=dict(zip(observables, mean[1:])),

@@ -7,8 +7,9 @@ Three accumulators live here, all sharing the same driver conventions:
   trace correction + jump corrections that average H along the fictitious
   unit-time jump orbit.
 * ``pushforward_integral``: the integral of inner fields pushed forward by
-  an outer flow (evaluated along the composite orbit), with the
-  finite-variation cross term and the three-part jump sum.
+  an outer flow along the composite orbit (one sweep of K + 2J rows for K
+  grid times and J jumps, jump hops included), with the finite-variation
+  cross term and the three-part jump sum.
 * ``verify_ivk`` / ``verify_leibniz``: residual checks of the chain-rule
   identity for the composition of two flows driven by the same path, over a
   dyadic refinement ladder.
@@ -144,7 +145,8 @@ def marcus_integral(H, fields: VectorFieldSet, driver: JumpPath, g0,
 
 @dataclass(frozen=True)
 class _CompositeOrbit:
-    """Everything the composition checks need, from one batched sweep."""
+    """What the composition checks need, from one sweep of K + 2J rows: K post
+    rows, then a pre and a hop row per jump (psi_k(q_k) is ``F_post[k]``)."""
 
     driver: JumpPath
     inner_traj: Trajectory
@@ -152,7 +154,7 @@ class _CompositeOrbit:
     F_post: np.ndarray
     Dpsi_pre: np.ndarray
     Dpsi_post: np.ndarray
-    cross_pre: dict  # jump grid index -> psi_{s-}(q_s) with q_s post-jump inner state
+    hop: dict  # jump grid index -> psi_k(q_{k-}), the outer jump of F_pre[k]
 
 
 def _composite_orbit(outer: VectorFieldSet, inner: VectorFieldSet,
@@ -160,20 +162,21 @@ def _composite_orbit(outer: VectorFieldSet, inner: VectorFieldSet,
     xi = solve_point(inner, driver, x0, cfg)
     K = driver.grid.shape[0]
     jump_idx = np.nonzero(driver.jump_mask)[0]
-    bases = np.concatenate([xi.post, xi.pre, xi.post[jump_idx]], axis=0)
-    fidx = np.concatenate([np.arange(K), np.arange(K), jump_idx])
-    fside = np.concatenate([np.ones(K, dtype=int), np.zeros(K, dtype=int),
-                            np.zeros(jump_idx.shape[0], dtype=int)])
-    states, jacs = solve_map_batch(outer, driver, bases, fidx, fside, cfg)
-    cross = {int(k): states[2 * K + r] for r, k in enumerate(jump_idx)}
-    return _CompositeOrbit(driver=driver, inner_traj=xi,
-                           F_post=states[:K], F_pre=states[K:2 * K],
-                           Dpsi_post=jacs[:K], Dpsi_pre=jacs[K:2 * K],
-                           cross_pre=cross)
+    J = jump_idx.shape[0]
+    bases = np.concatenate([xi.post, xi.pre[jump_idx], xi.pre[jump_idx]])
+    fidx = np.concatenate([np.arange(K), jump_idx, jump_idx])
+    states, jacs = solve_map_batch(outer, driver, bases, fidx,
+                                   np.repeat([1, 0, 1], [K, J, J]), cfg)
+    # away from a jump, post row k's state is also the left limit, bitwise
+    F_pre, Dpsi_pre = states[:K].copy(), jacs[:K].copy()
+    F_pre[jump_idx], Dpsi_pre[jump_idx] = states[K:K + J], jacs[K:K + J]
+    return _CompositeOrbit(driver=driver, inner_traj=xi, F_post=states[:K],
+                           F_pre=F_pre, Dpsi_post=jacs[:K], Dpsi_pre=Dpsi_pre,
+                           hop=dict(zip(jump_idx.tolist(), states[K + J:])))
 
 
 def _pushforward_report(outer: VectorFieldSet, inner: VectorFieldSet,
-                        orbit: _CompositeOrbit, cfg: MarcusConfig) -> IntegralReport:
+                        orbit: _CompositeOrbit) -> IntegralReport:
     driver = orbit.driver
     xi = orbit.inner_traj
     m = driver.dimension
@@ -211,9 +214,7 @@ def _pushforward_report(outer: VectorFieldSet, inner: VectorFieldSet,
         y_pre = inner.field_matrix(xi.pre[k])
         atom = (orbit.Dpsi_pre[k] @ y_pre) @ dz
         inc_ito[k - 1] += atom
-        hop_from_post = flow(outer, dz, orbit.cross_pre[int(k)], 1.0, cfg.ode)
-        hop_from_pre = flow(outer, dz, orbit.F_pre[k], 1.0, cfg.ode)
-        inc_jump[k - 1] += -atom + hop_from_post - hop_from_pre
+        inc_jump[k - 1] += -atom + orbit.F_post[k] - orbit.hop[int(k)]
     return _assemble(driver.grid.copy(), inc_ito, inc_qv, inc_jump,
                      {"n_jumps": int(mask.sum()), "kind": "pushforward_integral"})
 
@@ -231,12 +232,11 @@ def pushforward_integral(outer: VectorFieldSet, inner: VectorFieldSet,
     psi-jump of the left limit (the first summand cancels the Ito atom).
     """
     orbit = _composite_orbit(outer, inner, driver, x0, cfg)
-    return _pushforward_report(outer, inner, orbit, cfg)
+    return _pushforward_report(outer, inner, orbit)
 
 
 def _line_integral_report(outer: VectorFieldSet, inner: VectorFieldSet,
-                          orbit: _CompositeOrbit,
-                          cfg: MarcusConfig) -> IntegralReport:
+                          orbit: _CompositeOrbit) -> IntegralReport:
     """Heun-consistent line integral of the outer fields along F.
 
     Ito part: left-point sums; QV part: the Heun corrector correction
@@ -268,7 +268,7 @@ def _line_integral_report(outer: VectorFieldSet, inner: VectorFieldSet,
         f_pre = orbit.F_pre[k]
         atom = outer.field_matrix(f_pre) @ dz
         inc_ito[k - 1] += atom
-        inc_jump[k - 1] += flow(outer, dz, f_pre, 1.0, cfg.ode) - f_pre - atom
+        inc_jump[k - 1] += orbit.hop[int(k)] - f_pre - atom
     return _assemble(driver.grid.copy(), inc_ito, inc_qv, inc_jump,
                      {"n_jumps": int(mask.sum()), "kind": "orbit_line_integral"})
 
@@ -310,8 +310,8 @@ class CompositionReport:
 
 def _one_rung(outer, inner, driver, x0, cfg):
     orbit = _composite_orbit(outer, inner, driver, x0, cfg)
-    i1 = _line_integral_report(outer, inner, orbit, cfg)
-    i2 = _pushforward_report(outer, inner, orbit, cfg)
+    i1 = _line_integral_report(outer, inner, orbit)
+    i2 = _pushforward_report(outer, inner, orbit)
     rhs = np.asarray(x0, dtype=float)[None, :] + i1.partial + i2.partial
     resid = np.max(np.abs(orbit.F_post - rhs), axis=1)
     dresid = np.abs(np.diff(orbit.F_post - rhs, axis=0)).max(axis=1)
@@ -331,8 +331,8 @@ def _one_rung(outer, inner, driver, x0, cfg):
 def _concat_residual(outer, inner, orbit: _CompositeOrbit, cfg) -> float | None:
     """Post-jump state vs the concatenation of the three jump flows.
 
-    Recomputed from scratch (fresh prefix solves), so it cross-checks the
-    batched machinery against an independent code path.
+    Recomputed from scratch (fresh prefix solves and single-point flows), it
+    is the one independent check of the sweep's jump rows (the jump hops).
     """
     driver = orbit.driver
     jump_idx = np.nonzero(driver.jump_mask)[0]

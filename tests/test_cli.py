@@ -214,6 +214,67 @@ def test_ensemble_overflowing_squares_are_failures(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_ensemble_overflowing_moments_exit_3(tmp_path, capsys):
+    # x = exp(Z): each path with one jump of 354 stays finite with a finite
+    # square, but the sum of the squares overflows
+    path = tmp_path / "ensemble.yaml"
+    path.write_text(yaml.safe_dump({
+        "scenario": "custom-linear", "x0": [1.0],
+        "fields": {"matrices": [[[1.0]]]},
+        "driver": {"type": "levy", "horizon": 1.0, "step": 0.1, "seed": 1,
+                   "jump_intensity": 1.0,
+                   "jump_law": {"kind": "constant", "value": [354.0]}},
+        "ensemble": {"n_paths": 100}}))
+    out = str(tmp_path / "run")
+    assert main(["ensemble", "--config", str(path), "--out", out]) == 3
+    assert not os.path.exists(os.path.join(out, "ensemble.json"))
+    err = capsys.readouterr().err
+    assert "integration failure at t=0.3: ensemble moments overflowed" in err
+
+
+def _ivk_generic_levy(**driver):
+    drv = {"type": "levy", "horizon": 1.0, "step": 0.1, "seed": 3,
+           "dimension": 2, "jump_intensity": 2.0,
+           "jump_law": {"kind": "uniform", "low": [-0.5, -0.5],
+                        "high": [0.5, 0.5]}}
+    drv.update(driver)
+    return {"scenario": "ivk-generic", "driver": drv, "ladder": 1}
+
+
+@pytest.mark.parametrize("cfg, where", [
+    (dict(_ivk_generic_levy(), x0=[0.4, 0.2, 0.1]), "x0"),
+    (_ivk_generic_levy(dimension=3, jump_law={
+        "kind": "uniform", "low": [-0.5] * 3, "high": [0.5] * 3}),
+     "driver.dimension"),
+    (_ivk_generic_levy(jump_law={"kind": "uniform", "low": [-0.5] * 3,
+                                 "high": [0.5] * 3}), "driver.jump_law.low"),
+    (dict(_ivk_generic_levy(), driver={"type": "deterministic",
+                                       "ramp_to": [1.0]}), "driver.ramp_to"),
+])
+def test_dimension_mismatch_exits_2(tmp_path, capsys, cfg, where):
+    path = tmp_path / "ivk.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["verify-ivk", "--config", str(path), "--out",
+                 str(tmp_path / "o")]) == 2
+    assert "config error: %s:" % where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, dimension", [("ivk-commuting", 1),
+                                                 ("ivk-generic", 2)])
+def test_unknown_jump_law_key_exits_2(tmp_path, capsys, scenario, dimension):
+    # ``std`` is not the gaussian law's key (``scale`` is)
+    path = tmp_path / "ivk.yaml"
+    path.write_text(yaml.safe_dump({
+        "scenario": scenario, "ladder": 1,
+        "driver": {"type": "levy", "horizon": 1.0, "step": 0.1, "seed": 3,
+                   "dimension": dimension, "jump_intensity": 2.0,
+                   "jump_law": {"kind": "gaussian", "mean": [0.0] * dimension,
+                                "std": [0.001] * dimension}}}))
+    assert main(["verify-ivk", "--config", str(path), "--out",
+                 str(tmp_path / "o")]) == 2
+    assert "config error: driver.jump_law.std:" in capsys.readouterr().err
+
+
 def test_nonlinear_jump_blowup_reports_grid_time(tmp_path, capsys):
     # the RK4 jump flow blows up at flow time 0.96875 of the jump at t=0.7
     path = tmp_path / "ivk.yaml"

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from jumpflow.marcus import MarcusConfig
-from jumpflow.odeflow import OdeConfig, VectorFieldSet
+from jumpflow import stratjump
+from jumpflow.marcus import MarcusConfig, solve_map_batch, solve_point
+from jumpflow.odeflow import OdeConfig, VectorFieldSet, flow
 from jumpflow.semimartingale import (JumpLaw, PathParams, deterministic_path,
                                      sample_levy_jump_diffusion)
-from jumpflow.stratjump import (field_matrix_map, marcus_integral,
-                                pushforward_integral, verify_ivk,
-                                verify_leibniz)
+from jumpflow.stratjump import (_composite_orbit, field_matrix_map,
+                                marcus_integral, pushforward_integral,
+                                verify_ivk, verify_leibniz)
 
 
 def _ramp(step=1e-2, slope=0.8, jumps=()):
@@ -109,7 +110,7 @@ def _commuting_sets():
     return outer, inner
 
 
-def _generic_sets():
+def _generic_sets(vectorized=True):
     def x1(p):
         return np.stack([np.sin(p[..., 1]), p[..., 0]], axis=-1)
 
@@ -152,10 +153,88 @@ def _generic_sets():
                          np.stack([z, 0.3 * o], axis=-1)], axis=-2)
 
     outer = VectorFieldSet.from_callables(2, [x1, x2], jacobians=[jx1, jx2],
-                                          vectorized=True)
+                                          vectorized=vectorized)
     inner = VectorFieldSet.from_callables(2, [y1, y2], jacobians=[jy1, jy2],
-                                          vectorized=True)
+                                          vectorized=vectorized)
     return outer, inner
+
+
+def _linear_sets():
+    outer = VectorFieldSet.linear(np.array([[[0.3, -0.8], [0.8, 0.3]],
+                                            [[0.1, 0.0], [0.0, -0.2]]]))
+    inner = VectorFieldSet.linear(np.array([[[0.0, 0.5], [-0.2, 0.1]],
+                                            [[0.2, 0.3], [0.0, 0.4]]]))
+    return outer, inner
+
+
+_PAIRS = pytest.mark.parametrize(
+    "pair", [_generic_sets, _linear_sets, lambda: _generic_sets(False)],
+    ids=["vectorized", "linear-expm", "per-point"])
+
+
+def _two_jump_path():
+    # two jumps, the second at the last grid index
+    grid = np.round(np.arange(0.0, 1.0 + 2.5e-2, 5e-2), 12)
+    cont = np.stack([0.8 * grid, 0.4 * np.sin(np.pi * grid)], axis=1)
+    jumps = [(grid[7], np.array([0.5, -0.3])),
+             (grid[-1], np.array([-0.2, 0.4]))]
+    return deterministic_path(grid, cont, jumps)
+
+
+def _reference_orbit(outer, inner, driver, x0, cfg):
+    """The 2K + J-row sweep (K post rows, K pre rows, and one row per jump
+    from the post-jump inner state stopped before the jump) with both jump
+    hops of the outer flow taken by single-point flows."""
+    xi = solve_point(inner, driver, x0, cfg)
+    K = driver.grid.shape[0]
+    jump_idx = np.nonzero(driver.jump_mask)[0]
+    bases = np.concatenate([xi.post, xi.pre, xi.post[jump_idx]], axis=0)
+    fidx = np.concatenate([np.arange(K), np.arange(K), jump_idx])
+    fside = np.concatenate([np.ones(K, dtype=int), np.zeros(K, dtype=int),
+                            np.zeros(jump_idx.shape[0], dtype=int)])
+    states, jacs = solve_map_batch(outer, driver, bases, fidx, fside, cfg)
+    sizes = driver.jump_size_at_grid()
+    hops = {int(k): (flow(outer, sizes[k], states[2 * K + r], 1.0, cfg.ode),
+                     flow(outer, sizes[k], states[K + k], 1.0, cfg.ode))
+            for r, k in enumerate(jump_idx)}
+    return states[:K], states[K:2 * K], jacs[:K], jacs[K:2 * K], hops
+
+
+@_PAIRS
+def test_composite_orbit_matches_full_sweep(pair):
+    outer, inner = pair()
+    driver = _two_jump_path()
+    x0 = np.array([0.4, -0.3])
+    cfg = MarcusConfig()
+    orbit = _composite_orbit(outer, inner, driver, x0, cfg)
+    F_post, F_pre, D_post, D_pre, hops = _reference_orbit(outer, inner,
+                                                          driver, x0, cfg)
+    assert np.array_equal(orbit.F_post, F_post)
+    assert np.array_equal(orbit.F_pre, F_pre)
+    assert np.array_equal(orbit.Dpsi_post, D_post)
+    assert np.array_equal(orbit.Dpsi_pre, D_pre)
+    assert sorted(hops) == [7, driver.grid.shape[0] - 1]
+    for k, (hop_from_post, hop_from_pre) in hops.items():
+        assert np.array_equal(orbit.F_post[k], hop_from_post)
+        assert np.array_equal(orbit.hop[k], hop_from_pre)
+
+
+@_PAIRS
+def test_ladder_flows_only_for_concat_residual(pair, monkeypatch):
+    # the integral reports read their jump hops from the sweep; only the
+    # independent concatenation check takes single-point flows, two a jump
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(stratjump, "flow", counted)
+    outer, inner = pair()
+    rep = verify_ivk(outer, inner, _two_jump_path(), np.array([0.4, -0.3]),
+                     MarcusConfig(), ladder=2)
+    assert rep.jump_concat_residual is not None
+    assert len(calls) == 2 * 2
 
 
 def test_ivk_ladder_commuting_linear():
