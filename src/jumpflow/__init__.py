@@ -12,48 +12,45 @@ from .errors import (ConfigError, DegeneracyError, IntegrationFailure,
                      MeshInversionError)
 from .semimartingale import (JumpLaw, JumpPath, PathParams,
                              deterministic_path, prefix,
-                             quadratic_variation_c, refine, restrict_uniform,
+                             quadratic_variation_c, refine,
                              sample_levy_jump_diffusion)
 from .odeflow import OdeConfig, VectorFieldSet, curve_average, flow, \
     flow_with_jacobian
 from .marcus import (EnsembleSummary, MarcusConfig, Trajectory,
                      solve_ensemble, solve_point, solve_with_jacobian)
 from .stratjump import (CompositionReport, IntegralReport, marcus_integral,
-                        pushforward_integral, verify_ivk, verify_leibniz)
+                        pushforward_integral, verify_ivk)
 from .geometry import (ComplementaryPair, DiffeoProbe, Distribution,
                        GeometryConfig, adjoint_distribution,
                        check_transversality, split_field, subspace_projector,
                        subspaces_equal)
 from .mesh import MeshChart, interp_mesh, invert_mesh_map, mesh_jacobian
 from .decompose import (DecompositionRecord, LinearSystem,
-                        decompose_linear_algebraic, decompose_linear_sde,
-                        decompose_pointwise, validity_monitor,
-                        verify_composition)
+                        decompose_linear_sde, decompose_pointwise,
+                        validity_monitor, verify_composition)
 from .reference import OracleResult, matrix_exp, radial_decomposition, \
     rotation_decomposition
-from .convergence import dyadic_steps, fit_order, pairwise_ratios
+from .convergence import fit_order
 
 __all__ = [
     "__version__",
     "ConfigError", "DegeneracyError", "IntegrationFailure",
     "MeshInversionError",
     "JumpLaw", "JumpPath", "PathParams", "deterministic_path", "prefix",
-    "quadratic_variation_c", "refine", "restrict_uniform",
-    "sample_levy_jump_diffusion",
+    "quadratic_variation_c", "refine", "sample_levy_jump_diffusion",
     "OdeConfig", "VectorFieldSet", "curve_average", "flow",
     "flow_with_jacobian",
     "EnsembleSummary", "MarcusConfig", "Trajectory", "solve_ensemble",
     "solve_point", "solve_with_jacobian",
     "CompositionReport", "IntegralReport", "marcus_integral",
-    "pushforward_integral", "verify_ivk", "verify_leibniz",
+    "pushforward_integral", "verify_ivk",
     "ComplementaryPair", "DiffeoProbe", "Distribution", "GeometryConfig",
     "adjoint_distribution", "check_transversality", "split_field",
     "subspace_projector", "subspaces_equal",
     "MeshChart", "interp_mesh", "invert_mesh_map", "mesh_jacobian",
-    "DecompositionRecord", "LinearSystem", "decompose_linear_algebraic",
-    "decompose_linear_sde", "decompose_pointwise", "validity_monitor",
-    "verify_composition",
+    "DecompositionRecord", "LinearSystem", "decompose_linear_sde",
+    "decompose_pointwise", "validity_monitor", "verify_composition",
     "OracleResult", "matrix_exp", "radial_decomposition",
     "rotation_decomposition",
-    "dyadic_steps", "fit_order", "pairwise_ratios",
+    "fit_order",
 ]

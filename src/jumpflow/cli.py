@@ -90,6 +90,10 @@ def _run_decompose(cfg, problem, outdir):
     mcfg = build_marcus_config(cfg)
     geo = build_geometry_config(cfg)
     if problem["kind"] == "linear":
+        n = problem["matrices"].shape[1]
+        if problem["horizontal_dim"] >= n:
+            raise ConfigError("horizontal_dim: must be below the state "
+                              "dimension %d" % n)
         system = LinearSystem(problem["matrices"], problem["horizontal_dim"])
         record = decompose_linear_sde(system, driver, mcfg, geo)
         probes = np.eye(system.dimension)

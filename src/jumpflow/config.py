@@ -9,6 +9,7 @@ identical mapping (the reproducibility contract for configs), and
 from __future__ import annotations
 
 import copy
+import math
 
 import numpy as np
 import yaml
@@ -62,15 +63,33 @@ def _expect(cond, path, msg):
 
 
 def _is_number(val):
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+    """A finite int or float (a bool is not a number here)."""
+    try:
+        return not isinstance(val, bool) and math.isfinite(val)
+    except (TypeError, OverflowError):
+        return False
 
 
-def _num(cfg, path, key, positive=False):
-    val = cfg.get(key)
-    _expect(_is_number(val), "%s.%s" % (path, key), "expected a number")
+def _num(cfg, path, key, positive=False, default=None):
+    val = cfg.get(key, default)
+    _expect(_is_number(val), "%s.%s" % (path, key), "expected a finite number")
     if positive:
         _expect(val > 0, "%s.%s" % (path, key), "must be positive")
     return float(val)
+
+
+def _int(val, where, low=1):
+    _expect(isinstance(val, int) and not isinstance(val, bool) and val >= low,
+            where, "must be an integer >= %d" % low)
+    return val
+
+
+def _numbers(val, where, count, note=""):
+    """A list of ``count`` finite numbers, as a float array."""
+    _expect(isinstance(val, list) and len(val) == count
+            and all(_is_number(v) for v in val), where,
+            "must be a list of %d numbers%s" % (count, note))
+    return np.asarray(val, dtype=float)
 
 
 def load_config(path: str) -> dict:
@@ -110,8 +129,15 @@ def normalize_config(raw: dict) -> dict:
         drv.setdefault("jump_intensity", 0.0)
         _expect(isinstance(drv["seed"], int) and 0 <= drv["seed"] < 2 ** 64,
                 "driver.seed", "must be an unsigned 64-bit integer")
-        _expect(isinstance(drv["dimension"], int) and drv["dimension"] >= 1,
-                "driver.dimension", "must be a positive integer")
+        m = _int(drv["dimension"], "driver.dimension")
+        for key in ("brownian_scale", "drift"):
+            val = drv[key]
+            _expect(_is_number(val) or isinstance(val, list) and len(val) == m
+                    and all(_is_number(v) for v in val), "driver." + key,
+                    "must be a number or a list of %d numbers "
+                    "(driver.dimension)" % m)
+        _expect(_is_number(drv["jump_intensity"]) and drv["jump_intensity"] >= 0,
+                "driver.jump_intensity", "must be a number >= 0")
         if drv.get("jump_intensity", 0.0):
             _expect(isinstance(drv.get("jump_law"), dict), "driver.jump_law",
                     "required when jump_intensity > 0")
@@ -134,18 +160,17 @@ def normalize_config(raw: dict) -> dict:
                     and len(jump["size"]) == len(drv["ramp_to"]),
                     where + ".size", "must match the driver dimension")
     sol = cfg["solver"]
-    _expect(isinstance(sol.get("substeps"), int) and sol["substeps"] >= 1,
-            "solver.substeps", "must be a positive integer")
+    _int(sol.get("substeps"), "solver.substeps")
+    for key in ("use_expm", "record_jacobian"):
+        _expect(isinstance(sol.get(key), bool), "solver." + key,
+                "must be true or false")
     _expect(isinstance(cfg.get("ladder"), int) and 1 <= cfg["ladder"] <= 8,
             "ladder", "must be an integer in [1, 8]")
-    _expect(isinstance(cfg.get("snapshot_stride"), int)
-            and cfg["snapshot_stride"] >= 1,
-            "snapshot_stride", "must be a positive integer")
+    _int(cfg.get("snapshot_stride"), "snapshot_stride")
     if "ensemble" in cfg:
         ens = cfg["ensemble"]
         _expect(isinstance(ens, dict), "ensemble", "must be a mapping")
-        _expect(isinstance(ens.get("n_paths"), int) and ens["n_paths"] >= 1,
-                "ensemble.n_paths", "must be a positive integer")
+        _int(ens.get("n_paths"), "ensemble.n_paths")
         ens.setdefault("observable", "none")
         _expect(ens["observable"] in ("none", "norm", "first"),
                 "ensemble.observable", "must be none, norm or first")
@@ -179,10 +204,8 @@ def jump_law_from(cfg_law, dimension: int) -> JumpLaw:
     for key, default in defaults.items():
         val = cfg_law.get(key, default)
         val = val if isinstance(val, list) else [val]  # a 1-D law's number
-        _expect(len(val) == dimension and all(_is_number(v) for v in val),
-                "driver.jump_law.%s" % key,
-                "must be a list of %d numbers (driver.dimension)" % dimension)
-        args.append(np.asarray(val, dtype=float))
+        args.append(_numbers(val, "driver.jump_law.%s" % key, dimension,
+                             " (driver.dimension)"))
     try:
         return make(*args)
     except ValueError as exc:
@@ -319,22 +342,24 @@ def _radial_pair() -> ComplementaryPair:
     return ComplementaryPair(horizontal, vertical)
 
 
-def _matrices_from(cfg, key, path):
-    mats = cfg.get(key)
-    _expect(isinstance(mats, list) and mats, path, "must be a list of matrices")
-    arr = np.asarray(mats, dtype=float)
-    _expect(arr.ndim == 3 and arr.shape[1] == arr.shape[2], path,
-            "each matrix must be square, got shape %s" % (arr.shape,))
+def _matrices_from(fields_cfg, default=None, n=None):
+    """``fields.matrices``: a non-empty (m, n, n) list of finite numbers."""
+    mats = fields_cfg.get("matrices", default)
+    try:
+        arr = np.asarray(mats, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.empty(0)
+    _expect(isinstance(mats, list) and arr.ndim == 3 and arr.shape[0] >= 1
+            and arr.shape[1] == arr.shape[2] and (n is None or arr.shape[1] == n)
+            and np.all(np.isfinite(arr)), "fields.matrices",
+            "must be a non-empty list of %s matrices of numbers"
+            % ("square" if n is None else "%dx%d" % (n, n)))
     return arr
 
 
 def _x0(cfg, default, n):
     """The config's x0, or the scenario's default, as an n-vector."""
-    x0 = cfg.get("x0", default)
-    _expect(isinstance(x0, list) and len(x0) == n
-            and all(_is_number(v) for v in x0), "x0",
-            "must be a list of %d numbers (the state dimension)" % n)
-    return np.asarray(x0, dtype=float)
+    return _numbers(cfg.get("x0", default), "x0", n, " (the state dimension)")
 
 
 def build_problem(cfg: dict) -> dict:
@@ -347,6 +372,7 @@ def build_problem(cfg: dict) -> dict:
     """
     scenario = cfg["scenario"]
     fields_cfg = cfg.get("fields", {})
+    _expect(isinstance(fields_cfg, dict), "fields", "must be a mapping")
     out = {"scenario": scenario}
 
     if scenario == "rotation":
@@ -354,39 +380,47 @@ def build_problem(cfg: dict) -> dict:
         out.update(kind="linear", matrices=mats,
                    fields=VectorFieldSet.linear(mats),
                    x0=_x0(cfg, [1.0, 0.0], 2),
-                   horizontal_dim=int(cfg.get("horizontal_dim", 1)))
+                   horizontal_dim=_int(cfg.get("horizontal_dim", 1),
+                                       "horizontal_dim"))
     elif scenario == "custom-linear":
-        mats = _matrices_from(fields_cfg, "matrices", "fields.matrices")
+        mats = _matrices_from(fields_cfg)
         out.update(kind="linear", matrices=mats,
                    fields=VectorFieldSet.linear(mats),
                    x0=_x0(cfg, None, mats.shape[1]),
-                   horizontal_dim=int(cfg.get("horizontal_dim", 1)))
+                   horizontal_dim=_int(cfg.get("horizontal_dim", 1),
+                                       "horizontal_dim"))
     elif scenario == "sphere-tangent":
         out.update(kind="nonlinear", fields=_sphere_tangent_fields(),
                    x0=_x0(cfg, [1.0, 0.0], 2))
     elif scenario == "radial-linear":
-        default = [[[0.25, 0.1], [0.0, 0.15]]]
-        mats = np.asarray(fields_cfg.get("matrices", default), dtype=float)
-        _expect(mats.ndim == 3 and mats.shape[1:] == (2, 2),
-                "fields.matrices", "must be (m, 2, 2) for this scenario")
+        mats = _matrices_from(fields_cfg, [[[0.25, 0.1], [0.0, 0.15]]], 2)
         mesh_cfg = cfg.get("mesh", {})
-        radii = mesh_cfg.get("radii", [0.5, 2.0])
+        _expect(isinstance(mesh_cfg, dict), "mesh", "must be a mapping")
+        radii = _numbers(mesh_cfg.get("radii", [0.5, 2.0]), "mesh.radii", 2)
+        _expect(0 < radii[0] < radii[1], "mesh.radii",
+                "must be an inner and an outer radius, 0 < inner < outer")
         shape = mesh_cfg.get("shape", [40, 40])
-        chart = MeshChart.annulus((float(radii[0]), float(radii[1])),
-                                  (int(shape[0]), int(shape[1])))
+        _expect(isinstance(shape, list) and len(shape) == 2, "mesh.shape",
+                "must be a list of 2 integers")
+        chart = MeshChart.annulus(tuple(radii), tuple(
+            _int(v, "mesh.shape", low=3) for v in shape))
         probes = cfg.get("probes")
         if probes is None:
             angles = np.linspace(0, 2 * np.pi, 8, endpoint=False)
             probes = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        else:
+            _expect(isinstance(probes, list) and probes, "probes",
+                    "must be a non-empty list of points")
+            probes = [_numbers(q, "probes", 2) for q in probes]
         out.update(kind="mesh", matrices=mats,
                    fields=VectorFieldSet.linear(mats),
                    x0=_x0(cfg, [1.0, 0.0], 2),
                    pair=_radial_pair(), chart=chart,
                    probes=np.asarray(probes, dtype=float))
     elif scenario == "ivk-commuting":
-        a = float(fields_cfg.get("outer_rate", 0.7))
-        b = float(fields_cfg.get("inner_rate", 0.4))
-        dim = int(fields_cfg.get("dimension", 1))
+        a = _num(fields_cfg, "fields", "outer_rate", default=0.7)
+        b = _num(fields_cfg, "fields", "inner_rate", default=0.4)
+        dim = _int(fields_cfg.get("dimension", 1), "fields.dimension")
         outer = VectorFieldSet.linear(np.array([a * np.eye(dim)]))
         inner = VectorFieldSet.linear(np.array([b * np.eye(dim)]))
         out.update(kind="ivk", fields=outer, inner_fields=inner,

@@ -21,20 +21,3 @@ def fit_order(step_sizes, errors) -> float:
         return float("inf")
     slope = np.polyfit(np.log(h), np.log(e), 1)[0]
     return float(slope)
-
-
-def dyadic_steps(h0: float, levels: int):
-    """[h0, h0/2, h0/4, ...] with ``levels`` entries."""
-    if levels < 1:
-        raise ValueError("levels must be positive")
-    return [h0 / 2 ** k for k in range(levels)]
-
-
-def pairwise_ratios(errors):
-    """error[k+1] / error[k]; guards zero denominators with inf."""
-    e = np.asarray(errors, dtype=float)
-    out = np.full(max(e.shape[0] - 1, 0), np.inf)
-    for k in range(out.shape[0]):
-        if e[k] != 0:
-            out[k] = e[k + 1] / e[k]
-    return out

@@ -14,8 +14,10 @@ discretizations are provided:
   deformed mesh, psi at probe points by its own projected equation, and
   the factorization is verified by composing interpolants.
 
-Both stop at the first time the transversality data degenerates and
-report how the stop was detected.
+Both take Heun steps over continuous stretches and carry their factors
+across a jump with odeflow's one fictitious-time RK4.  Both stop at the
+first time the transversality data degenerates and report how the stop
+was detected.
 """
 
 from __future__ import annotations
@@ -28,55 +30,12 @@ from .errors import DegeneracyError, IntegrationFailure, MeshInversionError
 from .geometry import ComplementaryPair, GeometryConfig, DEFAULT_GEOMETRY
 from .marcus import MarcusConfig
 from .mesh import MeshChart, interp_mesh, invert_mesh_map, mesh_jacobian
-from .odeflow import VectorFieldSet, expm
+from .odeflow import VectorFieldSet, _rk4, expm
 from .semimartingale import JumpPath
 
 TAU_REASONS = ("horizon", "split_degenerate", "det_block_zero",
                "jump_target_degenerate", "jump_path_degenerate",
                "blowup", "mesh_inversion_failure")
-
-
-@dataclass(frozen=True)
-class LinearFactorization:
-    """Algebraic factorization of a single invertible matrix."""
-
-    xi: np.ndarray
-    psi: np.ndarray
-    det_block: float
-    degenerate: bool
-
-
-def decompose_linear_algebraic(matrix, horizontal_dim: int,
-                               geo: GeometryConfig = DEFAULT_GEOMETRY
-                               ) -> LinearFactorization:
-    """Split M = xi @ psi with psi fixing the first p coordinates' span.
-
-    psi keeps the identity in its top block rows (it moves points only in
-    the last n - p coordinates) and xi keeps (0, I) in its bottom rows.
-    The factorization exists iff the lower-right block of M is invertible;
-    a degenerate input returns ``degenerate=True`` with xi = psi = None
-    rather than raising.
-    """
-    M = np.asarray(matrix, dtype=float)
-    n = M.shape[0]
-    p = int(horizontal_dim)
-    if M.shape != (n, n) or not 0 < p < n:
-        raise ValueError("matrix must be square with 0 < horizontal_dim < n")
-    M11, M12 = M[:p, :p], M[:p, p:]
-    M21, M22 = M[p:, :p], M[p:, p:]
-    det_block = float(np.linalg.det(M22))
-    if abs(det_block) <= geo.eps_det:
-        return LinearFactorization(xi=None, psi=None, det_block=det_block,
-                                   degenerate=True)
-    W = np.linalg.solve(M22.T, M12.T).T          # M12 @ inv(M22)
-    xi = np.eye(n)
-    xi[:p, :p] = M11 - W @ M21
-    xi[:p, p:] = W
-    psi = np.eye(n)
-    psi[p:, :p] = M21
-    psi[p:, p:] = M22
-    return LinearFactorization(xi=xi, psi=psi, det_block=det_block,
-                               degenerate=False)
 
 
 @dataclass(frozen=True)
@@ -193,24 +152,6 @@ def _renormalize(Xi, Psi, p):
     return dev
 
 
-def _jump_joint(Xi, Psi, A_dz, p, substeps, geo):
-    """RK4 on the fictitious-time factor equations across one jump."""
-    du = 1.0 / substeps
-    for _ in range(substeps):
-        k1x, k1p, _ = _structured_rhs(Xi, Psi, A_dz, p, geo)
-        k2x, k2p, _ = _structured_rhs(Xi + 0.5 * du * k1x,
-                                      Psi + 0.5 * du * k1p, A_dz, p, geo)
-        k3x, k3p, _ = _structured_rhs(Xi + 0.5 * du * k2x,
-                                      Psi + 0.5 * du * k2p, A_dz, p, geo)
-        k4x, k4p, cond = _structured_rhs(Xi + du * k3x, Psi + du * k3p,
-                                         A_dz, p, geo)
-        Xi = Xi + (du / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        Psi = Psi + (du / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        if not (np.all(np.isfinite(Xi)) and np.all(np.isfinite(Psi))):
-            raise IntegrationFailure("factor blow-up inside jump")
-    return Xi, Psi, cond
-
-
 def decompose_linear_sde(system: LinearSystem, driver: JumpPath,
                          cfg: MarcusConfig = None,
                          geo: GeometryConfig = DEFAULT_GEOMETRY
@@ -302,9 +243,13 @@ def decompose_linear_sde(system: LinearSystem, driver: JumpPath,
                 tau, reason = float(grid[k + 1]), "jump_target_degenerate"
                 degenerate_target = True
                 break
+
+            def rhs(state):
+                dXi, dPsi, rhs.cond = _structured_rhs(*state, A_j, p, geo)
+                return dXi, dPsi
+
             try:
-                Xi, Psi, cond_j = _jump_joint(Xi, Psi, A_j,
-                                              p, cfg.ode.substeps, geo)
+                Xi, Psi = _rk4(rhs, (Xi, Psi), 1.0, cfg.ode.substeps)
             except (DegeneracyError, IntegrationFailure):
                 Phi = Phi_target
                 record(grid[k + 1], True, cond)
@@ -312,7 +257,7 @@ def decompose_linear_sde(system: LinearSystem, driver: JumpPath,
                 tau, reason = float(grid[k + 1]), "jump_path_degenerate"
                 break
             Phi = Phi_target
-            cond = max(cond, cond_j)
+            cond = max(cond, rhs.cond)   # the last stage's
         record(grid[k + 1], jumped, cond)
         det_now = det_series[-1]
         det_prev = det_series[-2]
@@ -482,26 +427,17 @@ class _PointwiseState:
         return min(det0, det1), max(cond0, cond1)
 
     def jump_step(self, dzj, substeps):
-        du = 1.0 / substeps
-        det_w, cond_w = np.inf, 1.0
-        for _ in range(substeps):
-            k1 = self.rhs(self.xi_mesh, self.phi, self.psi, dzj)
-            k2 = self.rhs(self.xi_mesh + 0.5 * du * k1[0],
-                          self.phi + 0.5 * du * k1[1],
-                          self.psi + 0.5 * du * k1[2], dzj)
-            k3 = self.rhs(self.xi_mesh + 0.5 * du * k2[0],
-                          self.phi + 0.5 * du * k2[1],
-                          self.psi + 0.5 * du * k2[2], dzj)
-            k4 = self.rhs(self.xi_mesh + du * k3[0], self.phi + du * k3[1],
-                          self.psi + du * k3[2], dzj)
-            for attr, j in (("xi_mesh", 0), ("phi", 1), ("psi", 2)):
-                new = getattr(self, attr) + (du / 6.0) * (
-                    k1[j] + 2 * k2[j] + 2 * k3[j] + k4[j])
-                setattr(self, attr, new)
-            det_w = min(det_w, k1[3], k2[3], k3[3], k4[3])
-            cond_w = max(cond_w, k1[4], k2[4], k3[4], k4[4])
-            self._check_finite()
-        return det_w, cond_w
+        """RK4 across one jump; the worst det and cond over all stages."""
+        worst = [np.inf, 1.0]
+
+        def rhs(state):
+            *f, det, cond = self.rhs(*state, dzj)
+            worst[:] = min(worst[0], det), max(worst[1], cond)
+            return f
+
+        self.xi_mesh, self.phi, self.psi = _rk4(
+            rhs, (self.xi_mesh, self.phi, self.psi), 1.0, substeps)
+        return worst[0], worst[1]
 
     def _check_finite(self):
         for arr in (self.xi_mesh, self.phi, self.psi):

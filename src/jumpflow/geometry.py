@@ -5,7 +5,9 @@ complementary pair carries a horizontal and a vertical one whose direct sum
 is the whole tangent space.  Splitting a vector against such a pair is a
 stacked linear solve with one refinement pass; near-degenerate frames raise
 ``DegeneracyError`` so flow-level callers can turn them into a validity
-horizon instead of silently producing garbage.
+horizon instead of silently producing garbage.  Diffeomorphisms enter
+as ``DiffeoProbe`` handles built from explicit maps (identity, linear or
+custom); the module integrates no flows itself.
 
 Subspace comparisons always go through orthogonal projectors, never raw
 basis arrays, because a basis is only determined up to column mixing.
@@ -13,13 +15,11 @@ basis arrays, because a basis is only determined up to column mixing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegeneracyError
-from .marcus import MarcusConfig, solve_point, solve_with_jacobian
-from .semimartingale import JumpPath
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class ComplementaryPair:
 
 
 class DiffeoProbe:
-    """A diffeomorphism handle: forward map, Jacobian, Newton inverse."""
+    """A diffeomorphism handle: forward map, Jacobian and inverse."""
 
     def __init__(self, forward, jacobian, inverse, provenance="custom"):
         self.forward = forward
@@ -109,52 +109,6 @@ class DiffeoProbe:
                    jacobian=lambda x: M.copy(),
                    inverse=lambda y: np.linalg.solve(M, np.asarray(y, dtype=float)),
                    provenance="linear")
-
-    @classmethod
-    def from_flow(cls, fields, driver: JumpPath, cfg: MarcusConfig,
-                  geo: GeometryConfig = DEFAULT_GEOMETRY):
-        """Wrap the time-horizon flow map of a driven equation.
-
-        The inverse integrates the time-reversed driver for a seed, then
-        polishes with Newton on the forward map (tolerance and iteration cap
-        from ``geo``).
-        """
-        reversed_driver = _reverse_driver(driver)
-
-        def forward(x):
-            return solve_point(fields, driver, x, cfg).post[-1]
-
-        def jacobian(x):
-            return solve_with_jacobian(fields, driver, x, cfg).jacobians_post[-1]
-
-        def inverse(y):
-            y = np.asarray(y, dtype=float)
-            x = solve_point(fields, reversed_driver, y, cfg).post[-1]
-            for _ in range(geo.newton_maxiter):
-                r = y - forward(x)
-                if np.max(np.abs(r)) <= geo.newton_tol:
-                    return x
-                x = x + np.linalg.solve(jacobian(x), r)
-            raise DegeneracyError("flow inverse Newton did not converge")
-
-        return cls(forward, jacobian, inverse, provenance="flow")
-
-
-def _reverse_driver(driver: JumpPath) -> JumpPath:
-    """Driver running the same increments backwards (jumps negated)."""
-    T = driver.horizon
-    grid = (T - driver.grid)[::-1].copy()
-    grid[0] = 0.0
-    cont = driver.continuous_values[::-1].copy()
-    jt = (T - driver.jump_times)[::-1].copy()
-    js = -driver.jump_sizes[::-1].copy()
-    keep = jt > 0.0
-    if not np.all(keep):
-        # a jump at the original time 0+ would land on the reversed endpoint 0
-        jt, js = jt[keep], js[keep]
-    jt_snapped = np.array([grid[np.argmin(np.abs(grid - t))] for t in jt])
-    return JumpPath(grid=grid, continuous_values=cont,
-                    jump_times=jt_snapped, jump_sizes=js)
 
 
 def subspace_projector(basis) -> np.ndarray:

@@ -2,11 +2,13 @@
 
 The unit-time flow of a weighted field combination is the jump primitive of
 the whole library: a jump of size dz is realized as the time-1 flow of
-sum_i X_i * dz_i.  A classical fixed-step 4th-order Runge-Kutta stepper is
-used throughout; linear field sets may take the exact Pade-13 ``expm``
-instead (validated against the generic stepper in the tests).  One
-stepper, ``_rk4``, and one flow, ``_flow``, serve both ``flow`` and
-``flow_with_jacobian``; the Jacobian is computed only when asked for.
+sum_i X_i * dz_i.  Linear field sets may take the exact Pade-13 ``expm``
+(validated against the generic stepper in the tests).  Everything else in
+fictitious time goes through one fixed-step classical RK4 over a tuple of
+arrays, ``_rk4``: the jump flow of ``flow`` and ``flow_with_jacobian``
+(one ``_flow``; the Jacobian is computed only when asked for), the orbit
+of ``curve_average``, and the factor equations that ``decompose`` carries
+across a jump.
 """
 
 from __future__ import annotations
@@ -193,54 +195,54 @@ def _combined(fields: VectorFieldSet, weights):
     return W
 
 
-def _check_finite(X, u):
-    if not np.all(np.isfinite(X)):
-        raise IntegrationFailure(
-            "flow integration blew up at flow time %g" % u, time=float(u))
+def _rk4(rhs, state, u, nsteps):
+    """Classical RK4 over flow time [0, u] in ``nsteps`` equal steps.
 
-
-def _rk4(fields, weights, X0, u, cfg, jacobian):
-    """Fixed-step RK4 on states; with ``jacobian``, also the exact derivative
-    of the discrete stepper (the variational stages reuse the state stages).
-    Returns (X, J), J None without ``jacobian``."""
-    W = _combined(fields, weights)
-    w = np.asarray(weights, dtype=float)
-    nsteps = max(1, int(np.ceil(abs(u) * cfg.substeps)))
+    ``state`` is a sequence of arrays and ``rhs`` maps such a sequence to
+    the sequence of their derivatives; the result is a tuple.  Raises
+    IntegrationFailure with the flow time as soon as any component stops
+    being finite.
+    """
     dt = u / nsteps
-    X = np.asarray(X0, dtype=float).copy()
-    n = fields.dimension
-    J = (np.broadcast_to(np.eye(n), X.shape[:-1] + (n, n)).copy()
-         if jacobian else None)
     for k in range(nsteps):
-        k1 = W(X)
-        x2 = X + 0.5 * dt * k1
-        k2 = W(x2)
-        x3 = X + 0.5 * dt * k2
-        k3 = W(x3)
-        x4 = X + dt * k3
-        k4 = W(x4)
-        if jacobian:
-            K1 = fields.combo_jacobian(X, w) @ J
-            K2 = fields.combo_jacobian(x2, w) @ (J + 0.5 * dt * K1)
-            K3 = fields.combo_jacobian(x3, w) @ (J + 0.5 * dt * K2)
-            K4 = fields.combo_jacobian(x4, w) @ (J + dt * K3)
-            J = J + (dt / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
-        X = X + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        _check_finite(X, (k + 1) * dt)
-    return X, J
+        k1 = rhs(state)
+        k2 = rhs([s + 0.5 * dt * d for s, d in zip(state, k1)])
+        k3 = rhs([s + 0.5 * dt * d for s, d in zip(state, k2)])
+        k4 = rhs([s + dt * d for s, d in zip(state, k3)])
+        state = [s + (dt / 6.0) * (a + 2 * b + 2 * c + d)
+                 for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+        for s in state:
+            if not np.isfinite(s).all():
+                u_fail = (k + 1) * dt
+                raise IntegrationFailure(
+                    "flow integration blew up at flow time %g" % u_fail,
+                    time=float(u_fail))
+    return tuple(state)
 
 
 def _flow(fields, weights, x0, u, cfg, jacobian):
-    """(x, J) of the time-u flow; J is None without ``jacobian``."""
+    """(x, J) of the time-u flow; J is None without ``jacobian``.
+
+    RK4 carries J through the variational equation dJ = DW(X) J, whose
+    stages reuse the state stages, so J is the exact derivative of the
+    discrete map."""
     x0 = np.asarray(x0, dtype=float)
+    w = np.asarray(weights, dtype=float)
     if fields.is_linear and cfg.use_expm:
-        A = np.einsum("m,mij->ij", np.asarray(weights, dtype=float), fields.matrices)
+        A = np.einsum("m,mij->ij", w, fields.matrices)
         E = expm(u * A)
         x = np.einsum("ij,...j->...i", E, x0)
         if not jacobian:
             return x, None
         return x, np.broadcast_to(E, x0.shape[:-1] + E.shape).copy()
-    return _rk4(fields, weights, x0, u, cfg, jacobian)
+    W = _combined(fields, w)
+    nsteps = max(1, int(np.ceil(abs(u) * cfg.substeps)))
+    if not jacobian:
+        return _rk4(lambda s: (W(s[0]),), (x0,), u, nsteps)[0], None
+    n = fields.dimension
+    J0 = np.broadcast_to(np.eye(n), x0.shape[:-1] + (n, n))
+    return _rk4(lambda s: (W(s[0]), fields.combo_jacobian(s[0], w) @ s[1]),
+                (x0, J0), u, nsteps)
 
 
 def flow(fields: VectorFieldSet, weights, x0, u: float, cfg: OdeConfig) -> np.ndarray:
@@ -287,10 +289,11 @@ def curve_average(H, fields: VectorFieldSet, weights, x0, cfg: OdeConfig,
             x = P @ x
             samples.append(np.asarray(H(x), dtype=float))
     else:
-        sub = OdeConfig(substeps=max(1, int(np.ceil(cfg.substeps * du))),
-                        use_expm=cfg.use_expm)
+        W = _combined(fields, weights)
+        sub = max(1, int(np.ceil(cfg.substeps * du)))
+        nsteps = max(1, int(np.ceil(du * sub)))
         for _ in range(nint):
-            x, _ = _rk4(fields, weights, x, du, sub, jacobian=False)
+            x, = _rk4(lambda s: (W(s[0]),), (x,), du, nsteps)
             samples.append(np.asarray(H(x), dtype=float))
 
     w = np.ones(nint + 1)

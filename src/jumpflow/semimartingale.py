@@ -288,46 +288,6 @@ def deterministic_path(times, values, jumps=()) -> JumpPath:
                     jump_times=jt, jump_sizes=js)
 
 
-def _interp_continuous(path: JumpPath, t: float) -> np.ndarray:
-    out = np.empty(path.dimension)
-    for c in range(path.dimension):
-        out[c] = np.interp(t, path.grid, path.continuous_values[:, c])
-    return out
-
-
-def value_at(path: JumpPath, t: float) -> np.ndarray:
-    """Cadlag value Z_t (jumps with time <= t included)."""
-    if not (0.0 <= t <= path.horizon):
-        raise ValueError("t outside the path's time interval")
-    cont = _interp_continuous(path, t)
-    take = path.jump_times <= t
-    return cont + path.jump_sizes[take].sum(axis=0)
-
-
-def left_limit(path: JumpPath, t: float) -> np.ndarray:
-    """Left limit Z_{t-} (jumps strictly before t); Z_0 at t=0."""
-    if not (0.0 <= t <= path.horizon):
-        raise ValueError("t outside the path's time interval")
-    cont = _interp_continuous(path, t)
-    take = path.jump_times < t
-    return cont + path.jump_sizes[take].sum(axis=0)
-
-
-def increment(path: JumpPath, s: float, t: float) -> np.ndarray:
-    """Z_t - Z_s for 0 <= s <= t <= horizon."""
-    if s > t:
-        raise ValueError("needs s <= t")
-    return value_at(path, t) - value_at(path, s)
-
-
-def jump_at(path: JumpPath, t: float):
-    """The jump size at time t, or None when no jump is recorded there."""
-    hit = np.nonzero(path.jump_times == t)[0]
-    if hit.shape[0] == 0:
-        return None
-    return path.jump_sizes[hit[0]].copy()
-
-
 def quadratic_variation_c(path: JumpPath) -> np.ndarray:
     """Per-interval realized QV of the continuous part.
 
@@ -356,21 +316,6 @@ def refine(path: JumpPath, factor: int) -> JumpPath:
     new_cont = np.concatenate([vals.reshape(-1, path.dimension), cont[-1:, :]])
     return JumpPath(grid=new_grid, continuous_values=new_cont,
                     jump_times=path.jump_times, jump_sizes=path.jump_sizes)
-
-
-def restrict_uniform(path: JumpPath, factor: int) -> JumpPath:
-    """Keep every factor-th grid point of a jump-free path.
-
-    Used to build common-path refinement ladders for strong-order studies;
-    requires an empty jump ledger and (len(grid)-1) divisible by factor.
-    """
-    if path.jump_times.shape[0]:
-        raise ValueError("restrict_uniform requires a jump-free path")
-    n = path.grid.shape[0] - 1
-    if n % factor:
-        raise ValueError("interval count not divisible by factor")
-    return JumpPath(grid=path.grid[::factor],
-                    continuous_values=path.continuous_values[::factor])
 
 
 def prefix(path: JumpPath, t_end: float, include_jump_at_end: bool = True) -> JumpPath:

@@ -10,9 +10,9 @@ Three accumulators live here, all sharing the same driver conventions:
   an outer flow along the composite orbit (one sweep of K + 2J rows for K
   grid times and J jumps, jump hops included), with the finite-variation
   cross term and the three-part jump sum.
-* ``verify_ivk`` / ``verify_leibniz``: residual checks of the chain-rule
-  identity for the composition of two flows driven by the same path, over a
-  dyadic refinement ladder.
+* ``verify_ivk``: the residual check of the chain-rule identity for the
+  composition of two flows driven by the same path, over a dyadic
+  refinement ladder.
 
 Every report satisfies value == ito_term + qv_term + jump_term as an exact
 accumulator identity (identical float additions, not a tolerance).
@@ -282,9 +282,6 @@ class LadderRung:
     ito: np.ndarray
     qv: np.ndarray
     jump: np.ndarray
-    times: np.ndarray
-    residual_series: np.ndarray
-    max_interval_residual: float
 
 
 @dataclass(frozen=True)
@@ -314,16 +311,12 @@ def _one_rung(outer, inner, driver, x0, cfg):
     i2 = _pushforward_report(outer, inner, orbit)
     rhs = np.asarray(x0, dtype=float)[None, :] + i1.partial + i2.partial
     resid = np.max(np.abs(orbit.F_post - rhs), axis=1)
-    dresid = np.abs(np.diff(orbit.F_post - rhs, axis=0)).max(axis=1)
     rung = LadderRung(
         h=float(np.max(np.diff(driver.grid))),
         residual_sup=float(resid.max()),
         ito=i1.ito_term + i2.ito_term,
         qv=i1.qv_term + i2.qv_term,
         jump=i1.jump_term + i2.jump_term,
-        times=driver.grid.copy(),
-        residual_series=resid,
-        max_interval_residual=float(dresid.max()) if dresid.size else 0.0,
     )
     return rung, orbit
 
@@ -380,25 +373,3 @@ def verify_ivk(outer: VectorFieldSet, inner: VectorFieldSet, driver: JumpPath,
     concat = _concat_residual(outer, inner, last_orbit, cfg)
     return CompositionReport(rungs=rungs, ratios=_ratios(rungs),
                              jump_concat_residual=concat)
-
-
-def verify_leibniz(outer: VectorFieldSet, inner: VectorFieldSet,
-                   driver: JumpPath, x0, cfg: MarcusConfig,
-                   ladder: int = 3) -> CompositionReport:
-    """Per-interval increment residuals of the composition chain rule.
-
-    Same machinery as ``verify_ivk`` but the reported supremum is the worst
-    single-interval mismatch between the left-side increment and the sum of
-    the two integral increments, which is the differential (both-sides-
-    increment) form of the identity.  Interval residuals scale like the cube
-    of the local step on continuous stretches, so rung tolerances should be
-    scaled by h when asserting.
-    """
-    base = verify_ivk(outer, inner, driver, x0, cfg, ladder=ladder)
-    rungs = [LadderRung(h=r.h, residual_sup=r.max_interval_residual,
-                        ito=r.ito, qv=r.qv, jump=r.jump, times=r.times,
-                        residual_series=r.residual_series,
-                        max_interval_residual=r.max_interval_residual)
-             for r in base.rungs]
-    return CompositionReport(rungs=rungs, ratios=_ratios(rungs),
-                             jump_concat_residual=base.jump_concat_residual)

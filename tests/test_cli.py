@@ -193,6 +193,22 @@ def test_decompose_overflowing_jump_stops_with_blowup(tmp_path):
     assert rows[-1]["t"] == 0.5
 
 
+def test_decompose_mesh_large_jump_stops_split_degenerate(tmp_path):
+    # radial-linear with its jump raised from 0.1 to 60: the mesh frame
+    # degenerates inside the fictitious-time jump flow, so the run stops at
+    # the last grid time before the jump
+    with open(_cfg("radial_linear.yaml")) as fh:
+        cfg = yaml.safe_load(fh)
+    cfg["driver"]["jumps"][0]["size"] = [60.0]
+    path = tmp_path / "radial.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = str(tmp_path / "run")
+    assert main(["decompose", "--config", str(path), "--out", out]) == 4
+    summary = _strict_loads(_read(os.path.join(out, "summary.json")))
+    assert summary["tau_reason"] == "split_degenerate"
+    assert summary["tau"] == 0.498
+
+
 def test_ensemble_overflowing_squares_are_failures(tmp_path, capsys):
     # jumps of up to 3000: some paths stay finite, but their squares overflow
     path = tmp_path / "ensemble.yaml"
@@ -250,11 +266,59 @@ def _ivk_generic_levy(**driver):
                                  "high": [0.5] * 3}), "driver.jump_law.low"),
     (dict(_ivk_generic_levy(), driver={"type": "deterministic",
                                        "ramp_to": [1.0]}), "driver.ramp_to"),
+    (_ivk_generic_levy(brownian_scale=[0.1, 0.2, 0.3]),
+     "driver.brownian_scale"),
+    (_ivk_generic_levy(drift=[0.1, 0.2, 0.3]), "driver.drift"),
 ])
 def test_dimension_mismatch_exits_2(tmp_path, capsys, cfg, where):
     path = tmp_path / "ivk.yaml"
     path.write_text(yaml.safe_dump(cfg))
     assert main(["verify-ivk", "--config", str(path), "--out",
+                 str(tmp_path / "o")]) == 2
+    assert "config error: %s:" % where in capsys.readouterr().err
+
+
+def _custom_linear(**top):
+    cfg = {"scenario": "custom-linear", "x0": [1.0, 0.5, -0.25],
+           "fields": {"matrices": [
+               [[0.0, -0.3, 0.0], [0.3, 0.0, 0.1], [0.0, -0.1, 0.0]]]},
+           "driver": {"type": "deterministic", "horizon": 1.0,
+                      "step": 0.1, "ramp_to": [0.5]}}
+    cfg.update(top)
+    return cfg
+
+
+def _radial(**top):
+    cfg = {"scenario": "radial-linear",
+           "driver": {"type": "deterministic", "horizon": 1.0,
+                      "step": 0.1, "ramp_to": [0.3]}}
+    cfg.update(top)
+    return cfg
+
+
+@pytest.mark.parametrize("command, cfg, where", [
+    ("verify-ivk", _ivk_generic_levy(brownian_scale="abc"),
+     "driver.brownian_scale"),
+    ("verify-ivk", _ivk_generic_levy(jump_intensity="abc"),
+     "driver.jump_intensity"),
+    ("verify-ivk", _ivk_generic_levy(jump_intensity=-1.0),
+     "driver.jump_intensity"),
+    ("verify-ivk", {"scenario": "ivk-commuting",
+                    "fields": {"outer_rate": "abc"}}, "fields.outer_rate"),
+    ("decompose", _custom_linear(horizontal_dim=5), "horizontal_dim"),
+    ("decompose", _custom_linear(horizontal_dim="x"), "horizontal_dim"),
+    ("decompose", _radial(fields={"matrices": [[["a", 0.0], [0.0, 1.0]]]}),
+     "fields.matrices"),
+    ("decompose", _radial(mesh={"shape": [2, 40]}), "mesh.shape"),
+    ("decompose", _radial(mesh={"radii": [-1, 2]}), "mesh.radii"),
+    ("decompose", _radial(probes=[[1, 2, 3]]), "probes"),
+    ("simulate", _custom_linear(solver={"record_jacobian": "yes"}),
+     "solver.record_jacobian"),
+])
+def test_bad_value_exits_2(tmp_path, capsys, command, cfg, where):
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main([command, "--config", str(path), "--out",
                  str(tmp_path / "o")]) == 2
     assert "config error: %s:" % where in capsys.readouterr().err
 
@@ -290,15 +354,35 @@ def test_nonlinear_jump_blowup_reports_grid_time(tmp_path, capsys):
     assert "flow time 0.96875" in err
 
 
-def test_cli_import_does_not_load_scipy():
+def _fresh_python(probe):
+    """stdout of ``probe`` run in a fresh interpreter on this source tree."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_cli_import_does_not_load_scipy():
     probe = ("import sys, jumpflow.cli; "
              "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _fresh_python(probe) == "[]"
+
+
+def test_geometry_imports_no_solver_and_all_names_resolve():
+    # register the package without running its __init__, so that only
+    # geometry's own imports load modules
+    probe = ("import importlib.util, sys\n"
+             "pkg = importlib.util.module_from_spec("
+             "importlib.util.find_spec('jumpflow'))\n"
+             "sys.modules['jumpflow'] = pkg\n"
+             "import jumpflow.geometry\n"
+             "print(sorted(m for m in sys.modules if m in "
+             "('jumpflow.marcus', 'jumpflow.semimartingale')))")
+    assert _fresh_python(probe) == "[]"
+    import jumpflow
+    for name in jumpflow.__all__:
+        assert hasattr(jumpflow, name), name
 
 
 def test_dump_config_round_trips(tmp_path, capsys):

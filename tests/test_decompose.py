@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from jumpflow.decompose import (TAU_REASONS, LinearSystem, _structured_rhs,
-                                decompose_linear_algebraic,
                                 decompose_linear_sde, decompose_pointwise,
                                 validity_monitor, verify_composition)
 from jumpflow.errors import DegeneracyError
@@ -36,29 +35,6 @@ def _radial_pair():
     H = Distribution(2, 1, h_basis, vectorized=True)
     V = Distribution(2, 1, v_basis, vectorized=True)
     return ComplementaryPair(horizontal=H, vertical=V)
-
-
-def test_algebraic_factor_blocks():
-    rng = np.random.default_rng(31)
-    for _ in range(25):
-        n = int(rng.integers(2, 6))
-        p = int(rng.integers(1, n))
-        M = rng.standard_normal((n, n)) + 2 * np.eye(n)
-        fac = decompose_linear_algebraic(M, p)
-        assert not fac.degenerate
-        assert np.max(np.abs(fac.xi @ fac.psi - M)) < 1e-10
-        # structural zeros and identities are exact, not approximate
-        assert np.array_equal(fac.psi[:p, :p], np.eye(p))
-        assert np.array_equal(fac.psi[:p, p:], np.zeros((p, n - p)))
-        assert np.array_equal(fac.xi[p:, :p], np.zeros((n - p, p)))
-        assert np.array_equal(fac.xi[p:, p:], np.eye(n - p))
-
-
-def test_algebraic_factor_degenerate_block():
-    M = np.array([[1.0, 2.0], [0.0, 0.0]])
-    fac = decompose_linear_algebraic(M, 1)
-    assert fac.degenerate
-    assert fac.xi is None and fac.psi is None
 
 
 def test_rotation_factors_match_closed_form():
@@ -96,6 +72,36 @@ def test_rotation_jump_onto_degenerate_target():
     assert rec.stopped_early
     # the factors end at the left limit of the jump, still valid there
     assert float(rec.times[-1]) == 0.5
+
+
+def test_rotation_jump_path_degenerate_keeps_pre_jump_factors():
+    # the jump target (z = 1.45) is fine, but the fictitious-time path to
+    # it crosses cond_cap = 10: the run stops at the jump time with the
+    # pre-jump factors and the target's determinant
+    driver = _rotation_driver(0.01, slope=0.1, jumps=[(0.5, 1.4)])
+    system = LinearSystem(ROT[None], horizontal_dim=1)
+    rec = decompose_linear_sde(system, driver,
+                               geo=GeometryConfig(cond_cap=10.0))
+    assert rec.tau_reason == "jump_path_degenerate"
+    assert rec.tau == 0.5
+    assert float(rec.times[-1]) == 0.5 and rec.is_jump[-1]
+    xi_ref, psi_ref = rotation_decomposition(0.05)
+    assert np.max(np.abs(rec.xi[-1] - xi_ref)) < 1e-7
+    assert np.max(np.abs(rec.psi[-1] - psi_ref)) < 1e-7
+    assert rec.det_block[-1] == pytest.approx(np.cos(1.45), abs=1e-7)
+
+
+def test_rotation_factor_error_is_second_order():
+    # xi against the sec/tan closed form at the horizon, halving the step
+    system = LinearSystem(ROT[None], horizontal_dim=1)
+    xi_ref, _ = rotation_decomposition(1.2)
+    errors = []
+    for step in (0.01, 0.005, 0.0025, 0.00125):
+        rec = decompose_linear_sde(system, _rotation_driver(step))
+        assert rec.tau_reason == "horizon"
+        errors.append(float(np.max(np.abs(rec.xi[-1] - xi_ref))))
+    ratios = [b / a for a, b in zip(errors[:-1], errors[1:])]
+    assert all(r <= 0.3 for r in ratios), ratios
 
 
 def test_rotation_smooth_crossing_stops_near_quarter_turn():

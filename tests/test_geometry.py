@@ -9,9 +9,6 @@ from jumpflow.geometry import (ComplementaryPair, DiffeoProbe, Distribution,
                                check_transversality, split_field,
                                split_stacked, subspace_projector,
                                subspaces_equal)
-from jumpflow.marcus import MarcusConfig
-from jumpflow.odeflow import VectorFieldSet
-from jumpflow.semimartingale import deterministic_path
 
 
 def _random_pair(rng, n, k):
@@ -155,24 +152,6 @@ def test_pair_rank_validation():
     V = Distribution.constant(np.eye(3)[:, :2])
     with pytest.raises(ValueError):
         ComplementaryPair(horizontal=H, vertical=V)
-
-
-def test_flow_probe_round_trip():
-    fields = VectorFieldSet.linear(np.array([[[0.1, -0.7], [0.7, 0.1]]]))
-    grid = np.linspace(0.0, 1.0, 41)
-    path = deterministic_path(grid, 0.8 * grid, [(0.5, 0.6)])
-    probe = DiffeoProbe.from_flow(fields, path, MarcusConfig())
-    x = np.array([0.4, -0.9])
-    y = probe.forward(x)
-    back = probe.inverse(y)
-    assert np.max(np.abs(back - x)) < 1e-9
-    eps = 1e-6
-    fd = np.zeros((2, 2))
-    for j in range(2):
-        d = np.zeros(2)
-        d[j] = eps
-        fd[:, j] = (probe.forward(x + d) - probe.forward(x - d)) / (2 * eps)
-    assert np.max(np.abs(probe.jacobian(x) - fd)) < 1e-6
 
 
 def test_distribution_shape_guard():

@@ -8,12 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from jumpflow.semimartingale import (JumpLaw, JumpPath, PathParams,
-                                     deterministic_path, increment, jump_at,
-                                     left_limit, path_to_csv, prefix,
+from jumpflow.semimartingale import (JumpLaw, PathParams,
+                                     deterministic_path, path_to_csv, prefix,
                                      quadratic_variation_c, refine,
-                                     restrict_uniform,
-                                     sample_levy_jump_diffusion, value_at)
+                                     sample_levy_jump_diffusion)
 
 
 def _params(**kw):
@@ -105,18 +103,6 @@ def test_qv_of_pure_jump_path_is_zero():
     assert np.all(quadratic_variation_c(path) == 0.0)
 
 
-def test_path_point_operations():
-    grid = np.linspace(0.0, 1.0, 11)
-    vals = (grid * 1.0)[:, None]
-    path = deterministic_path(grid, vals, jumps=[(0.5, np.array([0.25]))])
-    assert value_at(path, 0.5)[0] == pytest.approx(0.75)
-    assert left_limit(path, 0.5)[0] == pytest.approx(0.5)
-    assert increment(path, 0.2, 0.7)[0] == pytest.approx(0.75)
-    assert jump_at(path, 0.5)[0] == pytest.approx(0.25)
-    assert jump_at(path, 0.3) is None
-    assert value_at(path, 1.0)[0] == pytest.approx(1.25)
-
-
 def test_cadlag_values_include_jumps():
     grid = np.linspace(0.0, 1.0, 11)
     path = deterministic_path(grid, np.zeros((11, 1)),
@@ -134,18 +120,9 @@ def test_refine_preserves_endpoint_values_and_jumps():
     fine = refine(p, 4)
     assert fine.grid.shape[0] > p.grid.shape[0]
     assert np.array_equal(fine.jump_times, p.jump_times)
-    for t in p.grid:
-        assert np.max(np.abs(value_at(fine, t) - value_at(p, t))) < 1e-14
-
-
-def test_restrict_inverts_refine_on_uniform_grid():
-    grid = np.linspace(0.0, 1.0, 21)
-    path = deterministic_path(grid, np.sin(grid)[:, None])
-    fine = refine(path, 4)
-    back = restrict_uniform(fine, 4)
-    assert np.allclose(back.grid, path.grid, atol=1e-15)
-    assert np.allclose(back.continuous_values, path.continuous_values,
-                       atol=1e-15)
+    # every 4th fine point is a coarse one, with the same cadlag value
+    assert np.array_equal(fine.grid[::4], p.grid)
+    assert np.max(np.abs(fine.values[::4] - p.values)) < 1e-14
 
 
 def test_prefix_stops_before_or_at_jump():

@@ -10,7 +10,7 @@ from jumpflow.semimartingale import (JumpLaw, PathParams, deterministic_path,
                                      sample_levy_jump_diffusion)
 from jumpflow.stratjump import (_composite_orbit, field_matrix_map,
                                 marcus_integral, pushforward_integral,
-                                verify_ivk, verify_leibniz)
+                                verify_ivk)
 
 
 def _ramp(step=1e-2, slope=0.8, jumps=()):
@@ -279,18 +279,6 @@ def test_ivk_zero_inner_telescopes():
     rep = verify_ivk(outer, inner, path, np.array([1.0, 0.0]),
                      MarcusConfig(), ladder=2)
     assert rep.rungs[-1].residual_sup < 1e-12
-
-
-def test_leibniz_interval_residual_decay():
-    outer, inner = _generic_sets()
-    grid = np.round(np.arange(0.0, 1.0 + 1e-2, 2e-2), 12)
-    cont = np.stack([0.7 * grid, 0.3 * grid], axis=1)
-    path = deterministic_path(grid, cont)
-    rep = verify_leibniz(outer, inner, path, np.array([0.4, -0.3]),
-                         MarcusConfig(), ladder=3)
-    # the worst single-interval mismatch decays at least quadratically in
-    # the step (each refinement also doubles the interval count)
-    assert all(r <= 0.3 for r in rep.ratios)
 
 
 def test_ladder_rejects_bad_depth():
