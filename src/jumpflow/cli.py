@@ -12,8 +12,8 @@ Exit codes: 0 success, 2 bad configuration or arguments, 3 integration
 failure, 4 a verified property was violated (ladder ratio out of bounds,
 or the decomposition stopped before the horizon).
 
-Every run writes ``run_meta.txt`` (wall time, argument vector); all other
-outputs are byte-stable for a fixed config and seed.
+Every run writes ``run_meta.txt`` (argument vector, version, setup, run and
+wall seconds); all other outputs are byte-stable for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -50,11 +50,14 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _write_meta(outdir, argv, started):
+def _write_meta(outdir, argv, started, set_up):
+    ran = time.monotonic()
     with open(outdir + "/run_meta.txt", "w") as fh:
         fh.write("argv: %s\n" % " ".join(argv))
         fh.write("version: %s\n" % __version__)
-        fh.write("wall_seconds: %.3f\n" % (time.monotonic() - started))
+        fh.write("setup_seconds: %.3f\n" % (set_up - started))
+        fh.write("run_seconds: %.3f\n" % (ran - set_up))
+        fh.write("wall_seconds: %.3f\n" % (ran - started))
 
 
 def _f(x):
@@ -273,9 +276,11 @@ def main(argv=None) -> int:
             sys.stdout.write(dump_config(shown))
             return 0
         problem = build_problem(cfg)
+        set_up = time.monotonic()
         os.makedirs(args.out, exist_ok=True)
         code = _RUNNERS[args.command](cfg, problem, args.out)
-        _write_meta(args.out, ["jumpflow", args.command] + argv[1:], started)
+        _write_meta(args.out, ["jumpflow", args.command] + argv[1:], started,
+                    set_up)
         return code
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

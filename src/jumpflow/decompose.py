@@ -8,8 +8,10 @@ discretizations are provided:
 
 * ``decompose_linear_sde`` for linear fields with the coordinate splitting
   R^n = R^p x R^(n-p): xi and psi stay in the complementary affine
-  subgroups (block rows frozen structurally), and the product is checked
-  against an independently integrated fundamental matrix.
+  subgroups (their structural rows have zero increments), and the product
+  is checked against an independently integrated fundamental matrix.  A
+  loop steps the factors; one batched pass after it computes diagnostics
+  and the first stop, which the loop may have integrated past.
 * ``decompose_pointwise`` for nonlinear 2-D problems: xi is tracked as a
   deformed mesh, psi at probe points by its own projected equation, and
   the factorization is verified by composing interpolants.
@@ -22,7 +24,7 @@ was detected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +89,6 @@ class DecompositionRecord:
     psi_probes_inverse: np.ndarray = None
     phi_probes: np.ndarray = None
     probes: np.ndarray = None
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def stopped_early(self) -> bool:
@@ -111,45 +112,39 @@ class DecompositionRecord:
         return rows
 
 
-def _structured_rhs(Xi, Psi, A_dz, p, geo):
-    """Increments (dXi, dPsi) for the factor equations, plus a condition.
+def _structured_rhs(Xi, Psi, A_dz, p):
+    """Increments (dXi, dPsi) of the factor equations.
 
     Both factors split the combined linear field through the moving frame
     S = [E_H | Xi[:, p:]]: the horizontal coefficient feeds xi (top rows
-    only) and the vertical one feeds psi (bottom rows only), so the
-    structural blocks never move and S = [[I, W], [0, I]], W = Xi[:p, p:]:
-    det S = 1, S^-1 = [[I, -W], [0, I]], cond S = (s/2 + hypot(1, s/2))^2
-    with s = |W|_2.
+    only) and the vertical one feeds psi (bottom rows only).  The other
+    rows are exact zeros, so the structural blocks Xi[p:] = [0 I] and
+    Psi[:p] = [I 0] never move and S = [[I, W], [0, I]], W = Xi[:p, p:],
+    with S^-1 = [[I, -W], [0, I]].
     """
     W = Xi[:p, p:]
-    det = 1.0 if np.all(np.isfinite(W)) else np.nan
-    if not np.isfinite(det) or abs(det) <= geo.eps_det:
-        raise DegeneracyError("frame matrix singular", det=det)
-    half = 0.5 * float(np.linalg.norm(W, 2))
-    cond = float((half + np.hypot(1.0, half)) ** 2)
-    if cond >= geo.cond_cap:
-        raise DegeneracyError("frame matrix ill conditioned",
-                              det=det, condition=cond)
     AX = A_dz @ Xi
-    dXi = np.zeros_like(Xi)
+    dXi = np.zeros(Xi.shape)
     dXi[:p] = AX[:p] - W @ AX[p:]
-    dPsi = np.zeros_like(Psi)
+    dPsi = np.zeros(Psi.shape)
     dPsi[p:] = AX[p:] @ Psi
-    return dXi, dPsi, cond
+    return dXi, dPsi
 
 
-def _renormalize(Xi, Psi, p):
-    """Force the structural blocks and report the worst deviation."""
-    n = Xi.shape[0]
-    dev = max(float(np.max(np.abs(Xi[p:, :p]))) if p < n else 0.0,
-              float(np.max(np.abs(Xi[p:, p:] - np.eye(n - p)))),
-              float(np.max(np.abs(Psi[:p, :p] - np.eye(p)))),
-              float(np.max(np.abs(Psi[:p, p:]))) if p < n else 0.0)
-    Xi[p:, :p] = 0.0
-    Xi[p:, p:] = np.eye(n - p)
-    Psi[:p, :p] = np.eye(p)
-    Psi[:p, p:] = 0.0
-    return dev
+def _frame_cond(W, geo):
+    """cond S of the frame S = [[I, W], [0, I]] for one W or a stack of them.
+
+    det S = 1 and cond S = (s/2 + hypot(1, s/2))^2 with s = |W|_2.  NaN
+    wherever the frame fails its checks: W not finite, det S within
+    ``eps_det`` of zero, or cond S at least ``cond_cap``.
+    """
+    ok = np.isfinite(W).all(axis=(-2, -1)) & (1.0 > geo.eps_det)
+    # |W|_2 is the largest singular value; the SVD rejects non-finite input
+    half = 0.5 * np.linalg.svd(np.where(ok[..., None, None], W, 0.0),
+                               compute_uv=False).max(axis=-1)
+    # float_power squares by pow, not by x * x, as a scalar ** 2 does
+    cond = np.float_power(half + np.hypot(1.0, half), 2)
+    return np.where(ok & (cond < geo.cond_cap), cond, np.nan)
 
 
 def decompose_linear_sde(system: LinearSystem, driver: JumpPath,
@@ -159,11 +154,18 @@ def decompose_linear_sde(system: LinearSystem, driver: JumpPath,
     """Integrate the coupled factor equations for a linear jump diffusion.
 
     Heun steps over continuous stretches, RK4 in fictitious time across
-    jumps.  A reference fundamental matrix Phi is integrated independently
-    (matrix Heun plus exact exponential jumps) to supply the residual
-    series |Xi Psi - Phi| and the stopping monitor det of the lower-right
-    block of Phi.  Integration stops at the horizon or at the first
-    degeneracy; the record says which and why.
+    jumps, and an independent reference fundamental matrix Phi (matrix
+    Heun plus exact exponential jumps).  The loop only steps and stores
+    Xi, Psi, Phi and each step's two Heun-stage frames W = Xi[:p, p:],
+    stops on a non-finite step and settles each jump's outcome.  One
+    batched pass after it computes the diagnostics (stage conditions, det
+    of Phi's lower-right block, |Xi Psi - Phi|) and the first stop; within
+    a step a failed stage frame (split_degenerate at its start) comes
+    first, then a blow-up, a jump outcome, det_block_zero at its end.  The
+    loop checks neither frame nor determinant, so such a run may be
+    integrated past its stop before the pass truncates it.  The structural
+    blocks are never renormalized (see ``_structured_rhs``); the pass
+    measures their deviation, renorm_deviation.
     """
     cfg = cfg or MarcusConfig()
     A = system.matrices
@@ -172,115 +174,99 @@ def decompose_linear_sde(system: LinearSystem, driver: JumpPath,
     n, p = system.dimension, system.horizontal_dim
     grid = driver.grid
     K = grid.shape[0]
-    dzc = np.diff(driver.continuous_values, axis=0)
+    A_dz_all = np.einsum("ki,ijl->kjl",
+                         np.diff(driver.continuous_values, axis=0), A)
     jump_mask = driver.jump_mask
     jump_sizes = driver.jump_size_at_grid()
 
-    Xi = np.eye(n)
-    Psi = np.eye(n)
-    Phi = np.eye(n)
-    times = [float(grid[0])]
-    is_jump = [False]
-    det_series = [1.0]
-    cond_series = [1.0]
-    resid_series = [0.0]
-    renorm_series = [0.0]
-    xi_snap = [Xi.copy()]
-    psi_snap = [Psi.copy()]
-    phi_snap = [Phi.copy()]
-    det_pre_jump = {}
-    tau = driver.horizon
-    reason = "horizon"
-    degenerate_target = False
-
-    def record(t, jumped, cond):
-        times.append(float(t))
-        is_jump.append(bool(jumped))
-        det_series.append(float(np.linalg.det(Phi[p:, p:])))
-        cond_series.append(cond)
-        resid_series.append(float(np.max(np.abs(Xi @ Psi - Phi))))
-        renorm_series.append(_renormalize(Xi, Psi, p))
-        xi_snap.append(Xi.copy())
-        psi_snap.append(Psi.copy())
-        phi_snap.append(Phi.copy())
-
-    for k in range(K - 1):
-        A_dz = np.einsum("i,ijk->jk", dzc[k], A)
-        try:
-            k0x, k0p, cond0 = _structured_rhs(Xi, Psi, A_dz, p, geo)
-            k1x, k1p, cond1 = _structured_rhs(Xi + k0x, Psi + k0p,
-                                              A_dz, p, geo)
-        except DegeneracyError:
-            tau, reason = float(grid[k]), "split_degenerate"
-            break
-        Xi = Xi + 0.5 * (k0x + k1x)
-        Psi = Psi + 0.5 * (k0p + k1p)
-        P_hat = Phi + A_dz @ Phi
-        Phi = Phi + 0.5 * (A_dz @ Phi + A_dz @ P_hat)
-        if not (np.all(np.isfinite(Xi)) and np.all(np.isfinite(Psi))
-                and np.all(np.isfinite(Phi))):
-            tau, reason = float(grid[k]), "blowup"
-            break
-        cond = max(cond0, cond1)
-        jumped = bool(jump_mask[k + 1])
-        if jumped:
-            dzj = jump_sizes[k + 1]
-            A_j = np.einsum("i,ijk->jk", dzj, A)
-            with np.errstate(over="ignore", invalid="ignore"):
-                Phi_target = expm(A_j) @ Phi
-            if not np.all(np.isfinite(Phi_target)):
-                record(grid[k + 1], True, cond)    # at the left limit
-                tau, reason = float(grid[k + 1]), "blowup"
+    # Xi, Psi, Phi at each grid time, the frames of each step's Heun
+    # stages, and the last-stage condition of each jump's RK4
+    F = np.empty((K, 3, n, n))
+    F[0] = np.eye(n)
+    Xi, Psi, Phi = F[0]
+    frames = np.empty((K - 1, 2, p, n - p))
+    jump_cond = np.zeros(K)
+    # candidate stops as (step, order within the step, tau, reason, rows)
+    stops = [(K, 0, driver.horizon, "horizon", K)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, A_dz in enumerate(A_dz_all):
+            frames[k, 0] = Xi[:p, p:]
+            k0x, k0p = _structured_rhs(Xi, Psi, A_dz, p)
+            Xi1 = Xi + k0x
+            frames[k, 1] = Xi1[:p, p:]
+            k1x, k1p = _structured_rhs(Xi1, Psi + k0p, A_dz, p)
+            F[k + 1, 0] = Xi = Xi + 0.5 * (k0x + k1x)
+            F[k + 1, 1] = Psi = Psi + 0.5 * (k0p + k1p)
+            AP = A_dz @ Phi
+            F[k + 1, 2] = Phi = Phi + 0.5 * (AP + A_dz @ (Phi + AP))
+            if not np.isfinite(F[k + 1]).all():
+                stops.append((k, 1, float(grid[k]), "blowup", k + 1))
                 break
-            det_target = float(np.linalg.det(Phi_target[p:, p:]))
-            det_pre_jump[k + 1] = float(np.linalg.det(Phi[p:, p:]))
-            if abs(det_target) <= geo.eps_det:
-                # the jump itself lands on the degenerate set: stop at the
-                # jump time with the pre-jump factors
-                Phi = Phi_target
-                record(grid[k + 1], True, cond)
-                det_series[-1] = det_target
-                tau, reason = float(grid[k + 1]), "jump_target_degenerate"
-                degenerate_target = True
+            if not jump_mask[k + 1]:
+                continue
+            # across the jump Phi moves exactly and the factors by RK4 in
+            # fictitious time; a stop here keeps the pre-jump factors
+            t_jump = float(grid[k + 1])
+            A_j = np.einsum("i,ijk->jk", jump_sizes[k + 1], A)
+            Phi_target = expm(A_j) @ Phi
+            if not np.isfinite(Phi_target).all():
+                stops.append((k, 1, t_jump, "blowup", k + 2))  # left limit
+                break
+            F[k + 1, 2] = Phi_target
+            if abs(np.linalg.det(Phi_target[p:, p:])) <= geo.eps_det:
+                stops.append((k, 1, t_jump, "jump_target_degenerate", k + 2))
                 break
 
             def rhs(state):
-                dXi, dPsi, rhs.cond = _structured_rhs(*state, A_j, p, geo)
-                return dXi, dPsi
+                rhs.cond = _frame_cond(state[0][:p, p:], geo)
+                if np.isnan(rhs.cond):
+                    raise DegeneracyError("frame matrix degenerate")
+                return _structured_rhs(*state, A_j, p)
 
             try:
                 Xi, Psi = _rk4(rhs, (Xi, Psi), 1.0, cfg.ode.substeps)
             except (DegeneracyError, IntegrationFailure):
-                Phi = Phi_target
-                record(grid[k + 1], True, cond)
-                det_series[-1] = det_target
-                tau, reason = float(grid[k + 1]), "jump_path_degenerate"
+                stops.append((k, 1, t_jump, "jump_path_degenerate", k + 2))
                 break
-            Phi = Phi_target
-            cond = max(cond, rhs.cond)   # the last stage's
-        record(grid[k + 1], jumped, cond)
-        det_now = det_series[-1]
-        det_prev = det_series[-2]
-        if abs(det_now) <= geo.eps_det or det_now * det_prev < 0:
-            tau, reason = float(grid[k + 1]), "det_block_zero"
-            break
+            F[k + 1, 0], F[k + 1, 1], Phi = Xi, Psi, Phi_target
+            jump_cond[k + 1] = rhs.cond
 
+        # the first stop over the steps the loop took
+        loop_steps, rows = min(stops[-1][0] + 1, K - 1), stops[-1][4]
+        stage = _frame_cond(frames[:loop_steps], geo)
+        det = np.linalg.det(F[:rows, 2, p:, p:])
+        frame_bad = np.flatnonzero(np.isnan(stage).any(axis=1))
+        det_zero = np.flatnonzero((np.abs(det[1:]) <= geo.eps_det)
+                                  | (det[1:] * det[:-1] < 0))
+        if frame_bad.size:
+            k = frame_bad[0]
+            stops.append((k, 0, float(grid[k]), "split_degenerate", k + 1))
+        if det_zero.size:
+            k = det_zero[0]
+            stops.append((k, 2, float(grid[k + 1]), "det_block_zero", k + 2))
+        _, _, tau, reason, rows = min(stops)
+
+    xi, psi, phi = (F[:rows, i].copy() for i in range(3))
+    cond = np.ones(rows)
+    cond[1:] = np.maximum(stage[:rows - 1].max(axis=1), jump_cond[1:rows])
+    I = np.eye(n)
     return DecompositionRecord(
         mode="linear",
         horizontal_dim=p,
-        times=np.array(times),
-        is_jump=np.array(is_jump, dtype=bool),
+        times=grid[:rows].copy(),
+        is_jump=jump_mask[:rows],
         tau=tau,
         tau_reason=reason,
-        degenerate_jump_target=degenerate_target,
-        det_block=np.array(det_series),
-        condition=np.array(cond_series),
-        residual_sup=np.array(resid_series),
-        renorm_deviation=np.array(renorm_series),
-        xi=np.array(xi_snap),
-        psi=np.array(psi_snap),
-        phi=np.array(phi_snap),
-        diagnostics={"det_pre_jump": det_pre_jump},
+        degenerate_jump_target=reason == "jump_target_degenerate",
+        det_block=det[:rows],
+        condition=cond,
+        residual_sup=np.max(np.abs(xi @ psi - phi), axis=(1, 2)),
+        renorm_deviation=np.maximum(
+            np.max(np.abs(xi[:, p:] - I[p:]), axis=(1, 2)),
+            np.max(np.abs(psi[:, :p] - I[:p]), axis=(1, 2))),
+        xi=xi,
+        psi=psi,
+        phi=phi,
     )
 
 
@@ -499,23 +485,30 @@ def decompose_pointwise(fields: VectorFieldSet, pair: ComplementaryPair,
                 det0, cond0 = state.heun_step(dzc[k])
             else:
                 det0, cond0 = det_series[-1], cond_series[-1]
-            jumped = bool(jump_mask[k + 1])
-            if jumped:
-                dj, cj = state.jump_step(jump_sizes[k + 1],
-                                         cfg.ode.substeps)
-                det0 = min(det0 if np.isfinite(det0) else dj, dj)
-                cond0 = max(cond0, cj)
         except DegeneracyError:
             tau, reason = float(grid[k]), "split_degenerate"
             break
         except IntegrationFailure:
             tau, reason = float(grid[k]), "blowup"
             break
+        jumped = bool(jump_mask[k + 1])
+        if jumped:
+            try:
+                dj, cj = state.jump_step(jump_sizes[k + 1], cfg.ode.substeps)
+            except (DegeneracyError, IntegrationFailure):
+                # as in linear mode: stop at the jump time, and the row
+                # there keeps the pre-jump state
+                tau, reason = float(grid[k + 1]), "jump_path_degenerate"
+            else:
+                det0 = min(det0 if np.isfinite(det0) else dj, dj)
+                cond0 = max(cond0, cj)
         times.append(float(grid[k + 1]))
         is_jump.append(jumped)
         det_series.append(det0)
         cond_series.append(cond0)
         resid_series.append(state.composition_residual())
+        if reason != "horizon":
+            break
         take_snap = ((k + 1) % snapshot_stride == 0 or jumped or k == K - 2)
         if take_snap:
             try:
@@ -550,5 +543,4 @@ def decompose_pointwise(fields: VectorFieldSet, pair: ComplementaryPair,
         psi_probes_inverse=np.array(snap_inv),
         phi_probes=np.array(snap_phi),
         probes=state.probes.copy(),
-        diagnostics={},
     )

@@ -271,9 +271,10 @@ def curve_average(H, fields: VectorFieldSet, weights, x0, cfg: OdeConfig,
 
     Composite Simpson on [0, 1] with an even node count derived from
     ``quad_nodes``; the orbit is advanced by the same RK4 stepper between
-    nodes (or by a cached exponential factor for linear sets), so quadrature
-    nodes and integration substeps share the same grid.  H may return any array
-    shape; the average is taken componentwise.
+    nodes, at ``cfg.substeps`` steps per unit time and at least one per
+    interval (or by a cached exponential factor for linear sets), so
+    quadrature nodes and integration substeps share the same grid.  H may
+    return any array shape; the average is taken componentwise.
     """
     if quad_nodes < 2:
         raise ValueError("quad_nodes must be >= 2")
@@ -290,8 +291,7 @@ def curve_average(H, fields: VectorFieldSet, weights, x0, cfg: OdeConfig,
             samples.append(np.asarray(H(x), dtype=float))
     else:
         W = _combined(fields, weights)
-        sub = max(1, int(np.ceil(cfg.substeps * du)))
-        nsteps = max(1, int(np.ceil(du * sub)))
+        nsteps = max(1, int(np.ceil(cfg.substeps * du)))
         for _ in range(nint):
             x, = _rk4(lambda s: (W(s[0]),), (x,), du, nsteps)
             samples.append(np.asarray(H(x), dtype=float))

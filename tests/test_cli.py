@@ -193,10 +193,10 @@ def test_decompose_overflowing_jump_stops_with_blowup(tmp_path):
     assert rows[-1]["t"] == 0.5
 
 
-def test_decompose_mesh_large_jump_stops_split_degenerate(tmp_path):
+def test_decompose_mesh_large_jump_stops_jump_path_degenerate(tmp_path):
     # radial-linear with its jump raised from 0.1 to 60: the mesh frame
     # degenerates inside the fictitious-time jump flow, so the run stops at
-    # the last grid time before the jump
+    # the jump time, as linear mode does
     with open(_cfg("radial_linear.yaml")) as fh:
         cfg = yaml.safe_load(fh)
     cfg["driver"]["jumps"][0]["size"] = [60.0]
@@ -205,8 +205,11 @@ def test_decompose_mesh_large_jump_stops_split_degenerate(tmp_path):
     out = str(tmp_path / "run")
     assert main(["decompose", "--config", str(path), "--out", out]) == 4
     summary = _strict_loads(_read(os.path.join(out, "summary.json")))
-    assert summary["tau_reason"] == "split_degenerate"
-    assert summary["tau"] == 0.498
+    assert summary["tau_reason"] == "jump_path_degenerate"
+    assert summary["tau"] == 0.5
+    rows = [_strict_loads(line) for line in
+            _read(os.path.join(out, "diagnostics.jsonl")).splitlines()]
+    assert rows[-1]["t"] == 0.5 and rows[-1]["is_jump"]
 
 
 def test_ensemble_overflowing_squares_are_failures(tmp_path, capsys):
@@ -425,7 +428,13 @@ def test_run_meta_records_command(tmp_path):
     assert main(["simulate", "--config", _cfg("rotation.yaml"),
                  "--out", out]) == 0
     meta = _read(os.path.join(out, "run_meta.txt")).decode()
-    assert "simulate" in meta and "wall_seconds" in meta
+    assert "simulate" in meta
+    fields = dict(line.split(": ", 1) for line in meta.splitlines())
+    setup, run, wall = (float(fields[key]) for key in (
+        "setup_seconds", "run_seconds", "wall_seconds"))
+    assert min(setup, run) >= 0.0
+    # each is rounded to the millisecond on its own
+    assert abs(setup + run - wall) <= 0.002
 
 
 def test_version_flag():

@@ -1,14 +1,17 @@
 """Flow factorization: linear factor equations and the mesh-based mode."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from jumpflow.decompose import (TAU_REASONS, LinearSystem, _structured_rhs,
-                                decompose_linear_sde, decompose_pointwise,
-                                validity_monitor, verify_composition)
-from jumpflow.errors import DegeneracyError
+from jumpflow.config import (build_driver, build_marcus_config, build_problem,
+                             load_config)
+from jumpflow.decompose import (TAU_REASONS, LinearSystem, _frame_cond,
+                                _structured_rhs, decompose_linear_sde,
+                                decompose_pointwise, validity_monitor,
+                                verify_composition)
 from jumpflow.geometry import ComplementaryPair, Distribution, GeometryConfig
 from jumpflow.marcus import MarcusConfig, solve_with_jacobian
 from jumpflow.mesh import MeshChart
@@ -17,6 +20,7 @@ from jumpflow.reference import matrix_exp, rotation_decomposition
 from jumpflow.semimartingale import deterministic_path
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def _rotation_driver(step, slope=1.2, jumps=()):
@@ -57,7 +61,7 @@ def test_rotation_composition_residual_and_renorm():
     rec = decompose_linear_sde(system, _rotation_driver(2e-3))
     resid = verify_composition(rec, np.eye(2))
     assert float(np.max(resid)) < 1e-4
-    # block renormalization never has anything to fix on this fixture
+    # the structural blocks of the factors never move
     assert float(np.max(rec.renorm_deviation)) == 0.0
 
 
@@ -110,6 +114,43 @@ def test_rotation_smooth_crossing_stops_near_quarter_turn():
     rec = decompose_linear_sde(system, _rotation_driver(step, slope=2.0))
     assert rec.tau_reason == "det_block_zero"
     assert abs(rec.tau - np.pi / 4) <= 2 * step
+
+
+def test_rotation_continuous_stage_stops_split_degenerate():
+    # no jumps: |W| = tan z grows until a Heun stage frame crosses
+    # cond_cap = 3, and the run stops at the grid time that step began
+    system = LinearSystem(ROT[None], horizontal_dim=1)
+    rec = decompose_linear_sde(system, _rotation_driver(0.01),
+                               geo=GeometryConfig(cond_cap=3.0))
+    assert rec.tau_reason == "split_degenerate"
+    assert rec.tau == 0.71
+    assert float(rec.times[-1]) == 0.71
+    assert rec.condition[-1] == 2.968603731447612
+
+
+def test_custom_linear_record_is_consistent_with_its_factors():
+    # every diagnostic is a function of the recorded factors, and the
+    # structural blocks of xi and psi are exact
+    cfg = load_config(os.path.join(CONFIGS, "custom_linear.yaml"))
+    problem = build_problem(cfg)
+    driver = build_driver(cfg, 2)
+    assert int(np.sum(driver.jump_mask)) == 7
+    p = problem["horizontal_dim"]
+    rec = decompose_linear_sde(LinearSystem(problem["matrices"], p), driver,
+                               build_marcus_config(cfg))
+    assert rec.tau_reason == "horizon"
+    n = rec.xi.shape[1]
+    for k in range(1, rec.times.shape[0]):
+        assert rec.residual_sup[k] == np.max(np.abs(rec.xi[k] @ rec.psi[k]
+                                                    - rec.phi[k]))
+        assert rec.det_block[k] == np.linalg.det(rec.phi[k][p:, p:])
+    assert np.all(rec.renorm_deviation == 0.0)
+    right = np.zeros((n - p, n))
+    right[:, p:] = np.eye(n - p)
+    top = np.zeros((p, n))
+    top[:, :p] = np.eye(p)
+    assert np.all(rec.xi[:, p:] == right)
+    assert np.all(rec.psi[:, :p] == top)
 
 
 def test_tau_reasons_registry():
@@ -189,7 +230,8 @@ def test_structured_rhs_matches_frame_solve(n, p):
         S[:, p:] = Xi[:, p:]
         C = np.linalg.solve(S, np.concatenate([A_dz @ Xi, A_dz @ (Xi @ Psi)],
                                               axis=1))
-        dXi, dPsi, cond = _structured_rhs(Xi, Psi, A_dz, p, geo)
+        dXi, dPsi = _structured_rhs(Xi, Psi, A_dz, p)
+        cond = _frame_cond(Xi[:p, p:], geo)
         want_x = np.zeros((n, n))
         want_x[:p] = C[:p, :n]
         want_p = np.zeros((n, n))
@@ -200,13 +242,18 @@ def test_structured_rhs_matches_frame_solve(n, p):
 
 
 def test_structured_rhs_degenerate_frame_raises():
+    # NaN from the frame check is what stops a run (the jump RK4 raises)
     rng = np.random.default_rng(5)
     Xi, Psi, A_dz = _structured_state(rng, 3, 1, 1e3)
-    with pytest.raises(DegeneracyError):
-        _structured_rhs(Xi, Psi, A_dz, 1, GeometryConfig(cond_cap=1e5))
-    Xi[0, 2] = np.inf
-    with pytest.raises(DegeneracyError):
-        _structured_rhs(Xi, Psi, A_dz, 1, GeometryConfig())
+    assert np.isnan(_frame_cond(Xi[:1, 1:], GeometryConfig(cond_cap=1e5)))
+    good = _frame_cond(Xi[:1, 1:], GeometryConfig())
+    Xi_inf = Xi.copy()
+    Xi_inf[0, 2] = np.inf
+    assert np.isnan(_frame_cond(Xi_inf[:1, 1:], GeometryConfig()))
+    # a stack gives each frame's single-frame value, bit for bit
+    stack = _frame_cond(np.stack([Xi[:1, 1:], Xi_inf[:1, 1:]]),
+                        GeometryConfig())
+    assert stack[0] == good and np.isnan(stack[1])
 
 
 def test_linear_system_validation():

@@ -158,6 +158,21 @@ def test_curve_average_linear_readout():
     assert np.max(np.abs(avg - expect)) < 1e-10
 
 
+def test_curve_average_steps_substeps_per_unit_time():
+    # 16 intervals of 1/16 at 64 RK4 steps per unit time: 4 steps of 4
+    # field evaluations each per interval
+    calls = []
+
+    def square(x):
+        calls.append(1)
+        return x * x
+
+    fields = VectorFieldSet.from_callables(1, [square], vectorized=True)
+    curve_average(lambda x: x, fields, np.array([1.0]), np.array([0.5]),
+                  OdeConfig(substeps=64, use_expm=False), quad_nodes=16)
+    assert len(calls) == 256
+
+
 def test_curve_average_constant_is_identity():
     fields = VectorFieldSet.linear(ROT)
 
