@@ -170,6 +170,9 @@ def normalize_config(raw: dict) -> dict:
     if "ensemble" in cfg:
         ens = cfg["ensemble"]
         _expect(isinstance(ens, dict), "ensemble", "must be a mapping")
+        for key in ens:
+            _expect(key in ("n_paths", "observable"), "ensemble.%s" % key,
+                    "not an ensemble key (expected n_paths, observable)")
         _int(ens.get("n_paths"), "ensemble.n_paths")
         ens.setdefault("observable", "none")
         _expect(ens["observable"] in ("none", "norm", "first"),

@@ -217,19 +217,23 @@ def decompose_linear_sde(system: LinearSystem, driver: JumpPath,
                 stops.append((k, 1, t_jump, "jump_target_degenerate", k + 2))
                 break
 
+            # the frame of every RK4 stage, checked in one batch after it
+            W = []
+
             def rhs(state):
-                rhs.cond = _frame_cond(state[0][:p, p:], geo)
-                if np.isnan(rhs.cond):
-                    raise DegeneracyError("frame matrix degenerate")
+                W.append(state[0][:p, p:])
                 return _structured_rhs(*state, A_j, p)
 
             try:
                 Xi, Psi = _rk4(rhs, (Xi, Psi), 1.0, cfg.ode.substeps)
+                cond = _frame_cond(np.array(W), geo)
+                if np.isnan(cond).any():
+                    raise DegeneracyError("frame matrix degenerate")
             except (DegeneracyError, IntegrationFailure):
                 stops.append((k, 1, t_jump, "jump_path_degenerate", k + 2))
                 break
             F[k + 1, 0], F[k + 1, 1], Phi = Xi, Psi, Phi_target
-            jump_cond[k + 1] = rhs.cond
+            jump_cond[k + 1] = cond[-1]
 
         # the first stop over the steps the loop took
         loop_steps, rows = min(stops[-1][0] + 1, K - 1), stops[-1][4]

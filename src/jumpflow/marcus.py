@@ -10,20 +10,21 @@ Every solver is one sweep, ``_sweep``, over one grid loop: it advances a
 state or a batch of states and carries the flow Jacobian only when asked.
 ``solve_point`` and ``solve_with_jacobian`` record every grid time;
 ``solve_map_batch`` stops each row at its own time; ``solve_ensemble``
-steps blocks of drivers, one per row, each row as ``solve_point`` would.
+steps blocks of drivers, one per row, each row as ``solve_point`` would,
+with one per-row weighted flow for all the jumps at a grid step.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import IntegrationFailure
 from .odeflow import OdeConfig, VectorFieldSet, flow, flow_with_jacobian
-from .semimartingale import (JumpPath, PathParams, _grid_for, _substream,
-                             sample_levy_jump_diffusion)
+from .semimartingale import (JumpPath, PathParams, _grid_for, _levy_arrays,
+                             _substream)
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,8 @@ def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
     if isinstance(driver, JumpPath):
         sizes = driver.jump_size_at_grid()
         times, dzc = driver.grid, np.diff(driver.continuous_values, axis=0)
-        jumps = [(k, Ellipsis, sizes[k]) for k in np.flatnonzero(driver.jump_mask)]
+        jumps = {k: (Ellipsis, sizes[k])
+                 for k in np.flatnonzero(driver.jump_mask)}
         failed = None
     else:
         (times, dzc, jumps), failed = driver, np.zeros(len(x), dtype=bool)
@@ -135,7 +137,7 @@ def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
     # no jump can sit at t=0, so both sides start at x
     store(0, 0)
     store(0, 1)
-    live, j = Ellipsis, 0
+    live = Ellipsis
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, K):
             if not record:
@@ -151,15 +153,13 @@ def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
                 J[live] = js
             check(k, live)
             store(k, 0)
-            while j < len(jumps) and jumps[j][0] == k:
-                _, hop, size = jumps[j]
-                j += 1
+            if k in jumps:
+                hop, size = jumps[k]
                 if not record:
                     hop = live & ~((fidx == k) & (fside == 0))
-                    if not np.any(hop):
-                        continue
-                elif failed is not None and failed[hop]:
-                    continue
+                elif failed is not None:
+                    hop, size = hop[~failed[hop]], size[~failed[hop]]
+            if k in jumps and X[hop].size:
                 why = None
                 try:
                     if jacobian:
@@ -235,18 +235,20 @@ class EnsembleSummary:
 
 
 def _pack(paths, base):
-    """Step-aligned block (None, dz, [(step, row, size)]) of drivers, each row
-    padded at the end with zero increments, and their ``base`` time indices."""
-    dzs, jumps, at = [], [], []
-    for r, p in enumerate(paths):
-        dzs.append(np.diff(p.continuous_values, axis=0))
-        jumps += [(k, r, size) for k, size in
-                  zip(np.searchsorted(p.grid, p.jump_times), p.jump_sizes)]
-        at.append(np.searchsorted(p.grid, base))
+    """Step-aligned block (None, dz, {step: (rows, sizes)}) of drivers given
+    as ``_levy_arrays`` tuples, each row padded at the end with zero
+    increments, and their ``base`` time indices."""
+    dzs, jumps, at = [], {}, []
+    for r, (grid, cont, jump_times, jump_sizes) in enumerate(paths):
+        dzs.append(np.diff(cont, axis=0))
+        for k, size in zip(np.searchsorted(grid, jump_times), jump_sizes):
+            jumps.setdefault(k, []).append((r, size))
+        at.append(np.searchsorted(grid, base))
     dz = np.zeros((max(d.shape[0] for d in dzs), len(dzs), dzs[0].shape[1]))
     for r, d in enumerate(dzs):
         dz[:d.shape[0], r] = d
-    jumps.sort(key=lambda jump: jump[0])
+    jumps = {k: (np.array([r for r, _ in hops]), np.array([s for _, s in hops]))
+             for k, hops in jumps.items()}
     return (None, dz, jumps), np.array(at)
 
 
@@ -256,12 +258,12 @@ def solve_ensemble(fields: VectorFieldSet, params: PathParams, x0,
 
     Per-path seeds derive from params.seed through the documented substream
     scheme (purpose key 3), so the ensemble is reproducible and insensitive
-    to n_paths changes path-by-path.  Blocks of paths are stepped together,
-    each row exactly as ``solve_point`` steps it, and moments are summed per
-    path in path order.  A path whose states, observable series or their
-    squares are not finite is counted as a failure and skipped, never
-    fatal.  ``observables`` maps name -> f(times, states) returning a
-    per-time scalar series.
+    to n_paths changes path-by-path.  Blocks of paths, drawn straight into
+    arrays, are stepped together, each row exactly as ``solve_point`` steps
+    it, and moments are summed per path in path order.  A path whose
+    states, observable series or their squares are not finite is counted as
+    a failure and skipped, never fatal.  ``observables`` maps name ->
+    f(times, states) returning a per-time scalar series.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -272,8 +274,8 @@ def solve_ensemble(fields: VectorFieldSet, params: PathParams, x0,
     done = 0
     block = max(1, _BLOCK_ROW_STEPS // (base.shape[0] - 1))
     for start in range(0, n_paths, block):
-        driver, at = _pack((sample_levy_jump_diffusion(replace(
-            params, seed=int(_substream(params.seed, 3, r).integers(0, 2 ** 63))))
+        driver, at = _pack((_levy_arrays(
+            params, int(_substream(params.seed, 3, r).integers(0, 2 ** 63)), base)
             for r in range(start, min(start + block, n_paths))), base)
         post, failed = _sweep(fields, driver, np.broadcast_to(
             x0, (at.shape[0],) + np.shape(x0)), cfg, False)

@@ -27,25 +27,32 @@ _THETA13 = 5.371920351148152
 
 
 def expm(A) -> np.ndarray:
-    """exp(A) of one square matrix by Pade-13 scaling and squaring."""
+    """exp(A) of a square matrix or a stack (..., n, n) of them by Pade-13
+    scaling and squaring, each matrix with its own exponent s: a mask picks
+    the ones still squaring, so each gets the bits it would get alone."""
+    A = np.asarray(A, dtype=float)
+    shape = A.shape
+    A = A.reshape((-1,) + shape[-2:])
     # s = ceil(log2(|A|_1 / theta)), or 0 for inf/NaN: non-finite input or
     # overflow while squaring gives a non-finite result, never an exception
-    s = max(0, int(np.frexp(np.linalg.norm(A, 1) / _THETA13)[1]))
-    A = np.asarray(A, dtype=float) * 2.0 ** -s
+    s = np.maximum(0, np.frexp(np.linalg.norm(A, 1, axis=(-2, -1))
+                               / _THETA13)[1])
+    A = A * 2.0 ** -s[:, None, None]
     c = _PADE13
-    I = np.eye(A.shape[0])
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    U = A @ (A6 @ (c[13] * A6 + c[11] * A4 + c[9] * A2)
-             + c[7] * A6 + c[5] * A4 + c[3] * A2 + c[1] * I)
-    V = (A6 @ (c[12] * A6 + c[10] * A4 + c[8] * A2)
-         + c[6] * A6 + c[4] * A4 + c[2] * A2 + c[0] * I)
-    E = np.linalg.solve(V - U, V + U)
+    I = np.eye(shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(s):
-            E = E @ E
-    return E
+        A2 = A @ A
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        U = A @ (A6 @ (c[13] * A6 + c[11] * A4 + c[9] * A2)
+                 + c[7] * A6 + c[5] * A4 + c[3] * A2 + c[1] * I)
+        V = (A6 @ (c[12] * A6 + c[10] * A4 + c[8] * A2)
+             + c[6] * A6 + c[4] * A4 + c[2] * A2 + c[0] * I)
+        E = np.linalg.solve(V - U, V + U)
+        for i in range(s.max(initial=0)):
+            sq = s > i
+            E[sq] = E[sq] @ E[sq]
+    return E.reshape(shape)
 
 
 def _fd_jacobian(fn, x, eps_base: float = 1e-6):
@@ -190,18 +197,19 @@ def _combined(fields: VectorFieldSet, weights):
     w = np.asarray(weights, dtype=float)
 
     def W(X):
-        return np.einsum("...im,m->...i", fields.field_matrix(X), w)
+        return np.einsum("...im,...m->...i", fields.field_matrix(X), w)
 
     return W
 
 
-def _rk4(rhs, state, u, nsteps):
+def _rk4(rhs, state, u, nsteps, strict=True):
     """Classical RK4 over flow time [0, u] in ``nsteps`` equal steps.
 
     ``state`` is a sequence of arrays and ``rhs`` maps such a sequence to
     the sequence of their derivatives; the result is a tuple.  Raises
     IntegrationFailure with the flow time as soon as any component stops
-    being finite.
+    being finite; without ``strict`` it never raises, and a component that
+    stops being finite stays so for the caller to find.
     """
     dt = u / nsteps
     for k in range(nsteps):
@@ -212,7 +220,7 @@ def _rk4(rhs, state, u, nsteps):
         state = [s + (dt / 6.0) * (a + 2 * b + 2 * c + d)
                  for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
         for s in state:
-            if not np.isfinite(s).all():
+            if strict and not np.isfinite(s).all():
                 u_fail = (k + 1) * dt
                 raise IntegrationFailure(
                     "flow integration blew up at flow time %g" % u_fail,
@@ -223,22 +231,25 @@ def _rk4(rhs, state, u, nsteps):
 def _flow(fields, weights, x0, u, cfg, jacobian):
     """(x, J) of the time-u flow; J is None without ``jacobian``.
 
-    RK4 carries J through the variational equation dJ = DW(X) J, whose
-    stages reuse the state stages, so J is the exact derivative of the
-    discrete map."""
+    ``weights`` is (m,) for every point of x0, or (B, m), one per row of a
+    (B, n) x0 and not with ``jacobian``: one stacked ``expm``, or one RK4
+    whose rows that blow up come back non-finite, failing alone.  RK4
+    carries J through the variational equation dJ = DW(X) J, whose stages
+    reuse the state stages, so J is the exact derivative of the discrete
+    map."""
     x0 = np.asarray(x0, dtype=float)
     w = np.asarray(weights, dtype=float)
     if fields.is_linear and cfg.use_expm:
-        A = np.einsum("m,mij->ij", w, fields.matrices)
-        E = expm(u * A)
-        x = np.einsum("ij,...j->...i", E, x0)
+        E = expm(u * np.einsum("...m,mij->...ij", w, fields.matrices))
+        x = np.einsum("...ij,...j->...i", E, x0)
         if not jacobian:
             return x, None
         return x, np.broadcast_to(E, x0.shape[:-1] + E.shape).copy()
     W = _combined(fields, w)
     nsteps = max(1, int(np.ceil(abs(u) * cfg.substeps)))
     if not jacobian:
-        return _rk4(lambda s: (W(s[0]),), (x0,), u, nsteps)[0], None
+        return _rk4(lambda s: (W(s[0]),), (x0,), u, nsteps,
+                    strict=w.ndim == 1)[0], None
     n = fields.dimension
     J0 = np.broadcast_to(np.eye(n), x0.shape[:-1] + (n, n))
     return _rk4(lambda s: (W(s[0]), fields.combo_jacobian(s[0], w) @ s[1]),

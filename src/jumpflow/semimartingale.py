@@ -224,44 +224,44 @@ def _grid_for(horizon: float, step: float) -> np.ndarray:
     return np.concatenate([grid, [horizon]])
 
 
-def sample_levy_jump_diffusion(params: PathParams) -> JumpPath:
-    """Draw one jump-diffusion driver path.
+def _levy_arrays(params: PathParams, seed: int, base: np.ndarray):
+    """(grid, continuous values, jump times, jump sizes) drawn by ``params``
+    with ``seed`` for ``params.seed``; ``base`` is their ``_grid_for``.
 
-    The base uniform grid is augmented with the sampled jump times; Brownian
+    The base grid is augmented with the sampled jump times; Brownian
     increments are then drawn per channel over the merged grid, so the
     continuous part is exact at every grid point.  Bit-identical output for
-    identical params (see the substream scheme on ``_substream``).
+    identical inputs (see the substream scheme on ``_substream``).
     """
-    T, h, m = params.horizon, params.step, params.dimension
-    base = _grid_for(T, h)
-
+    T, m = params.horizon, params.dimension
     jump_times = np.empty(0)
     jump_sizes = np.zeros((0, m))
     if params.jump_intensity > 0:
-        rng_t = _substream(params.seed, 1)
+        rng_t = _substream(seed, 1)
         count = int(rng_t.poisson(params.jump_intensity * T))
         if count:
             jump_times = np.sort(rng_t.uniform(0.0, T, size=count))
             # distinct and positive; np.unique would import numpy.ma
             jump_times = jump_times[np.diff(jump_times, prepend=0.0) > 0]
-            rng_s = _substream(params.seed, 2)
-            jump_sizes = params.jump_law.sample(rng_s, jump_times.shape[0])
+            jump_sizes = params.jump_law.sample(_substream(seed, 2),
+                                                jump_times.shape[0])
 
     grid = np.sort(np.concatenate([base, jump_times]))
     grid = grid[np.diff(grid, prepend=-1.0) > 0]
-
-    scale = params.scale_vector()
-    drift = params.drift_vector()
     dt = np.diff(grid)
-    cont = np.empty((grid.shape[0], m))
-    for c in range(m):
-        if scale[c] == 0.0:
-            bm = np.zeros(grid.shape[0])
-        else:
-            rng_b = _substream(params.seed, 0, c)
-            db = rng_b.standard_normal(dt.shape[0]) * np.sqrt(dt)
-            bm = np.concatenate([[0.0], np.cumsum(db)])
-        cont[:, c] = drift[c] * grid + scale[c] * bm
+    scale = params.scale_vector()
+    bm = np.zeros((grid.shape[0], m))
+    for c in np.flatnonzero(scale):
+        db = _substream(seed, 0, c).standard_normal(dt.shape[0]) * np.sqrt(dt)
+        np.cumsum(db, out=bm[1:, c])
+    cont = params.drift_vector() * grid[:, None] + scale * bm
+    return grid, cont, jump_times, jump_sizes
+
+
+def sample_levy_jump_diffusion(params: PathParams) -> JumpPath:
+    """Draw one jump-diffusion driver path (see ``_levy_arrays``)."""
+    grid, cont, jump_times, jump_sizes = _levy_arrays(
+        params, params.seed, _grid_for(params.horizon, params.step))
     return JumpPath(grid=grid, continuous_values=cont,
                     jump_times=jump_times, jump_sizes=jump_sizes)
 

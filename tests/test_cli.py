@@ -317,6 +317,10 @@ def _radial(**top):
     ("decompose", _radial(probes=[[1, 2, 3]]), "probes"),
     ("simulate", _custom_linear(solver={"record_jacobian": "yes"}),
      "solver.record_jacobian"),
+    ("ensemble", _custom_linear(
+        driver={"type": "levy", "horizon": 1.0, "step": 0.1, "seed": 1},
+        ensemble={"n_paths": 10, "observabel": "norm"}),
+     "ensemble.observabel"),
 ])
 def test_bad_value_exits_2(tmp_path, capsys, command, cfg, where):
     path = tmp_path / "bad.yaml"

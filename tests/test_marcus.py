@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 
+import jumpflow.odeflow as odeflow
 from jumpflow.config import build_problem
 from jumpflow.errors import IntegrationFailure
 from jumpflow.marcus import (MarcusConfig, solve_ensemble, solve_map_batch,
@@ -347,3 +348,40 @@ def test_ensemble_path_with_overflowing_squares_fails():
     for arr in (got.mean, got.variance, got.observable_mean["first"],
                 got.observable_variance["first"]):
         assert np.all(np.isfinite(arr))
+
+
+def test_nonlinear_ensemble_fails_only_the_rows_that_blow_up():
+    # x' = x^2 dz: a jump dz >= 1/x has a pole inside its unit-time flow.
+    # On a 4-step grid up to 8 paths jump at one step index, some of them
+    # past the pole and some not; only the former may fail
+    fields = VectorFieldSet.from_callables(1, [lambda x: x * x],
+                                           vectorized=True)
+    params = PathParams(horizon=1.0, step=0.25, brownian_scale=0.1,
+                        jump_intensity=3.0,
+                        jump_law=JumpLaw.gaussian([0.0], [300.0]), seed=3)
+    got = _assert_ensemble_is_sum_of_points(fields, params, np.array([0.01]),
+                                            12)
+    assert 0 < got.n_failures < 12
+
+
+def test_ensemble_makes_one_jump_flow_per_block_step(monkeypatch):
+    # one block of 40 paths on a 4-step grid puts about 120 jumps on a
+    # handful of step indices, and each index takes one batched flow
+    calls = []
+    real_flow = odeflow._flow
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_flow(*args, **kwargs)
+
+    monkeypatch.setattr(odeflow, "_flow", counted)
+    params = PathParams(horizon=1.0, step=0.25, brownian_scale=0.2,
+                        jump_intensity=3.0,
+                        jump_law=JumpLaw.uniform([-0.5], [0.5]), seed=21)
+    fields = VectorFieldSet.linear(np.array([[[0.5]]]))
+    solve_ensemble(fields, params, np.array([1.0]), MarcusConfig(), 40)
+    paths = [sample_levy_jump_diffusion(replace(params, seed=int(
+        _substream(21, 3, r).integers(0, 2 ** 63)))) for r in range(40)]
+    steps = max(p.grid.shape[0] for p in paths) - 1
+    jumps = sum(p.jump_times.shape[0] for p in paths)
+    assert 0 < len(calls) <= steps < jumps

@@ -1,5 +1,7 @@
 """Unit-time flows, variational Jacobians and curve averages."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,33 @@ def test_expm_exact_cases():
     assert np.max(np.abs(expm(J) - want)) <= 4 * eps
     quarter = expm(np.pi / 2 * ROT[0])
     assert np.max(np.abs(quarter - [[0.0, -1.0], [1.0, 0.0]])) <= 4 * eps
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stacked_expm_is_expm_of_each_matrix(n):
+    # 1-norms up to about 16: squaring counts from 0 to 2 within one stack
+    rng = np.random.default_rng(70 + n)
+    A = rng.standard_normal((4, 6, n, n))
+    A *= rng.uniform(0.0, 16.0, (4, 6, 1, 1)) / np.linalg.norm(
+        A, 1, axis=(-2, -1))[..., None, None]
+    squarings = np.frexp(np.linalg.norm(A, 1, axis=(-2, -1)) / 5.37)[1]
+    assert len(np.unique(np.maximum(squarings, 0))) > 1
+    E = expm(A)
+    assert E.shape == A.shape
+    for idx in np.ndindex(A.shape[:2]):
+        assert np.array_equal(E[idx], expm(A[idx]))
+
+
+def test_stacked_expm_isolates_non_finite_matrices():
+    A = np.stack([0.3 * np.eye(2), np.full((2, 2), np.inf),
+                  np.full((2, 2), np.nan), 12.0 * ROT[0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        E = expm(A)
+    finite = np.isfinite(E).all(axis=(-2, -1))
+    assert finite.tolist() == [True, False, False, True]
+    assert np.array_equal(E[0], expm(A[0]))
+    assert np.array_equal(E[3], expm(A[3]))
 
 
 def test_linear_flow_uses_exponential():
