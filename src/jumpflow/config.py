@@ -247,22 +247,35 @@ def build_driver(cfg: dict, seed_override=None):
     return deterministic_path(grid, values, jumps)
 
 
+def _vec2(a, b):
+    """np.stack([a, b], axis=-1) of two arrays without its per-call overhead."""
+    out = np.empty(a.shape + (2,))
+    out[..., 0], out[..., 1] = a, b
+    return out
+
+
+def _constant_jacobian(M):
+    """Jacobian callable of x -> M x: zeros, then M's nonzero entries."""
+    entries = [(i, j, v) for (i, j), v in np.ndenumerate(M) if v]
+
+    def jac(p):
+        J = np.zeros(np.shape(p)[:-1] + np.shape(M))
+        for i, j, v in entries:
+            J[..., i, j] = v
+        return J
+
+    return jac
+
+
 def _sphere_tangent_fields() -> VectorFieldSet:
     def x1(p):
         p = np.asarray(p, dtype=float)
-        return np.stack([-p[..., 1], p[..., 0]], axis=-1)
+        return _vec2(-p[..., 1], p[..., 0])
 
     def x2(p):
         p = np.asarray(p, dtype=float)
         s = np.sin(p[..., 0])
-        return np.stack([-p[..., 1] * s, p[..., 0] * s], axis=-1)
-
-    def j1(p):
-        p = np.asarray(p, dtype=float)
-        J = np.zeros(p.shape[:-1] + (2, 2))
-        J[..., 0, 1] = -1.0
-        J[..., 1, 0] = 1.0
-        return J
+        return _vec2(-p[..., 1] * s, p[..., 0] * s)
 
     def j2(p):
         p = np.asarray(p, dtype=float)
@@ -273,6 +286,7 @@ def _sphere_tangent_fields() -> VectorFieldSet:
         J[..., 1, 0] = s + p[..., 0] * c
         return J
 
+    j1 = _constant_jacobian([[0.0, -1.0], [1.0, 0.0]])
     return VectorFieldSet.from_callables(2, [x1, x2], [j1, j2],
                                          vectorized=True)
 
@@ -280,7 +294,7 @@ def _sphere_tangent_fields() -> VectorFieldSet:
 def _ivk_generic_fields():
     def outer1(p):
         p = np.asarray(p, dtype=float)
-        return np.stack([np.sin(p[..., 1]), p[..., 0]], axis=-1)
+        return _vec2(np.sin(p[..., 1]), p[..., 0])
 
     def outer_j1(p):
         p = np.asarray(p, dtype=float)
@@ -291,50 +305,31 @@ def _ivk_generic_fields():
 
     def outer2(p):
         p = np.asarray(p, dtype=float)
-        return np.stack([0.3 * p[..., 1], -0.2 * p[..., 0]], axis=-1)
-
-    def outer_j2(p):
-        p = np.asarray(p, dtype=float)
-        J = np.zeros(p.shape[:-1] + (2, 2))
-        J[..., 0, 1] = 0.3
-        J[..., 1, 0] = -0.2
-        return J
+        return _vec2(0.3 * p[..., 1], -0.2 * p[..., 0])
 
     def inner1(p):
         p = np.asarray(p, dtype=float)
-        return np.stack([p[..., 1], -0.5 * p[..., 0]], axis=-1)
-
-    def inner_j1(p):
-        p = np.asarray(p, dtype=float)
-        J = np.zeros(p.shape[:-1] + (2, 2))
-        J[..., 0, 1] = 1.0
-        J[..., 1, 0] = -0.5
-        return J
+        return _vec2(p[..., 1], -0.5 * p[..., 0])
 
     def inner2(p):
         p = np.asarray(p, dtype=float)
-        return np.stack([0.2 * p[..., 0], 0.3 * p[..., 1]], axis=-1)
+        return _vec2(0.2 * p[..., 0], 0.3 * p[..., 1])
 
-    def inner_j2(p):
-        p = np.asarray(p, dtype=float)
-        J = np.zeros(p.shape[:-1] + (2, 2))
-        J[..., 0, 0] = 0.2
-        J[..., 1, 1] = 0.3
-        return J
-
-    outer = VectorFieldSet.from_callables(2, [outer1, outer2],
-                                          [outer_j1, outer_j2],
-                                          vectorized=True)
-    inner = VectorFieldSet.from_callables(2, [inner1, inner2],
-                                          [inner_j1, inner_j2],
-                                          vectorized=True)
+    outer = VectorFieldSet.from_callables(
+        2, [outer1, outer2],
+        [outer_j1, _constant_jacobian([[0.0, 0.3], [-0.2, 0.0]])],
+        vectorized=True)
+    inner = VectorFieldSet.from_callables(
+        2, [inner1, inner2], [_constant_jacobian([[0.0, 1.0], [-0.5, 0.0]]),
+                              _constant_jacobian([[0.2, 0.0], [0.0, 0.3]])],
+        vectorized=True)
     return outer, inner
 
 
 def _radial_pair() -> ComplementaryPair:
     def tangent(p):
         p = np.asarray(p, dtype=float)
-        return np.stack([-p[..., 1], p[..., 0]], axis=-1)[..., :, None]
+        return _vec2(-p[..., 1], p[..., 0])[..., :, None]
 
     def radial(p):
         p = np.asarray(p, dtype=float)

@@ -86,7 +86,11 @@ def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
     along.  Without freeze indices every grid time is recorded, pre and post
     jump, and a Trajectory is returned.  With them, row r stops at grid
     index ``freeze_index[r]`` on side ``freeze_side[r]`` (0: the left limit,
-    1: after the jump) and (states, jacobians) at the stops are returned.
+    1: after the jump) and (states, jacobians) at the stops are returned in
+    the caller's row order.  The rows are stepped sorted by (index, side),
+    descending, so the live rows at step k are a prefix ``X[:L]``, the rows
+    that hop a jump at k a shorter prefix, and the rows that stop at
+    (k, side) a contiguous range, stored straight into the caller's rows.
     A non-finite state raises IntegrationFailure at its grid time, but a
     block row leaves the live set; a block returns (post, failed rows).
     """
@@ -113,16 +117,23 @@ def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
     else:
         fidx = np.asarray(freeze_index, dtype=int)
         fside = np.asarray(freeze_side, dtype=int)
-        if np.any(fidx < 0) or np.any(fidx > K - 1):
-            raise ValueError("freeze_index out of range")
-        states = X.copy()
-        jacs = J.copy() if jacobian else None
+        if np.any((fidx < 0) | (fidx > K - 1) | (fside < 0) | (fside > 1)):
+            raise ValueError("freeze_index or freeze_side out of range")
+        stop = 2 * fidx + fside
+        order = np.argsort(-stop, kind="stable")
+        X = X[order]
+        # rows [0, ends[v]) stop at 2 * index + side >= v
+        ends = np.searchsorted(-stop[order], -np.arange(2 * K + 1),
+                               side="right").tolist()
+        states = np.empty_like(X)  # every row is stored at its stop
+        jacs = np.empty_like(J) if jacobian else None
 
     def store(k, side):
         if record:
             dst, src = (-side, k), Ellipsis
         else:
-            dst = src = (fidx == k) & (fside == side)
+            src = slice(ends[2 * k + side + 1], ends[2 * k + side])
+            dst = order[src]  # the caller's rows
         states[dst] = X[src]
         if jacobian:
             jacs[dst] = J[src]
@@ -141,8 +152,8 @@ def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, K):
             if not record:
-                live = fidx >= k
-                if not np.any(live):
+                live = slice(ends[2 * k])
+                if not ends[2 * k]:
                     break
             elif failed is not None and failed.any():
                 live = ~failed
@@ -156,7 +167,7 @@ def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
             if k in jumps:
                 hop, size = jumps[k]
                 if not record:
-                    hop = live & ~((fidx == k) & (fside == 0))
+                    hop = slice(ends[2 * k + 1])
                 elif failed is not None:
                     hop, size = hop[~failed[hop]], size[~failed[hop]]
             if k in jumps and X[hop].size:
@@ -211,12 +222,14 @@ def solve_map_batch(fields: VectorFieldSet, driver: JumpPath, bases,
     Row r starts at ``bases[r]`` at time 0 and evolves (state and Jacobian)
     until grid index ``freeze_index[r]``; ``freeze_side[r]`` 0 freezes at the
     left limit (before a jump recorded at that time), 1 after it.  Returns
-    (states, jacobians) of shape (B, n) and (B, n, n).
+    (states, jacobians) of shape (B, n) and (B, n, n), in the order of
+    ``bases``, whatever the order of the freeze indices.
 
     This is the vectorized equivalent of running ``solve_with_jacobian`` on
     each truncated driver prefix separately (an equivalence the tests pin);
     it is how pushforward Jacobians along a moving base point are obtained at
-    every grid time in one sweep.
+    every grid time in one sweep, whose live rows are a sorted prefix (see
+    ``_sweep``).
     """
     return _sweep(fields, driver, bases, cfg, True, freeze_index, freeze_side)
 
@@ -273,14 +286,15 @@ def solve_ensemble(fields: VectorFieldSet, params: PathParams, x0,
     acc = acc2 = [0.0] * (1 + len(observables))
     done = 0
     block = max(1, _BLOCK_ROW_STEPS // (base.shape[0] - 1))
-    for start in range(0, n_paths, block):
-        driver, at = _pack((_levy_arrays(
-            params, int(_substream(params.seed, 3, r).integers(0, 2 ** 63)), base)
-            for r in range(start, min(start + block, n_paths))), base)
-        post, failed = _sweep(fields, driver, np.broadcast_to(
-            x0, (at.shape[0],) + np.shape(x0)), cfg, False)
-        for r in np.flatnonzero(~failed):
-            with np.errstate(over="ignore", invalid="ignore"):
+    # an overflowed sample, state or sum is a failure, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_paths, block):
+            driver, at = _pack((_levy_arrays(
+                params, int(_substream(params.seed, 3, r).integers(0, 2 ** 63)),
+                base) for r in range(start, min(start + block, n_paths))), base)
+            post, failed = _sweep(fields, driver, np.broadcast_to(
+                x0, (at.shape[0],) + np.shape(x0)), cfg, False)
+            for r in np.flatnonzero(~failed):
                 vals = [post[at[r], r]]
                 vals += [np.asarray(fn(base, vals[0]), dtype=float)
                          for fn in observables.values()]

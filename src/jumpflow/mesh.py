@@ -12,6 +12,7 @@ analytic derivative also drives Newton inversion of the mesh map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,6 +99,13 @@ class MeshChart:
     def base_points(self) -> np.ndarray:
         return self.to_cartesian(self.chart_grid())
 
+    @cached_property
+    def node_inverse_jacobian(self) -> np.ndarray:
+        """Read-only inv of the embedding Jacobians at the nodes, (R, C, 2, 2)."""
+        inv = np.linalg.inv(self.embedding_jacobian(self.chart_grid()))
+        inv.setflags(write=False)
+        return inv
+
 
 def _axis_derivative(values, axis, spacing, periodic):
     """First derivative of node values along one chart axis."""
@@ -129,8 +137,7 @@ def mesh_jacobian(chart: MeshChart, values) -> np.ndarray:
     g0 = _axis_derivative(values, 0, d0, chart.periodic[0])
     g1 = _axis_derivative(values, 1, d1, chart.periodic[1])
     dv_dchart = np.stack([g0, g1], axis=-1)                     # (R,C,2,2)
-    emb = chart.embedding_jacobian(chart.chart_grid())
-    return dv_dchart @ np.linalg.inv(emb)
+    return dv_dchart @ chart.node_inverse_jacobian
 
 
 def _pad_axis(values, axis, periodic):

@@ -75,8 +75,8 @@ class VectorFieldSet:
     which unlocks exact exponential jumps.  Nonlinear sets supply callables;
     with ``vectorized=True`` the callables must broadcast over leading axes
     ((..., n) -> (..., n) values, (..., n) -> (..., n, n) Jacobians), which
-    the batched solvers exploit.  Missing Jacobians fall back to central
-    finite differences.
+    the batched solvers exploit; a value of any other shape than its points'
+    raises ValueError.  Missing Jacobians fall back to finite differences.
     """
 
     def __init__(self, dimension, evals=None, jacobians=None, matrices=None,
@@ -140,8 +140,13 @@ class VectorFieldSet:
         if self.is_linear:
             return np.einsum("mij,...j->...im", self.matrices, X)
         if self.vectorized:
-            return np.stack([np.asarray(f(X), dtype=float) for f in self._evals],
-                            axis=-1)
+            out = np.empty(X.shape + (self.count,))
+            for i, f in enumerate(self._evals):
+                if np.shape(val := f(X)) != X.shape:
+                    raise ValueError("field %d: shape %s, not %s"
+                                     % (i, np.shape(val), X.shape))
+                out[..., i] = val
+            return out
         flat = X.reshape(-1, self.dimension)
         out = np.stack([np.stack([self.eval(i, p) for i in range(self.count)],
                                  axis=-1) for p in flat])

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import IntegrationFailure
+
 
 def _substream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for (seed, purpose, channel...).
@@ -259,9 +261,16 @@ def _levy_arrays(params: PathParams, seed: int, base: np.ndarray):
 
 
 def sample_levy_jump_diffusion(params: PathParams) -> JumpPath:
-    """Draw one jump-diffusion driver path (see ``_levy_arrays``)."""
-    grid, cont, jump_times, jump_sizes = _levy_arrays(
-        params, params.seed, _grid_for(params.horizon, params.step))
+    """Draw one jump-diffusion driver path (see ``_levy_arrays``); raise
+    IntegrationFailure at its first grid time that overflowed to inf/NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid, cont, jump_times, jump_sizes = _levy_arrays(
+            params, params.seed, _grid_for(params.horizon, params.step))
+    bad = ~np.isfinite(cont).all(axis=1)
+    bad[np.searchsorted(grid, jump_times)] |= ~np.isfinite(jump_sizes).all(axis=1)
+    if bad.any():
+        t = float(grid[np.argmax(bad)])
+        raise IntegrationFailure("driver path overflowed while sampling", time=t)
     return JumpPath(grid=grid, continuous_values=cont,
                     jump_times=jump_times, jump_sizes=jump_sizes)
 

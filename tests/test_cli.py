@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 import yaml
@@ -86,7 +87,16 @@ def test_verify_ivk_commuting_passes(tmp_path):
     summary = json.loads(_read(os.path.join(out, "summary.json")))
     assert summary["passes"]
     assert all(r <= summary["ratio_bound"] for r in summary["ratios"])
-    assert summary["jump_concat_residual"] <= 1e-8
+    # the sweep's hop rows match the independent recomputation bit for bit
+    assert summary["jump_concat_residual"] == 0.0
+
+
+def test_verify_ivk_jump_concat_residual_is_exact(tmp_path):
+    out = str(tmp_path / "run")
+    assert main(["verify-ivk", "--config", _cfg("ivk_jump.yaml"),
+                 "--out", out]) == 0
+    summary = json.loads(_read(os.path.join(out, "summary.json")))
+    assert summary["jump_concat_residual"] == 0.0
 
 
 def test_verify_ivk_continuous_passes(tmp_path):
@@ -249,6 +259,40 @@ def test_ensemble_overflowing_moments_exit_3(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "ensemble.json"))
     err = capsys.readouterr().err
     assert "integration failure at t=0.3: ensemble moments overflowed" in err
+
+
+@pytest.mark.parametrize("seed", range(1, 8))
+def test_overflowing_driver_sample_exits_3(tmp_path, capsys, seed):
+    # finite parameters whose Brownian part overflows while sampling: the
+    # run fails at the first grid time where the path is not finite
+    with open(_cfg("ensemble_linear.yaml")) as fh:
+        cfg = yaml.safe_load(fh)
+    del cfg["ensemble"]
+    cfg["driver"]["brownian_scale"] = 1.7e308
+    path = tmp_path / "simulate.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--config", str(path), "--seed", str(seed),
+                 "--out", out]) == 3
+    assert not os.path.exists(os.path.join(out, "summary.json"))
+    err = capsys.readouterr().err
+    assert err.startswith("integration failure at t=")
+    t = float(err.split("at t=")[1].split(":")[0])
+    assert 0 < t <= 1.0 and abs(t / 0.02 - round(t / 0.02)) < 1e-9
+
+
+def test_overflowing_driver_samples_are_ensemble_failures(tmp_path, capsys):
+    with open(_cfg("ensemble_linear.yaml")) as fh:
+        cfg = yaml.safe_load(fh)
+    cfg["driver"]["brownian_scale"] = 1.7e308
+    cfg["ensemble"]["n_paths"] = 8
+    path = tmp_path / "ensemble.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["ensemble", "--config", str(path), "--out",
+                     str(tmp_path / "run")]) == 3
+    assert "every path in the ensemble failed" in capsys.readouterr().err
 
 
 def _ivk_generic_levy(**driver):

@@ -153,6 +153,34 @@ def test_map_batch_equals_prefix_runs():
             assert np.max(np.abs(jacs[r] - jpick)) == 0.0
 
 
+def test_map_batch_any_row_order_equals_prefix_runs():
+    # shuffled rows; repeated indices; indices 0 and K-1; both sides at a
+    # jump index (10) and at a non-jump index (15); results in caller order
+    path = _ramp_with_jumps(2.5e-2)
+    K = path.grid.shape[0]
+    fidx = np.array([0, 0, 5, 10, 10, 10, 15, 15, 20, 20, 30, K - 1, K - 1])
+    fside = np.array([0, 1, 1, 0, 1, 1, 0, 1, 0, 1, 0, 0, 1])
+    rng = np.random.default_rng(5)
+    order = rng.permutation(fidx.shape[0])
+    fidx, fside = fidx[order], fside[order]
+    bases = rng.uniform(-0.6, 0.6, size=(fidx.shape[0], 2))
+    cfg = MarcusConfig()
+    for fields in _field_kinds():
+        states, jacs = solve_map_batch(fields, path, bases, fidx, fside, cfg)
+        for r in range(fidx.shape[0]):
+            if fidx[r] == 0:
+                pick, jpick = bases[r], np.eye(2)
+            else:
+                sub = prefix(path, float(path.grid[fidx[r]]),
+                             include_jump_at_end=bool(fside[r]))
+                ref = solve_with_jacobian(fields, sub, bases[r], cfg)
+                pick = ref.post[-1] if fside[r] else ref.pre[-1]
+                jpick = (ref.jacobians_post[-1] if fside[r]
+                         else ref.jacobians_pre[-1])
+            assert np.array_equal(states[r], pick)
+            assert np.array_equal(jacs[r], jpick)
+
+
 def test_state_run_equals_jacobian_run_states():
     path = _ramp_with_jumps(2.5e-2)
     x0 = np.array([0.5, -0.2])

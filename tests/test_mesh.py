@@ -76,6 +76,17 @@ def test_identity_map_jacobian_on_annulus():
     assert np.max(np.abs(J - np.eye(2))) < 1e-4
 
 
+def test_mesh_jacobian_caches_the_inverse_embedding():
+    chart = MeshChart.annulus((0.5, 2.0), (12, 16))
+    vals = chart.base_points() ** 2
+    J = mesh_jacobian(chart, vals)
+    inv = chart.node_inverse_jacobian
+    assert inv is chart.node_inverse_jacobian and not inv.flags.writeable
+    emb = chart.embedding_jacobian(chart.chart_grid())
+    assert np.array_equal(inv, np.linalg.inv(emb))
+    assert np.array_equal(mesh_jacobian(chart, vals), J)
+
+
 def test_linear_map_jacobian_on_box():
     chart = MeshChart.box(((0.0, 1.0), (0.0, 1.0)), (9, 9))
     M = np.array([[1.3, -0.4], [0.2, 0.8]])

@@ -232,3 +232,18 @@ def test_field_matrix_shapes():
     batch = fields.field_matrix(np.ones((5, 2)))
     assert single.shape == (2, 3)
     assert batch.shape == (5, 2, 3)
+
+
+def test_vectorized_field_output_must_match_point_shape():
+    # a (n,) value for a (B, n) batch would broadcast silently into the
+    # preallocated field matrix
+    def good(x):
+        return -x
+
+    def single(x):
+        return np.array([1.0, 0.0])
+
+    fields = VectorFieldSet.from_callables(2, [good, single], vectorized=True)
+    assert fields.field_matrix(np.array([1.0, 2.0])).shape == (2, 2)
+    with pytest.raises(ValueError, match="field 1: shape"):
+        fields.field_matrix(np.ones((5, 2)))
