@@ -46,6 +46,15 @@ _DEFAULTS = {
     "snapshot_stride": 10,
 }
 
+# the keys a config and its driver may hold (``mesh`` and ``fields`` keys
+# are not checked yet)
+_TOP_KEYS = tuple(_DEFAULTS) + ("x0", "horizontal_dim", "fields", "mesh",
+                                "probes", "ensemble")
+_DRIVER_KEYS = {"levy": ("type", "horizon", "step", "seed", "dimension",
+                         "brownian_scale", "drift", "jump_intensity",
+                         "jump_law"),
+                "deterministic": ("type", "horizon", "step", "ramp_to", "jumps")}
+
 
 def _merge(base, override):
     out = copy.deepcopy(base)
@@ -76,6 +85,13 @@ def _num(cfg, path, key, positive=False, default=None):
     if positive:
         _expect(val > 0, "%s.%s" % (path, key), "must be positive")
     return float(val)
+
+
+def _only(mapping, where, keys, what):
+    """Reject the first key of ``mapping`` that is not one of ``keys``."""
+    for key in mapping:
+        _expect(key in keys, "%s%s" % (where, key),
+                "not %s key (expected %s)" % (what, ", ".join(keys)))
 
 
 def _int(val, where, low=1):
@@ -109,6 +125,7 @@ def load_config(path: str) -> dict:
 
 def normalize_config(raw: dict) -> dict:
     """Fill defaults and validate; the result round-trips through YAML."""
+    _only(raw, "", _TOP_KEYS, "a top-level")
     cfg = _merge(_DEFAULTS, raw)
     _expect(cfg.get("format_version") == 1, "format_version",
             "only version 1 is supported")
@@ -116,8 +133,9 @@ def normalize_config(raw: dict) -> dict:
             "must be one of %s" % (SCENARIOS,))
     drv = cfg["driver"]
     _expect(isinstance(drv, dict), "driver", "must be a mapping")
-    _expect(drv.get("type") in ("levy", "deterministic"), "driver.type",
+    _expect(drv.get("type") in tuple(_DRIVER_KEYS), "driver.type",
             "must be 'levy' or 'deterministic'")
+    _only(drv, "driver.", _DRIVER_KEYS[drv["type"]], "a %s driver" % drv["type"])
     horizon = _num(drv, "driver", "horizon", positive=True)
     step = _num(drv, "driver", "step", positive=True)
     _expect(step <= horizon, "driver.step", "must not exceed the horizon")
@@ -151,6 +169,7 @@ def normalize_config(raw: dict) -> dict:
         for j, jump in enumerate(drv["jumps"]):
             where = "driver.jumps[%d]" % j
             _expect(isinstance(jump, dict), where, "must be a mapping")
+            _only(jump, where + ".", ("time", "size"), "a jump")
             t = _num(jump, where, "time", positive=True)
             _expect(t <= horizon, where + ".time", "must lie in (0, horizon]")
             frac = t / step
@@ -159,6 +178,9 @@ def normalize_config(raw: dict) -> dict:
             _expect(isinstance(jump.get("size"), list)
                     and len(jump["size"]) == len(drv["ramp_to"]),
                     where + ".size", "must match the driver dimension")
+    for key in ("solver", "geometry"):
+        _expect(isinstance(cfg[key], dict), key, "must be a mapping")
+        _only(cfg[key], key + ".", tuple(_DEFAULTS[key]), "a " + key)
     sol = cfg["solver"]
     _int(sol.get("substeps"), "solver.substeps")
     for key in ("use_expm", "record_jacobian"):
@@ -170,9 +192,7 @@ def normalize_config(raw: dict) -> dict:
     if "ensemble" in cfg:
         ens = cfg["ensemble"]
         _expect(isinstance(ens, dict), "ensemble", "must be a mapping")
-        for key in ens:
-            _expect(key in ("n_paths", "observable"), "ensemble.%s" % key,
-                    "not an ensemble key (expected n_paths, observable)")
+        _only(ens, "ensemble.", ("n_paths", "observable"), "an ensemble")
         _int(ens.get("n_paths"), "ensemble.n_paths")
         ens.setdefault("observable", "none")
         _expect(ens["observable"] in ("none", "norm", "first"),
@@ -199,10 +219,8 @@ def jump_law_from(cfg_law, dimension: int) -> JumpLaw:
     _expect(kind in _JUMP_LAWS, "driver.jump_law.kind",
             "must be constant, uniform or gaussian")
     make, defaults = _JUMP_LAWS[kind]
-    for key in cfg_law:
-        _expect(key == "kind" or key in defaults, "driver.jump_law.%s" % key,
-                "not a key of the %s law (expected %s)"
-                % (kind, ", ".join(defaults)))
+    _only(cfg_law, "driver.jump_law.", ("kind",) + tuple(defaults),
+          "a %s law" % kind)
     args = []
     for key, default in defaults.items():
         val = cfg_law.get(key, default)

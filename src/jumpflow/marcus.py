@@ -12,6 +12,11 @@ state or a batch of states and carries the flow Jacobian only when asked.
 ``solve_map_batch`` stops each row at its own time; ``solve_ensemble``
 steps blocks of drivers, one per row, each row as ``solve_point`` would,
 with one per-row weighted flow for all the jumps at a grid step.
+
+The sweep is a generator that hands over the rows hopping a jump and resumes
+with their flowed states.  ``_serve`` runs sweeps whose drivers share their
+jumps (the rungs of a refinement ladder) in lockstep, one flow per jump for
+all of them; a single solve is the one-sweep case.
 """
 
 from __future__ import annotations
@@ -93,6 +98,9 @@ def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
     (k, side) a contiguous range, stored straight into the caller's rows.
     A non-finite state raises IntegrationFailure at its grid time, but a
     block row leaves the live set; a block returns (post, failed rows).
+    At a jump this generator yields ((fields, size, ode config, jacobian),
+    hop rows) and is sent their (states, flow Jacobians or None), or thrown
+    the flow's exception.
     """
     if isinstance(driver, JumpPath):
         sizes = driver.jump_size_at_grid()
@@ -149,42 +157,38 @@ def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
     store(0, 0)
     store(0, 1)
     live = Ellipsis
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, K):
+    for k in range(1, K):
+        if not record:
+            live = slice(ends[2 * k])
+            if not ends[2 * k]:
+                break
+        elif failed is not None and failed.any():
+            live = ~failed
+        dz = dzc[k - 1] if dzc.ndim == 2 else dzc[k - 1][live]
+        xs, js = _heun(fields, X[live], J[live] if jacobian else None, dz)
+        X[live] = xs
+        if jacobian:
+            J[live] = js
+        check(k, live)
+        store(k, 0)
+        if k in jumps:
+            hop, size = jumps[k]
             if not record:
-                live = slice(ends[2 * k])
-                if not ends[2 * k]:
-                    break
-            elif failed is not None and failed.any():
-                live = ~failed
-            dz = dzc[k - 1] if dzc.ndim == 2 else dzc[k - 1][live]
-            xs, js = _heun(fields, X[live], J[live] if jacobian else None, dz)
-            X[live] = xs
-            if jacobian:
-                J[live] = js
-            check(k, live)
-            store(k, 0)
-            if k in jumps:
-                hop, size = jumps[k]
-                if not record:
-                    hop = slice(ends[2 * k + 1])
-                elif failed is not None:
-                    hop, size = hop[~failed[hop]], size[~failed[hop]]
-            if k in jumps and X[hop].size:
-                why = None
-                try:
-                    if jacobian:
-                        xs, js = flow_with_jacobian(fields, size, X[hop], 1.0,
-                                                    cfg.ode)
-                        J[hop] = js @ J[hop]
-                    else:
-                        xs = flow(fields, size, X[hop], 1.0, cfg.ode)
-                except IntegrationFailure as exc:
-                    # a blow-up inside the flow fails at the jump's grid time
-                    xs, why = np.nan, str(exc)
-                X[hop] = xs
-                check(k, hop, why)
-            store(k, 1)
+                hop = slice(ends[2 * k + 1])
+            elif failed is not None:
+                hop, size = hop[~failed[hop]], size[~failed[hop]]
+        if k in jumps and X[hop].size:
+            why = None
+            try:
+                xs, js = yield (fields, size, cfg.ode, jacobian), X[hop]
+                if jacobian:
+                    J[hop] = js @ J[hop]
+            except IntegrationFailure as exc:
+                # a blow-up inside the flow fails at the jump's grid time
+                xs, why = np.nan, str(exc)
+            X[hop] = xs
+            check(k, hop, why)
+        store(k, 1)
     if not record:
         return states, jacs
     if failed is not None:
@@ -195,6 +199,58 @@ def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
                       jacobians_post=jacs[1] if jacobian else None)
 
 
+def _jump(hops):
+    """Each yielded hop's (states, flow Jacobians or None), or its flow's
+    exception: one flow for all, and one each only if that fails, so that
+    each gets its own failure.  Among others, a state (n,) returns (1, n)."""
+    (fields, size, ode, jacobian), _ = hops[0]
+    blocks = [rows for _, rows in hops]
+    try:
+        rows = blocks[0] if len(blocks) == 1 else np.concatenate(
+            [b.reshape(-1, b.shape[-1]) for b in blocks])
+        xs, js = (flow_with_jacobian(fields, size, rows, 1.0, ode) if jacobian
+                  else (flow(fields, size, rows, 1.0, ode), None))
+    except Exception as exc:  # handed to its sweep, which may raise it
+        return [exc] if len(hops) == 1 else [_jump([h])[0] for h in hops]
+    cuts = np.cumsum([b.size // b.shape[-1] for b in blocks])[:-1]
+    return list(zip(np.split(xs, cuts), np.split(js, cuts) if jacobian
+                    else [None] * len(blocks)))
+
+
+def _serve(sweeps):
+    """Run ``_sweep`` generators that share their jumps, fields and settings
+    in lockstep, one flow per jump for all their hop rows.  Returns, as if
+    they ran one after another up to the first that raised, the results
+    before it and its exception (or all results and None).  A sweep after a
+    failed one, or with no rows left to hop, drops out of later jumps."""
+    done, first, failure = {}, len(sweeps), None
+    answers = dict.fromkeys(range(len(sweeps)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        while answers:
+            hops = {}
+            for i, answer in answers.items():
+                try:
+                    if i < first:  # else a lower sweep failed this round
+                        hops[i] = (sweeps[i].throw(answer)
+                                   if isinstance(answer, Exception)
+                                   else sweeps[i].send(answer))
+                except StopIteration as end:
+                    done[i] = end.value
+                except Exception as exc:  # sweeps after i are moot
+                    first, failure = i, exc
+            hops = {i: hop for i, hop in hops.items() if i < first}
+            answers = dict(zip(hops, _jump(list(hops.values())))) if hops else {}
+    return [done[i] for i in range(first)], failure
+
+
+def _run(sweep):
+    """The result of one ``_sweep``; raises what the sweep raised."""
+    done, failure = _serve([sweep])
+    if failure is not None:
+        raise failure
+    return done[0]
+
+
 def solve_point(fields: VectorFieldSet, driver: JumpPath, x0,
                 cfg: MarcusConfig) -> Trajectory:
     """Solve dx = sum_i X_i(x) o dZ_i from x0 along one driver path.
@@ -202,7 +258,7 @@ def solve_point(fields: VectorFieldSet, driver: JumpPath, x0,
     Exact order of operations per grid time: continuous Heun step up to the
     left limit, then the unit-time jump flow if a jump is recorded there.
     """
-    return _sweep(fields, driver, x0, cfg, jacobian=False)
+    return _run(_sweep(fields, driver, x0, cfg, jacobian=False))
 
 
 def solve_with_jacobian(fields: VectorFieldSet, driver: JumpPath, x0,
@@ -212,7 +268,7 @@ def solve_with_jacobian(fields: VectorFieldSet, driver: JumpPath, x0,
     The continuous part propagates the exact derivative of the discrete Heun
     map; jumps compose with the variational jump flow.
     """
-    return _sweep(fields, driver, x0, cfg, jacobian=True)
+    return _run(_sweep(fields, driver, x0, cfg, jacobian=True))
 
 
 def solve_map_batch(fields: VectorFieldSet, driver: JumpPath, bases,
@@ -231,7 +287,8 @@ def solve_map_batch(fields: VectorFieldSet, driver: JumpPath, bases,
     every grid time in one sweep, whose live rows are a sorted prefix (see
     ``_sweep``).
     """
-    return _sweep(fields, driver, bases, cfg, True, freeze_index, freeze_side)
+    return _run(_sweep(fields, driver, bases, cfg, True, freeze_index,
+                       freeze_side))
 
 
 @dataclass(frozen=True)
@@ -292,8 +349,8 @@ def solve_ensemble(fields: VectorFieldSet, params: PathParams, x0,
             driver, at = _pack((_levy_arrays(
                 params, int(_substream(params.seed, 3, r).integers(0, 2 ** 63)),
                 base) for r in range(start, min(start + block, n_paths))), base)
-            post, failed = _sweep(fields, driver, np.broadcast_to(
-                x0, (at.shape[0],) + np.shape(x0)), cfg, False)
+            post, failed = _run(_sweep(fields, driver, np.broadcast_to(
+                x0, (at.shape[0],) + np.shape(x0)), cfg, False))
             for r in np.flatnonzero(~failed):
                 vals = [post[at[r], r]]
                 vals += [np.asarray(fn(base, vals[0]), dtype=float)

@@ -51,6 +51,9 @@ class JumpLaw:
         high = np.atleast_1d(np.asarray(high, dtype=float))
         if low.shape != high.shape or np.any(high < low):
             raise ValueError("uniform jump law needs low <= high of equal shape")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(high - low)):
+                raise ValueError("uniform jump law needs a finite high - low")
         return cls(kind="uniform", low=low, high=high)
 
     @classmethod

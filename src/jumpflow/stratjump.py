@@ -12,7 +12,8 @@ Three accumulators live here, all sharing the same driver conventions:
   cross term and the three-part jump sum.
 * ``verify_ivk``: the residual check of the chain-rule identity for the
   composition of two flows driven by the same path, over a dyadic
-  refinement ladder.
+  refinement ladder.  The rungs advance in lockstep: each steps its own
+  grid between jumps, and the rows of every rung cross a jump in one flow.
 
 Every report satisfies value == ito_term + qv_term + jump_term as an exact
 accumulator identity (identical float additions, not a tolerance).
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .marcus import MarcusConfig, Trajectory, solve_map_batch, solve_point
+from .marcus import MarcusConfig, Trajectory, _serve, _sweep, solve_point
 from .odeflow import VectorFieldSet, curve_average, flow
 from .semimartingale import JumpPath, prefix, quadratic_variation_c, refine
 
@@ -157,22 +158,32 @@ class _CompositeOrbit:
     hop: dict  # jump grid index -> psi_k(q_{k-}), the outer jump of F_pre[k]
 
 
-def _composite_orbit(outer: VectorFieldSet, inner: VectorFieldSet,
-                     driver: JumpPath, x0, cfg: MarcusConfig) -> _CompositeOrbit:
-    xi = solve_point(inner, driver, x0, cfg)
-    K = driver.grid.shape[0]
-    jump_idx = np.nonzero(driver.jump_mask)[0]
-    J = jump_idx.shape[0]
-    bases = np.concatenate([xi.post, xi.pre[jump_idx], xi.pre[jump_idx]])
-    fidx = np.concatenate([np.arange(K), jump_idx, jump_idx])
-    states, jacs = solve_map_batch(outer, driver, bases, fidx,
-                                   np.repeat([1, 0, 1], [K, J, J]), cfg)
-    # away from a jump, post row k's state is also the left limit, bitwise
-    F_pre, Dpsi_pre = states[:K].copy(), jacs[:K].copy()
-    F_pre[jump_idx], Dpsi_pre[jump_idx] = states[K:K + J], jacs[K:K + J]
-    return _CompositeOrbit(driver=driver, inner_traj=xi, F_post=states[:K],
-                           F_pre=F_pre, Dpsi_post=jacs[:K], Dpsi_pre=Dpsi_pre,
-                           hop=dict(zip(jump_idx.tolist(), states[K + J:])))
+def _composite_orbits(outer: VectorFieldSet, inner: VectorFieldSet, drivers,
+                      x0, cfg: MarcusConfig) -> list:
+    """The composite orbit along each driver (the rungs of a ladder, which
+    share their jumps): all inner sweeps, then all outer K + 2J-row sweeps,
+    in lockstep.  It raises what the drivers taken one at a time would raise
+    first: the lowest that fails, its inner sweep before its outer one."""
+    xis, failure = _serve([_sweep(inner, d, x0, cfg, False) for d in drivers])
+    jumps = [np.nonzero(d.jump_mask)[0] for d in drivers]
+    done, outer_failure = _serve([_sweep(
+        outer, d, np.concatenate([xi.post, xi.pre[j], xi.pre[j]]), cfg, True,
+        np.concatenate([np.arange(len(d.grid)), j, j]),
+        np.repeat([1, 0, 1], [len(d.grid), len(j), len(j)]))
+        for d, xi, j in zip(drivers, xis, jumps)])
+    if outer_failure or failure:
+        raise outer_failure or failure
+    orbits = []
+    for driver, xi, jump_idx, (states, jacs) in zip(drivers, xis, jumps, done):
+        K, J = len(driver.grid), len(jump_idx)
+        # away from a jump, post row k's state is also the left limit, bitwise
+        F_pre, Dpsi_pre = states[:K].copy(), jacs[:K].copy()
+        F_pre[jump_idx], Dpsi_pre[jump_idx] = states[K:K + J], jacs[K:K + J]
+        orbits.append(_CompositeOrbit(
+            driver=driver, inner_traj=xi, F_post=states[:K], F_pre=F_pre,
+            Dpsi_post=jacs[:K], Dpsi_pre=Dpsi_pre,
+            hop=dict(zip(jump_idx.tolist(), states[K + J:]))))
+    return orbits
 
 
 def _pushforward_report(outer: VectorFieldSet, inner: VectorFieldSet,
@@ -231,7 +242,7 @@ def pushforward_integral(outer: VectorFieldSet, inner: VectorFieldSet,
     -Dpsi_{s-}Y(q_{s-}) dZ + psi-jump of the hopped point minus the
     psi-jump of the left limit (the first summand cancels the Ito atom).
     """
-    orbit = _composite_orbit(outer, inner, driver, x0, cfg)
+    orbit, = _composite_orbits(outer, inner, [driver], x0, cfg)
     return _pushforward_report(outer, inner, orbit)
 
 
@@ -305,20 +316,18 @@ class CompositionReport:
         return rows
 
 
-def _one_rung(outer, inner, driver, x0, cfg):
-    orbit = _composite_orbit(outer, inner, driver, x0, cfg)
+def _one_rung(outer, inner, orbit, x0):
     i1 = _line_integral_report(outer, inner, orbit)
     i2 = _pushforward_report(outer, inner, orbit)
     rhs = np.asarray(x0, dtype=float)[None, :] + i1.partial + i2.partial
     resid = np.max(np.abs(orbit.F_post - rhs), axis=1)
-    rung = LadderRung(
-        h=float(np.max(np.diff(driver.grid))),
+    return LadderRung(
+        h=float(np.max(np.diff(orbit.driver.grid))),
         residual_sup=float(resid.max()),
         ito=i1.ito_term + i2.ito_term,
         qv=i1.qv_term + i2.qv_term,
         jump=i1.jump_term + i2.jump_term,
     )
-    return rung, orbit
 
 
 def _concat_residual(outer, inner, orbit: _CompositeOrbit, cfg) -> float | None:
@@ -361,15 +370,16 @@ def verify_ivk(outer: VectorFieldSet, inner: VectorFieldSet, driver: JumpPath,
     successive residual quotients and ``jump_concat_residual`` the worst
     deviation of the post-jump state from the concatenated jump flows on the
     finest rung.
+
+    The rungs cross each jump together, in one inner and one outer flow;
+    each rung is bitwise the one-rung ladder on its refined driver, and a
+    failure is the lowest failing rung's, inner orbit before outer sweep.
     """
     if ladder < 1:
         raise ValueError("ladder must be >= 1")
-    rungs = []
-    last_orbit = None
-    for r in range(ladder):
-        rung, orbit = _one_rung(outer, inner, refine(driver, 2 ** r), x0, cfg)
-        rungs.append(rung)
-        last_orbit = orbit
-    concat = _concat_residual(outer, inner, last_orbit, cfg)
+    orbits = _composite_orbits(outer, inner, [refine(driver, 2 ** r)
+                                              for r in range(ladder)], x0, cfg)
+    rungs = [_one_rung(outer, inner, orbit, x0) for orbit in orbits]
+    concat = _concat_residual(outer, inner, orbits[-1], cfg)
     return CompositionReport(rungs=rungs, ratios=_ratios(rungs),
                              jump_concat_residual=concat)

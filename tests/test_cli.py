@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 from jumpflow.cli import main
+from jumpflow.config import load_config
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -293,6 +294,61 @@ def test_overflowing_driver_samples_are_ensemble_failures(tmp_path, capsys):
         assert main(["ensemble", "--config", str(path), "--out",
                      str(tmp_path / "run")]) == 3
     assert "every path in the ensemble failed" in capsys.readouterr().err
+
+
+def test_overflowing_uniform_jump_law_exits_2(tmp_path, capsys):
+    # high - low overflows a double: a config error, not a sampler crash
+    with open(_cfg("ensemble_linear.yaml")) as fh:
+        cfg = yaml.safe_load(fh)
+    del cfg["ensemble"]
+    cfg["driver"].update(jump_intensity=3, jump_law={
+        "kind": "uniform", "low": [-1e308], "high": [1e308]})
+    path = tmp_path / "simulate.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(path), "--out",
+                     str(tmp_path / "run")]) == 2
+    assert "config error: driver.jump_law:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, edit, where", [
+    ("rotation.yaml", {"solvr": {"substeps": 3}}, "solvr"),
+    ("rotation.yaml", {"driver": {"jump_intensity": 2.0}},
+     "driver.jump_intensity"),
+    ("sphere_tangent.yaml", {"driver": {"ramp_to": [1.0, 1.0]}},
+     "driver.ramp_to"),
+    ("rotation.yaml", {"solver": {"substep": 3}}, "solver.substep"),
+    ("rotation.yaml", {"geometry": {"eps": 1e-9}}, "geometry.eps"),
+], ids=["top-level", "deterministic-driver", "levy-driver", "solver",
+        "geometry"])
+def test_unknown_key_exits_2(tmp_path, capsys, name, edit, where):
+    with open(_cfg(name)) as fh:
+        cfg = yaml.safe_load(fh)
+    for key, val in edit.items():
+        cfg[key] = {**cfg.get(key, {}), **val}
+    path = tmp_path / "unknown.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["simulate", "--config", str(path), "--out",
+                 str(tmp_path / "o")]) == 2
+    assert "config error: %s:" % where in capsys.readouterr().err
+
+
+def test_shipped_and_benchmark_configs_load(tmp_path):
+    # every shipped config and every config the benchmark writes at seed 1
+    # passes the config check
+    root = os.path.join(os.path.dirname(__file__), "..")
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    paths = [_cfg(name) for name in sorted(os.listdir(CONFIGS))]
+    for workload in workloads.WORKLOADS.values():
+        paths += [op.config for op in workload.build(1, root, str(tmp_path))]
+    assert len(paths) > len(os.listdir(CONFIGS))
+    for path in paths:
+        load_config(path)
 
 
 def _ivk_generic_levy(**driver):

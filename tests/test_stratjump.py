@@ -1,14 +1,18 @@
 """Orbit integrals, pushforwards and the two-flow composition identity."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from jumpflow import stratjump
+from jumpflow import odeflow, stratjump
+from jumpflow.config import build_problem
+from jumpflow.errors import IntegrationFailure
 from jumpflow.marcus import MarcusConfig, solve_map_batch, solve_point
 from jumpflow.odeflow import OdeConfig, VectorFieldSet, flow
 from jumpflow.semimartingale import (JumpLaw, PathParams, deterministic_path,
-                                     sample_levy_jump_diffusion)
-from jumpflow.stratjump import (_composite_orbit, field_matrix_map,
+                                     refine, sample_levy_jump_diffusion)
+from jumpflow.stratjump import (_composite_orbits, field_matrix_map,
                                 marcus_integral, pushforward_integral,
                                 verify_ivk)
 
@@ -206,7 +210,7 @@ def test_composite_orbit_matches_full_sweep(pair):
     driver = _two_jump_path()
     x0 = np.array([0.4, -0.3])
     cfg = MarcusConfig()
-    orbit = _composite_orbit(outer, inner, driver, x0, cfg)
+    orbit, = _composite_orbits(outer, inner, [driver], x0, cfg)
     F_post, F_pre, D_post, D_pre, hops = _reference_orbit(outer, inner,
                                                           driver, x0, cfg)
     assert np.array_equal(orbit.F_post, F_post)
@@ -287,3 +291,99 @@ def test_ladder_rejects_bad_depth():
     with pytest.raises(ValueError):
         verify_ivk(outer, inner, path, np.array([1.0, 0.0]), MarcusConfig(),
                    ladder=0)
+
+
+def _levy_two_jumps(dimension):
+    """The first seeded Levy path (step 0.05) that draws exactly two jumps."""
+    for seed in itertools.count(1):
+        path = sample_levy_jump_diffusion(PathParams(
+            horizon=1.0, step=0.05, brownian_scale=0.4, drift=0.1,
+            jump_intensity=2.0, seed=seed, dimension=dimension,
+            jump_law=JumpLaw.uniform([-0.5] * dimension, [0.5] * dimension)))
+        if path.jump_times.shape[0] == 2:
+            return path
+
+
+def _scenario_sets(scenario):
+    problem = build_problem({"scenario": scenario})
+    return problem["fields"], problem["inner_fields"]
+
+
+@pytest.mark.parametrize("sets", [
+    lambda: _scenario_sets("ivk-commuting"),
+    lambda: _scenario_sets("ivk-generic"), _linear_sets],
+    ids=["ivk-commuting", "ivk-generic", "linear-expm"])
+def test_ladder_rungs_equal_their_own_runs(sets):
+    # rung r of a ladder is bitwise the one-rung ladder on the 2^r-fold
+    # refined driver, whichever rungs cross the jumps alongside it
+    outer, inner = sets()
+    path = _levy_two_jumps(outer.count)
+    x0 = build_problem({"scenario": "ivk-generic"})["x0"][:outer.dimension]
+    cfg = MarcusConfig()
+    rep = verify_ivk(outer, inner, path, x0, cfg, ladder=3)
+    for r, rung in enumerate(rep.rungs):
+        alone = verify_ivk(outer, inner, refine(path, 2 ** r), x0, cfg,
+                           ladder=1)
+        assert rung.h == alone.rungs[0].h
+        assert rung.residual_sup == alone.rungs[0].residual_sup
+        for part in ("ito", "qv", "jump"):
+            assert np.array_equal(getattr(rung, part),
+                                  getattr(alone.rungs[0], part))
+    assert rep.jump_concat_residual == alone.jump_concat_residual
+
+
+def test_ladder_takes_one_flow_per_jump_in_each_phase(monkeypatch):
+    # L rungs cross J jumps: J inner and J outer (Jacobian) jump flows, not
+    # L * J of each
+    calls = []
+    real = odeflow._flow
+
+    def counted(fields, weights, x0, u, cfg, jacobian):
+        calls.append(jacobian)
+        return real(fields, weights, x0, u, cfg, jacobian)
+
+    monkeypatch.setattr(odeflow, "_flow", counted)
+    monkeypatch.setattr(stratjump, "_concat_residual", lambda *args: None)
+    outer, inner = _generic_sets()
+    verify_ivk(outer, inner, _two_jump_path(), np.array([0.4, -0.3]),
+               MarcusConfig(), ladder=3)
+    assert calls.count(True) == 2
+    assert calls.count(False) == 2
+
+
+def _trap(rate, cap):
+    """The 1-D field rate * x below ``cap``, infinite from it on."""
+    def field(x):
+        return np.where(x < cap, rate * x, np.inf)
+
+    def jac(x):
+        return np.full(np.shape(x)[:-1] + (1, 1), rate)
+
+    return VectorFieldSet.from_callables(1, [field], [jac], vectorized=True)
+
+
+@pytest.mark.parametrize("inner_cap, outer_cap, why, t", [
+    # rung 0 in its outer jump flow; rungs 1 and 2 in their inner sweeps
+    (3.655, 5.0, "flow integration blew up at flow time 0.421875", 0.5),
+    # rung 0 passes; rungs 1 and 2 in their inner sweeps
+    (3.655, 100.0, "state blew up at t=1", 1.0),
+    # every rung in its outer jump flow, rung 0 later in flow time
+    (100.0, 5.43, "flow integration blew up at flow time 0.96875", 0.5),
+    # rungs 1 and 2 in their outer jump flows, rung 0 after the jump
+    (100.0, 5.47, "state blew up at t=0.6", 0.6),
+    # outer sweeps: rung 2 at t=0.525, rung 1 at 0.55, rung 0 at 0.6
+    (100.0, 5.48, "state blew up at t=0.6", 0.6),
+])
+def test_failing_ladder_reports_lowest_rung(inner_cap, outer_cap, why, t):
+    grid = np.round(np.arange(0.0, 1.05, 0.1), 12)
+    path = deterministic_path(grid, grid[:, None], [(grid[5], np.array([0.3]))])
+    outer, inner = _trap(0.5, outer_cap), _trap(1.0, inner_cap)
+    x0, cfg = np.array([1.0]), MarcusConfig()
+    with pytest.raises(IntegrationFailure) as ladder:
+        verify_ivk(outer, inner, path, x0, cfg, ladder=3)
+    assert (str(ladder.value), ladder.value.time) == (why, t)
+    # the first failure of the rungs run one at a time, lowest first
+    with pytest.raises(IntegrationFailure) as alone:
+        for r in range(3):
+            verify_ivk(outer, inner, refine(path, 2 ** r), x0, cfg, ladder=1)
+    assert (str(alone.value), alone.value.time) == (why, t)
