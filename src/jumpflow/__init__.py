@@ -21,9 +21,8 @@ from .marcus import (EnsembleSummary, MarcusConfig, Trajectory,
 from .stratjump import (CompositionReport, IntegralReport, marcus_integral,
                         pushforward_integral, verify_ivk)
 from .geometry import (ComplementaryPair, DiffeoProbe, Distribution,
-                       GeometryConfig, adjoint_distribution,
-                       check_transversality, split_field, subspace_projector,
-                       subspaces_equal)
+                       GeometryConfig, adjoint_distribution, split_field,
+                       split_frame, subspace_projector, subspaces_equal)
 from .mesh import MeshChart, interp_mesh, invert_mesh_map, mesh_jacobian
 from .decompose import (DecompositionRecord, LinearSystem,
                         decompose_linear_sde, decompose_pointwise,
@@ -45,7 +44,7 @@ __all__ = [
     "CompositionReport", "IntegralReport", "marcus_integral",
     "pushforward_integral", "verify_ivk",
     "ComplementaryPair", "DiffeoProbe", "Distribution", "GeometryConfig",
-    "adjoint_distribution", "check_transversality", "split_field",
+    "adjoint_distribution", "split_field", "split_frame",
     "subspace_projector", "subspaces_equal",
     "MeshChart", "interp_mesh", "invert_mesh_map", "mesh_jacobian",
     "DecompositionRecord", "LinearSystem", "decompose_linear_sde",

@@ -46,14 +46,16 @@ _DEFAULTS = {
     "snapshot_stride": 10,
 }
 
-# the keys a config and its driver may hold (``mesh`` and ``fields`` keys
-# are not checked yet)
+# the keys a config, its driver, its mesh and each scenario's fields may hold
 _TOP_KEYS = tuple(_DEFAULTS) + ("x0", "horizontal_dim", "fields", "mesh",
                                 "probes", "ensemble")
 _DRIVER_KEYS = {"levy": ("type", "horizon", "step", "seed", "dimension",
                          "brownian_scale", "drift", "jump_intensity",
                          "jump_law"),
                 "deterministic": ("type", "horizon", "step", "ramp_to", "jumps")}
+_MESH_KEYS = ("radii", "shape")
+_FIELD_KEYS = {"custom-linear": ("matrices",), "radial-linear": ("matrices",),
+               "ivk-commuting": ("outer_rate", "inner_rate", "dimension")}
 
 
 def _merge(base, override):
@@ -91,7 +93,7 @@ def _only(mapping, where, keys, what):
     """Reject the first key of ``mapping`` that is not one of ``keys``."""
     for key in mapping:
         _expect(key in keys, "%s%s" % (where, key),
-                "not %s key (expected %s)" % (what, ", ".join(keys)))
+                "not %s key (expected %s)" % (what, ", ".join(keys) or "none"))
 
 
 def _int(val, where, low=1):
@@ -163,9 +165,13 @@ def normalize_config(raw: dict) -> dict:
             jump_law_from(drv["jump_law"], drv["dimension"])
     else:
         drv.setdefault("ramp_to", [1.0])
-        _expect(isinstance(drv["ramp_to"], list) and drv["ramp_to"],
+        ramp = drv["ramp_to"]
+        _expect(isinstance(ramp, list) and ramp
+                and all(_is_number(v) for v in ramp),
                 "driver.ramp_to", "must be a non-empty list of numbers")
         drv.setdefault("jumps", [])
+        _expect(isinstance(drv["jumps"], list), "driver.jumps",
+                "must be a list of jumps")
         for j, jump in enumerate(drv["jumps"]):
             where = "driver.jumps[%d]" % j
             _expect(isinstance(jump, dict), where, "must be a mapping")
@@ -175,12 +181,15 @@ def normalize_config(raw: dict) -> dict:
             frac = t / step
             _expect(abs(frac - round(frac)) < 1e-9, where + ".time",
                     "must fall on the step grid")
-            _expect(isinstance(jump.get("size"), list)
-                    and len(jump["size"]) == len(drv["ramp_to"]),
-                    where + ".size", "must match the driver dimension")
+            _numbers(jump.get("size"), where + ".size", len(ramp),
+                     " (the driver dimension)")
     for key in ("solver", "geometry"):
         _expect(isinstance(cfg[key], dict), key, "must be a mapping")
         _only(cfg[key], key + ".", tuple(_DEFAULTS[key]), "a " + key)
+    # the split rule's thresholds (see GeometryConfig)
+    _expect(_num(cfg["geometry"], "geometry", "eps_det") >= 0,
+            "geometry.eps_det", "must be >= 0")
+    _num(cfg["geometry"], "geometry", "cond_cap", positive=True)
     sol = cfg["solver"]
     _int(sol.get("substeps"), "solver.substeps")
     for key in ("use_expm", "record_jacobian"):
@@ -387,8 +396,12 @@ def build_problem(cfg: dict) -> dict:
     scenarios ``inner_fields``.
     """
     scenario = cfg["scenario"]
-    fields_cfg = cfg.get("fields", {})
-    _expect(isinstance(fields_cfg, dict), "fields", "must be a mapping")
+    fields_cfg, mesh_cfg = cfg.get("fields", {}), cfg.get("mesh", {})
+    for key, val in (("fields", fields_cfg), ("mesh", mesh_cfg)):
+        _expect(isinstance(val, dict), key, "must be a mapping")
+    _only(fields_cfg, "fields.", _FIELD_KEYS.get(scenario, ()),
+          "a %s fields" % scenario)
+    _only(mesh_cfg, "mesh.", _MESH_KEYS, "a mesh")
     out = {"scenario": scenario}
 
     if scenario == "rotation":
@@ -410,8 +423,6 @@ def build_problem(cfg: dict) -> dict:
                    x0=_x0(cfg, [1.0, 0.0], 2))
     elif scenario == "radial-linear":
         mats = _matrices_from(fields_cfg, [[[0.25, 0.1], [0.0, 0.15]]], 2)
-        mesh_cfg = cfg.get("mesh", {})
-        _expect(isinstance(mesh_cfg, dict), "mesh", "must be a mapping")
         radii = _numbers(mesh_cfg.get("radii", [0.5, 2.0]), "mesh.radii", 2)
         _expect(0 < radii[0] < radii[1], "mesh.radii",
                 "must be an inner and an outer radius, 0 < inner < outer")

@@ -18,8 +18,11 @@ discretizations are provided:
 
 Both take Heun steps over continuous stretches and carry their factors
 across a jump with odeflow's one fictitious-time RK4.  Both stop at the
-first time the transversality data degenerates and report how the stop
-was detected.
+first time the transversality data degenerates, by ``GeometryConfig``'s
+one rule: a frame [B_H | B_V] whose scaled determinant |det| / prod_j
+|S e_j| is at most ``eps_det`` or whose 2-norm condition number is at
+least ``cond_cap`` (``split_frame``), or a Jacobian block whose |det| is
+at most ``eps_det``.  Each reports how the stop was detected.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, IntegrationFailure, MeshInversionError
-from .geometry import ComplementaryPair, GeometryConfig, DEFAULT_GEOMETRY
+from .geometry import (DEFAULT_GEOMETRY, ComplementaryPair,
+                       GeometryConfig, split_frame)
 from .marcus import MarcusConfig
 from .mesh import MeshChart, interp_mesh, invert_mesh_map, mesh_jacobian
 from .odeflow import VectorFieldSet, _rk4, expm
@@ -134,17 +138,19 @@ def _structured_rhs(Xi, Psi, A_dz, p):
 def _frame_cond(W, geo):
     """cond S of the frame S = [[I, W], [0, I]] for one W or a stack of them.
 
-    det S = 1 and cond S = (s/2 + hypot(1, s/2))^2 with s = |W|_2.  NaN
-    wherever the frame fails its checks: W not finite, det S within
-    ``eps_det`` of zero, or cond S at least ``cond_cap``.
+    det S = 1, so split_frame's rule reads prod_j (1 + |W e_j|^2)^(-1/2) >
+    ``eps_det`` and cond S = (s/2 + hypot(1, s/2))^2 < ``cond_cap``, with
+    s = |W|_2.  NaN wherever W is not finite or the frame fails the rule.
     """
-    ok = np.isfinite(W).all(axis=(-2, -1)) & (1.0 > geo.eps_det)
-    # |W|_2 is the largest singular value; the SVD rejects non-finite input
-    half = 0.5 * np.linalg.svd(np.where(ok[..., None, None], W, 0.0),
-                               compute_uv=False).max(axis=-1)
+    finite = np.isfinite(W).all(axis=(-2, -1))
+    W = np.where(finite[..., None, None], W, 0.0)
+    scaled = np.prod(1.0 + np.sum(W * W, axis=-2), axis=-1) ** -0.5
+    # |W|_2 is the largest singular value
+    half = 0.5 * np.linalg.svd(W, compute_uv=False).max(axis=-1)
     # float_power squares by pow, not by x * x, as a scalar ** 2 does
     cond = np.float_power(half + np.hypot(1.0, half), 2)
-    return np.where(ok & (cond < geo.cond_cap), cond, np.nan)
+    ok = finite & (scaled > geo.eps_det) & (cond < geo.cond_cap)
+    return np.where(ok, cond, np.nan)
 
 
 def decompose_linear_sde(system: LinearSystem, driver: JumpPath,
@@ -342,67 +348,37 @@ def verify_composition(record: DecompositionRecord, probes) -> np.ndarray:
     return record.residual_sup.copy()
 
 
-def _split_frame_2x2(S, rhs, geo):
-    """Batched 2x2 solve with explicit determinant/condition guards."""
-    det = S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0]
-    colnorm = (np.linalg.norm(S[..., :, 0], axis=-1)
-               * np.linalg.norm(S[..., :, 1], axis=-1))
-    scaled = np.abs(det) / np.maximum(colnorm, 1e-300)
-    fro2 = np.sum(S * S, axis=(-2, -1))
-    disc = np.sqrt(np.maximum(fro2 * fro2 - 4 * det * det, 0.0))
-    sig_hi = np.sqrt((fro2 + disc) / 2)
-    sig_lo = np.sqrt(np.maximum((fro2 - disc) / 2, 1e-300))
-    cond = sig_hi / sig_lo
-    if (not np.all(np.isfinite(det)) or np.min(scaled) <= geo.eps_det
-            or np.max(cond) >= geo.cond_cap):
-        raise DegeneracyError("pointwise frame degenerate",
-                              det=float(np.min(scaled)),
-                              condition=float(np.max(cond)))
-    inv_det = 1.0 / det
-    c0 = (S[..., 1, 1] * rhs[..., 0] - S[..., 0, 1] * rhs[..., 1]) * inv_det
-    c1 = (S[..., 0, 0] * rhs[..., 1] - S[..., 1, 0] * rhs[..., 0]) * inv_det
-    coeff = np.stack([c0, c1], axis=-1)
-    return coeff, float(np.min(scaled)), float(np.max(cond))
-
-
 class _PointwiseState:
     """Mutable integration state for the mesh-based decomposition."""
 
     def __init__(self, fields, pair, chart, probes, geo):
-        self.fields = fields
-        self.pair = pair
-        self.chart = chart
-        self.geo = geo
+        self.fields, self.pair, self.chart, self.geo = fields, pair, chart, geo
         self.base = chart.base_points()
         self.xi_mesh = self.base.copy()
         self.probes = np.atleast_2d(np.asarray(probes, dtype=float))
-        self.phi = self.probes.copy()
-        self.psi = self.probes.copy()
+        self.phi, self.psi = self.probes.copy(), self.probes.copy()
         # vertical frame at the frozen base points of the mesh
         self.BV_base = pair.vertical.basis_batch(self.base)
 
     def rhs(self, xi_mesh, phi, psi, dz):
-        fields, pair, chart = self.fields, self.pair, self.chart
-        f_phi = fields.field_matrix(phi) @ dz
-
+        # one interpolation (xi and D xi at the probes), one field evaluation
+        # and one split of [B_H | D xi B_V] for the nodes and probes together
+        chart, pair, (R, C, _) = self.chart, self.pair, xi_mesh.shape
+        N, Q, kH = R * C, psi.shape[0], pair.horizontal.rank
         Dxi = mesh_jacobian(chart, xi_mesh)
-        BH = pair.horizontal.basis_batch(xi_mesh)
-        S = np.concatenate([BH, Dxi @ self.BV_base], axis=-1)
-        Xval = fields.field_matrix(xi_mesh) @ dz
-        kH = pair.horizontal.rank
-        coeff, det_m, cond_m = _split_frame_2x2(S, Xval, self.geo)
-        f_xi = np.einsum("...ik,...k->...i", BH, coeff[..., :kH])
-
-        qc = chart.to_chart(psi)
-        xi_at, _ = interp_mesh(chart, xi_mesh, qc, derivative=True)
-        Dxi_at = interp_mesh(chart, Dxi, qc)
-        BHq = pair.horizontal.basis_batch(xi_at)
+        at = interp_mesh(chart, np.concatenate(
+            [xi_mesh, Dxi.reshape(R, C, 4)], axis=-1), chart.to_chart(psi))
+        points = np.concatenate([xi_mesh.reshape(N, 2), at[:, :2], phi])
+        F = self.fields.field_matrix(points) @ dz
+        BH = pair.horizontal.basis_batch(points[:N + Q])
         BVq = pair.vertical.basis_batch(psi)
-        Sq = np.concatenate([BHq, Dxi_at @ BVq], axis=-1)
-        Xq = fields.field_matrix(xi_at) @ dz
-        coeff_q, det_q, cond_q = _split_frame_2x2(Sq, Xq, self.geo)
-        f_psi = np.einsum("...ik,...k->...i", BVq, coeff_q[..., kH:])
-        return f_xi, f_phi, f_psi, min(det_m, det_q), max(cond_m, cond_q)
+        BV = np.concatenate([(Dxi @ self.BV_base).reshape(N, 2, -1),
+                             at[:, 2:].reshape(Q, 2, 2) @ BVq])
+        coeff, det, cond = split_frame(np.concatenate([BH, BV], axis=-1),
+                                       F[:N + Q], self.geo)
+        f_xi = np.einsum("...ik,...k->...i", BH[:N], coeff[:N, :kH])
+        f_psi = np.einsum("...ik,...k->...i", BVq, coeff[N:, kH:])
+        return f_xi.reshape(R, C, 2), F[N + Q:], f_psi, det, cond
 
     def heun_step(self, dz):
         f_xi, f_phi, f_psi, det0, cond0 = self.rhs(self.xi_mesh, self.phi,
@@ -413,7 +389,9 @@ class _PointwiseState:
         self.xi_mesh = self.xi_mesh + 0.5 * (f_xi + g_xi)
         self.phi = self.phi + 0.5 * (f_phi + g_phi)
         self.psi = self.psi + 0.5 * (f_psi + g_psi)
-        self._check_finite()
+        if not all(np.isfinite(a).all()
+                   for a in (self.xi_mesh, self.phi, self.psi)):
+            raise IntegrationFailure("pointwise factor blow-up")
         return min(det0, det1), max(cond0, cond1)
 
     def jump_step(self, dzj, substeps):
@@ -429,19 +407,13 @@ class _PointwiseState:
             rhs, (self.xi_mesh, self.phi, self.psi), 1.0, substeps)
         return worst[0], worst[1]
 
-    def _check_finite(self):
-        for arr in (self.xi_mesh, self.phi, self.psi):
-            if not np.all(np.isfinite(arr)):
-                raise IntegrationFailure("pointwise factor blow-up")
-
     def composition_residual(self):
         qc = self.chart.to_chart(self.psi)
         xi_at = interp_mesh(self.chart, self.xi_mesh, qc)
         return float(np.max(np.abs(xi_at - self.phi)))
 
-    def invert_at_phi(self, geo):
-        coords = invert_mesh_map(self.chart, self.xi_mesh, self.phi,
-                                 tol=geo.newton_tol, maxiter=geo.newton_maxiter)
+    def invert_at_phi(self):
+        coords = invert_mesh_map(self.chart, self.xi_mesh, self.phi)
         return self.chart.to_cartesian(coords)
 
 
@@ -478,7 +450,7 @@ def decompose_pointwise(fields: VectorFieldSet, pair: ComplementaryPair,
     snap_mesh = [state.xi_mesh.copy()]
     snap_psi = [state.psi.copy()]
     snap_phi = [state.phi.copy()]
-    snap_inv = [state.invert_at_phi(geo)]
+    snap_inv = [state.invert_at_phi()]
     tau = driver.horizon
     reason = "horizon"
 
@@ -516,7 +488,7 @@ def decompose_pointwise(fields: VectorFieldSet, pair: ComplementaryPair,
         take_snap = ((k + 1) % snapshot_stride == 0 or jumped or k == K - 2)
         if take_snap:
             try:
-                inv = state.invert_at_phi(geo)
+                inv = state.invert_at_phi()
             except MeshInversionError:
                 tau, reason = float(grid[k + 1]), "mesh_inversion_failure"
                 break

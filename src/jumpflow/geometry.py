@@ -1,13 +1,15 @@
-"""Pointwise distributions, transversality checks, and field splitting.
+"""Pointwise distributions, the transversal-frame split, and field splitting.
 
 A distribution is a smoothly varying subspace given by a basis map; a
 complementary pair carries a horizontal and a vertical one whose direct sum
-is the whole tangent space.  Splitting a vector against such a pair is a
-stacked linear solve with one refinement pass; near-degenerate frames raise
-``DegeneracyError`` so flow-level callers can turn them into a validity
-horizon instead of silently producing garbage.  Diffeomorphisms enter
-as ``DiffeoProbe`` handles built from explicit maps (identity, linear or
-custom); the module integrates no flows itself.
+is the whole tangent space.  ``split_frame`` is the one transversal split:
+it rejects a frame S = [B_H | B_V] whose scaled determinant
+|det S| / prod_j |S e_j| is at most ``eps_det``, or whose 2-norm condition
+number is at least ``cond_cap``, with ``DegeneracyError``, so flow-level
+callers can turn it into a validity horizon instead of silently producing
+garbage.
+Diffeomorphisms enter as ``DiffeoProbe`` handles built from explicit maps
+(identity, linear or custom); the module integrates no flows itself.
 
 Subspace comparisons always go through orthogonal projectors, never raw
 basis arrays, because a basis is only determined up to column mixing.
@@ -24,12 +26,15 @@ from .errors import DegeneracyError
 
 @dataclass(frozen=True)
 class GeometryConfig:
-    """Degeneracy thresholds shared by every split-based operation."""
+    """Degeneracy thresholds shared by every split-based operation.
+
+    A frame S degenerates when |det S| / prod_j |S e_j| <= ``eps_det`` or its
+    2-norm condition number >= ``cond_cap``; a monitored Jacobian block
+    (``det_block``, ``validity_monitor``) when its raw |det| <= ``eps_det``.
+    """
 
     eps_det: float = 1e-12
     cond_cap: float = 1e8
-    newton_tol: float = 1e-10
-    newton_maxiter: int = 50
 
 
 DEFAULT_GEOMETRY = GeometryConfig()
@@ -138,46 +143,51 @@ def adjoint_distribution(probe: DiffeoProbe, delta: Distribution) -> Distributio
     return Distribution(delta.dimension, delta.rank, basis_fn)
 
 
-@dataclass(frozen=True)
-class TransversalityCheck:
-    complementary: bool
-    condition: float
-    det: float
+def split_frame(S, rhs, geo: GeometryConfig = DEFAULT_GEOMETRY):
+    """Coefficients of ``rhs`` (..., n) in the frames S (..., n, n).
 
-
-def check_transversality(horizontal: Distribution, other: Distribution, x,
-                         geo: GeometryConfig = DEFAULT_GEOMETRY) -> TransversalityCheck:
-    """Do the two fibers at x span the whole space transversally?
-
-    Builds the stacked frame [B_H | B_other] and reports |det| against
-    ``geo.eps_det`` together with the frame condition number.  Rank mismatch
-    (ranks not summing to n) is an error, not a degeneracy.
+    Returns (coeff, det, cond) with the smallest scaled determinant and the
+    largest condition number over the stack.  Raises ``DegeneracyError`` for
+    a non-finite frame or by ``GeometryConfig``'s rule, ValueError when S is
+    not square.  2x2 frames use closed forms, larger ones an LU solve with
+    one refinement pass.  Each frame of a stack splits as it would alone.
     """
-    if horizontal.rank + other.rank != horizontal.dimension:
-        raise ValueError("ranks do not sum to the ambient dimension")
-    S = np.concatenate([horizontal.basis(x), other.basis(x)], axis=1)
-    det = float(np.linalg.det(S))
-    cond = float(np.linalg.cond(S))
-    ok = abs(det) > geo.eps_det and cond < geo.cond_cap
-    return TransversalityCheck(complementary=ok, condition=cond, det=det)
-
-
-def split_stacked(S: np.ndarray, values: np.ndarray, rank: int,
-                  geo: GeometryConfig = DEFAULT_GEOMETRY):
-    """Coefficients of ``values`` columns in the frame S = [B_H | B_V].
-
-    One iterative-refinement pass keeps the direct-sum reconstruction at the
-    1e-10 scale even for moderately conditioned frames.  Raises
-    ``DegeneracyError`` past the thresholds.
-    """
-    det = float(np.linalg.det(S))
-    cond = float(np.linalg.cond(S))
-    if abs(det) <= geo.eps_det or cond >= geo.cond_cap or not np.isfinite(cond):
-        raise DegeneracyError("transversal frame degenerated", det=det,
-                              condition=cond)
-    c = np.linalg.solve(S, values)
-    c = c + np.linalg.solve(S, values - S @ c)
-    return c, cond
+    S, rhs = np.asarray(S, dtype=float), np.asarray(rhs, dtype=float)
+    if rhs.ndim == 0 or S.shape[-2:] != (rhs.shape[-1],) * 2:
+        raise ValueError("frames must be square and match rhs")
+    closed = S.shape[-1] == 2
+    with np.errstate(all="ignore"):
+        if closed:
+            det = S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0]
+            colnorm = (np.linalg.norm(S[..., :, 0], axis=-1)
+                       * np.linalg.norm(S[..., :, 1], axis=-1))
+            fro2 = np.sum(S * S, axis=(-2, -1))
+            disc = np.sqrt(np.maximum(fro2 * fro2 - 4 * det * det, 0.0))
+            sig_hi = np.sqrt((fro2 + disc) / 2)
+            sig_lo = np.sqrt(np.maximum((fro2 - disc) / 2, 1e-300))
+            cond = sig_hi / sig_lo
+        elif np.isfinite(S).all():
+            det = np.linalg.det(S)
+            colnorm = np.prod(np.linalg.norm(S, axis=-2), axis=-1)
+            cond = np.linalg.cond(S)
+        else:
+            det = colnorm = cond = np.full(S.shape[:-2], np.nan)
+        scaled = np.abs(det) / np.maximum(colnorm, 1e-300)
+        worst_det, worst_cond = float(np.min(scaled)), float(np.max(cond))
+    if not (np.isfinite(det).all() and worst_det > geo.eps_det
+            and worst_cond < geo.cond_cap):
+        raise DegeneracyError("transversal frame degenerated",
+                              det=worst_det, condition=worst_cond)
+    if closed:
+        inv_det = 1.0 / det
+        c0 = (S[..., 1, 1] * rhs[..., 0] - S[..., 0, 1] * rhs[..., 1]) * inv_det
+        c1 = (S[..., 0, 0] * rhs[..., 1] - S[..., 1, 0] * rhs[..., 0]) * inv_det
+        coeff = np.stack([c0, c1], axis=-1)
+    else:
+        b = rhs[..., None]
+        c = np.linalg.solve(S, b)
+        coeff = (c + np.linalg.solve(S, b - S @ c))[..., 0]
+    return coeff, worst_det, worst_cond
 
 
 def split_field(value, horizontal: Distribution, adjoint_vertical: Distribution,
@@ -188,10 +198,6 @@ def split_field(value, horizontal: Distribution, adjoint_vertical: Distribution,
     the (adjoint-transported) vertical fiber, and h_part + v_part
     reconstructing the input to solver precision.
     """
-    v = np.asarray(value, dtype=float)
-    BH = horizontal.basis(x)
-    BV = adjoint_vertical.basis(x)
-    S = np.concatenate([BH, BV], axis=1)
-    c, _ = split_stacked(S, v, horizontal.rank, geo)
-    k = horizontal.rank
-    return BH @ c[:k], BV @ c[k:]
+    BH, BV = horizontal.basis(x), adjoint_vertical.basis(x)
+    c, _, _ = split_frame(np.concatenate([BH, BV], axis=1), value, geo)
+    return BH @ c[:horizontal.rank], BV @ c[horizontal.rank:]

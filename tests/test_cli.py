@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from jumpflow.cli import main
-from jumpflow.config import load_config
+from jumpflow.config import build_problem, load_config
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -320,8 +320,13 @@ def test_overflowing_uniform_jump_law_exits_2(tmp_path, capsys):
      "driver.ramp_to"),
     ("rotation.yaml", {"solver": {"substep": 3}}, "solver.substep"),
     ("rotation.yaml", {"geometry": {"eps": 1e-9}}, "geometry.eps"),
+    ("rotation.yaml", {"mesh": {"kind": "box"}}, "mesh.kind"),
+    ("radial_linear.yaml", {"mesh": {"kind": "annulus"}}, "mesh.kind"),
+    ("rotation.yaml", {"fields": {"bogus": 1}}, "fields.bogus"),
+    ("ivk_commuting.yaml", {"fields": {"matrices": [[[1.0]]]}},
+     "fields.matrices"),
 ], ids=["top-level", "deterministic-driver", "levy-driver", "solver",
-        "geometry"])
+        "geometry", "mesh", "radial-mesh", "fields", "ivk-commuting-fields"])
 def test_unknown_key_exits_2(tmp_path, capsys, name, edit, where):
     with open(_cfg(name)) as fh:
         cfg = yaml.safe_load(fh)
@@ -336,7 +341,8 @@ def test_unknown_key_exits_2(tmp_path, capsys, name, edit, where):
 
 def test_shipped_and_benchmark_configs_load(tmp_path):
     # every shipped config and every config the benchmark writes at seed 1
-    # passes the config check
+    # passes the config check and builds its problem (which reads ``mesh``
+    # and ``fields``)
     root = os.path.join(os.path.dirname(__file__), "..")
     sys.path.insert(0, os.path.join(root, "perfbench"))
     try:
@@ -348,7 +354,7 @@ def test_shipped_and_benchmark_configs_load(tmp_path):
         paths += [op.config for op in workload.build(1, root, str(tmp_path))]
     assert len(paths) > len(os.listdir(CONFIGS))
     for path in paths:
-        load_config(path)
+        build_problem(load_config(path))
 
 
 def _ivk_generic_levy(**driver):
@@ -399,6 +405,15 @@ def _radial(**top):
     return cfg
 
 
+def _rotation(geometry=None, **driver):
+    with open(_cfg("rotation.yaml")) as fh:
+        cfg = yaml.safe_load(fh)
+    cfg["driver"].update(driver)
+    if geometry is not None:
+        cfg["geometry"] = geometry
+    return cfg
+
+
 @pytest.mark.parametrize("command, cfg, where", [
     ("verify-ivk", _ivk_generic_levy(brownian_scale="abc"),
      "driver.brownian_scale"),
@@ -421,6 +436,14 @@ def _radial(**top):
         driver={"type": "levy", "horizon": 1.0, "step": 0.1, "seed": 1},
         ensemble={"n_paths": 10, "observabel": "norm"}),
      "ensemble.observabel"),
+    ("simulate", _rotation(ramp_to=["a"]), "driver.ramp_to"),
+    ("simulate", _rotation(jumps=5), "driver.jumps"),
+    ("simulate", _rotation(jumps=[{"time": 0.5, "size": ["a"]}]),
+     "driver.jumps[0].size"),
+    ("decompose", _rotation({"eps_det": "abc"}), "geometry.eps_det"),
+    ("decompose", _rotation({"eps_det": -1.0}), "geometry.eps_det"),
+    ("decompose", _rotation({"cond_cap": "abc"}), "geometry.cond_cap"),
+    ("decompose", _rotation({"cond_cap": 0.0}), "geometry.cond_cap"),
 ])
 def test_bad_value_exits_2(tmp_path, capsys, command, cfg, where):
     path = tmp_path / "bad.yaml"

@@ -6,12 +6,13 @@ import os
 import numpy as np
 import pytest
 
+from jumpflow import decompose
 from jumpflow.config import (build_driver, build_marcus_config, build_problem,
                              load_config)
 from jumpflow.decompose import (TAU_REASONS, LinearSystem, _frame_cond,
-                                _structured_rhs, decompose_linear_sde,
-                                decompose_pointwise, validity_monitor,
-                                verify_composition)
+                                _PointwiseState, _structured_rhs,
+                                decompose_linear_sde, decompose_pointwise,
+                                validity_monitor, verify_composition)
 from jumpflow.geometry import ComplementaryPair, Distribution, GeometryConfig
 from jumpflow.marcus import MarcusConfig, solve_with_jacobian
 from jumpflow.mesh import MeshChart
@@ -256,6 +257,17 @@ def test_structured_rhs_degenerate_frame_raises():
     assert stack[0] == good and np.isnan(stack[1])
 
 
+def test_frame_cond_applies_the_scaled_determinant():
+    # S = [[1, 30, 40], [0, 1, 0], [0, 0, 1]]: scaled det 1 / sqrt(901 * 1601)
+    # = 8.3e-4, cond 2.5e3
+    W = np.array([[30.0, 40.0]])
+    assert np.isnan(_frame_cond(W, GeometryConfig(eps_det=1e-3)))
+    cond = _frame_cond(W, GeometryConfig(eps_det=1e-4))
+    S = np.eye(3)
+    S[0, 1:] = W
+    assert abs(cond - np.linalg.cond(S)) <= 1e-10 * cond
+
+
 def test_linear_system_validation():
     with pytest.raises(ValueError):
         LinearSystem(np.zeros((1, 2, 3)), horizontal_dim=1)
@@ -294,6 +306,29 @@ def test_pointwise_matches_radial_closed_form():
         got = rec.psi_probes[si]
         assert np.max(np.abs(got - expect)) < 1e-3
         assert np.max(np.abs(rec.psi_probes_inverse[si] - got)) < 1e-3
+
+
+def test_pointwise_stage_interpolates_evaluates_and_splits_once(monkeypatch):
+    A = np.array([[0.25, 0.1], [0.0, 0.15]])
+    fields = VectorFieldSet.linear(A[None])
+    state = _PointwiseState(fields, _radial_pair(),
+                            MeshChart.annulus((0.5, 2.0), (12, 10)),
+                            _unit_circle_probes(), GeometryConfig())
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("interp_mesh", "split_frame"):
+        monkeypatch.setattr(decompose, name,
+                            counted(name, getattr(decompose, name)))
+    monkeypatch.setattr(fields, "field_matrix",
+                        counted("field_matrix", fields.field_matrix))
+    state.rhs(state.xi_mesh, state.phi, state.psi, np.array([0.01]))
+    assert calls == {"interp_mesh": 1, "split_frame": 1, "field_matrix": 1}
 
 
 def test_pointwise_contraction_escapes_chart_and_stops():

@@ -1,13 +1,14 @@
 """Distributions, transversal splits, pushforwards by diffeomorphisms."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from jumpflow.errors import DegeneracyError
 from jumpflow.geometry import (ComplementaryPair, DiffeoProbe, Distribution,
                                GeometryConfig, adjoint_distribution,
-                               check_transversality, split_field,
-                               split_stacked, subspace_projector,
+                               split_field, split_frame, subspace_projector,
                                subspaces_equal)
 
 
@@ -124,27 +125,98 @@ def test_transversality_accepts_and_rejects():
     V_good = Distribution.constant(np.array([[0.0], [1.0]]))
     V_bad = Distribution.constant(np.array([[1.0], [1e-14]]))
     x = np.zeros(2)
-    ok = check_transversality(H, V_good, x)
-    assert ok.complementary and abs(ok.det - 1.0) < 1e-12
-    bad = check_transversality(H, V_bad, x)
-    assert not bad.complementary
+    _, det, _ = split_frame(np.concatenate([H.basis(x), V_good.basis(x)],
+                                           axis=1), np.zeros(2))
+    assert abs(det - 1.0) < 1e-12
+    with pytest.raises(DegeneracyError):
+        split_frame(np.concatenate([H.basis(x), V_bad.basis(x)], axis=1),
+                    np.zeros(2))
     with pytest.raises(ValueError):
-        check_transversality(H, Distribution.constant(np.eye(2)), x)
+        split_field(np.zeros(2), H, Distribution.constant(np.eye(2)), x)
 
 
 def test_split_raises_on_degenerate_frame():
     S = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
     with pytest.raises(DegeneracyError):
-        split_stacked(S, np.array([1.0, 0.0]), 1)
+        split_frame(S, np.array([1.0, 0.0]))
 
 
 def test_split_respects_thresholds():
+    # columns of different lengths are not a degeneracy: the scaled
+    # determinant of diag(1, 1e-5) is 1, its condition number 1e5
     S = np.array([[1.0, 0.0], [0.0, 1e-5]])
-    tight = GeometryConfig(eps_det=1e-4)
+    c, det, cond = split_frame(S, np.array([1.0, 1.0]),
+                               GeometryConfig(eps_det=1e-4))
+    assert det == 1.0 and abs(cond - 1e5) < 1e-6 * 1e5
+    assert np.allclose(S @ c, [1.0, 1.0], rtol=0, atol=1e-15)
     with pytest.raises(DegeneracyError):
-        split_stacked(S, np.eye(2), 1, tight)
-    c, cond = split_stacked(S, np.eye(2), 1)
-    assert cond > 1.0
+        split_frame(S, np.array([1.0, 1.0]), GeometryConfig(cond_cap=1e4))
+    # a nearly dependent frame: scaled determinant 1e-3 / hypot(1, 1e-3)
+    dependent = np.array([[1.0, 1.0], [0.0, 1e-3]])
+    with pytest.raises(DegeneracyError):
+        split_frame(dependent, np.ones(2), GeometryConfig(eps_det=1e-2))
+    split_frame(dependent, np.ones(2), GeometryConfig(eps_det=1e-4))
+
+
+def _frames(rng, shape, n):
+    return rng.standard_normal(shape + (n, n)) + 2 * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_split_of_a_stack_equals_each_frame_alone(n):
+    # one call can serve the mesh nodes and the probes together
+    rng = np.random.default_rng(21 + n)
+    S, rhs = _frames(rng, (5, 4), n), rng.standard_normal((5, 4, n))
+    flat_S = np.concatenate([S.reshape(-1, n, n), _frames(rng, (7,), n)])
+    flat_r = np.concatenate([rhs.reshape(-1, n), rng.standard_normal((7, n))])
+    coeff, det, cond = split_frame(flat_S, flat_r)
+    alone = [split_frame(s, r) for s, r in zip(flat_S, flat_r)]
+    assert np.array_equal(coeff, np.array([a[0] for a in alone]))
+    assert det == min(a[1] for a in alone)
+    assert cond == max(a[2] for a in alone)
+    assert np.array_equal(split_frame(S, rhs)[0].reshape(-1, n), coeff[:20])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_split_frame_matches_solve_and_cond(n):
+    rng = np.random.default_rng(30 + n)
+    S, rhs = _frames(rng, (40,), n), rng.standard_normal((40, n))
+    coeff, det, cond = split_frame(S, rhs)
+    want = np.linalg.solve(S, rhs[..., None])[..., 0]
+    scale = np.abs(want).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(coeff - want) <= 1e-12 * scale)
+    conds = np.linalg.cond(S)
+    assert abs(cond - conds.max()) <= 1e-12 * conds.max()
+    scaled = np.abs(np.linalg.det(S)) / np.prod(np.linalg.norm(S, axis=-2),
+                                                axis=-1)
+    assert abs(det - scaled.min()) <= 1e-12 * scaled.min()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_scaled_determinant_ignores_column_scale(n):
+    rng = np.random.default_rng(40 + n)
+    good = _frames(rng, (), n)
+    near = good.copy()
+    near[:, -1] = near[:, 0] + 1e-14 * rng.standard_normal(n)
+    _, det0, _ = split_frame(good, np.ones(n))
+    for k in range(-5, 6):
+        scale = np.ones(n)
+        scale[-1] = 10.0 ** k
+        _, det, _ = split_frame(good * scale, np.ones(n))
+        assert abs(det - det0) <= 1e-12 * det0
+        with pytest.raises(DegeneracyError):
+            split_frame(near * scale, np.ones(n))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_frame_raises_degeneracy(n, bad):
+    S = np.stack([np.eye(n), np.eye(n)])
+    S[1, 0, n - 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegeneracyError):
+            split_frame(S, np.ones((2, n)))
 
 
 def test_pair_rank_validation():

@@ -1,0 +1,89 @@
+"""Digest every artifact of a fixed set of CLI runs, for byte-identity checks.
+
+Usage (from any directory):
+
+    python3 tools/artifact_digests.py [--seed N] [--root CHECKOUT] > out.json
+
+The runs are every operation that ``perfbench/workloads.py`` of the checkout
+builds at ``--seed`` (the twelve shipped config/subcommand pairs and the
+generated workload configs), plus ``simulate`` on ``rotation_jump.yaml``,
+``ivk_jump.yaml`` and ``radial_linear.yaml``.  Each run is a fresh
+``python -m jumpflow.cli`` process on the checkout's ``src``.  The output
+maps each run's label to its exit code, its stderr and the SHA-256 of every
+file it wrote, except ``run_meta.txt`` (which holds timings).  Paths of the
+checkout and of the scratch directory are replaced by ``<root>`` and
+``<work>`` in stderr, so two checkouts can be compared with ``diff``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+EXTRA_SIMULATE = ("rotation_jump.yaml", "ivk_jump.yaml", "radial_linear.yaml")
+
+
+def operations(root, seed, workdir):
+    """(label, argv after ``jumpflow.cli``) pairs, without ``--out``."""
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    runs = []
+    for workload in workloads.WORKLOADS.values():
+        for op in workload.build(seed, root, workdir):
+            runs.append((op.label, [op.command, "--config", op.config]
+                         + list(op.extra)))
+    for name in EXTRA_SIMULATE:
+        runs.append(("simulate:" + name[:-5],
+                     ["simulate", "--config",
+                      os.path.join(root, "configs", name)]))
+    return runs
+
+
+def digest_run(root, argv, outdir, workdir):
+    env = dict(os.environ)
+    src = os.path.join(root, "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
+                               if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-m", "jumpflow.cli"] + argv
+                          + ["--out", outdir], env=env, cwd=root,
+                          capture_output=True, text=True)
+    files = {}
+    if os.path.isdir(outdir):
+        for name in sorted(os.listdir(outdir)):
+            if name == "run_meta.txt":
+                continue
+            with open(os.path.join(outdir, name), "rb") as fh:
+                files[name] = hashlib.sha256(fh.read()).hexdigest()
+    stderr = proc.stderr.replace(workdir, "<work>").replace(root, "<root>")
+    return {"exit": proc.returncode, "stderr": stderr, "files": files}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--root", default=os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), ".."),
+        help="checkout to run (default: the one holding this script)")
+    args = parser.parse_args(argv)
+    root = os.path.realpath(args.root)
+    report = {}
+    with tempfile.TemporaryDirectory(prefix="digests_") as workdir:
+        workdir = os.path.realpath(workdir)
+        for i, (label, run_argv) in enumerate(operations(root, args.seed,
+                                                         workdir)):
+            outdir = os.path.join(workdir, "run%02d" % i)
+            report[label] = digest_run(root, run_argv, outdir, workdir)
+    print(json.dumps(report, sort_keys=True, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
