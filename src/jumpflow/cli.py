@@ -27,9 +27,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import (build_driver, build_geometry_config, build_marcus_config,
-                     build_path_params, build_problem, dump_config,
-                     load_config)
+from .config import (apply_overrides, build_driver, build_geometry_config,
+                     build_marcus_config, build_path_params, build_problem,
+                     dump_config, load_config)
 from .convergence import fit_order
 from .decompose import (LinearSystem, decompose_linear_sde,
                         decompose_pointwise, verify_composition)
@@ -263,14 +263,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            if not 0 <= args.seed < 2 ** 64:
-                raise ConfigError("--seed: must be an unsigned 64-bit integer")
-            cfg["_seed_override"] = args.seed
-        if args.ladder is not None:
-            if not 1 <= args.ladder <= 8:
-                raise ConfigError("--ladder: must be in [1, 8]")
-            cfg["ladder"] = args.ladder
+        apply_overrides(cfg, args.seed, args.ladder)
         if args.dump_config:
             shown = {k: v for k, v in cfg.items() if not k.startswith("_")}
             sys.stdout.write(dump_config(shown))

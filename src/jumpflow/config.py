@@ -1,9 +1,17 @@
-"""YAML run configuration: schema, defaults, validation, scenario registry.
+"""YAML run configuration: one schema table, its walker, scenario registry.
 
-A run config is a plain mapping.  ``load_config`` parses and validates it,
-``normalize_config`` fills defaults so that dump -> load round-trips to an
-identical mapping (the reproducibility contract for configs), and
-``build_problem`` / ``build_driver`` turn it into library objects.
+``_SCHEMA`` maps each config key to (default, check).  A default fills an
+absent key; ``_OPTIONAL`` leaves it absent and ``_REQUIRED`` rejects it.  A
+check is a callable ``check(value, path)`` that raises ``ConfigError``,
+``None`` for a value nothing reads, a nested table for a section, a list of
+one table for a list of sections, or ``_Variants``: the key's value picks
+extra keys for its section (``driver.type``, ``driver.jump_law.kind``).
+``normalize_config`` walks the table: it fills defaults, rejects an unknown
+key by its path and runs each key's check; ``_check_across`` then applies
+the rules that relate keys.  The result round-trips through YAML (the
+reproducibility contract for configs).  The keys a scenario reads (``x0``,
+``fields``, ...) have a table per scenario in ``_SCENARIOS``, whose
+defaults ``build_problem`` fills on a copy: they stay out of the result.
 """
 
 from __future__ import annotations
@@ -22,50 +30,16 @@ from .odeflow import OdeConfig, VectorFieldSet
 from .semimartingale import (JumpLaw, PathParams, _grid_for,
                              deterministic_path, sample_levy_jump_diffusion)
 
-SCENARIOS = ("rotation", "custom-linear", "sphere-tangent", "radial-linear",
-             "ivk-commuting", "ivk-generic")
+# the most grid steps, expected jumps, mesh nodes or ivk-commuting matrix
+# entries a config may ask for: no size then overflows before the run
+MAX_SIZE = 10 ** 7
 
-_DEFAULTS = {
-    "format_version": 1,
-    "scenario": "rotation",
-    "driver": {
-        "type": "deterministic",
-        "horizon": 1.0,
-        "step": 0.01,
-    },
-    "solver": {
-        "substeps": 64,
-        "use_expm": True,
-        "record_jacobian": False,
-    },
-    "geometry": {
-        "eps_det": 1e-12,
-        "cond_cap": 1e8,
-    },
-    "ladder": 3,
-    "snapshot_stride": 10,
-}
-
-# the keys a config, its driver, its mesh and each scenario's fields may hold
-_TOP_KEYS = tuple(_DEFAULTS) + ("x0", "horizontal_dim", "fields", "mesh",
-                                "probes", "ensemble")
-_DRIVER_KEYS = {"levy": ("type", "horizon", "step", "seed", "dimension",
-                         "brownian_scale", "drift", "jump_intensity",
-                         "jump_law"),
-                "deterministic": ("type", "horizon", "step", "ramp_to", "jumps")}
-_MESH_KEYS = ("radii", "shape")
-_FIELD_KEYS = {"custom-linear": ("matrices",), "radial-linear": ("matrices",),
-               "ivk-commuting": ("outer_rate", "inner_rate", "dimension")}
+_OPTIONAL = object()
+_REQUIRED = object()
 
 
-def _merge(base, override):
-    out = copy.deepcopy(base)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
-        else:
-            out[key] = copy.deepcopy(val)
-    return out
+class _Variants(dict):
+    """The check of a key whose value picks extra keys: value -> table."""
 
 
 def _expect(cond, path, msg):
@@ -81,33 +55,163 @@ def _is_number(val):
         return False
 
 
-def _num(cfg, path, key, positive=False, default=None):
-    val = cfg.get(key, default)
-    _expect(_is_number(val), "%s.%s" % (path, key), "expected a finite number")
-    if positive:
-        _expect(val > 0, "%s.%s" % (path, key), "must be positive")
-    return float(val)
+def _is_int(val, low, high=math.inf):
+    """An int in [low, high] (a bool is not an integer here)."""
+    return (isinstance(val, int) and not isinstance(val, bool)
+            and low <= val <= high)
 
 
-def _only(mapping, where, keys, what):
-    """Reject the first key of ``mapping`` that is not one of ``keys``."""
-    for key in mapping:
-        _expect(key in keys, "%s%s" % (where, key),
-                "not %s key (expected %s)" % (what, ", ".join(keys) or "none"))
+def _is_list(val, count=None):
+    """A non-empty list of finite numbers, of ``count`` of them if given."""
+    return (isinstance(val, list) and len(val) > 0
+            and count in (None, len(val)) and all(map(_is_number, val)))
 
 
-def _int(val, where, low=1):
-    _expect(isinstance(val, int) and not isinstance(val, bool) and val >= low,
-            where, "must be an integer >= %d" % low)
-    return val
+def _check(test, msg):
+    """The check that raises ``<path>: <msg>`` unless ``test(value)``."""
+    def check(val, path):
+        _expect(test(val), path, msg)
+    return check
 
 
-def _numbers(val, where, count, note=""):
-    """A list of ``count`` finite numbers, as a float array."""
-    _expect(isinstance(val, list) and len(val) == count
-            and all(_is_number(v) for v in val), where,
-            "must be a list of %d numbers%s" % (count, note))
-    return np.asarray(val, dtype=float)
+def _integer(low, high=math.inf):
+    return _check(lambda v: _is_int(v, low, high),
+                  "must be an integer >= %d" % low if high == math.inf
+                  else "must be an integer in [%d, %d]" % (low, high))
+
+
+def _choice(*options):
+    return _check(lambda v: not isinstance(v, bool) and v in options,
+                  "must be one of %s" % ", ".join(map(str, options)))
+
+
+def _matrices(size=None):
+    """The check of a non-empty list of square matrices of finite numbers."""
+    def test(val):
+        try:
+            arr = np.asarray(val, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            return False
+        return (isinstance(val, list) and arr.ndim == 3 and arr.shape[0] >= 1
+                and arr.shape[1] == arr.shape[2]
+                and size in (None, arr.shape[1]) and np.isfinite(arr).all())
+    return _check(test, "must be a non-empty list of %s matrices of numbers"
+                  % ("square" if size is None else "%dx%d" % (size, size)))
+
+
+_NUMBER = _check(_is_number, "must be a finite number")
+_POSITIVE = _check(lambda v: _is_number(v) and v > 0, "must be a number > 0")
+_NON_NEGATIVE = _check(lambda v: _is_number(v) and v >= 0, "must be >= 0")
+_NUMBERS = _check(_is_list, "must be a non-empty list of numbers")
+_NUMBER_OR_LIST = _check(lambda v: _is_number(v) or _is_list(v),
+                         "must be a number or a list of numbers")
+_FLAG = _check(lambda v: isinstance(v, bool), "must be true or false")
+
+_LAW_KINDS = _Variants({
+    "constant": {"value": ([1.0], _NUMBER_OR_LIST)},
+    "uniform": {"low": ([-1.0], _NUMBER_OR_LIST),
+                "high": ([1.0], _NUMBER_OR_LIST)},
+    "gaussian": {"mean": ([0.0], _NUMBER_OR_LIST),
+                 "scale": ([1.0], _NUMBER_OR_LIST)},
+})
+_DRIVERS = _Variants({
+    "levy": {
+        "seed": (0, _integer(0, 2 ** 64 - 1)),
+        "dimension": (1, _integer(1)),
+        "brownian_scale": (1.0, _NUMBER_OR_LIST),
+        "drift": (0.0, _NUMBER_OR_LIST),
+        "jump_intensity": (0.0, _NON_NEGATIVE),
+        "jump_law": (_OPTIONAL, {"kind": (_REQUIRED, _LAW_KINDS)}),
+    },
+    "deterministic": {
+        "ramp_to": ([1.0], _NUMBERS),
+        "jumps": ([], [{"time": (_REQUIRED, _POSITIVE),
+                        "size": (_REQUIRED, _NUMBERS)}]),
+    },
+})
+# each scenario's keys: defaults (ivk-commuting's x0 is [1.0] * dimension)
+# and checks, none for a key the scenario does not read
+_BASE = {"x0": ([1.0, 0.0], _NUMBERS), "horizontal_dim": (_OPTIONAL, None),
+         "fields": ({}, {}), "probes": (_OPTIONAL, None),
+         "mesh": ({}, {"radii": (_OPTIONAL, None), "shape": (_OPTIONAL, None)})}
+_SCENARIOS = {
+    "rotation": {**_BASE, "horizontal_dim": (1, _integer(1))},
+    "custom-linear": {**_BASE, "x0": (_REQUIRED, _NUMBERS),
+                      "horizontal_dim": (1, _integer(1)),
+                      "fields": ({}, {"matrices": (_REQUIRED, _matrices())})},
+    "sphere-tangent": _BASE,
+    "radial-linear": {
+        **_BASE,
+        "fields": ({}, {"matrices": ([[[0.25, 0.1], [0.0, 0.15]]],
+                                     _matrices(2))}),
+        "mesh": ({}, {
+            "radii": ([0.5, 2.0], _check(lambda v: _is_list(v, 2),
+                                         "must be a list of 2 numbers")),
+            "shape": ([40, 40], _check(
+                lambda v: isinstance(v, list) and len(v) == 2
+                and all(_is_int(n, 3) for n in v) and v[0] * v[1] <= MAX_SIZE,
+                "must be 2 integers >= 3, at most %d nodes" % MAX_SIZE))}),
+        "probes": (_OPTIONAL, _check(
+            lambda v: v is None or isinstance(v, list) and len(v) > 0
+            and all(_is_list(q, 2) for q in v),
+            "must be a non-empty list of [x, y] points"))},
+    "ivk-commuting": {**_BASE, "x0": (_OPTIONAL, _NUMBERS), "fields": ({}, {
+        "outer_rate": (0.7, _NUMBER), "inner_rate": (0.4, _NUMBER),
+        "dimension": (1, _integer(1, math.isqrt(MAX_SIZE)))})},
+    "ivk-generic": {**_BASE, "x0": ([0.4, 0.2], _NUMBERS)},
+}
+_SCHEMA = {
+    "format_version": (1, _choice(1)),
+    "scenario": ("rotation", _choice(*_SCENARIOS)),
+    **dict.fromkeys(_BASE, (_OPTIONAL, None)),  # checked by _scenario
+    "driver": ({}, {"type": ("deterministic", _DRIVERS),
+                    "horizon": (1.0, _POSITIVE), "step": (0.01, _POSITIVE)}),
+    "solver": ({}, {"substeps": (64, _integer(1)), "use_expm": (True, _FLAG),
+                    "record_jacobian": (False, _FLAG)}),
+    "geometry": ({}, {"eps_det": (1e-12, _NON_NEGATIVE),
+                      "cond_cap": (1e8, _POSITIVE)}),
+    "ladder": (3, _integer(1, 8)),
+    "snapshot_stride": (10, _integer(1)),
+    "ensemble": (_OPTIONAL, {
+        "n_paths": (_REQUIRED, _integer(1)),
+        "observable": ("none", _choice("none", "norm", "first"))}),
+}
+
+
+def _walk(raw, table, path=""):
+    """``raw`` checked against one section of a table, defaults filled."""
+    _expect(isinstance(raw, dict), path or "config", "must be a mapping")
+    prefix = path + "." if path else ""
+    table = dict(table)
+    for key, (default, check) in list(table.items()):
+        if isinstance(check, _Variants):
+            pick = raw.get(key, default)
+            _expect(isinstance(pick, str) and pick in check, prefix + key,
+                    "must be one of %s" % ", ".join(check))
+            table.update(check[pick])
+    for key in raw:
+        _expect(key in table, "%s%s" % (prefix, key),
+                "unknown key (expected %s)" % (", ".join(table) or "none"))
+    out = {}
+    for key, (default, check) in table.items():
+        where = prefix + key
+        if key in raw:
+            val = raw[key]
+        elif default is _OPTIONAL:
+            continue
+        else:
+            _expect(default is not _REQUIRED, where, "required")
+            val = copy.deepcopy(default)
+        if isinstance(check, list):
+            _expect(isinstance(val, list), where, "must be a list")
+            val = [_walk(item, check[0], "%s[%d]" % (where, i))
+                   for i, item in enumerate(val)]
+        elif isinstance(check, dict) and not isinstance(check, _Variants):
+            val = _walk(val, check, where)
+        elif callable(check):
+            check(val, where)
+        out[key] = val
+    return out
 
 
 def load_config(path: str) -> dict:
@@ -121,141 +225,98 @@ def load_config(path: str) -> dict:
         mark = getattr(exc, "problem_mark", None)
         where = " (line %d)" % (mark.line + 1) if mark else ""
         raise ConfigError("invalid YAML%s: %s" % (where, exc))
-    _expect(isinstance(raw, dict), "config", "top level must be a mapping")
     return normalize_config(raw)
 
 
 def normalize_config(raw: dict) -> dict:
     """Fill defaults and validate; the result round-trips through YAML."""
-    _only(raw, "", _TOP_KEYS, "a top-level")
-    cfg = _merge(_DEFAULTS, raw)
-    _expect(cfg.get("format_version") == 1, "format_version",
-            "only version 1 is supported")
-    _expect(cfg.get("scenario") in SCENARIOS, "scenario",
-            "must be one of %s" % (SCENARIOS,))
+    cfg = _walk(raw, _SCHEMA)
+    _check_across(cfg)
+    return cfg
+
+
+def apply_overrides(cfg: dict, seed=None, ladder=None) -> None:
+    """Apply ``--seed`` and ``--ladder``, checked as the table checks
+    ``driver.seed`` and ``ladder``, to a normalized config."""
+    if seed is not None:
+        _DRIVERS["levy"]["seed"][1](seed, "--seed")
+        cfg["_seed_override"] = seed
+    if ladder is not None:
+        _SCHEMA["ladder"][1](ladder, "--ladder")
+        cfg["ladder"] = ladder
+
+
+def _check_across(cfg):
+    """The rules that relate keys to each other, on a walked config."""
     drv = cfg["driver"]
-    _expect(isinstance(drv, dict), "driver", "must be a mapping")
-    _expect(drv.get("type") in tuple(_DRIVER_KEYS), "driver.type",
-            "must be 'levy' or 'deterministic'")
-    _only(drv, "driver.", _DRIVER_KEYS[drv["type"]], "a %s driver" % drv["type"])
-    horizon = _num(drv, "driver", "horizon", positive=True)
-    step = _num(drv, "driver", "step", positive=True)
+    horizon, step = drv["horizon"], drv["step"]
     _expect(step <= horizon, "driver.step", "must not exceed the horizon")
-    if drv["type"] == "levy":
-        drv.setdefault("seed", 0)
-        drv.setdefault("dimension", 1)
-        drv.setdefault("brownian_scale", 1.0)
-        drv.setdefault("drift", 0.0)
-        drv.setdefault("jump_intensity", 0.0)
-        _expect(isinstance(drv["seed"], int) and 0 <= drv["seed"] < 2 ** 64,
-                "driver.seed", "must be an unsigned 64-bit integer")
-        m = _int(drv["dimension"], "driver.dimension")
+    _expect(horizon / step <= MAX_SIZE, "driver.horizon",
+            "must be at most %d steps (horizon / step)" % MAX_SIZE)
+    levy = drv["type"] == "levy"
+    if levy:
+        m = drv["dimension"]
+        law = drv.get("jump_law", {})
         for key in ("brownian_scale", "drift"):
-            val = drv[key]
-            _expect(_is_number(val) or isinstance(val, list) and len(val) == m
-                    and all(_is_number(v) for v in val), "driver." + key,
-                    "must be a number or a list of %d numbers "
-                    "(driver.dimension)" % m)
-        _expect(_is_number(drv["jump_intensity"]) and drv["jump_intensity"] >= 0,
-                "driver.jump_intensity", "must be a number >= 0")
-        if drv.get("jump_intensity", 0.0):
-            _expect(isinstance(drv.get("jump_law"), dict), "driver.jump_law",
-                    "required when jump_intensity > 0")
-        if drv.get("jump_law"):
-            jump_law_from(drv["jump_law"], drv["dimension"])
+            _expect(not isinstance(drv[key], list) or len(drv[key]) == m,
+                    "driver." + key, "must be a number or a list of %d "
+                    "numbers (driver.dimension)" % m)
+        for key in _LAW_KINDS.get(law.get("kind"), ()):
+            _expect(len(law[key]) == m if isinstance(law[key], list) else m == 1,
+                    "driver.jump_law." + key,
+                    "must be a list of %d numbers (driver.dimension)" % m)
+        _expect(law or drv["jump_intensity"] == 0, "driver.jump_law",
+                "required when jump_intensity > 0")
+        _expect(drv["jump_intensity"] * horizon <= MAX_SIZE,
+                "driver.jump_intensity", "must expect at most %d jumps "
+                "(jump_intensity * horizon)" % MAX_SIZE)
     else:
-        drv.setdefault("ramp_to", [1.0])
-        ramp = drv["ramp_to"]
-        _expect(isinstance(ramp, list) and ramp
-                and all(_is_number(v) for v in ramp),
-                "driver.ramp_to", "must be a non-empty list of numbers")
-        drv.setdefault("jumps", [])
-        _expect(isinstance(drv["jumps"], list), "driver.jumps",
-                "must be a list of jumps")
+        m = len(drv["ramp_to"])
+        taken = set()
         for j, jump in enumerate(drv["jumps"]):
             where = "driver.jumps[%d]" % j
-            _expect(isinstance(jump, dict), where, "must be a mapping")
-            _only(jump, where + ".", ("time", "size"), "a jump")
-            t = _num(jump, where, "time", positive=True)
-            _expect(t <= horizon, where + ".time", "must lie in (0, horizon]")
-            frac = t / step
-            _expect(abs(frac - round(frac)) < 1e-9, where + ".time",
-                    "must fall on the step grid")
-            _numbers(jump.get("size"), where + ".size", len(ramp),
-                     " (the driver dimension)")
-    for key in ("solver", "geometry"):
-        _expect(isinstance(cfg[key], dict), key, "must be a mapping")
-        _only(cfg[key], key + ".", tuple(_DEFAULTS[key]), "a " + key)
-    # the split rule's thresholds (see GeometryConfig)
-    _expect(_num(cfg["geometry"], "geometry", "eps_det") >= 0,
-            "geometry.eps_det", "must be >= 0")
-    _num(cfg["geometry"], "geometry", "cond_cap", positive=True)
-    sol = cfg["solver"]
-    _int(sol.get("substeps"), "solver.substeps")
-    for key in ("use_expm", "record_jacobian"):
-        _expect(isinstance(sol.get(key), bool), "solver." + key,
-                "must be true or false")
-    _expect(isinstance(cfg.get("ladder"), int) and 1 <= cfg["ladder"] <= 8,
-            "ladder", "must be an integer in [1, 8]")
-    _int(cfg.get("snapshot_stride"), "snapshot_stride")
-    if "ensemble" in cfg:
-        ens = cfg["ensemble"]
-        _expect(isinstance(ens, dict), "ensemble", "must be a mapping")
-        _only(ens, "ensemble.", ("n_paths", "observable"), "an ensemble")
-        _int(ens.get("n_paths"), "ensemble.n_paths")
-        ens.setdefault("observable", "none")
-        _expect(ens["observable"] in ("none", "norm", "first"),
-                "ensemble.observable", "must be none, norm or first")
-    return cfg
+            _expect(jump["time"] <= horizon, where + ".time",
+                    "must lie in (0, horizon]")
+            k = round(jump["time"] / step)
+            _expect(k >= 1 and abs(jump["time"] / step - k) < 1e-9
+                    and k not in taken, where + ".time",
+                    "must be a multiple of step no other jump has")
+            taken.add(k)
+            _expect(len(jump["size"]) == m, where + ".size",
+                    "must be a list of %d numbers (the driver dimension)" % m)
+    full, fields, _ = _scenario(cfg)
+    _expect(len(full["x0"]) == fields.dimension, "x0", "must be a list of "
+            "%d numbers (the state dimension)" % fields.dimension)
+    _expect(m == fields.count, "driver.dimension" if levy else "driver.ramp_to",
+            "must match the scenario's %d driving field(s)" % fields.count)
+    if cfg["scenario"] == "radial-linear":
+        inner, outer = full["mesh"]["radii"]
+        _expect(0 < inner < outer, "mesh.radii",
+                "must be an inner and an outer radius, 0 < inner < outer")
+    if levy:
+        build_path_params(cfg)  # the jump law's own rules (low <= high, ...)
 
 
 def dump_config(cfg: dict) -> str:
     return yaml.safe_dump(cfg, sort_keys=True, default_flow_style=None)
 
 
-# each jump law kind's documented keys, with their defaults
-_JUMP_LAWS = {
-    "constant": (JumpLaw.constant, {"value": [1.0]}),
-    "uniform": (JumpLaw.uniform, {"low": [-1.0], "high": [1.0]}),
-    "gaussian": (JumpLaw.gaussian, {"mean": [0.0], "scale": [1.0]}),
-}
-
-
-def jump_law_from(cfg_law, dimension: int) -> JumpLaw:
-    """The jump law of a ``driver.jump_law`` mapping for an m-dim driver."""
-    _expect(isinstance(cfg_law, dict), "driver.jump_law", "must be a mapping")
-    kind = cfg_law.get("kind")
-    _expect(kind in _JUMP_LAWS, "driver.jump_law.kind",
-            "must be constant, uniform or gaussian")
-    make, defaults = _JUMP_LAWS[kind]
-    _only(cfg_law, "driver.jump_law.", ("kind",) + tuple(defaults),
-          "a %s law" % kind)
-    args = []
-    for key, default in defaults.items():
-        val = cfg_law.get(key, default)
-        val = val if isinstance(val, list) else [val]  # a 1-D law's number
-        args.append(_numbers(val, "driver.jump_law.%s" % key, dimension,
-                             " (driver.dimension)"))
-    try:
-        return make(*args)
-    except ValueError as exc:
-        raise ConfigError("driver.jump_law: %s" % exc)
-
-
 def build_path_params(cfg: dict, seed_override=None) -> PathParams:
     """Sampling parameters of the config's levy driver."""
     drv = cfg["driver"]
-    law = (jump_law_from(drv["jump_law"], int(drv.get("dimension", 1)))
-           if drv.get("jump_law") else None)
+    law = drv.get("jump_law")
+    if law is not None:
+        try:
+            law = getattr(JumpLaw, law["kind"])(
+                *(law[key] for key in _LAW_KINDS[law["kind"]]))
+        except ValueError as exc:
+            raise ConfigError("driver.jump_law: %s" % exc)
     return PathParams(
         horizon=float(drv["horizon"]), step=float(drv["step"]),
-        brownian_scale=drv.get("brownian_scale", 1.0),
-        drift=drv.get("drift", 0.0),
-        jump_intensity=drv.get("jump_intensity", 0.0),
-        jump_law=law,
-        seed=int(seed_override if seed_override is not None
-                 else drv.get("seed", 0)),
-        dimension=int(drv.get("dimension", 1)))
+        brownian_scale=drv["brownian_scale"], drift=drv["drift"],
+        jump_intensity=drv["jump_intensity"], jump_law=law,
+        seed=int(drv["seed"] if seed_override is None else seed_override),
+        dimension=int(drv["dimension"]))
 
 
 def build_driver(cfg: dict, seed_override=None):
@@ -269,7 +330,7 @@ def build_driver(cfg: dict, seed_override=None):
     # jump times are validated multiples of step: snap each to its grid point
     jumps = [(float(grid[round(j["time"] / step)]),
               np.asarray(j["size"], dtype=float))
-             for j in drv.get("jumps", [])]
+             for j in drv["jumps"]]
     jumps.sort(key=lambda item: item[0])
     return deterministic_path(grid, values, jumps)
 
@@ -296,16 +357,13 @@ def _constant_jacobian(M):
 
 def _sphere_tangent_fields() -> VectorFieldSet:
     def x1(p):
-        p = np.asarray(p, dtype=float)
         return _vec2(-p[..., 1], p[..., 0])
 
     def x2(p):
-        p = np.asarray(p, dtype=float)
         s = np.sin(p[..., 0])
         return _vec2(-p[..., 1] * s, p[..., 0] * s)
 
     def j2(p):
-        p = np.asarray(p, dtype=float)
         s, c = np.sin(p[..., 0]), np.cos(p[..., 0])
         J = np.zeros(p.shape[:-1] + (2, 2))
         J[..., 0, 0] = -p[..., 1] * c
@@ -314,77 +372,71 @@ def _sphere_tangent_fields() -> VectorFieldSet:
         return J
 
     j1 = _constant_jacobian([[0.0, -1.0], [1.0, 0.0]])
-    return VectorFieldSet.from_callables(2, [x1, x2], [j1, j2],
-                                         vectorized=True)
+    return VectorFieldSet.from_callables(2, [x1, x2], [j1, j2])
 
 
 def _ivk_generic_fields():
     def outer1(p):
-        p = np.asarray(p, dtype=float)
         return _vec2(np.sin(p[..., 1]), p[..., 0])
 
     def outer_j1(p):
-        p = np.asarray(p, dtype=float)
         J = np.zeros(p.shape[:-1] + (2, 2))
         J[..., 0, 1] = np.cos(p[..., 1])
         J[..., 1, 0] = 1.0
         return J
 
     def outer2(p):
-        p = np.asarray(p, dtype=float)
         return _vec2(0.3 * p[..., 1], -0.2 * p[..., 0])
 
     def inner1(p):
-        p = np.asarray(p, dtype=float)
         return _vec2(p[..., 1], -0.5 * p[..., 0])
 
     def inner2(p):
-        p = np.asarray(p, dtype=float)
         return _vec2(0.2 * p[..., 0], 0.3 * p[..., 1])
 
     outer = VectorFieldSet.from_callables(
         2, [outer1, outer2],
-        [outer_j1, _constant_jacobian([[0.0, 0.3], [-0.2, 0.0]])],
-        vectorized=True)
+        [outer_j1, _constant_jacobian([[0.0, 0.3], [-0.2, 0.0]])])
     inner = VectorFieldSet.from_callables(
         2, [inner1, inner2], [_constant_jacobian([[0.0, 1.0], [-0.5, 0.0]]),
-                              _constant_jacobian([[0.2, 0.0], [0.0, 0.3]])],
-        vectorized=True)
+                              _constant_jacobian([[0.2, 0.0], [0.0, 0.3]])])
     return outer, inner
 
 
 def _radial_pair() -> ComplementaryPair:
     def tangent(p):
-        p = np.asarray(p, dtype=float)
         return _vec2(-p[..., 1], p[..., 0])[..., :, None]
 
     def radial(p):
-        p = np.asarray(p, dtype=float)
         return p[..., :, None]
 
-    horizontal = Distribution(2, 1, tangent, vectorized=True)
-    vertical = Distribution(2, 1, radial, vectorized=True)
-    return ComplementaryPair(horizontal, vertical)
+    return ComplementaryPair(Distribution(2, 1, tangent),
+                             Distribution(2, 1, radial))
 
 
-def _matrices_from(fields_cfg, default=None, n=None):
-    """``fields.matrices``: a non-empty (m, n, n) list of finite numbers."""
-    mats = fields_cfg.get("matrices", default)
-    try:
-        arr = np.asarray(mats, dtype=float)
-    except (TypeError, ValueError):
-        arr = np.empty(0)
-    _expect(isinstance(mats, list) and arr.ndim == 3 and arr.shape[0] >= 1
-            and arr.shape[1] == arr.shape[2] and (n is None or arr.shape[1] == n)
-            and np.all(np.isfinite(arr)), "fields.matrices",
-            "must be a non-empty list of %s matrices of numbers"
-            % ("square" if n is None else "%dx%d" % (n, n)))
-    return arr
-
-
-def _x0(cfg, default, n):
-    """The config's x0, or the scenario's default, as an n-vector."""
-    return _numbers(cfg.get("x0", default), "x0", n, " (the state dimension)")
+def _scenario(cfg):
+    """(the keys the config's scenario reads, checked and with its defaults
+    filled in; its driving fields; the inner fields of an ivk-* scenario)."""
+    scenario = cfg["scenario"]
+    table = _SCENARIOS[scenario]
+    full = _walk({key: cfg[key] for key in table if key in cfg}, table)
+    fields_cfg, inner = full["fields"], None
+    if scenario == "sphere-tangent":
+        fields = _sphere_tangent_fields()
+    elif scenario == "ivk-generic":
+        fields, inner = _ivk_generic_fields()
+    elif scenario == "ivk-commuting":
+        eye = np.eye(fields_cfg["dimension"])
+        fields, inner = (VectorFieldSet.linear(np.array([float(rate) * eye]))
+                         for rate in (fields_cfg["outer_rate"],
+                                      fields_cfg["inner_rate"]))
+        if "x0" not in full:
+            full["x0"] = [1.0] * fields_cfg["dimension"]
+    else:
+        mats = ([[[0.0, -1.0], [1.0, 0.0]]] if scenario == "rotation"
+                else fields_cfg["matrices"])
+        fields = VectorFieldSet.linear(np.asarray(mats, dtype=float))
+    return full, fields, inner
 
 
 def build_problem(cfg: dict) -> dict:
@@ -392,80 +444,30 @@ def build_problem(cfg: dict) -> dict:
 
     Returns a dict with scenario-dependent keys: always ``kind``, ``fields``
     and ``x0``; linear scenarios add ``matrices`` and ``horizontal_dim``,
-    the mesh scenario ``pair``/``chart``/``probes``, the verification
-    scenarios ``inner_fields``.
+    the mesh scenario ``matrices``/``pair``/``chart``/``probes``, the
+    verification scenarios ``inner_fields``.
     """
     scenario = cfg["scenario"]
-    fields_cfg, mesh_cfg = cfg.get("fields", {}), cfg.get("mesh", {})
-    for key, val in (("fields", fields_cfg), ("mesh", mesh_cfg)):
-        _expect(isinstance(val, dict), key, "must be a mapping")
-    _only(fields_cfg, "fields.", _FIELD_KEYS.get(scenario, ()),
-          "a %s fields" % scenario)
-    _only(mesh_cfg, "mesh.", _MESH_KEYS, "a mesh")
-    out = {"scenario": scenario}
-
-    if scenario == "rotation":
-        mats = np.array([[[0.0, -1.0], [1.0, 0.0]]])
-        out.update(kind="linear", matrices=mats,
-                   fields=VectorFieldSet.linear(mats),
-                   x0=_x0(cfg, [1.0, 0.0], 2),
-                   horizontal_dim=_int(cfg.get("horizontal_dim", 1),
-                                       "horizontal_dim"))
-    elif scenario == "custom-linear":
-        mats = _matrices_from(fields_cfg)
-        out.update(kind="linear", matrices=mats,
-                   fields=VectorFieldSet.linear(mats),
-                   x0=_x0(cfg, None, mats.shape[1]),
-                   horizontal_dim=_int(cfg.get("horizontal_dim", 1),
-                                       "horizontal_dim"))
-    elif scenario == "sphere-tangent":
-        out.update(kind="nonlinear", fields=_sphere_tangent_fields(),
-                   x0=_x0(cfg, [1.0, 0.0], 2))
+    full, fields, inner = _scenario(cfg)
+    out = {"scenario": scenario, "fields": fields,
+           "x0": np.asarray(full["x0"], dtype=float)}
+    if inner is not None:
+        out.update(kind="ivk", inner_fields=inner)
     elif scenario == "radial-linear":
-        mats = _matrices_from(fields_cfg, [[[0.25, 0.1], [0.0, 0.15]]], 2)
-        radii = _numbers(mesh_cfg.get("radii", [0.5, 2.0]), "mesh.radii", 2)
-        _expect(0 < radii[0] < radii[1], "mesh.radii",
-                "must be an inner and an outer radius, 0 < inner < outer")
-        shape = mesh_cfg.get("shape", [40, 40])
-        _expect(isinstance(shape, list) and len(shape) == 2, "mesh.shape",
-                "must be a list of 2 integers")
-        chart = MeshChart.annulus(tuple(radii), tuple(
-            _int(v, "mesh.shape", low=3) for v in shape))
-        probes = cfg.get("probes")
+        probes = full.get("probes")
         if probes is None:
             angles = np.linspace(0, 2 * np.pi, 8, endpoint=False)
             probes = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-        else:
-            _expect(isinstance(probes, list) and probes, "probes",
-                    "must be a non-empty list of points")
-            probes = [_numbers(q, "probes", 2) for q in probes]
-        out.update(kind="mesh", matrices=mats,
-                   fields=VectorFieldSet.linear(mats),
-                   x0=_x0(cfg, [1.0, 0.0], 2),
-                   pair=_radial_pair(), chart=chart,
+        mesh = full["mesh"]
+        out.update(kind="mesh", matrices=fields.matrices, pair=_radial_pair(),
+                   chart=MeshChart.annulus(tuple(map(float, mesh["radii"])),
+                                           tuple(mesh["shape"])),
                    probes=np.asarray(probes, dtype=float))
-    elif scenario == "ivk-commuting":
-        a = _num(fields_cfg, "fields", "outer_rate", default=0.7)
-        b = _num(fields_cfg, "fields", "inner_rate", default=0.4)
-        dim = _int(fields_cfg.get("dimension", 1), "fields.dimension")
-        outer = VectorFieldSet.linear(np.array([a * np.eye(dim)]))
-        inner = VectorFieldSet.linear(np.array([b * np.eye(dim)]))
-        out.update(kind="ivk", fields=outer, inner_fields=inner,
-                   x0=_x0(cfg, [1.0] * dim, dim),
-                   outer_rate=a, inner_rate=b)
-    elif scenario == "ivk-generic":
-        outer, inner = _ivk_generic_fields()
-        out.update(kind="ivk", fields=outer, inner_fields=inner,
-                   x0=_x0(cfg, [0.4, 0.2], 2))
+    elif fields.is_linear:
+        out.update(kind="linear", matrices=fields.matrices,
+                   horizontal_dim=full["horizontal_dim"])
     else:
-        raise ConfigError("scenario: unknown scenario %r" % scenario)
-    drv = cfg.get("driver")  # absent when only a scenario's fields are wanted
-    if drv is not None:
-        count = out["fields"].count
-        levy = drv["type"] == "levy"
-        _expect((drv["dimension"] if levy else len(drv["ramp_to"])) == count,
-                "driver.dimension" if levy else "driver.ramp_to",
-                "must match the scenario's %d driving field(s)" % count)
+        out.update(kind="nonlinear")
     return out
 
 
@@ -473,9 +475,7 @@ def build_marcus_config(cfg: dict) -> MarcusConfig:
     sol = cfg["solver"]
     ode = OdeConfig(substeps=int(sol["substeps"]),
                     use_expm=bool(sol["use_expm"]))
-    return MarcusConfig(ode=ode,
-                        record_jacobian=bool(sol.get("record_jacobian",
-                                                     False)))
+    return MarcusConfig(ode=ode, record_jacobian=bool(sol["record_jacobian"]))
 
 
 def build_geometry_config(cfg: dict) -> GeometryConfig:

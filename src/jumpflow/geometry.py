@@ -41,15 +41,15 @@ DEFAULT_GEOMETRY = GeometryConfig()
 
 
 class Distribution:
-    """Rank-k subbundle of R^n given by a full-column-rank basis map."""
+    """Rank-k subbundle of R^n given by a full-column-rank basis map, which
+    broadcasts over leading axes ((..., n) -> (..., n, k))."""
 
-    def __init__(self, dimension, rank, basis_fn, vectorized=False):
+    def __init__(self, dimension, rank, basis_fn):
         self.dimension = int(dimension)
         self.rank = int(rank)
         if not (1 <= self.rank <= self.dimension):
             raise ValueError("rank must be between 1 and the dimension")
         self._basis_fn = basis_fn
-        self.vectorized = bool(vectorized)
 
     @classmethod
     def constant(cls, basis):
@@ -57,23 +57,19 @@ class Distribution:
         if B.ndim != 2:
             raise ValueError("constant basis must be an (n, k) array")
         return cls(B.shape[0], B.shape[1],
-                   lambda x, _B=B: np.broadcast_to(_B, np.shape(x)[:-1] + _B.shape),
-                   vectorized=True)
+                   lambda x, _B=B: np.broadcast_to(_B, np.shape(x)[:-1] + _B.shape))
 
     def basis(self, x) -> np.ndarray:
-        """(n, k) basis at a single point (columns span the fiber)."""
+        """(..., n, k) basis at each point of x (..., n); the columns span
+        the fiber."""
         B = np.asarray(self._basis_fn(np.asarray(x, dtype=float)), dtype=float)
         if B.shape[-2:] != (self.dimension, self.rank):
             raise ValueError("basis map returned the wrong shape")
         return B
 
     def basis_batch(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if self.vectorized:
-            return self.basis(X)
-        flat = X.reshape(-1, self.dimension)
-        out = np.stack([self.basis(p) for p in flat])
-        return out.reshape(X.shape[:-1] + (self.dimension, self.rank))
+        """``basis`` at a batch of points."""
+        return self.basis(X)
 
 
 @dataclass(frozen=True)
@@ -163,9 +159,9 @@ def split_frame(S, rhs, geo: GeometryConfig = DEFAULT_GEOMETRY):
                        * np.linalg.norm(S[..., :, 1], axis=-1))
             fro2 = np.sum(S * S, axis=(-2, -1))
             disc = np.sqrt(np.maximum(fro2 * fro2 - 4 * det * det, 0.0))
-            sig_hi = np.sqrt((fro2 + disc) / 2)
-            sig_lo = np.sqrt(np.maximum((fro2 - disc) / 2, 1e-300))
-            cond = sig_hi / sig_lo
+            # sig_hi / sig_lo = sig_hi^2 / |det|: sig_lo^2 = (fro2 - disc) / 2
+            # would cancel
+            cond = (fro2 + disc) / (2 * np.abs(det))
         elif np.isfinite(S).all():
             det = np.linalg.det(S)
             colnorm = np.prod(np.linalg.norm(S, axis=-2), axis=-1)
@@ -174,19 +170,19 @@ def split_frame(S, rhs, geo: GeometryConfig = DEFAULT_GEOMETRY):
             det = colnorm = cond = np.full(S.shape[:-2], np.nan)
         scaled = np.abs(det) / np.maximum(colnorm, 1e-300)
         worst_det, worst_cond = float(np.min(scaled)), float(np.max(cond))
-    if not (np.isfinite(det).all() and worst_det > geo.eps_det
-            and worst_cond < geo.cond_cap):
-        raise DegeneracyError("transversal frame degenerated",
-                              det=worst_det, condition=worst_cond)
-    if closed:
-        inv_det = 1.0 / det
-        c0 = (S[..., 1, 1] * rhs[..., 0] - S[..., 0, 1] * rhs[..., 1]) * inv_det
-        c1 = (S[..., 0, 0] * rhs[..., 1] - S[..., 1, 0] * rhs[..., 0]) * inv_det
-        coeff = np.stack([c0, c1], axis=-1)
-    else:
-        b = rhs[..., None]
-        c = np.linalg.solve(S, b)
-        coeff = (c + np.linalg.solve(S, b - S @ c))[..., 0]
+        if not (np.isfinite(det).all() and worst_det > geo.eps_det
+                and worst_cond < geo.cond_cap):
+            raise DegeneracyError("transversal frame degenerated",
+                                  det=worst_det, condition=worst_cond)
+        if closed:
+            inv_det = 1.0 / det
+            c0 = (S[..., 1, 1] * rhs[..., 0] - S[..., 0, 1] * rhs[..., 1]) * inv_det
+            c1 = (S[..., 0, 0] * rhs[..., 1] - S[..., 1, 0] * rhs[..., 0]) * inv_det
+            coeff = np.stack([c0, c1], axis=-1)
+        else:
+            b = rhs[..., None]
+            c = np.linalg.solve(S, b)
+            coeff = (c + np.linalg.solve(S, b - S @ c))[..., 0]
     return coeff, worst_det, worst_cond
 
 

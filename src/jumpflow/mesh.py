@@ -188,8 +188,9 @@ def interp_mesh(chart: MeshChart, values, queries, derivative: bool = False):
     u1 = (queries[:, 1] - chart.coords1[0]) / d1
     if chart.periodic[1]:
         u1 = np.mod(u1, C)
-    i0 = np.floor(u0).astype(int)
-    i1 = np.floor(u1).astype(int)
+    with np.errstate(invalid="ignore"):  # a non-finite query stays NaN
+        i0 = np.floor(u0).astype(int)
+        i1 = np.floor(u1).astype(int)
     f0 = u0 - i0
     f1 = u1 - i1
     if chart.periodic[0]:
@@ -234,7 +235,8 @@ def invert_mesh_map(chart: MeshChart, values, targets, tol: float = 1e-10,
     R, C = chart.shape
     flat = values.reshape(-1, 2)
     grid = chart.chart_grid().reshape(-1, 2)
-    d2 = ((flat[None, :, :] - targets[:, None, :]) ** 2).sum(axis=2)
+    with np.errstate(over="ignore"):  # a far node is as good as inf
+        d2 = ((flat[None, :, :] - targets[:, None, :]) ** 2).sum(axis=2)
     seeds = grid[np.argmin(d2, axis=1)]
 
     coords = seeds.copy()

@@ -55,16 +55,16 @@ def expm(A) -> np.ndarray:
     return E.reshape(shape)
 
 
-def _fd_jacobian(fn, x, eps_base: float = 1e-6):
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    fx = np.asarray(fn(x), dtype=float)
-    J = np.empty((fx.shape[0], n))
+def _fd_jacobian(fn, X, eps_base: float = 1e-6):
+    """Central-difference Jacobian of ``fn`` at each point of X (..., n)."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[-1]
+    J = np.empty(X.shape + (n,))
     for j in range(n):
-        e = eps_base * (1.0 + abs(x[j]))
-        xp = x.copy(); xp[j] += e
-        xm = x.copy(); xm[j] -= e
-        J[:, j] = (np.asarray(fn(xp)) - np.asarray(fn(xm))) / (2 * e)
+        e = eps_base * (1.0 + np.abs(X[..., j]))
+        step = np.zeros_like(X)
+        step[..., j] = e
+        J[..., j] = (fn(X + step) - fn(X - step)) / (2 * e[..., None])
     return J
 
 
@@ -72,15 +72,14 @@ class VectorFieldSet:
     """m vector fields on R^n with value and Jacobian access.
 
     Linear sets carry their matrices explicitly (``matrices`` is (m, n, n))
-    which unlocks exact exponential jumps.  Nonlinear sets supply callables;
-    with ``vectorized=True`` the callables must broadcast over leading axes
-    ((..., n) -> (..., n) values, (..., n) -> (..., n, n) Jacobians), which
-    the batched solvers exploit; a value of any other shape than its points'
-    raises ValueError.  Missing Jacobians fall back to finite differences.
+    which unlocks exact exponential jumps.  Nonlinear sets supply callables
+    that broadcast over leading axes ((..., n) -> (..., n) values,
+    (..., n) -> (..., n, n) Jacobians); a value of any other shape than its
+    points' raises ValueError.  Missing Jacobians fall back to central
+    differences.
     """
 
-    def __init__(self, dimension, evals=None, jacobians=None, matrices=None,
-                 vectorized=False):
+    def __init__(self, dimension, evals=None, jacobians=None, matrices=None):
         self.dimension = int(dimension)
         if matrices is not None:
             mats = np.asarray(matrices, dtype=float)
@@ -90,7 +89,6 @@ class VectorFieldSet:
             self.count = mats.shape[0]
             self._evals = None
             self._jacs = None
-            self.vectorized = True
             return
         if not evals:
             raise ValueError("need either matrices or eval callables")
@@ -103,34 +101,18 @@ class VectorFieldSet:
             self._jacs = list(jacobians)
             if len(self._jacs) != self.count:
                 raise ValueError("one jacobian per field (or None)")
-        self.vectorized = bool(vectorized)
 
     @classmethod
     def linear(cls, matrices):
         return cls(dimension=np.asarray(matrices[0]).shape[0], matrices=matrices)
 
     @classmethod
-    def from_callables(cls, dimension, evals, jacobians=None, vectorized=False):
-        return cls(dimension=dimension, evals=evals, jacobians=jacobians,
-                   vectorized=vectorized)
+    def from_callables(cls, dimension, evals, jacobians=None):
+        return cls(dimension=dimension, evals=evals, jacobians=jacobians)
 
     @property
     def is_linear(self) -> bool:
         return self.matrices is not None
-
-    def eval(self, i: int, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.is_linear:
-            return self.matrices[i] @ x
-        return np.asarray(self._evals[i](x), dtype=float)
-
-    def jacobian(self, i: int, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.is_linear:
-            return self.matrices[i]
-        if self._jacs[i] is not None:
-            return np.asarray(self._jacs[i](x), dtype=float)
-        return _fd_jacobian(self._evals[i], x)
 
     # --- batched access; X has shape (..., n) ---
 
@@ -139,29 +121,22 @@ class VectorFieldSet:
         X = np.asarray(X, dtype=float)
         if self.is_linear:
             return np.einsum("mij,...j->...im", self.matrices, X)
-        if self.vectorized:
-            out = np.empty(X.shape + (self.count,))
-            for i, f in enumerate(self._evals):
-                if np.shape(val := f(X)) != X.shape:
-                    raise ValueError("field %d: shape %s, not %s"
-                                     % (i, np.shape(val), X.shape))
-                out[..., i] = val
-            return out
-        flat = X.reshape(-1, self.dimension)
-        out = np.stack([np.stack([self.eval(i, p) for i in range(self.count)],
-                                 axis=-1) for p in flat])
-        return out.reshape(X.shape[:-1] + (self.dimension, self.count))
+        out = np.empty(X.shape + (self.count,))
+        for i, f in enumerate(self._evals):
+            if np.shape(val := f(X)) != X.shape:
+                raise ValueError("field %d: shape %s, not %s"
+                                 % (i, np.shape(val), X.shape))
+            out[..., i] = val
+        return out
 
     def jacobian_batch(self, i: int, X) -> np.ndarray:
         """Jacobian of field i at each point: (..., n, n)."""
         X = np.asarray(X, dtype=float)
         if self.is_linear:
             return np.broadcast_to(self.matrices[i], X.shape[:-1] + self.matrices[i].shape)
-        if self.vectorized and self._jacs[i] is not None:
+        if self._jacs[i] is not None:
             return np.asarray(self._jacs[i](X), dtype=float)
-        flat = X.reshape(-1, self.dimension)
-        out = np.stack([self.jacobian(i, p) for p in flat])
-        return out.reshape(X.shape[:-1] + (self.dimension, self.dimension))
+        return _fd_jacobian(self._evals[i], X)
 
     def combo_jacobian(self, X, weights) -> np.ndarray:
         """sum_i weights_i * DX_i at each point: (..., n, n)."""

@@ -265,12 +265,16 @@ def _levy_arrays(params: PathParams, seed: int, base: np.ndarray):
 
 def sample_levy_jump_diffusion(params: PathParams) -> JumpPath:
     """Draw one jump-diffusion driver path (see ``_levy_arrays``); raise
-    IntegrationFailure at its first grid time that overflowed to inf/NaN."""
+    IntegrationFailure at its first grid time whose value or left limit
+    overflowed to inf/NaN."""
     with np.errstate(over="ignore", invalid="ignore"):
         grid, cont, jump_times, jump_sizes = _levy_arrays(
             params, params.seed, _grid_for(params.horizon, params.step))
-    bad = ~np.isfinite(cont).all(axis=1)
-    bad[np.searchsorted(grid, jump_times)] |= ~np.isfinite(jump_sizes).all(axis=1)
+        at_grid = np.zeros_like(cont)
+        at_grid[np.searchsorted(grid, jump_times)] = jump_sizes
+        cum = np.cumsum(at_grid, axis=0)
+        bad = ~(np.isfinite(cont + cum)
+                & np.isfinite(cont + (cum - at_grid))).all(axis=1)
     if bad.any():
         t = float(grid[np.argmax(bad)])
         raise IntegrationFailure("driver path overflowed while sampling", time=t)

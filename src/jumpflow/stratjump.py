@@ -127,8 +127,9 @@ def marcus_integral(H, fields: VectorFieldSet, driver: JumpPath, g0,
         inc_ito[k] = h_left @ dzc[k]
         mid = 0.5 * (traj.post[k] + traj.pre[k + 1])
         acc = np.zeros(d)
+        F_mid = fields.field_matrix(mid)
         for j in range(m):
-            dh = _directional(H, dH, mid, fields.eval(j, mid), m)
+            dh = _directional(H, dH, mid, F_mid[:, j], m)
             acc += dh @ qv[k, :, j]
         inc_qv[k] += 0.5 * acc
         if mask[k + 1]:

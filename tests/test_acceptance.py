@@ -81,7 +81,7 @@ def test_criterion_2_circle_invariance_across_jumps(capsys):
         return np.sin(x[..., 0])[..., None] * np.stack(
             [-x[..., 1], x[..., 0]], axis=-1)
 
-    fields = VectorFieldSet.from_callables(2, [f1, f2], vectorized=True)
+    fields = VectorFieldSet.from_callables(2, [f1, f2])
     grid = np.linspace(0.0, 1.0, 501)
     rng = np.random.default_rng(5)
     cont = np.stack([0.4 * grid, 0.2 * np.sin(2 * np.pi * grid)], axis=1)
@@ -142,7 +142,7 @@ def test_criterion_4_degenerate_collapses(capsys):
     def y2(x):
         return np.stack([0.3 * x[..., 1], -0.2 * x[..., 0]], axis=-1)
 
-    inner = VectorFieldSet.from_callables(2, [y1, y2], vectorized=True)
+    inner = VectorFieldSet.from_callables(2, [y1, y2])
     grid = np.round(np.arange(0.0, 1.0 + 2.5e-3, 5e-3), 12)
     cont = np.stack([0.5 * grid, 0.3 * grid], axis=1)
     jumps = [(0.25, np.array([0.4, -0.2])), (0.75, np.array([-0.3, 0.3]))]
@@ -238,8 +238,8 @@ def test_criterion_7_annulus_decomposition_random_flows(capsys):
         return np.asarray(x, dtype=float)[..., None].copy()
 
     pair = ComplementaryPair(
-        horizontal=Distribution(2, 1, h_basis, vectorized=True),
-        vertical=Distribution(2, 1, v_basis, vectorized=True))
+        horizontal=Distribution(2, 1, h_basis),
+        vertical=Distribution(2, 1, v_basis))
 
     grid = np.round(np.arange(0.0, 1.0 + 2.5e-3, 5e-3), 12)
     driver = deterministic_path(grid, 0.5 * grid, [(0.5, 0.15)])

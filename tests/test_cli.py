@@ -2,15 +2,20 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from jumpflow import config
 from jumpflow.cli import main
-from jumpflow.config import build_problem, load_config
+from jumpflow.config import build_driver, build_problem, load_config
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -282,6 +287,25 @@ def test_overflowing_driver_sample_exits_3(tmp_path, capsys, seed):
     assert 0 < t <= 1.0 and abs(t / 0.02 - round(t / 0.02)) < 1e-9
 
 
+def test_overflowing_jump_sum_exits_3(tmp_path, capsys):
+    # each jump of 1e308 is finite, but the driver's running sum of them is
+    # not: the sample fails at the second jump, where the sum overflows
+    with open(_cfg("ivk_jump.yaml")) as fh:
+        cfg = yaml.safe_load(fh)
+    cfg["driver"]["jump_law"] = {"kind": "constant", "value": [1e308, 0.0]}
+    path = tmp_path / "simulate.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(path), "--out",
+                     str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("integration failure at t=")
+    t = float(err.split("at t=")[1].split(":")[0])
+    jump_times = build_driver(load_config(_cfg("ivk_jump.yaml"))).jump_times
+    assert abs(t - jump_times[1]) < 1e-6
+
+
 def test_overflowing_driver_samples_are_ensemble_failures(tmp_path, capsys):
     with open(_cfg("ensemble_linear.yaml")) as fh:
         cfg = yaml.safe_load(fh)
@@ -355,6 +379,35 @@ def test_shipped_and_benchmark_configs_load(tmp_path):
     assert len(paths) > len(os.listdir(CONFIGS))
     for path in paths:
         build_problem(load_config(path))
+
+
+def _table_keys(table):
+    """Every key of a schema table, with its sections' and variants'."""
+    keys = set(table)
+    for _, check in table.values():
+        if isinstance(check, config._Variants):
+            subs = check.values()
+        elif isinstance(check, list):
+            subs = check
+        else:
+            subs = [check] if isinstance(check, dict) else []
+        for sub in subs:
+            keys |= _table_keys(sub)
+    return keys
+
+
+def test_readme_schema_block_names_every_table_key():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("## Config schema\n\n```yaml\n")[1].split("```")[0]
+    # a key starts a (possibly commented-out) line or a flow-mapping entry
+    named = set(re.findall(r"(?m)^\s*(?:#\s*)?(?:-\s*)?([A-Za-z_]\w*):(?:\s|$)",
+                           block))
+    named |= set(re.findall(r"[{,]\s*([A-Za-z_]\w*):\s", block))
+    keys = _table_keys(config._SCHEMA)
+    for table in config._SCENARIOS.values():
+        keys |= _table_keys(table)
+    assert named == keys
 
 
 def _ivk_generic_levy(**driver):
@@ -444,6 +497,15 @@ def _rotation(geometry=None, **driver):
     ("decompose", _rotation({"eps_det": -1.0}), "geometry.eps_det"),
     ("decompose", _rotation({"cond_cap": "abc"}), "geometry.cond_cap"),
     ("decompose", _rotation({"cond_cap": 0.0}), "geometry.cond_cap"),
+    ("verify-ivk", _ivk_generic_levy(jump_law={"kind": []}),
+     "driver.jump_law.kind"),
+    ("verify-ivk", _ivk_generic_levy(jump_law={}), "driver.jump_law.kind"),
+    ("simulate", _rotation(horizon=1e308), "driver.horizon"),
+    ("verify-ivk", _ivk_generic_levy(jump_intensity=1e308),
+     "driver.jump_intensity"),
+    ("verify-ivk", dict(_ivk_generic_levy(), ladder=True), "ladder"),
+    ("simulate", dict(_rotation(), format_version=True), "format_version"),
+    ("verify-ivk", _ivk_generic_levy(seed=True), "driver.seed"),
 ])
 def test_bad_value_exits_2(tmp_path, capsys, command, cfg, where):
     path = tmp_path / "bad.yaml"
@@ -568,3 +630,95 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# shipped (config, subcommand) pairs for the mutation fuzz test
+_FUZZ_RUNS = [("rotation.yaml", "decompose"), ("rotation_jump.yaml", "decompose"),
+              ("sphere_tangent.yaml", "simulate"),
+              ("custom_linear.yaml", "decompose"),
+              ("ivk_commuting.yaml", "verify-ivk"),
+              ("ivk_jump.yaml", "verify-ivk"),
+              ("convergence_linear.yaml", "convergence"),
+              ("ensemble_linear.yaml", "ensemble"),
+              ("radial_linear.yaml", "decompose")]
+_FUZZ_VALUES = [None, True, "abc", [], {}, 0, -1, 0.5, 3, 1e308, -1e308,
+                5e-324, 2 ** 64, float("nan"), float("inf")]
+# a larger value of these (a smaller step) only makes the run longer
+_ENLARGING = ("horizon", "jump_intensity", "substeps", "ladder", "n_paths",
+              "shape", "dimension")
+
+
+def _fuzz_base(name):
+    """A shipped config cut short: 20 steps of 0.01, its jumps moved onto
+    them, and a small mesh, ensemble and ladder."""
+    with open(_cfg(name)) as fh:
+        cfg = yaml.safe_load(fh)
+    cfg["driver"].update(horizon=0.2, step=0.01)
+    for i, jump in enumerate(cfg["driver"].get("jumps", [])):
+        jump["time"] = 0.05 * (i + 1)
+    if "mesh" in cfg:
+        cfg["mesh"]["shape"] = [12, 12]
+    if "ensemble" in cfg:
+        cfg["ensemble"]["n_paths"] = 4
+    cfg["ladder"] = min(cfg.get("ladder", 3), 2)
+    return cfg
+
+
+def _key_paths(node, prefix=()):
+    """The path of every key and list entry under ``node``."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, val in items:
+        yield prefix + (key,)
+        yield from _key_paths(val, prefix + (key,))
+
+
+def _is_num(val):
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_mutated_shipped_config_exits_cleanly(data):
+    # one key of a shipped config dropped, renamed, retyped, resized or set
+    # to an extreme number: the run ends with a documented exit code, and
+    # whatever JSON it wrote is finite
+    name, command = data.draw(st.sampled_from(_FUZZ_RUNS))
+    cfg = _fuzz_base(name)
+    path = data.draw(st.sampled_from(list(_key_paths(cfg))))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    key, old = path[-1], parent[path[-1]]
+    kind = data.draw(st.sampled_from(["drop", "rename", "retype", "resize"]))
+    if kind == "drop":
+        del parent[key]
+    elif kind == "rename":
+        assume(isinstance(key, str))
+        parent[key + "_"] = parent.pop(key)
+    elif kind == "resize":
+        assume(isinstance(old, list) and old)
+        parent[key] = old[:-1] if data.draw(st.booleans()) else old + old[-1:]
+    else:
+        new = data.draw(st.sampled_from(_FUZZ_VALUES))
+        named = [k for k in path if isinstance(k, str)][-1]
+        if _is_num(new) and _is_num(old):
+            assume(not (named in _ENLARGING and new > old
+                        or named == "step" and new < old))
+        parent[key] = new
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = os.path.join(tmp, "mutated.yaml")
+        with open(config_path, "w") as fh:
+            yaml.safe_dump(cfg, fh)
+        out = os.path.join(tmp, "out")
+        assert main([command, "--config", config_path, "--out", out]) in (
+            0, 2, 3, 4)
+        for written in os.listdir(out) if os.path.isdir(out) else ():
+            text = _read(os.path.join(out, written)).decode()
+            if written.endswith(".json"):
+                _strict_loads(text)
+            elif written.endswith(".jsonl"):
+                for line in text.splitlines():
+                    _strict_loads(line)

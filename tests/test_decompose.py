@@ -37,8 +37,8 @@ def _radial_pair():
     def v_basis(x):
         return np.asarray(x, dtype=float)[..., None].copy()
 
-    H = Distribution(2, 1, h_basis, vectorized=True)
-    V = Distribution(2, 1, v_basis, vectorized=True)
+    H = Distribution(2, 1, h_basis)
+    V = Distribution(2, 1, v_basis)
     return ComplementaryPair(horizontal=H, vertical=V)
 
 

@@ -192,6 +192,16 @@ def test_split_frame_matches_solve_and_cond(n):
     assert abs(det - scaled.min()) <= 1e-12 * scaled.min()
 
 
+@pytest.mark.parametrize("e", [1e-7, 1e-8, 3e-9])
+def test_ill_conditioned_2x2_cond_does_not_cancel(e):
+    # sig_lo taken from (fro2 - disc) / 2 loses its digits as cond grows
+    S = np.array([[1.0, 0.3], [0.2, 0.06 + e]])
+    _, _, cond = split_frame(S, np.ones(2),
+                             GeometryConfig(eps_det=0.0, cond_cap=np.inf))
+    want = np.linalg.cond(S)
+    assert abs(cond - want) <= 1e-6 * want
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_scaled_determinant_ignores_column_scale(n):
     rng = np.random.default_rng(40 + n)
@@ -217,6 +227,14 @@ def test_non_finite_frame_raises_degeneracy(n, bad):
         warnings.simplefilter("error")
         with pytest.raises(DegeneracyError):
             split_frame(S, np.ones((2, n)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_overflowing_coefficients_come_back_non_finite_without_warning(n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coeff, _, _ = split_frame(0.5 * np.eye(n), np.full(n, 1e308))
+    assert not np.isfinite(coeff).any()
 
 
 def test_pair_rank_validation():

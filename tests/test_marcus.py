@@ -76,7 +76,7 @@ def test_sphere_invariance_through_large_jumps():
         return np.sin(x[..., 0])[..., None] * np.stack(
             [-x[..., 1], x[..., 0]], axis=-1)
 
-    fields = VectorFieldSet.from_callables(2, [f1, f2], vectorized=True)
+    fields = VectorFieldSet.from_callables(2, [f1, f2])
     grid = np.linspace(0.0, 1.0, 201)
     rng = np.random.default_rng(5)
     cont = np.stack([0.4 * grid, 0.2 * np.sin(2 * np.pi * grid)], axis=1)
@@ -103,7 +103,7 @@ def test_jacobian_matches_finite_differences_nonlinear():
     def f(x):
         return np.stack([np.sin(x[..., 1]), np.cos(x[..., 0])], axis=-1)
 
-    fields = VectorFieldSet.from_callables(2, [f], vectorized=True)
+    fields = VectorFieldSet.from_callables(2, [f])
     path = _ramp_with_jumps(2e-3)
     x0 = np.array([0.3, -0.2])
     cfg = MarcusConfig()
@@ -120,17 +120,13 @@ def test_jacobian_matches_finite_differences_nonlinear():
 
 
 def _field_kinds():
-    """One field set of each kind: vectorized callables, linear (exponential
-    jumps) and per-point callables."""
+    """One field set of each kind: callables, and linear (exponential
+    jumps)."""
     def f(x):
         return np.stack([x[..., 1], -np.sin(x[..., 0])], axis=-1)
 
-    def g(x):
-        return np.array([x[1], -np.sin(x[0])])
-
-    return [VectorFieldSet.from_callables(2, [f], vectorized=True),
-            VectorFieldSet.linear(np.array([[[0.1, -0.6], [0.6, 0.1]]])),
-            VectorFieldSet.from_callables(2, [g])]
+    return [VectorFieldSet.from_callables(2, [f]),
+            VectorFieldSet.linear(np.array([[[0.1, -0.6], [0.6, 0.1]]]))]
 
 
 def test_map_batch_equals_prefix_runs():
@@ -382,8 +378,7 @@ def test_nonlinear_ensemble_fails_only_the_rows_that_blow_up():
     # x' = x^2 dz: a jump dz >= 1/x has a pole inside its unit-time flow.
     # On a 4-step grid up to 8 paths jump at one step index, some of them
     # past the pole and some not; only the former may fail
-    fields = VectorFieldSet.from_callables(1, [lambda x: x * x],
-                                           vectorized=True)
+    fields = VectorFieldSet.from_callables(1, [lambda x: x * x])
     params = PathParams(horizon=1.0, step=0.25, brownian_scale=0.1,
                         jump_intensity=3.0,
                         jump_law=JumpLaw.gaussian([0.0], [300.0]), seed=3)

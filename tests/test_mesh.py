@@ -114,6 +114,15 @@ def test_inversion_fails_for_unreachable_target():
     vals = chart.base_points()
     with pytest.raises(MeshInversionError):
         invert_mesh_map(chart, vals, np.array([[25.0, 25.0]]))
+    # so far out that the squared distances to the nodes overflow
+    with pytest.raises(MeshInversionError):
+        invert_mesh_map(chart, vals, np.array([[1e200, 1e200]]))
+
+
+def test_interp_at_non_finite_query_is_nan():
+    chart = MeshChart.annulus((0.5, 2.0), (8, 8))
+    out = interp_mesh(chart, chart.base_points(), [[np.nan, 1.0], [1.0, np.nan]])
+    assert np.isnan(out).all()
 
 
 def test_embedding_jacobian_matches_fd():

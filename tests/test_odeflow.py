@@ -103,7 +103,7 @@ def test_rk4_order_on_riccati():
     def jac(x):
         return (2.0 * x)[..., None, None] * 0 + np.diag(2.0 * np.ravel(x))
 
-    fields = VectorFieldSet.from_callables(1, [f], vectorized=True)
+    fields = VectorFieldSet.from_callables(1, [f])
     errs = []
     for sub in (4, 8, 16):
         x = flow(fields, np.array([1.0]), np.array([0.5]), 1.0,
@@ -127,7 +127,7 @@ def test_variational_jacobian_matches_fd():
         p = np.asarray(p, dtype=float)
         return np.stack([np.sin(p[..., 1]), p[..., 0] ** 2], axis=-1)
 
-    fields = VectorFieldSet.from_callables(2, [f], vectorized=True)
+    fields = VectorFieldSet.from_callables(2, [f])
     x0 = np.array([0.4, 0.3])
     w = np.array([0.7])
     cfg = OdeConfig(substeps=64, use_expm=False)
@@ -150,7 +150,7 @@ def test_flow_equals_state_of_flow_with_jacobian():
     def g(p):
         return np.array([np.sin(p[1]), p[0] ** 2])
 
-    kinds = [VectorFieldSet.from_callables(2, [f], vectorized=True),
+    kinds = [VectorFieldSet.from_callables(2, [f]),
              VectorFieldSet.linear(ROT),
              VectorFieldSet.from_callables(2, [g])]
     X0 = np.array([[0.4, 0.3], [-0.2, 0.1]])
@@ -196,7 +196,7 @@ def test_curve_average_steps_substeps_per_unit_time():
         calls.append(1)
         return x * x
 
-    fields = VectorFieldSet.from_callables(1, [square], vectorized=True)
+    fields = VectorFieldSet.from_callables(1, [square])
     curve_average(lambda x: x, fields, np.array([1.0]), np.array([0.5]),
                   OdeConfig(substeps=64, use_expm=False), quad_nodes=16)
     assert len(calls) == 256
@@ -219,7 +219,7 @@ def test_blowup_raises_with_time():
     def f(x):
         return x * x
 
-    fields = VectorFieldSet.from_callables(1, [f], vectorized=True)
+    fields = VectorFieldSet.from_callables(1, [f])
     with pytest.raises(IntegrationFailure) as err:
         flow(fields, np.array([1.0]), np.array([2.0]), 1.0,
              OdeConfig(substeps=64, use_expm=False))
@@ -243,7 +243,7 @@ def test_vectorized_field_output_must_match_point_shape():
     def single(x):
         return np.array([1.0, 0.0])
 
-    fields = VectorFieldSet.from_callables(2, [good, single], vectorized=True)
+    fields = VectorFieldSet.from_callables(2, [good, single])
     assert fields.field_matrix(np.array([1.0, 2.0])).shape == (2, 2)
     with pytest.raises(ValueError, match="field 1: shape"):
         fields.field_matrix(np.ones((5, 2)))

@@ -84,7 +84,7 @@ def test_zero_outer_collapses_to_orbit_integral():
     def y2(x):
         return np.stack([0.3 * x[..., 1], -0.2 * x[..., 0]], axis=-1)
 
-    inner = VectorFieldSet.from_callables(2, [y1, y2], vectorized=True)
+    inner = VectorFieldSet.from_callables(2, [y1, y2])
     params = PathParams(horizon=1.0, step=5e-3, brownian_scale=(0.4, 0.3),
                         drift=(0.1, 0.0), jump_intensity=2.0,
                         jump_law=JumpLaw.uniform([-0.4, -0.4], [0.4, 0.4]),
@@ -114,7 +114,7 @@ def _commuting_sets():
     return outer, inner
 
 
-def _generic_sets(vectorized=True):
+def _generic_sets():
     def x1(p):
         return np.stack([np.sin(p[..., 1]), p[..., 0]], axis=-1)
 
@@ -156,10 +156,8 @@ def _generic_sets(vectorized=True):
         return np.stack([np.stack([0.2 * o, z], axis=-1),
                          np.stack([z, 0.3 * o], axis=-1)], axis=-2)
 
-    outer = VectorFieldSet.from_callables(2, [x1, x2], jacobians=[jx1, jx2],
-                                          vectorized=vectorized)
-    inner = VectorFieldSet.from_callables(2, [y1, y2], jacobians=[jy1, jy2],
-                                          vectorized=vectorized)
+    outer = VectorFieldSet.from_callables(2, [x1, x2], jacobians=[jx1, jx2])
+    inner = VectorFieldSet.from_callables(2, [y1, y2], jacobians=[jy1, jy2])
     return outer, inner
 
 
@@ -172,8 +170,7 @@ def _linear_sets():
 
 
 _PAIRS = pytest.mark.parametrize(
-    "pair", [_generic_sets, _linear_sets, lambda: _generic_sets(False)],
-    ids=["vectorized", "linear-expm", "per-point"])
+    "pair", [_generic_sets, _linear_sets], ids=["vectorized", "linear-expm"])
 
 
 def _two_jump_path():
@@ -359,7 +356,7 @@ def _trap(rate, cap):
     def jac(x):
         return np.full(np.shape(x)[:-1] + (1, 1), rate)
 
-    return VectorFieldSet.from_callables(1, [field], [jac], vectorized=True)
+    return VectorFieldSet.from_callables(1, [field], [jac])
 
 
 @pytest.mark.parametrize("inner_cap, outer_cap, why, t", [

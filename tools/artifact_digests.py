@@ -9,10 +9,13 @@ builds at ``--seed`` (the twelve shipped config/subcommand pairs and the
 generated workload configs), plus ``simulate`` on ``rotation_jump.yaml``,
 ``ivk_jump.yaml`` and ``radial_linear.yaml``.  Each run is a fresh
 ``python -m jumpflow.cli`` process on the checkout's ``src``.  The output
-maps each run's label to its exit code, its stderr and the SHA-256 of every
-file it wrote, except ``run_meta.txt`` (which holds timings).  Paths of the
-checkout and of the scratch directory are replaced by ``<root>`` and
-``<work>`` in stderr, so two checkouts can be compared with ``diff``.
+maps each run's label to its exit code, its stderr, the SHA-256 of every
+file it wrote, except ``run_meta.txt`` (which holds timings), and the
+SHA-256 of the ``--dump-config`` output of the same command with the same
+flags (``--seed``, ``--ladder``), so that a comparison covers config
+normalization too.  Paths of the checkout and of the scratch directory are
+replaced by ``<root>`` and ``<work>`` in stderr, so two checkouts can be
+compared with ``diff``.
 """
 
 from __future__ import annotations
@@ -52,9 +55,14 @@ def digest_run(root, argv, outdir, workdir):
     src = os.path.join(root, "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
                                if env.get("PYTHONPATH") else "")
-    proc = subprocess.run([sys.executable, "-m", "jumpflow.cli"] + argv
-                          + ["--out", outdir], env=env, cwd=root,
-                          capture_output=True, text=True)
+
+    def cli(*extra):
+        return subprocess.run([sys.executable, "-m", "jumpflow.cli"] + argv
+                              + list(extra), env=env, cwd=root,
+                              capture_output=True, text=True)
+
+    proc = cli("--out", outdir)
+    dump = cli("--dump-config")
     files = {}
     if os.path.isdir(outdir):
         for name in sorted(os.listdir(outdir)):
@@ -63,7 +71,8 @@ def digest_run(root, argv, outdir, workdir):
             with open(os.path.join(outdir, name), "rb") as fh:
                 files[name] = hashlib.sha256(fh.read()).hexdigest()
     stderr = proc.stderr.replace(workdir, "<work>").replace(root, "<root>")
-    return {"exit": proc.returncode, "stderr": stderr, "files": files}
+    return {"exit": proc.returncode, "stderr": stderr, "files": files,
+            "dump_config": hashlib.sha256(dump.stdout.encode()).hexdigest()}
 
 
 def main(argv=None):
