@@ -14,8 +14,7 @@ from .semimartingale import (JumpLaw, JumpPath, PathParams,
                              deterministic_path, prefix,
                              quadratic_variation_c, refine,
                              sample_levy_jump_diffusion)
-from .odeflow import OdeConfig, VectorFieldSet, curve_average, flow, \
-    flow_with_jacobian
+from .odeflow import VectorFieldSet, curve_average, flow, flow_with_jacobian
 from .marcus import (EnsembleSummary, MarcusConfig, Trajectory,
                      solve_ensemble, solve_point, solve_with_jacobian)
 from .stratjump import (CompositionReport, IntegralReport, marcus_integral,
@@ -37,7 +36,7 @@ __all__ = [
     "MeshInversionError",
     "JumpLaw", "JumpPath", "PathParams", "deterministic_path", "prefix",
     "quadratic_variation_c", "refine", "sample_levy_jump_diffusion",
-    "OdeConfig", "VectorFieldSet", "curve_average", "flow",
+    "VectorFieldSet", "curve_average", "flow",
     "flow_with_jacobian",
     "EnsembleSummary", "MarcusConfig", "Trajectory", "solve_ensemble",
     "solve_point", "solve_with_jacobian",

@@ -66,16 +66,14 @@ def _f(x):
 
 def _run_simulate(cfg, problem, outdir):
     driver = build_driver(cfg, cfg.get("_seed_override"))
-    mcfg = build_marcus_config(cfg)
-    if mcfg.record_jacobian:
-        traj = solve_with_jacobian(problem["fields"], driver,
-                                   problem["x0"], mcfg)
-    else:
-        traj = solve_point(problem["fields"], driver, problem["x0"], mcfg)
+    with_jacobian = cfg["solver"]["record_jacobian"]
+    solve = solve_with_jacobian if with_jacobian else solve_point
+    traj = solve(problem["fields"], driver, problem["x0"],
+                 build_marcus_config(cfg))
     with open(outdir + "/driver.csv", "w") as fh:
         path_to_csv(driver, fh)
     with open(outdir + "/trajectory.csv", "w") as fh:
-        trajectory_to_csv(traj, fh, include_jacobian=mcfg.record_jacobian)
+        trajectory_to_csv(traj, fh, include_jacobian=with_jacobian)
     summary = {
         "format_version": 1,
         "scenario": problem["scenario"],

@@ -24,14 +24,14 @@ import yaml
 
 from .errors import ConfigError
 from .geometry import ComplementaryPair, Distribution, GeometryConfig
-from .marcus import MarcusConfig
 from .mesh import MeshChart
-from .odeflow import OdeConfig, VectorFieldSet
+from .odeflow import MarcusConfig, VectorFieldSet
 from .semimartingale import (JumpLaw, PathParams, _grid_for,
                              deterministic_path, sample_levy_jump_diffusion)
 
-# the most grid steps, expected jumps, mesh nodes or ivk-commuting matrix
-# entries a config may ask for: no size then overflows before the run
+# the most grid steps, expected jumps, RK4 substeps, ensemble paths, mesh
+# nodes or ivk-commuting matrix entries a config may ask for: no size then
+# overflows before the run or keeps it from ending
 MAX_SIZE = 10 ** 7
 
 _OPTIONAL = object()
@@ -166,14 +166,14 @@ _SCHEMA = {
     **dict.fromkeys(_BASE, (_OPTIONAL, None)),  # checked by _scenario
     "driver": ({}, {"type": ("deterministic", _DRIVERS),
                     "horizon": (1.0, _POSITIVE), "step": (0.01, _POSITIVE)}),
-    "solver": ({}, {"substeps": (64, _integer(1)), "use_expm": (True, _FLAG),
+    "solver": ({}, {"substeps": (64, _integer(1, MAX_SIZE)),
                     "record_jacobian": (False, _FLAG)}),
     "geometry": ({}, {"eps_det": (1e-12, _NON_NEGATIVE),
                       "cond_cap": (1e8, _POSITIVE)}),
     "ladder": (3, _integer(1, 8)),
     "snapshot_stride": (10, _integer(1)),
     "ensemble": (_OPTIONAL, {
-        "n_paths": (_REQUIRED, _integer(1)),
+        "n_paths": (_REQUIRED, _integer(1, MAX_SIZE)),
         "observable": ("none", _choice("none", "norm", "first"))}),
 }
 
@@ -472,10 +472,7 @@ def build_problem(cfg: dict) -> dict:
 
 
 def build_marcus_config(cfg: dict) -> MarcusConfig:
-    sol = cfg["solver"]
-    ode = OdeConfig(substeps=int(sol["substeps"]),
-                    use_expm=bool(sol["use_expm"]))
-    return MarcusConfig(ode=ode, record_jacobian=bool(sol["record_jacobian"]))
+    return MarcusConfig(substeps=int(cfg["solver"]["substeps"]))
 
 
 def build_geometry_config(cfg: dict) -> GeometryConfig:

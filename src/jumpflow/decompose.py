@@ -34,9 +34,8 @@ import numpy as np
 from .errors import DegeneracyError, IntegrationFailure, MeshInversionError
 from .geometry import (DEFAULT_GEOMETRY, ComplementaryPair,
                        GeometryConfig, split_frame)
-from .marcus import MarcusConfig
 from .mesh import MeshChart, interp_mesh, invert_mesh_map, mesh_jacobian
-from .odeflow import VectorFieldSet, _rk4, expm
+from .odeflow import MarcusConfig, VectorFieldSet, _rk4, expm
 from .semimartingale import JumpPath
 
 TAU_REASONS = ("horizon", "split_degenerate", "det_block_zero",
@@ -231,7 +230,7 @@ def decompose_linear_sde(system: LinearSystem, driver: JumpPath,
                 return _structured_rhs(*state, A_j, p)
 
             try:
-                Xi, Psi = _rk4(rhs, (Xi, Psi), 1.0, cfg.ode.substeps)
+                Xi, Psi = _rk4(rhs, (Xi, Psi), 1.0, cfg.substeps)
                 cond = _frame_cond(np.array(W), geo)
                 if np.isnan(cond).any():
                     raise DegeneracyError("frame matrix degenerate")
@@ -288,38 +287,25 @@ class ValidityReport:
     det_pre: np.ndarray
     det_post: np.ndarray
     tau: float
-    tau_index: int
     tau_reason: str
     triggered_by_jump: bool
 
 
 def validity_monitor(trajectory, horizontal_dim: int,
-                     geo: GeometryConfig = DEFAULT_GEOMETRY,
-                     chart_jacobian=None) -> ValidityReport:
+                     geo: GeometryConfig = DEFAULT_GEOMETRY) -> ValidityReport:
     """Scan a Jacobian-carrying trajectory for block-determinant failure.
 
     The monitored quantity is det of the lower-right (n-p) block of the
-    flow Jacobian, optionally conjugated into adapted coordinates by
-    ``chart_jacobian`` (a callable x -> (n, n) matrix).  Stops at the first
-    zero crossing or sub-threshold value, checking both the pre- and
-    post-jump Jacobians at jump times.
+    flow Jacobian.  Stops at the first zero crossing or sub-threshold
+    value, checking both the pre- and post-jump Jacobians at jump times.
     """
     if trajectory.jacobians_post is None:
         raise ValueError("trajectory must carry Jacobians")
     p = horizontal_dim
-    J_pre = trajectory.jacobians_pre
-    J_post = trajectory.jacobians_post
-    if chart_jacobian is not None:
-        D0 = np.linalg.inv(chart_jacobian(trajectory.pre[0]))
-        J_pre = np.array([chart_jacobian(x) @ J @ D0
-                          for x, J in zip(trajectory.pre, J_pre)])
-        J_post = np.array([chart_jacobian(x) @ J @ D0
-                           for x, J in zip(trajectory.post, J_post)])
-    det_pre = np.linalg.det(J_pre[:, p:, p:])
-    det_post = np.linalg.det(J_post[:, p:, p:])
+    det_pre = np.linalg.det(trajectory.jacobians_pre[:, p:, p:])
+    det_post = np.linalg.det(trajectory.jacobians_post[:, p:, p:])
     times = trajectory.times
     tau = float(times[-1])
-    tau_index = times.shape[0] - 1
     reason = "horizon"
     by_jump = False
     for k in range(times.shape[0]):
@@ -328,12 +314,11 @@ def validity_monitor(trajectory, horizontal_dim: int,
         hit_post = abs(det_post[k]) <= geo.eps_det or det_post[k] * prev < 0
         if hit_pre or hit_post:
             tau = float(times[k])
-            tau_index = k
             reason = "det_block_zero"
             by_jump = bool(trajectory.is_jump[k]) and hit_post and not hit_pre
             break
     return ValidityReport(times=times, det_pre=det_pre, det_post=det_post,
-                          tau=tau, tau_index=tau_index, tau_reason=reason,
+                          tau=tau, tau_reason=reason,
                           triggered_by_jump=by_jump)
 
 
@@ -470,7 +455,7 @@ def decompose_pointwise(fields: VectorFieldSet, pair: ComplementaryPair,
         jumped = bool(jump_mask[k + 1])
         if jumped:
             try:
-                dj, cj = state.jump_step(jump_sizes[k + 1], cfg.ode.substeps)
+                dj, cj = state.jump_step(jump_sizes[k + 1], cfg.substeps)
             except (DegeneracyError, IntegrationFailure):
                 # as in linear mode: stop at the jump time, and the row
                 # there keeps the pre-jump state

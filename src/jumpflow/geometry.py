@@ -89,27 +89,24 @@ class ComplementaryPair:
 class DiffeoProbe:
     """A diffeomorphism handle: forward map, Jacobian and inverse."""
 
-    def __init__(self, forward, jacobian, inverse, provenance="custom"):
+    def __init__(self, forward, jacobian, inverse):
         self.forward = forward
         self.jacobian = jacobian
         self.inverse = inverse
-        self.provenance = provenance
 
     @classmethod
     def identity(cls, dimension):
         eye = np.eye(dimension)
         return cls(forward=lambda x: np.asarray(x, dtype=float).copy(),
                    jacobian=lambda x: eye.copy(),
-                   inverse=lambda y: np.asarray(y, dtype=float).copy(),
-                   provenance="identity")
+                   inverse=lambda y: np.asarray(y, dtype=float).copy())
 
     @classmethod
     def linear(cls, matrix):
         M = np.asarray(matrix, dtype=float)
         return cls(forward=lambda x: M @ np.asarray(x, dtype=float),
                    jacobian=lambda x: M.copy(),
-                   inverse=lambda y: np.linalg.solve(M, np.asarray(y, dtype=float)),
-                   provenance="linear")
+                   inverse=lambda y: np.linalg.solve(M, np.asarray(y, dtype=float)))
 
 
 def subspace_projector(basis) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Continuous stretches are integrated with a Heun predictor-corrector in the
 driver increments (Stratonovich-consistent); a jump of size dz is applied as
-the exact-order unit-time flow of sum_i X_i dz_i.  Both the pre-jump and the
-post-jump state are recorded at every jump time, so downstream integrals can
-evaluate left limits exactly.
+the unit-time flow of sum_i X_i dz_i, ``odeflow.flow``: exact for a linear
+field set, RK4 at ``MarcusConfig.substeps`` steps otherwise.  Both the
+pre-jump and the post-jump state are recorded at every jump time, so
+downstream integrals can evaluate left limits exactly.
 
 Every solver is one sweep, ``_sweep``, over one grid loop: it advances a
 state or a batch of states and carries the flow Jacobian only when asked.
@@ -22,22 +23,14 @@ all of them; a single solve is the one-sweep case.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IntegrationFailure
-from .odeflow import OdeConfig, VectorFieldSet, flow, flow_with_jacobian
+from .odeflow import MarcusConfig, VectorFieldSet, flow, flow_with_jacobian
 from .semimartingale import (JumpPath, PathParams, _grid_for, _levy_arrays,
                              _substream)
-
-
-@dataclass(frozen=True)
-class MarcusConfig:
-    """Solver settings: jump-flow integration and Jacobian recording."""
-
-    ode: OdeConfig = field(default_factory=OdeConfig)
-    record_jacobian: bool = False
 
 
 @dataclass(frozen=True)
@@ -53,7 +46,6 @@ class Trajectory:
     pre: np.ndarray
     post: np.ndarray
     is_jump: np.ndarray
-    path: JumpPath
     jacobians_pre: np.ndarray | None = None
     jacobians_post: np.ndarray | None = None
 
@@ -98,7 +90,7 @@ def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
     (k, side) a contiguous range, stored straight into the caller's rows.
     A non-finite state raises IntegrationFailure at its grid time, but a
     block row leaves the live set; a block returns (post, failed rows).
-    At a jump this generator yields ((fields, size, ode config, jacobian),
+    At a jump this generator yields ((fields, size, cfg, jacobian),
     hop rows) and is sent their (states, flow Jacobians or None), or thrown
     the flow's exception.
     """
@@ -180,7 +172,7 @@ def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
         if k in jumps and X[hop].size:
             why = None
             try:
-                xs, js = yield (fields, size, cfg.ode, jacobian), X[hop]
+                xs, js = yield (fields, size, cfg, jacobian), X[hop]
                 if jacobian:
                     J[hop] = js @ J[hop]
             except IntegrationFailure as exc:
@@ -194,7 +186,7 @@ def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
     if failed is not None:
         return states[0], failed
     return Trajectory(times=driver.grid.copy(), pre=states[0], post=states[1],
-                      is_jump=driver.jump_mask, path=driver,
+                      is_jump=driver.jump_mask,
                       jacobians_pre=jacs[0] if jacobian else None,
                       jacobians_post=jacs[1] if jacobian else None)
 
@@ -203,13 +195,13 @@ def _jump(hops):
     """Each yielded hop's (states, flow Jacobians or None), or its flow's
     exception: one flow for all, and one each only if that fails, so that
     each gets its own failure.  Among others, a state (n,) returns (1, n)."""
-    (fields, size, ode, jacobian), _ = hops[0]
+    (fields, size, cfg, jacobian), _ = hops[0]
     blocks = [rows for _, rows in hops]
     try:
         rows = blocks[0] if len(blocks) == 1 else np.concatenate(
             [b.reshape(-1, b.shape[-1]) for b in blocks])
-        xs, js = (flow_with_jacobian(fields, size, rows, 1.0, ode) if jacobian
-                  else (flow(fields, size, rows, 1.0, ode), None))
+        xs, js = (flow_with_jacobian(fields, size, rows, 1.0, cfg) if jacobian
+                  else (flow(fields, size, rows, 1.0, cfg), None))
     except Exception as exc:  # handed to its sweep, which may raise it
         return [exc] if len(hops) == 1 else [_jump([h])[0] for h in hops]
     cuts = np.cumsum([b.size // b.shape[-1] for b in blocks])[:-1]

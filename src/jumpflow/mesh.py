@@ -170,44 +170,43 @@ def _cr_weights(f):
     return w, dw
 
 
+def _taps(u, n, periodic):
+    """Indices of the four Catmull-Rom taps of positions ``u`` (in node
+    spacings from the first node) into an axis of ``n`` nodes padded by two
+    on each side, and their fractions.  A periodic axis wraps; a bounded one
+    keeps its end cells, extrapolating past them.  A non-finite ``u`` gets
+    valid indices and fraction NaN."""
+    finite = np.isfinite(u)
+    u = np.where(finite, u, 0.0)
+    if periodic:
+        u = np.mod(u, n)
+    i = np.floor(u)
+    if not periodic:
+        i = np.clip(i, -1, n - 1)
+    idx = i.astype(int)[:, None] + np.arange(1, 5)
+    if periodic:
+        idx = np.mod(idx - 2, n) + 2
+    return idx, np.where(finite, u - i, np.nan)
+
+
 def interp_mesh(chart: MeshChart, values, queries, derivative: bool = False):
     """Catmull-Rom interpolation of node values at chart-coordinate queries.
 
     ``values`` is (R, C, ...) node data, ``queries`` (Q, 2) chart coords.
     Returns (Q, ...) samples, plus d(sample)/d(chart) of shape (Q, ..., 2)
     when ``derivative`` is set.  Bounded axes extrapolate linearly through
-    ghost layers; periodic axes wrap.
+    ghost layers; periodic axes wrap.  A non-finite query gives NaN.
     """
     values = np.asarray(values, dtype=float)
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    R, C = chart.shape
     d0, d1 = chart.spacing
     padded = _pad_axis(_pad_axis(values, 0, chart.periodic[0]), 1, chart.periodic[1])
-
-    u0 = (queries[:, 0] - chart.coords0[0]) / d0
-    u1 = (queries[:, 1] - chart.coords1[0]) / d1
-    if chart.periodic[1]:
-        u1 = np.mod(u1, C)
-    with np.errstate(invalid="ignore"):  # a non-finite query stays NaN
-        i0 = np.floor(u0).astype(int)
-        i1 = np.floor(u1).astype(int)
-    f0 = u0 - i0
-    f1 = u1 - i1
-    if chart.periodic[0]:
-        i0 = np.mod(i0, R)
-    else:
-        i0 = np.clip(i0, -1, R - 1)
-        f0 = u0 - i0
+    idx0, f0 = _taps((queries[:, 0] - chart.coords0[0]) / d0, chart.shape[0],
+                     chart.periodic[0])
+    idx1, f1 = _taps((queries[:, 1] - chart.coords1[0]) / d1, chart.shape[1],
+                     chart.periodic[1])
     w0, dw0 = _cr_weights(f0)
     w1, dw1 = _cr_weights(f1)
-
-    taps = np.arange(4) - 1
-    idx0 = i0[:, None] + taps[None, :] + 2            # into padded axis 0
-    idx1 = i1[:, None] + taps[None, :] + 2
-    if chart.periodic[0]:
-        idx0 = np.mod(idx0 - 2, R) + 2
-    if chart.periodic[1]:
-        idx1 = np.mod(idx1 - 2, C) + 2
     block = padded[idx0[:, :, None], idx1[:, None, :]]  # (Q,4,4,...)
 
     part = np.einsum("qab...,qa->qb...", block, w0)

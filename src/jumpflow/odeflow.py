@@ -2,13 +2,14 @@
 
 The unit-time flow of a weighted field combination is the jump primitive of
 the whole library: a jump of size dz is realized as the time-1 flow of
-sum_i X_i * dz_i.  Linear field sets may take the exact Pade-13 ``expm``
-(validated against the generic stepper in the tests).  Everything else in
-fictitious time goes through one fixed-step classical RK4 over a tuple of
-arrays, ``_rk4``: the jump flow of ``flow`` and ``flow_with_jacobian``
-(one ``_flow``; the Jacobian is computed only when asked for), the orbit
-of ``curve_average``, and the factor equations that ``decompose`` carries
-across a jump.
+sum_i X_i * dz_i.  The field set alone picks how ``flow`` and
+``flow_with_jacobian`` (one ``_flow``; the Jacobian is computed only when
+asked for) take it: a linear set by the exact Pade-13 ``expm`` (validated
+against the generic stepper in the tests), any other set by one
+fixed-step classical RK4 over a tuple of arrays, ``_rk4``, at
+``MarcusConfig.substeps`` steps per unit of flow time.  The orbit of
+``curve_average`` is stepped by ``flow``; the factor equations that
+``decompose`` carries across a jump go through ``_rk4`` as well.
 """
 
 from __future__ import annotations
@@ -158,15 +159,11 @@ class VectorFieldSet:
 
 
 @dataclass(frozen=True)
-class OdeConfig:
-    """Fixed-step flow integration settings.
-
-    ``substeps`` is the RK4 step count per unit of flow time; ``use_expm``
-    enables the exact exponential fast path for linear field sets.
-    """
+class MarcusConfig:
+    """Solver settings: ``substeps`` is the RK4 step count per unit of flow
+    time, for every flow that a linear set does not take exactly."""
 
     substeps: int = 64
-    use_expm: bool = True
 
     def __post_init__(self):
         if self.substeps < 1:
@@ -219,7 +216,7 @@ def _flow(fields, weights, x0, u, cfg, jacobian):
     map."""
     x0 = np.asarray(x0, dtype=float)
     w = np.asarray(weights, dtype=float)
-    if fields.is_linear and cfg.use_expm:
+    if fields.is_linear:
         E = expm(u * np.einsum("...m,mij->...ij", w, fields.matrices))
         x = np.einsum("...ij,...j->...i", E, x0)
         if not jacobian:
@@ -236,17 +233,18 @@ def _flow(fields, weights, x0, u, cfg, jacobian):
                 (x0, J0), u, nsteps)
 
 
-def flow(fields: VectorFieldSet, weights, x0, u: float, cfg: OdeConfig) -> np.ndarray:
+def flow(fields: VectorFieldSet, weights, x0, u: float,
+         cfg: MarcusConfig) -> np.ndarray:
     """Time-u flow of sum_i weights_i X_i from x0.
 
     Raises IntegrationFailure (with the failure time) if the state leaves the
-    finite range.  Linear sets with use_expm take the exact exponential.
+    finite range.  A linear set takes the exact exponential.
     """
     return _flow(fields, weights, x0, u, cfg, jacobian=False)[0]
 
 
 def flow_with_jacobian(fields: VectorFieldSet, weights, x0, u: float,
-                       cfg: OdeConfig):
+                       cfg: MarcusConfig):
     """Flow plus the Jacobian of the flow map with respect to x0.
 
     The Jacobian is the exact derivative of the discrete RK4 map (the
@@ -256,16 +254,16 @@ def flow_with_jacobian(fields: VectorFieldSet, weights, x0, u: float,
     return _flow(fields, weights, x0, u, cfg, jacobian=True)
 
 
-def curve_average(H, fields: VectorFieldSet, weights, x0, cfg: OdeConfig,
+def curve_average(H, fields: VectorFieldSet, weights, x0, cfg: MarcusConfig,
                   quad_nodes: int = 16) -> np.ndarray:
     """Average of H along the unit-time flow orbit from x0.
 
     Composite Simpson on [0, 1] with an even node count derived from
-    ``quad_nodes``; the orbit is advanced by the same RK4 stepper between
-    nodes, at ``cfg.substeps`` steps per unit time and at least one per
-    interval (or by a cached exponential factor for linear sets), so
-    quadrature nodes and integration substeps share the same grid.  H may
-    return any array shape; the average is taken componentwise.
+    ``quad_nodes``; the orbit is advanced between nodes by ``flow``, for a
+    nonlinear set at ``cfg.substeps`` RK4 steps per unit time and at least
+    one per interval, so quadrature nodes and integration substeps share
+    the same grid.  H may return any array shape; the average is taken
+    componentwise.
     """
     if quad_nodes < 2:
         raise ValueError("quad_nodes must be >= 2")
@@ -274,18 +272,9 @@ def curve_average(H, fields: VectorFieldSet, weights, x0, cfg: OdeConfig,
     du = 1.0 / nint
 
     samples = [np.asarray(H(x), dtype=float)]
-    if fields.is_linear and cfg.use_expm:
-        A = np.einsum("m,mij->ij", np.asarray(weights, dtype=float), fields.matrices)
-        P = expm(du * A)
-        for _ in range(nint):
-            x = P @ x
-            samples.append(np.asarray(H(x), dtype=float))
-    else:
-        W = _combined(fields, weights)
-        nsteps = max(1, int(np.ceil(cfg.substeps * du)))
-        for _ in range(nint):
-            x, = _rk4(lambda s: (W(s[0]),), (x,), du, nsteps)
-            samples.append(np.asarray(H(x), dtype=float))
+    for _ in range(nint):
+        x = flow(fields, weights, x, du, cfg)
+        samples.append(np.asarray(H(x), dtype=float))
 
     w = np.ones(nint + 1)
     w[1:-1:2] = 4.0

@@ -138,8 +138,8 @@ def marcus_integral(H, fields: VectorFieldSet, driver: JumpPath, g0,
             h_pre = _as_matrix_output(H(g_pre), m)
             inc_ito[k] += h_pre @ dz
             avg = _as_matrix_output(
-                curve_average(H, fields, dz, g_pre, cfg.ode,
-                              quad_nodes=cfg.ode.substeps), m)
+                curve_average(H, fields, dz, g_pre, cfg,
+                              quad_nodes=cfg.substeps), m)
             inc_jump[k] += (avg - h_pre) @ dz
     return _assemble(traj.times, inc_ito, inc_qv, inc_jump,
                      {"n_jumps": int(mask.sum()), "kind": "marcus_integral"})
@@ -346,10 +346,10 @@ def _concat_residual(outer, inner, orbit: _CompositeOrbit, cfg) -> float | None:
     for k in jump_idx:
         t = float(driver.grid[k])
         dz = sizes[k]
-        hopped = flow(inner, dz, orbit.inner_traj.pre[k], 1.0, cfg.ode)
+        hopped = flow(inner, dz, orbit.inner_traj.pre[k], 1.0, cfg)
         left_path = prefix(driver, t, include_jump_at_end=False)
         psi_left = solve_point(outer, left_path, hopped, cfg).post[-1]
-        expected = flow(outer, dz, psi_left, 1.0, cfg.ode)
+        expected = flow(outer, dz, psi_left, 1.0, cfg)
         worst = max(worst, float(np.max(np.abs(orbit.F_post[k] - expected))))
     return worst
 

@@ -22,7 +22,7 @@ from jumpflow.geometry import (ComplementaryPair, DiffeoProbe, Distribution,
                                subspace_projector)
 from jumpflow.marcus import MarcusConfig, solve_point, solve_with_jacobian
 from jumpflow.mesh import MeshChart
-from jumpflow.odeflow import OdeConfig, VectorFieldSet
+from jumpflow.odeflow import VectorFieldSet
 from jumpflow.reference import matrix_exp, rotation_decomposition
 from jumpflow.semimartingale import deterministic_path
 from jumpflow.stratjump import (field_matrix_map, marcus_integral,
@@ -148,7 +148,7 @@ def test_criterion_4_degenerate_collapses(capsys):
     jumps = [(0.25, np.array([0.4, -0.2])), (0.75, np.array([-0.3, 0.3]))]
     path = deterministic_path(grid, cont, jumps)
     x0 = np.array([0.6, -0.2])
-    cfg = MarcusConfig(ode=OdeConfig(substeps=128))
+    cfg = MarcusConfig(substeps=128)
     push = pushforward_integral(outer_zero, inner, path, x0, cfg)
     H, dH = field_matrix_map(inner)
     direct = marcus_integral(H, inner, path, x0, cfg, dH=dH)
@@ -243,7 +243,7 @@ def test_criterion_7_annulus_decomposition_random_flows(capsys):
 
     grid = np.round(np.arange(0.0, 1.0 + 2.5e-3, 5e-3), 12)
     driver = deterministic_path(grid, 0.5 * grid, [(0.5, 0.15)])
-    cfg = MarcusConfig(ode=OdeConfig(substeps=16))
+    cfg = MarcusConfig(substeps=16)
     worst_resid = 0.0
     worst_agree = 0.0
     reasons = []
@@ -326,7 +326,13 @@ _CONFIG_COMMANDS = [
 ]
 
 
+def _reject_constant(name):
+    raise ValueError("non-finite JSON constant " + name)
+
+
 def test_criterion_9_reproducibility_of_shipped_configs(capsys, tmp_path):
+    # every artifact but run_meta.txt (its timings), CSVs included; JSON and
+    # JSONL must also parse without NaN or Infinity
     mismatches = []
     for name, command in _CONFIG_COMMANDS:
         cfg_path = os.path.join(CONFIG_DIR, name)
@@ -334,12 +340,13 @@ def test_criterion_9_reproducibility_of_shipped_configs(capsys, tmp_path):
         out_b = str(tmp_path / (name + ".b"))
         code_a = cli_main([command, "--config", cfg_path, "--out", out_a])
         code_b = cli_main([command, "--config", cfg_path, "--out", out_b])
-        if code_a != code_b:
-            mismatches.append("%s exit %d vs %d" % (name, code_a, code_b))
+        names_a, names_b = (sorted(set(os.listdir(out)) - {"run_meta.txt"})
+                            for out in (out_a, out_b))
+        if (code_a, names_a) != (code_b, names_b):
+            mismatches.append("%s exit %d vs %d, files %s vs %s"
+                              % (name, code_a, code_b, names_a, names_b))
             continue
-        for fname in sorted(os.listdir(out_a)):
-            if not (fname.endswith(".json") or fname.endswith(".jsonl")):
-                continue
+        for fname in names_a:
             with open(os.path.join(out_a, fname), "rb") as fh:
                 blob_a = fh.read()
             with open(os.path.join(out_b, fname), "rb") as fh:
@@ -347,7 +354,10 @@ def test_criterion_9_reproducibility_of_shipped_configs(capsys, tmp_path):
             if blob_a != blob_b:
                 mismatches.append("%s/%s" % (name, fname))
             elif fname.endswith(".json"):
-                json.loads(blob_a)
+                json.loads(blob_a, parse_constant=_reject_constant)
+            elif fname.endswith(".jsonl"):
+                for line in blob_a.splitlines():
+                    json.loads(line, parse_constant=_reject_constant)
     ok = not mismatches
     _say(capsys, 9, ok,
          "shipped configs double-run byte-identical: %d/%d%s"

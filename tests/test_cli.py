@@ -349,8 +349,10 @@ def test_overflowing_uniform_jump_law_exits_2(tmp_path, capsys):
     ("rotation.yaml", {"fields": {"bogus": 1}}, "fields.bogus"),
     ("ivk_commuting.yaml", {"fields": {"matrices": [[[1.0]]]}},
      "fields.matrices"),
+    ("rotation.yaml", {"solver": {"use_expm": False}}, "solver.use_expm"),
 ], ids=["top-level", "deterministic-driver", "levy-driver", "solver",
-        "geometry", "mesh", "radial-mesh", "fields", "ivk-commuting-fields"])
+        "geometry", "mesh", "radial-mesh", "fields", "ivk-commuting-fields",
+        "solver-use-expm"])
 def test_unknown_key_exits_2(tmp_path, capsys, name, edit, where):
     with open(_cfg(name)) as fh:
         cfg = yaml.safe_load(fh)
@@ -361,6 +363,22 @@ def test_unknown_key_exits_2(tmp_path, capsys, name, edit, where):
     assert main(["simulate", "--config", str(path), "--out",
                  str(tmp_path / "o")]) == 2
     assert "config error: %s:" % where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key", [("solver", "substeps"),
+                                          ("ensemble", "n_paths")])
+def test_count_above_max_size_exits_2(tmp_path, capsys, section, key):
+    # checked with the config, so a count the run could never get through
+    # is rejected before anything runs
+    with open(_cfg("ensemble_linear.yaml")) as fh:
+        cfg = yaml.safe_load(fh)
+    path = tmp_path / "big.yaml"
+    for count, code in ((config.MAX_SIZE, 0), (config.MAX_SIZE + 1, 2)):
+        cfg[section] = {**cfg.get(section, {}), key: count}
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["ensemble", "--config", str(path),
+                     "--dump-config"]) == code
+    assert "config error: %s.%s:" % (section, key) in capsys.readouterr().err
 
 
 def test_shipped_and_benchmark_configs_load(tmp_path):

@@ -16,7 +16,7 @@ from jumpflow.decompose import (TAU_REASONS, LinearSystem, _frame_cond,
 from jumpflow.geometry import ComplementaryPair, Distribution, GeometryConfig
 from jumpflow.marcus import MarcusConfig, solve_with_jacobian
 from jumpflow.mesh import MeshChart
-from jumpflow.odeflow import OdeConfig, VectorFieldSet
+from jumpflow.odeflow import VectorFieldSet
 from jumpflow.reference import matrix_exp, rotation_decomposition
 from jumpflow.semimartingale import deterministic_path
 
@@ -289,7 +289,7 @@ def test_pointwise_matches_radial_closed_form():
     driver = deterministic_path(grid, 0.3 * grid, [(0.5, 0.1)])
     chart = MeshChart.annulus((0.5, 2.0), (40, 40))
     probes = _unit_circle_probes()
-    cfg = MarcusConfig(ode=OdeConfig(substeps=32))
+    cfg = MarcusConfig(substeps=32)
     rec = decompose_pointwise(fields, _radial_pair(), driver, chart, probes,
                               cfg=cfg, snapshot_stride=50)
     assert rec.tau_reason == "horizon"
@@ -344,7 +344,7 @@ def test_pointwise_contraction_escapes_chart_and_stops():
     probes = _unit_circle_probes()
     geo = GeometryConfig(eps_det=1e-12, cond_cap=1e8)
     rec = decompose_pointwise(fields, _radial_pair(), driver, chart, probes,
-                              cfg=MarcusConfig(ode=OdeConfig(substeps=16)),
+                              cfg=MarcusConfig(substeps=16),
                               geo=geo, snapshot_stride=10)
     assert rec.stopped_early
     assert rec.tau_reason == "mesh_inversion_failure"

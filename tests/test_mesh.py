@@ -1,5 +1,8 @@
 """Structured-mesh charts: interpolation, differentiation, inversion."""
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -120,9 +123,30 @@ def test_inversion_fails_for_unreachable_target():
 
 
 def test_interp_at_non_finite_query_is_nan():
-    chart = MeshChart.annulus((0.5, 2.0), (8, 8))
-    out = interp_mesh(chart, chart.base_points(), [[np.nan, 1.0], [1.0, np.nan]])
-    assert np.isnan(out).all()
+    # each chart kind, each axis, NaN and both infinities; no warning
+    charts = [MeshChart.annulus((0.5, 2.0), (8, 8)),
+              MeshChart.box(((0.0, 2.0), (-1.0, 1.0)), (5, 9))]
+    for chart, axis, bad in itertools.product(charts, (0, 1),
+                                              (np.nan, np.inf, -np.inf)):
+        query = np.array([[1.0, 0.5]])
+        query[0, axis] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, grad = interp_mesh(chart, chart.base_points(), query,
+                                    derivative=True)
+        assert np.isnan(out).all() and np.isnan(grad).all()
+
+
+def test_box_extrapolates_linear_fields_past_either_axis():
+    # a bounded axis 1 keeps its end cells as axis 0 does, so a linear
+    # field is reproduced more than two spacings past either end of it
+    chart = MeshChart.box(((0.0, 2.0), (-1.0, 1.0)), (5, 9))
+    M = np.array([[2.0, 3.0], [-1.0, 0.5]])
+    q = np.array([[1.0, 1.6], [0.7, -1.6], [2.6, 0.3], [-0.6, 0.4]])
+    got, grad = interp_mesh(chart, chart.base_points() @ M.T, q,
+                            derivative=True)
+    assert np.max(np.abs(got - q @ M.T)) < 1e-12
+    assert np.max(np.abs(grad - M)) < 1e-12
 
 
 def test_embedding_jacobian_matches_fd():

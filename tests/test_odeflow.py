@@ -6,11 +6,20 @@ import numpy as np
 import pytest
 
 from jumpflow.errors import IntegrationFailure
-from jumpflow.odeflow import (OdeConfig, VectorFieldSet, curve_average, expm,
-                              flow, flow_with_jacobian)
+from jumpflow.odeflow import (MarcusConfig, VectorFieldSet, curve_average,
+                              expm, flow, flow_with_jacobian)
 from jumpflow.reference import matrix_exp
 
 ROT = np.array([[[0.0, -1.0], [1.0, 0.0]]])
+
+
+def _as_callables(mats):
+    """The linear set of ``mats`` given as callables x -> M x with constant
+    Jacobians: the same fields, flowed by RK4 instead of the exponential."""
+    return VectorFieldSet.from_callables(
+        mats.shape[1], [lambda X, M=M: X @ M.T for M in mats],
+        [lambda X, M=M: np.broadcast_to(M, np.shape(X)[:-1] + M.shape)
+         for M in mats])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -70,13 +79,13 @@ def test_stacked_expm_isolates_non_finite_matrices():
 def test_linear_flow_uses_exponential():
     fields = VectorFieldSet.linear(ROT)
     x = flow(fields, np.array([np.pi / 2]), np.array([1.0, 0.0]), 1.0,
-             OdeConfig())
+             MarcusConfig())
     assert np.max(np.abs(x - [0.0, 1.0])) < 1e-12
 
 
 def test_generic_rk4_matches_exponential():
-    fields = VectorFieldSet.linear(ROT)
-    cfg = OdeConfig(substeps=256, use_expm=False)
+    fields = _as_callables(ROT)
+    cfg = MarcusConfig(substeps=256)
     x = flow(fields, np.array([np.pi / 2]), np.array([1.0, 0.0]), 1.0, cfg)
     assert np.max(np.abs(x - [0.0, 1.0])) < 1e-10
 
@@ -84,14 +93,13 @@ def test_generic_rk4_matches_exponential():
 def test_two_field_linear_flow_against_oracle():
     rng = np.random.default_rng(2)
     A = rng.uniform(-0.5, 0.5, size=(2, 3, 3))
-    fields = VectorFieldSet.linear(A)
     w = np.array([0.8, -0.6])
     x0 = np.array([1.0, -0.5, 0.25])
     combo = np.einsum("i,ijk->jk", w, A)
     expect = matrix_exp(combo).value @ x0
-    got = flow(fields, w, x0, 1.0, OdeConfig(substeps=64, use_expm=False))
+    got = flow(_as_callables(A), w, x0, 1.0, MarcusConfig(substeps=64))
     assert np.max(np.abs(got - expect)) < 1e-9
-    fast = flow(fields, w, x0, 1.0, OdeConfig())
+    fast = flow(VectorFieldSet.linear(A), w, x0, 1.0, MarcusConfig())
     assert np.max(np.abs(fast - expect)) < 1e-12
 
 
@@ -107,7 +115,7 @@ def test_rk4_order_on_riccati():
     errs = []
     for sub in (4, 8, 16):
         x = flow(fields, np.array([1.0]), np.array([0.5]), 1.0,
-                 OdeConfig(substeps=sub, use_expm=False))
+                 MarcusConfig(substeps=sub))
         errs.append(abs(float(x[0]) - 1.0))
     order = np.log2(errs[0] / errs[1])
     assert order > 3.5
@@ -117,7 +125,7 @@ def test_rk4_order_on_riccati():
 def test_flow_on_batch_of_points():
     fields = VectorFieldSet.linear(ROT)
     X0 = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]])
-    out = flow(fields, np.array([0.3]), X0, 1.0, OdeConfig())
+    out = flow(fields, np.array([0.3]), X0, 1.0, MarcusConfig())
     R = matrix_exp(ROT[0], 0.3).value
     assert np.max(np.abs(out - X0 @ R.T)) < 1e-12
 
@@ -130,7 +138,7 @@ def test_variational_jacobian_matches_fd():
     fields = VectorFieldSet.from_callables(2, [f])
     x0 = np.array([0.4, 0.3])
     w = np.array([0.7])
-    cfg = OdeConfig(substeps=64, use_expm=False)
+    cfg = MarcusConfig(substeps=64)
     _, J = flow_with_jacobian(fields, w, x0, 1.0, cfg)
     eps = 1e-6
     fd = np.zeros((2, 2))
@@ -151,23 +159,21 @@ def test_flow_equals_state_of_flow_with_jacobian():
         return np.array([np.sin(p[1]), p[0] ** 2])
 
     kinds = [VectorFieldSet.from_callables(2, [f]),
-             VectorFieldSet.linear(ROT),
+             VectorFieldSet.linear(ROT), _as_callables(ROT),
              VectorFieldSet.from_callables(2, [g])]
     X0 = np.array([[0.4, 0.3], [-0.2, 0.1]])
+    cfg = MarcusConfig(substeps=16)
     for fields in kinds:
-        for use_expm in (True, False):
-            cfg = OdeConfig(substeps=16, use_expm=use_expm)
-            for x0 in (X0[0], X0):
-                x = flow(fields, np.array([0.7]), x0, 1.0, cfg)
-                xj, _ = flow_with_jacobian(fields, np.array([0.7]), x0, 1.0,
-                                           cfg)
-                assert np.array_equal(x, xj)
+        for x0 in (X0[0], X0):
+            x = flow(fields, np.array([0.7]), x0, 1.0, cfg)
+            xj, _ = flow_with_jacobian(fields, np.array([0.7]), x0, 1.0, cfg)
+            assert np.array_equal(x, xj)
 
 
 def test_linear_jacobian_is_exponential():
     fields = VectorFieldSet.linear(ROT)
     _, J = flow_with_jacobian(fields, np.array([0.9]), np.array([2.0, -1.0]),
-                              1.0, OdeConfig())
+                              1.0, MarcusConfig())
     assert np.max(np.abs(J - matrix_exp(ROT[0], 0.9).value)) < 1e-12
 
 
@@ -181,7 +187,7 @@ def test_curve_average_linear_readout():
     def H(x):
         return np.asarray(x, dtype=float)
 
-    avg = curve_average(H, fields, np.array([1.0]), x0, OdeConfig(),
+    avg = curve_average(H, fields, np.array([1.0]), x0, MarcusConfig(),
                         quad_nodes=64)
     expect = np.linalg.solve(B, (matrix_exp(B).value - np.eye(2)) @ x0)
     assert np.max(np.abs(avg - expect)) < 1e-10
@@ -198,7 +204,7 @@ def test_curve_average_steps_substeps_per_unit_time():
 
     fields = VectorFieldSet.from_callables(1, [square])
     curve_average(lambda x: x, fields, np.array([1.0]), np.array([0.5]),
-                  OdeConfig(substeps=64, use_expm=False), quad_nodes=16)
+                  MarcusConfig(substeps=64), quad_nodes=16)
     assert len(calls) == 256
 
 
@@ -209,7 +215,7 @@ def test_curve_average_constant_is_identity():
         return np.array([[3.0]])
 
     avg = curve_average(H, fields, np.array([0.5]), np.array([1.0, 0.0]),
-                        OdeConfig(), quad_nodes=8)
+                        MarcusConfig(), quad_nodes=8)
     assert np.max(np.abs(avg - 3.0)) < 1e-14
 
 
@@ -222,7 +228,7 @@ def test_blowup_raises_with_time():
     fields = VectorFieldSet.from_callables(1, [f])
     with pytest.raises(IntegrationFailure) as err:
         flow(fields, np.array([1.0]), np.array([2.0]), 1.0,
-             OdeConfig(substeps=64, use_expm=False))
+             MarcusConfig(substeps=64))
     assert err.value.time is None or err.value.time <= 1.0
 
 

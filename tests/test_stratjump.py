@@ -9,7 +9,7 @@ from jumpflow import odeflow, stratjump
 from jumpflow.config import build_problem
 from jumpflow.errors import IntegrationFailure
 from jumpflow.marcus import MarcusConfig, solve_map_batch, solve_point
-from jumpflow.odeflow import OdeConfig, VectorFieldSet, flow
+from jumpflow.odeflow import VectorFieldSet, flow
 from jumpflow.semimartingale import (JumpLaw, PathParams, deterministic_path,
                                      refine, sample_levy_jump_diffusion)
 from jumpflow.stratjump import (_composite_orbits, field_matrix_map,
@@ -91,7 +91,7 @@ def test_zero_outer_collapses_to_orbit_integral():
                         seed=17, dimension=2)
     path = sample_levy_jump_diffusion(params)
     x0 = np.array([0.6, -0.2])
-    cfg = MarcusConfig(ode=OdeConfig(substeps=128))
+    cfg = MarcusConfig(substeps=128)
     push = pushforward_integral(outer, inner, path, x0, cfg)
     H, dH = field_matrix_map(inner)
     direct = marcus_integral(H, inner, path, x0, cfg, dH=dH)
@@ -195,8 +195,8 @@ def _reference_orbit(outer, inner, driver, x0, cfg):
                             np.zeros(jump_idx.shape[0], dtype=int)])
     states, jacs = solve_map_batch(outer, driver, bases, fidx, fside, cfg)
     sizes = driver.jump_size_at_grid()
-    hops = {int(k): (flow(outer, sizes[k], states[2 * K + r], 1.0, cfg.ode),
-                     flow(outer, sizes[k], states[K + k], 1.0, cfg.ode))
+    hops = {int(k): (flow(outer, sizes[k], states[2 * K + r], 1.0, cfg),
+                     flow(outer, sizes[k], states[K + k], 1.0, cfg))
             for r, k in enumerate(jump_idx)}
     return states[:K], states[K:2 * K], jacs[:K], jacs[K:2 * K], hops
 

@@ -13,9 +13,10 @@ maps each run's label to its exit code, its stderr, the SHA-256 of every
 file it wrote, except ``run_meta.txt`` (which holds timings), and the
 SHA-256 of the ``--dump-config`` output of the same command with the same
 flags (``--seed``, ``--ladder``), so that a comparison covers config
-normalization too.  Paths of the checkout and of the scratch directory are
-replaced by ``<root>`` and ``<work>`` in stderr, so two checkouts can be
-compared with ``diff``.
+normalization too.  That output is also recorded line by line, so a
+``diff`` of two reports names the config key that changed.  Paths of the
+checkout and of the scratch directory are replaced by ``<root>`` and
+``<work>`` in stderr, so two checkouts can be compared with ``diff``.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ def digest_run(root, argv, outdir, workdir):
                 files[name] = hashlib.sha256(fh.read()).hexdigest()
     stderr = proc.stderr.replace(workdir, "<work>").replace(root, "<root>")
     return {"exit": proc.returncode, "stderr": stderr, "files": files,
-            "dump_config": hashlib.sha256(dump.stdout.encode()).hexdigest()}
+            "dump_config": hashlib.sha256(dump.stdout.encode()).hexdigest(),
+            "dump_config_text": dump.stdout.splitlines()}
 
 
 def main(argv=None):
