@@ -12,8 +12,13 @@ Exit codes: 0 success, 2 bad configuration or arguments, 3 integration
 failure, 4 a verified property was violated (ladder ratio out of bounds,
 or the decomposition stopped before the horizon).
 
-Every run writes ``run_meta.txt`` (argument vector, version, setup, run and
-wall seconds); all other outputs are byte-stable for a fixed config and seed.
+Each runner computes and returns ``(exit code, {file name: payload})``;
+``main`` writes every payload through one writer, ``_write``: a dict is one
+JSON document (``format_version`` and ``scenario`` added), a list is JSONL,
+a callable writes a CSV table.  A non-finite number is ``null`` in every
+JSON and JSONL artifact.  Every run then writes ``run_meta.txt`` (argument
+vector, version, setup, run and wall seconds); all other outputs are
+byte-stable for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .config import (apply_overrides, build_driver, build_geometry_config,
                      dump_config, load_config)
 from .convergence import fit_order
 from .decompose import (LinearSystem, decompose_linear_sde,
-                        decompose_pointwise, verify_composition)
+                        decompose_pointwise)
 from .errors import ConfigError, IntegrationFailure
 from .marcus import solve_ensemble, solve_point, solve_with_jacobian, \
     trajectory_to_csv
@@ -44,10 +49,26 @@ RESIDUAL_FLOOR = 1e-12
 CONCAT_BOUND = 1e-8
 
 
-def _write_json(path, obj):
-    with open(path, "w") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2))
-        fh.write("\n")
+def _dumps(obj, indent=None):
+    """Sorted JSON text, with each non-finite number written as null."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=indent, allow_nan=False)
+    except ValueError:  # a NaN or infinity: strict JSON has only null
+        obj = json.loads(json.dumps(obj), parse_constant=lambda name: None)
+        return json.dumps(obj, sort_keys=True, indent=indent)
+
+
+def _write(outdir, artifacts):
+    """Write each artifact in order: a dict as one indented JSON document,
+    a list as JSONL (one object per line), a callable as ``payload(fh)``."""
+    for name, payload in artifacts.items():
+        with open(outdir + "/" + name, "w") as fh:
+            if callable(payload):
+                payload(fh)
+            elif isinstance(payload, dict):
+                fh.write(_dumps(payload, indent=2) + "\n")
+            else:
+                fh.writelines(_dumps(row) + "\n" for row in payload)
 
 
 def _write_meta(outdir, argv, started, set_up):
@@ -60,35 +81,24 @@ def _write_meta(outdir, argv, started, set_up):
         fh.write("wall_seconds: %.3f\n" % (ran - started))
 
 
-def _f(x):
-    return float(x)
-
-
-def _run_simulate(cfg, problem, outdir):
+def _run_simulate(cfg, problem, mcfg):
     driver = build_driver(cfg, cfg.get("_seed_override"))
     with_jacobian = cfg["solver"]["record_jacobian"]
     solve = solve_with_jacobian if with_jacobian else solve_point
-    traj = solve(problem["fields"], driver, problem["x0"],
-                 build_marcus_config(cfg))
-    with open(outdir + "/driver.csv", "w") as fh:
-        path_to_csv(driver, fh)
-    with open(outdir + "/trajectory.csv", "w") as fh:
-        trajectory_to_csv(traj, fh, include_jacobian=with_jacobian)
-    summary = {
-        "format_version": 1,
-        "scenario": problem["scenario"],
-        "horizon": _f(driver.horizon),
-        "n_steps": int(driver.grid.shape[0] - 1),
-        "n_jumps": int(driver.jump_times.shape[0]),
-        "final_state": [_f(v) for v in traj.final_state()],
+    traj = solve(problem["fields"], driver, problem["x0"], mcfg)
+    return 0, {
+        "driver.csv": lambda fh: path_to_csv(driver, fh),
+        "trajectory.csv": lambda fh: trajectory_to_csv(
+            traj, fh, include_jacobian=with_jacobian),
+        "summary.json": {"horizon": driver.horizon,
+                         "n_steps": driver.grid.shape[0] - 1,
+                         "n_jumps": driver.jump_times.shape[0],
+                         "final_state": traj.final_state().tolist()},
     }
-    _write_json(outdir + "/summary.json", summary)
-    return 0
 
 
-def _run_decompose(cfg, problem, outdir):
+def _run_decompose(cfg, problem, mcfg):
     driver = build_driver(cfg, cfg.get("_seed_override"))
-    mcfg = build_marcus_config(cfg)
     geo = build_geometry_config(cfg)
     if problem["kind"] == "linear":
         n = problem["matrices"].shape[1]
@@ -97,132 +107,88 @@ def _run_decompose(cfg, problem, outdir):
                               "dimension %d" % n)
         system = LinearSystem(problem["matrices"], problem["horizontal_dim"])
         record = decompose_linear_sde(system, driver, mcfg, geo)
-        probes = np.eye(system.dimension)
-        comp = verify_composition(record, probes)
     elif problem["kind"] == "mesh":
         record = decompose_pointwise(problem["fields"], problem["pair"],
                                      driver, problem["chart"],
                                      problem["probes"], mcfg, geo,
                                      snapshot_stride=cfg["snapshot_stride"])
-        comp = record.residual_sup
     else:
         raise ConfigError("scenario: scenario %r has no decomposition mode"
                           % problem["scenario"])
-    with open(outdir + "/diagnostics.jsonl", "w") as fh:
-        header = {"format_version": 1, "kind": "decomposition-diagnostics",
-                  "mode": record.mode, "tau": _f(record.tau),
-                  "tau_reason": record.tau_reason}
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for row in record.jsonl_rows():
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    summary = {
-        "format_version": 1,
-        "scenario": problem["scenario"],
-        "mode": record.mode,
-        "horizon": _f(driver.horizon),
-        "tau": _f(record.tau),
-        "tau_reason": record.tau_reason,
-        "degenerate_jump_target": bool(record.degenerate_jump_target),
-        "stopped_early": bool(record.stopped_early),
-        "max_composition_residual": _f(np.max(comp)),
-        "final_det_block": _f(record.det_block[-1]),
-        "max_renorm_deviation": _f(np.max(record.renorm_deviation)),
+    header = {"format_version": 1, "kind": "decomposition-diagnostics",
+              "mode": record.mode, "tau": record.tau,
+              "tau_reason": record.tau_reason}
+    return 4 if record.stopped_early else 0, {
+        "diagnostics.jsonl": [header] + record.jsonl_rows(),
+        "summary.json": {
+            "mode": record.mode, "horizon": driver.horizon,
+            "tau": record.tau, "tau_reason": record.tau_reason,
+            "degenerate_jump_target": record.degenerate_jump_target,
+            "stopped_early": record.stopped_early,
+            "max_composition_residual": float(np.max(record.residual_sup)),
+            "final_det_block": float(record.det_block[-1]),
+            "max_renorm_deviation": float(np.max(record.renorm_deviation))},
     }
-    _write_json(outdir + "/summary.json", summary)
-    return 4 if record.stopped_early else 0
 
 
-def _run_verify_ivk(cfg, problem, outdir):
+def _run_verify_ivk(cfg, problem, mcfg):
     if problem["kind"] != "ivk":
         raise ConfigError("scenario: verify-ivk needs an ivk-* scenario")
     driver = build_driver(cfg, cfg.get("_seed_override"))
-    mcfg = build_marcus_config(cfg)
     report = verify_ivk(problem["fields"], problem["inner_fields"], driver,
                         problem["x0"], mcfg, ladder=cfg["ladder"])
-    with open(outdir + "/ivk_ladder.jsonl", "w") as fh:
-        header = {"format_version": 1, "kind": "ivk-ladder",
-                  "ladder": int(cfg["ladder"])}
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for row in report.jsonl_rows():
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    finest = report.rungs[-1]
-    ratios = [_f(r) for r in report.ratios]
-    ratio_ok = all(r <= RATIO_BOUND for r in ratios) \
-        or finest.residual_sup < RESIDUAL_FLOOR
+    ratio_ok = all(r <= RATIO_BOUND for r in report.ratios) \
+        or report.rungs[-1].residual_sup < RESIDUAL_FLOOR
     concat = report.jump_concat_residual
-    concat_ok = concat is None or concat <= CONCAT_BOUND
-    summary = {
-        "format_version": 1,
-        "scenario": problem["scenario"],
-        "ratios": ratios,
-        "residual_sup": [_f(r.residual_sup) for r in report.rungs],
-        "jump_concat_residual": None if concat is None else _f(concat),
-        "ratio_bound": RATIO_BOUND,
-        "passes": bool(ratio_ok and concat_ok),
+    passes = ratio_ok and (concat is None or concat <= CONCAT_BOUND)
+    header = {"format_version": 1, "kind": "ivk-ladder",
+              "ladder": cfg["ladder"]}
+    return 0 if passes else 4, {
+        "ivk_ladder.jsonl": [header] + report.jsonl_rows(),
+        "summary.json": {
+            "ratios": report.ratios,
+            "residual_sup": [r.residual_sup for r in report.rungs],
+            "jump_concat_residual": concat, "ratio_bound": RATIO_BOUND,
+            "passes": passes},
     }
-    _write_json(outdir + "/summary.json", summary)
-    return 0 if summary["passes"] else 4
 
 
-def _run_convergence(cfg, problem, outdir):
+def _run_convergence(cfg, problem, mcfg):
     base = build_driver(cfg, cfg.get("_seed_override"))
-    mcfg = build_marcus_config(cfg)
     levels = cfg["ladder"]
     fields, x0 = problem["fields"], problem["x0"]
     finals, steps = [], []
     for k in range(levels):
         drv = refine(base, 2 ** k) if k else base
-        traj = solve_point(fields, drv, x0, mcfg)
-        finals.append(traj.final_state())
-        steps.append(_f(cfg["driver"]["step"]) / 2 ** k)
+        finals.append(solve_point(fields, drv, x0, mcfg).final_state())
+        steps.append(cfg["driver"]["step"] / 2 ** k)
     ref_driver = refine(base, 2 ** (levels + 1))
     ref = solve_point(fields, ref_driver, x0, mcfg).final_state()
-    errors = [_f(np.max(np.abs(f - ref))) for f in finals]
-    order = fit_order(steps, errors)
-    summary = {
-        "format_version": 1,
-        "scenario": problem["scenario"],
-        "steps": steps,
-        "errors": errors,
-        "order": _f(order) if np.isfinite(order) else None,
-    }
-    _write_json(outdir + "/convergence.json", summary)
-    return 0
+    errors = [float(np.max(np.abs(f - ref))) for f in finals]
+    return 0, {"convergence.json": {"steps": steps, "errors": errors,
+                                    "order": fit_order(steps, errors)}}
 
 
-def _run_ensemble(cfg, problem, outdir):
+def _run_ensemble(cfg, problem, mcfg):
     if cfg["driver"]["type"] != "levy":
         raise ConfigError("driver.type: ensemble needs a levy driver")
     if "ensemble" not in cfg:
         raise ConfigError("ensemble: section required for this subcommand")
     params = build_path_params(cfg, cfg.get("_seed_override"))
-    mcfg = build_marcus_config(cfg)
     name = cfg["ensemble"]["observable"]
-    observables = {}
-    if name == "norm":
-        observables["norm"] = lambda t, x: np.linalg.norm(x, axis=-1)
-    elif name == "first":
-        observables["first"] = lambda t, x: x[..., 0]
-    summary_obj = solve_ensemble(problem["fields"], params, problem["x0"],
-                                 mcfg, cfg["ensemble"]["n_paths"],
-                                 observables=observables)
-    payload = {
-        "format_version": 1,
-        "scenario": problem["scenario"],
-        "n_paths": int(summary_obj.n_paths),
-        "n_failures": int(summary_obj.n_failures),
-        "times": [_f(t) for t in summary_obj.times],
-        "mean": [[_f(v) for v in row] for row in summary_obj.mean],
-        "variance": [[_f(v) for v in row] for row in summary_obj.variance],
-    }
-    if name in summary_obj.observable_mean:
+    observables = {"norm": lambda t, x: np.linalg.norm(x, axis=-1),
+                   "first": lambda t, x: x[..., 0]}
+    observables = {name: observables[name]} if name in observables else {}
+    ens = solve_ensemble(problem["fields"], params, problem["x0"], mcfg,
+                         cfg["ensemble"]["n_paths"], observables=observables)
+    payload = {"n_paths": ens.n_paths, "n_failures": ens.n_failures,
+               "times": ens.times.tolist(), "mean": ens.mean.tolist(),
+               "variance": ens.variance.tolist()}
+    if observables:
         payload["observable"] = name
-        payload["observable_mean"] = [
-            _f(v) for v in summary_obj.observable_mean[name]]
-        payload["observable_variance"] = [
-            _f(v) for v in summary_obj.observable_variance[name]]
-    _write_json(outdir + "/ensemble.json", payload)
-    return 0
+        payload["observable_mean"] = ens.observable_mean[name].tolist()
+        payload["observable_variance"] = ens.observable_variance[name].tolist()
+    return 0, {"ensemble.json": payload}
 
 
 _RUNNERS = {
@@ -269,7 +235,12 @@ def main(argv=None) -> int:
         problem = build_problem(cfg)
         set_up = time.monotonic()
         os.makedirs(args.out, exist_ok=True)
-        code = _RUNNERS[args.command](cfg, problem, args.out)
+        code, artifacts = _RUNNERS[args.command](cfg, problem,
+                                                 build_marcus_config(cfg))
+        for payload in artifacts.values():
+            if isinstance(payload, dict):
+                payload.update(format_version=1, scenario=problem["scenario"])
+        _write(args.out, artifacts)
         _write_meta(args.out, ["jumpflow", args.command] + argv[1:], started,
                     set_up)
         return code

@@ -78,7 +78,6 @@ class DecompositionRecord:
     is_jump: np.ndarray
     tau: float
     tau_reason: str
-    degenerate_jump_target: bool
     det_block: np.ndarray
     condition: np.ndarray
     residual_sup: np.ndarray
@@ -97,22 +96,18 @@ class DecompositionRecord:
     def stopped_early(self) -> bool:
         return self.tau_reason != "horizon"
 
-    def jsonl_rows(self):
-        """Diagnostic rows (plain-python values) for streaming output."""
-        def num(x):
-            x = float(x)
-            return x if np.isfinite(x) else None
+    @property
+    def degenerate_jump_target(self) -> bool:
+        return self.tau_reason == "jump_target_degenerate"
 
-        rows = []
-        for k in range(self.times.shape[0]):
-            rows.append({
-                "t": float(self.times[k]),
-                "det_block": num(self.det_block[k]),
-                "condition": num(self.condition[k]),
-                "residual_sup": num(self.residual_sup[k]),
-                "is_jump": bool(self.is_jump[k]),
-            })
-        return rows
+    def jsonl_rows(self):
+        """Diagnostic rows (plain-python values, a non-finite number as
+        None) for streaming output."""
+        nums = [np.where(np.isfinite(a), a, None).tolist() for a in
+                (self.det_block, self.condition, self.residual_sup)]
+        keys = ("t", "det_block", "condition", "residual_sup", "is_jump")
+        return [dict(zip(keys, row)) for row in zip(
+            self.times.tolist(), *nums, self.is_jump.tolist())]
 
 
 def _structured_rhs(Xi, Psi, A_dz, p):
@@ -150,6 +145,12 @@ def _frame_cond(W, geo):
     cond = np.float_power(half + np.hypot(1.0, half), 2)
     ok = finite & (scaled > geo.eps_det) & (cond < geo.cond_cap)
     return np.where(ok, cond, np.nan)
+
+
+def _det_block_hits(det, prev, geo):
+    """Where a Jacobian block determinant fails: |det| at most
+    ``eps_det``, or a sign change from ``prev``."""
+    return (np.abs(det) <= geo.eps_det) | (det * prev < 0)
 
 
 def decompose_linear_sde(system: LinearSystem, driver: JumpPath,
@@ -245,8 +246,7 @@ def decompose_linear_sde(system: LinearSystem, driver: JumpPath,
         stage = _frame_cond(frames[:loop_steps], geo)
         det = np.linalg.det(F[:rows, 2, p:, p:])
         frame_bad = np.flatnonzero(np.isnan(stage).any(axis=1))
-        det_zero = np.flatnonzero((np.abs(det[1:]) <= geo.eps_det)
-                                  | (det[1:] * det[:-1] < 0))
+        det_zero = np.flatnonzero(_det_block_hits(det[1:], det[:-1], geo))
         if frame_bad.size:
             k = frame_bad[0]
             stops.append((k, 0, float(grid[k]), "split_degenerate", k + 1))
@@ -266,7 +266,6 @@ def decompose_linear_sde(system: LinearSystem, driver: JumpPath,
         is_jump=jump_mask[:rows],
         tau=tau,
         tau_reason=reason,
-        degenerate_jump_target=reason == "jump_target_degenerate",
         det_block=det[:rows],
         condition=cond,
         residual_sup=np.max(np.abs(xi @ psi - phi), axis=(1, 2)),
@@ -305,18 +304,15 @@ def validity_monitor(trajectory, horizontal_dim: int,
     det_pre = np.linalg.det(trajectory.jacobians_pre[:, p:, p:])
     det_post = np.linalg.det(trajectory.jacobians_post[:, p:, p:])
     times = trajectory.times
-    tau = float(times[-1])
-    reason = "horizon"
-    by_jump = False
-    for k in range(times.shape[0]):
-        prev = det_post[k - 1] if k > 0 else det_post[0]
-        hit_pre = abs(det_pre[k]) <= geo.eps_det or det_pre[k] * prev < 0
-        hit_post = abs(det_post[k]) <= geo.eps_det or det_post[k] * prev < 0
-        if hit_pre or hit_post:
-            tau = float(times[k])
-            reason = "det_block_zero"
-            by_jump = bool(trajectory.is_jump[k]) and hit_post and not hit_pre
-            break
+    prev = np.concatenate([det_post[:1], det_post[:-1]])
+    hit_pre = _det_block_hits(det_pre, prev, geo)
+    hit_post = _det_block_hits(det_post, prev, geo)
+    hits = np.flatnonzero(hit_pre | hit_post)
+    tau, reason, by_jump = float(times[-1]), "horizon", False
+    if hits.size:
+        k = hits[0]
+        tau, reason = float(times[k]), "det_block_zero"
+        by_jump = bool(trajectory.is_jump[k] & hit_post[k] & ~hit_pre[k])
     return ValidityReport(times=times, det_pre=det_pre, det_post=det_post,
                           tau=tau, tau_reason=reason,
                           triggered_by_jump=by_jump)
@@ -493,7 +489,6 @@ def decompose_pointwise(fields: VectorFieldSet, pair: ComplementaryPair,
         is_jump=np.array(is_jump, dtype=bool),
         tau=tau,
         tau_reason=reason,
-        degenerate_jump_target=False,
         det_block=det_arr,
         condition=np.array(cond_series),
         residual_sup=np.array(resid_series),

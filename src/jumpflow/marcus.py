@@ -22,7 +22,6 @@ all of them; a single solve is the one-sweep case.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,7 @@ import numpy as np
 from .errors import IntegrationFailure
 from .odeflow import MarcusConfig, VectorFieldSet, flow, flow_with_jacobian
 from .semimartingale import (JumpPath, PathParams, _grid_for, _levy_arrays,
-                             _substream)
+                             _substream, _write_csv)
 
 
 @dataclass(frozen=True)
@@ -373,16 +372,8 @@ def trajectory_to_csv(traj: Trajectory, fh, include_jacobian: bool = False) -> N
     n = traj.dimension
     head = (["time"] + ["pre_%d" % (i + 1) for i in range(n)]
             + ["post_%d" % (i + 1) for i in range(n)] + ["is_jump"])
-    with_jac = include_jacobian and traj.jacobians_post is not None
-    if with_jac:
+    columns = [traj.times, *traj.pre.T, *traj.post.T, traj.is_jump]
+    if include_jacobian and traj.jacobians_post is not None:
         head += ["jac_%d%d" % (i + 1, j + 1) for i in range(n) for j in range(n)]
-    writer = csv.writer(fh)
-    writer.writerow(head)
-    for k in range(traj.times.shape[0]):
-        row = [repr(float(traj.times[k]))]
-        row += [repr(float(v)) for v in traj.pre[k]]
-        row += [repr(float(v)) for v in traj.post[k]]
-        row.append(str(int(traj.is_jump[k])))
-        if with_jac:
-            row += [repr(float(v)) for v in traj.jacobians_post[k].ravel()]
-        writer.writerow(row)
+        columns += list(traj.jacobians_post.reshape(traj.times.shape[0], -1).T)
+    _write_csv(fh, head, columns)

@@ -155,19 +155,22 @@ def _pad_axis(values, axis, periodic):
 
 
 def _cr_weights(f):
-    """Catmull-Rom tap weights and their derivatives at fractions f."""
+    """Catmull-Rom tap weights and their derivatives at fractions f.  Past
+    [0, 1] (beyond a bounded axis's end cell) both continue along the end
+    tangent at c = f clipped to [0, 1]: w(c) + (f - c) w'(c) and w'(c)."""
     f = np.asarray(f, dtype=float)
-    f2 = f * f
-    f3 = f2 * f
-    w = np.stack([-0.5 * f + f2 - 0.5 * f3,
-                  1.0 - 2.5 * f2 + 1.5 * f3,
-                  0.5 * f + 2.0 * f2 - 1.5 * f3,
-                  -0.5 * f2 + 0.5 * f3], axis=-1)
-    dw = np.stack([-0.5 + 2.0 * f - 1.5 * f2,
-                   -5.0 * f + 4.5 * f2,
-                   0.5 + 4.0 * f - 4.5 * f2,
-                   -f + 1.5 * f2], axis=-1)
-    return w, dw
+    c = np.minimum(np.maximum(f, 0.0), 1.0)
+    c2 = c * c
+    c3 = c2 * c
+    w = np.stack([-0.5 * c + c2 - 0.5 * c3,
+                  1.0 - 2.5 * c2 + 1.5 * c3,
+                  0.5 * c + 2.0 * c2 - 1.5 * c3,
+                  -0.5 * c2 + 0.5 * c3], axis=-1)
+    dw = np.stack([-0.5 + 2.0 * c - 1.5 * c2,
+                   -5.0 * c + 4.5 * c2,
+                   0.5 + 4.0 * c - 4.5 * c2,
+                   -c + 1.5 * c2], axis=-1)
+    return w + (f - c)[..., None] * dw, dw
 
 
 def _taps(u, n, periodic):

@@ -355,18 +355,21 @@ def prefix(path: JumpPath, t_end: float, include_jump_at_end: bool = True) -> Ju
                     jump_sizes=path.jump_sizes[keep])
 
 
+def _write_csv(fh, head, columns) -> None:
+    """Write ``head``, then one row per index of equal-length 1-D columns:
+    floats by ``repr`` (round-trip exact), bool and int columns as integers.
+    The columns are zipped lazily, so one row is built at a time."""
+    cells = [c.tolist() if c.dtype.kind == "f" else c.astype(int).tolist()
+             for c in columns]
+    writer = csv.writer(fh)
+    writer.writerow(head)
+    writer.writerows(zip(*cells))
+
+
 def path_to_csv(path: JumpPath, fh) -> None:
     """Write `time, z_1..z_m, is_jump, dz_1..dz_m` rows at grid points."""
     m = path.dimension
-    writer = csv.writer(fh)
-    writer.writerow(["time"] + ["z_%d" % (c + 1) for c in range(m)]
-                    + ["is_jump"] + ["dz_%d" % (c + 1) for c in range(m)])
-    vals = path.values
-    mask = path.jump_mask
-    dz = path.jump_size_at_grid()
-    for k in range(path.grid.shape[0]):
-        row = [repr(float(path.grid[k]))]
-        row += [repr(float(v)) for v in vals[k]]
-        row.append(str(int(mask[k])))
-        row += [repr(float(v)) for v in dz[k]]
-        writer.writerow(row)
+    head = (["time"] + ["z_%d" % (c + 1) for c in range(m)]
+            + ["is_jump"] + ["dz_%d" % (c + 1) for c in range(m)])
+    _write_csv(fh, head, [path.grid, *path.values.T, path.jump_mask,
+                          *path.jump_size_at_grid().T])

@@ -305,16 +305,9 @@ class CompositionReport:
     jump_concat_residual: float | None
 
     def jsonl_rows(self):
-        rows = []
-        for r in self.rungs:
-            rows.append({
-                "h": float(r.h),
-                "residual_sup": float(r.residual_sup),
-                "ito": [float(v) for v in r.ito],
-                "qv": [float(v) for v in r.qv],
-                "jump": [float(v) for v in r.jump],
-            })
-        return rows
+        return [{"h": float(r.h), "residual_sup": float(r.residual_sup),
+                 "ito": r.ito.tolist(), "qv": r.qv.tolist(),
+                 "jump": r.jump.tolist()} for r in self.rungs]
 
 
 def _one_rung(outer, inner, orbit, x0):

@@ -1,5 +1,6 @@
 """Command-line entry points: artifacts, exit codes, reproducibility."""
 
+import csv
 import json
 import os
 import re
@@ -8,6 +9,7 @@ import sys
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import assume, given, settings
@@ -15,7 +17,9 @@ from hypothesis import strategies as st
 
 from jumpflow import config
 from jumpflow.cli import main
-from jumpflow.config import build_driver, build_problem, load_config
+from jumpflow.config import (build_driver, build_marcus_config, build_problem,
+                             load_config)
+from jumpflow.marcus import solve_with_jacobian
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -207,6 +211,48 @@ def test_decompose_overflowing_jump_stops_with_blowup(tmp_path):
     rows = [_strict_loads(line) for line in
             _read(os.path.join(out, "diagnostics.jsonl")).splitlines()]
     assert rows[-1]["t"] == 0.5
+
+
+def test_decompose_nonfinite_summary_value_is_null(tmp_path):
+    # cond_cap 1.0 fails the first frame: tau 0 and a NaN det_block, which
+    # every JSON artifact writes as null
+    with open(_cfg("radial_linear.yaml")) as fh:
+        cfg = yaml.safe_load(fh)
+    cfg["geometry"] = {"cond_cap": 1.0}
+    path = tmp_path / "radial.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = str(tmp_path / "run")
+    assert main(["decompose", "--config", str(path), "--out", out]) == 4
+    summary = _strict_loads(_read(os.path.join(out, "summary.json")))
+    assert summary["tau"] == 0.0
+    assert summary["tau_reason"] == "split_degenerate"
+    assert summary["final_det_block"] is None
+    rows = [_strict_loads(line) for line in
+            _read(os.path.join(out, "diagnostics.jsonl")).splitlines()]
+    assert rows[1]["det_block"] is None
+
+
+def test_simulate_writes_the_jacobian_columns(tmp_path):
+    # custom-linear (n = 3) with record_jacobian: the jac_ij columns are
+    # the post-jump Jacobians, row-major, bit for bit
+    with open(_cfg("custom_linear.yaml")) as fh:
+        cfg = yaml.safe_load(fh)
+    cfg["solver"] = {"record_jacobian": True}
+    path = tmp_path / "custom.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--config", str(path), "--out", out]) == 0
+    with open(os.path.join(out, "trajectory.csv"), newline="") as fh:
+        rows = list(csv.reader(fh))
+    jac_head = ["jac_%d%d" % (i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+    assert rows[0][8:] == jac_head
+    loaded = load_config(str(path))
+    problem = build_problem(loaded)
+    traj = solve_with_jacobian(problem["fields"], build_driver(loaded),
+                               problem["x0"], build_marcus_config(loaded))
+    cells = np.array([[float(c) for c in row[8:]] for row in rows[1:]])
+    want = traj.jacobians_post.reshape(len(rows) - 1, 9)
+    assert cells.tobytes() == want.tobytes()
 
 
 def test_decompose_mesh_large_jump_stops_jump_path_degenerate(tmp_path):

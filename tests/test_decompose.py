@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from jumpflow import decompose
-from jumpflow.config import (build_driver, build_marcus_config, build_problem,
-                             load_config)
+from jumpflow.config import (build_driver, build_geometry_config,
+                             build_marcus_config, build_problem, load_config)
 from jumpflow.decompose import (TAU_REASONS, LinearSystem, _frame_cond,
                                 _PointwiseState, _structured_rhs,
                                 decompose_linear_sde, decompose_pointwise,
@@ -152,6 +152,23 @@ def test_custom_linear_record_is_consistent_with_its_factors():
     top[:, :p] = np.eye(p)
     assert np.all(rec.xi[:, p:] == right)
     assert np.all(rec.psi[:, :p] == top)
+
+
+@pytest.mark.parametrize("name, seed", [
+    ("rotation.yaml", None), ("custom_linear.yaml", 1),
+    ("custom_linear.yaml", 2), ("custom_linear.yaml", 3),
+    ("rotation_jump.yaml", None)])
+def test_verify_composition_at_identity_probes_is_residual_sup(name, seed):
+    # the probes e_1..e_n give xi psi - phi column by column: the same bits
+    # as the record's own residual, which the CLI summary reads
+    cfg = load_config(os.path.join(CONFIGS, name))
+    problem = build_problem(cfg)
+    system = LinearSystem(problem["matrices"], problem["horizontal_dim"])
+    rec = decompose_linear_sde(system, build_driver(cfg, seed),
+                               build_marcus_config(cfg),
+                               build_geometry_config(cfg))
+    resid = verify_composition(rec, np.eye(system.dimension))
+    assert resid.tobytes() == rec.residual_sup.tobytes()
 
 
 def test_tau_reasons_registry():

@@ -1,12 +1,15 @@
 """Canonical jump-SDE solver: exactness, order, invariance, ensembles."""
 
+import csv
 import io
+import os
 from dataclasses import replace
 
 import numpy as np
 
 import jumpflow.odeflow as odeflow
-from jumpflow.config import build_problem
+from jumpflow.config import (build_driver, build_marcus_config, build_problem,
+                             load_config)
 from jumpflow.errors import IntegrationFailure
 from jumpflow.marcus import (MarcusConfig, solve_ensemble, solve_map_batch,
                              solve_point, solve_with_jacobian,
@@ -16,6 +19,8 @@ from jumpflow.reference import matrix_exp
 from jumpflow.semimartingale import (JumpLaw, PathParams, _grid_for,
                                      _substream, deterministic_path, prefix,
                                      sample_levy_jump_diffusion)
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def _linear_oracle(A, path, x0):
@@ -259,6 +264,27 @@ def test_trajectory_csv_layout():
     assert len(lines) == 1 + traj.times.shape[0]
     parsed = np.array([float(v) for v in lines[-1].split(",")[3:5]])
     assert np.array_equal(parsed, traj.post[-1])
+
+
+def test_trajectory_csv_reads_back_bit_for_bit():
+    # the shipped rotation run with one jump: every cell parses back to the
+    # trajectory's bits, is_jump as 0/1
+    cfg = load_config(os.path.join(CONFIGS, "rotation_jump.yaml"))
+    problem = build_problem(cfg)
+    traj = solve_point(problem["fields"], build_driver(cfg), problem["x0"],
+                       build_marcus_config(cfg))
+    buf = io.StringIO()
+    trajectory_to_csv(traj, buf)
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))
+    assert rows[0] == ["time", "pre_1", "pre_2", "post_1", "post_2",
+                       "is_jump"]
+    cells = np.array([[float(c) for c in row] for row in rows[1:]])
+    assert cells[:, 0].tobytes() == traj.times.tobytes()
+    assert np.ascontiguousarray(cells[:, 1:3]).tobytes() == traj.pre.tobytes()
+    assert np.ascontiguousarray(cells[:, 3:5]).tobytes() == traj.post.tobytes()
+    assert [row[5] for row in rows[1:]] == [
+        "1" if j else "0" for j in traj.is_jump]
+    assert "1" in [row[5] for row in rows[1:]]
 
 
 def _ensemble_by_points(fields, params, x0, n_paths, observables):

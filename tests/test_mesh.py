@@ -149,6 +149,31 @@ def test_box_extrapolates_linear_fields_past_either_axis():
     assert np.max(np.abs(grad - M)) < 1e-12
 
 
+def test_far_queries_past_a_bounded_axis_stay_finite_and_linear():
+    # far past a bounded axis the weights continue along the end tangent:
+    # a linear field keeps its value to rounding, with no overflow warning;
+    # at 1e200 spacings the cross-axis derivative cancels, so the gradient
+    # is checked only at 1e6
+    box = MeshChart.box(((0.0, 2.0), (-1.0, 1.0)), (5, 9))
+    M = np.array([[2.0, 3.0], [-1.0, 0.5]])
+    annulus = MeshChart.annulus((0.5, 2.0), (8, 8))
+    a = np.array([[1.5, 0.0], [-0.7, 0.0]])  # linear in the radius only
+    cases = [(box, box.base_points() @ M.T, M, axis) for axis in (0, 1)]
+    cases.append((annulus, annulus.chart_grid() @ a.T, a, 0))
+    for (chart, values, lin, axis), k, (end, sign) in itertools.product(
+            cases, (1e6, 1e200), ((0, -1), (-1, 1))):
+        ends = chart.coords0 if axis == 0 else chart.coords1
+        q = np.array([[1.0, 0.3]])
+        q[0, axis] = ends[end] + sign * k * chart.spacing[axis]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, grad = interp_mesh(chart, values, q, derivative=True)
+        want = q @ lin.T
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        if k == 1e6:
+            assert np.max(np.abs(grad - lin)) < 1e-15 * k
+
+
 def test_embedding_jacobian_matches_fd():
     chart = MeshChart.annulus((0.5, 2.0), (8, 8))
     c = np.array([[1.3, 0.8]])

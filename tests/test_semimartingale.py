@@ -1,5 +1,6 @@
 """Driving-path sampling, path algebra and serialization."""
 
+import csv
 import io
 import os
 import subprocess
@@ -171,6 +172,25 @@ def test_csv_round_trip_precision():
     k = len(lines) // 2
     parts = lines[k].split(",")
     assert float(parts[0]) == p.grid[k - 1]
+
+
+def test_path_csv_reads_back_bit_for_bit():
+    # the smallest subnormal, a huge value and an inexact decimal, plus one
+    # jump: every cell parses back to the driver's bits, is_jump as 0/1
+    times = [0.0, 0.25, 0.5, 0.75, 1.0]
+    values = [[0.0, 0.0], [5e-324, -1e308], [1e308, 0.1], [0.1, 5e-324],
+              [0.3, 1.0 / 3.0]]
+    p = deterministic_path(times, values, [(0.75, [0.5, -0.25])])
+    buf = io.StringIO()
+    path_to_csv(p, buf)
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))
+    assert rows[0] == ["time", "z_1", "z_2", "is_jump", "dz_1", "dz_2"]
+    cells = np.array([[float(c) for c in row] for row in rows[1:]])
+    assert cells[:, 0].tobytes() == p.grid.tobytes()
+    assert np.ascontiguousarray(cells[:, 1:3]).tobytes() == p.values.tobytes()
+    assert (np.ascontiguousarray(cells[:, 4:]).tobytes()
+            == p.jump_size_at_grid().tobytes())
+    assert [row[3] for row in rows[1:]] == ["0", "0", "0", "1", "0"]
 
 
 def test_multichannel_brownian_channels_independent():

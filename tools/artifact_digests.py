@@ -7,7 +7,12 @@ Usage (from any directory):
 The runs are every operation that ``perfbench/workloads.py`` of the checkout
 builds at ``--seed`` (the twelve shipped config/subcommand pairs and the
 generated workload configs), plus ``simulate`` on ``rotation_jump.yaml``,
-``ivk_jump.yaml`` and ``radial_linear.yaml``.  Each run is a fresh
+``ivk_jump.yaml`` and ``radial_linear.yaml``, plus three edited shipped
+configs written into the scratch directory (``EXTRA_EDITED``):
+``custom_linear.yaml`` simulated with ``solver.record_jacobian: true``,
+``radial_linear.yaml`` decomposed with ``geometry.cond_cap: 1.0`` (a NaN
+``det_block`` at tau 0) and ``rotation.yaml`` simulated with a jump of
+``[1e308]`` (exit 3, no artifacts).  Each run is a fresh
 ``python -m jumpflow.cli`` process on the checkout's ``src``.  The output
 maps each run's label to its exit code, its stderr, the SHA-256 of every
 file it wrote, except ``run_meta.txt`` (which holds timings), and the
@@ -29,7 +34,21 @@ import subprocess
 import sys
 import tempfile
 
+import yaml
+
 EXTRA_SIMULATE = ("rotation_jump.yaml", "ivk_jump.yaml", "radial_linear.yaml")
+
+# (label, subcommand, shipped config, edit): writer branches the runs
+# above miss, generated into the work directory
+EXTRA_EDITED = (
+    ("simulate:custom_linear-jacobian", "simulate", "custom_linear.yaml",
+     lambda cfg: cfg.setdefault("solver", {}).update(record_jacobian=True)),
+    ("decompose:radial_linear-cond_cap-1", "decompose", "radial_linear.yaml",
+     lambda cfg: cfg.update(geometry={"cond_cap": 1.0})),
+    ("simulate:rotation-jump-1e308", "simulate", "rotation.yaml",
+     lambda cfg: cfg["driver"].update(
+         jumps=[{"time": 0.5, "size": [1e308]}])),
+)
 
 
 def operations(root, seed, workdir):
@@ -48,6 +67,14 @@ def operations(root, seed, workdir):
         runs.append(("simulate:" + name[:-5],
                      ["simulate", "--config",
                       os.path.join(root, "configs", name)]))
+    for label, command, name, edit in EXTRA_EDITED:
+        with open(os.path.join(root, "configs", name)) as fh:
+            cfg = yaml.safe_load(fh)
+        edit(cfg)
+        path = os.path.join(workdir, label.replace(":", "-") + ".yaml")
+        with open(path, "w") as fh:
+            yaml.safe_dump(cfg, fh)
+        runs.append((label, [command, "--config", path]))
     return runs
 
 
