@@ -118,6 +118,50 @@ def test_verify_ivk_continuous_passes(tmp_path):
     assert summary["jump_concat_residual"] is None
 
 
+def test_ladder_override_sets_the_rung_count(tmp_path):
+    out = str(tmp_path / "run")
+    assert main(["verify-ivk", "--config", _cfg("ivk_commuting.yaml"),
+                 "--out", out, "--ladder", "6"]) == 0
+    lines = _read(os.path.join(out, "ivk_ladder.jsonl")).splitlines()
+    assert json.loads(lines[0])["ladder"] == 6
+    assert len(lines) == 1 + 6
+    summary = json.loads(_read(os.path.join(out, "summary.json")))
+    assert len(summary["residual_sup"]) == 6
+    assert len(summary["ratios"]) == 5
+
+
+@pytest.mark.parametrize("ladder", ["0", "9"])
+def test_ladder_override_out_of_range_exits_2(tmp_path, capsys, ladder):
+    out = str(tmp_path / "run")
+    assert main(["verify-ivk", "--config", _cfg("ivk_commuting.yaml"),
+                 "--out", out, "--ladder", ladder]) == 2
+    err = capsys.readouterr().err
+    assert "config error: --ladder: must be an integer in [1, 8]" in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("name, which", [
+    ("sphere_tangent.yaml", "fields"), ("ivk_jump.yaml", "fields"),
+    ("ivk_jump.yaml", "inner_fields")])
+def test_scenario_jacobians_match_central_differences(name, which):
+    # every hand-written Jacobian of a nonlinear scenario, at random points
+    fields = build_problem(load_config(_cfg(name)))[which]
+    rng = np.random.default_rng(7)
+    X = rng.uniform(-2.0, 2.0, (50, fields.dimension))
+    h = 1e-6
+    for i in range(fields.count):
+        assert fields._jacs[i] is not None
+        want = np.empty(X.shape + (fields.dimension,))
+        for j in range(fields.dimension):
+            e = np.zeros(fields.dimension)
+            e[j] = h
+            want[..., j] = (fields.field_matrix(X + e)[..., i]
+                            - fields.field_matrix(X - e)[..., i]) / (2 * h)
+        got = fields.jacobian_batch(i, X)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-8, (name, which, i)
+
+
 def test_convergence_reports_second_order(tmp_path):
     out = str(tmp_path / "run")
     assert main(["convergence", "--config", _cfg("convergence_linear.yaml"),

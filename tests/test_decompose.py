@@ -17,7 +17,8 @@ from jumpflow.geometry import ComplementaryPair, Distribution, GeometryConfig
 from jumpflow.marcus import MarcusConfig, solve_with_jacobian
 from jumpflow.mesh import MeshChart
 from jumpflow.odeflow import VectorFieldSet
-from jumpflow.reference import matrix_exp, rotation_decomposition
+from jumpflow.reference import (matrix_exp, radial_decomposition,
+                                rotation_decomposition)
 from jumpflow.semimartingale import deterministic_path
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -323,6 +324,61 @@ def test_pointwise_matches_radial_closed_form():
         got = rec.psi_probes[si]
         assert np.max(np.abs(got - expect)) < 1e-3
         assert np.max(np.abs(rec.psi_probes_inverse[si] - got)) < 1e-3
+
+
+def test_pointwise_matches_radial_oracle_at_second_order():
+    # criterion 7's circle/ray pair on radial_linear's matrix: every
+    # snapshot of psi at the probes and of the xi mesh against the closed
+    # form at exp(A Z_t), across the jump, at two steps
+    A = np.array([[0.25, 0.1], [0.0, 0.15]])
+    fields = VectorFieldSet.linear(A[None])
+    chart = MeshChart.annulus((0.5, 2.0), (40, 40))
+    base = chart.base_points()
+    probes = _unit_circle_probes()
+    errors = []
+    for step in (0.004, 0.002):
+        grid = np.round(np.arange(0.0, 1.0 + step / 2, step), 12)
+        driver = deterministic_path(grid, 0.3 * grid, [(0.5, 0.1)])
+        rec = decompose_pointwise(fields, _radial_pair(), driver, chart,
+                                  probes, cfg=MarcusConfig(substeps=32),
+                                  snapshot_stride=50)
+        assert rec.tau_reason == "horizon"
+        err_psi = err_xi = 0.0
+        for si, t in enumerate(rec.snapshot_times):
+            z = float(driver.values[np.searchsorted(grid, t), 0])
+            psi, xi = radial_decomposition(matrix_exp(A, z).value, probes)
+            want_psi = np.array([psi(p) for p in probes])
+            want_xi = np.array([[xi(y) for y in row] for row in base])
+            err_psi = max(err_psi, np.max(np.abs(rec.psi_probes[si]
+                                                 - want_psi)))
+            err_xi = max(err_xi, np.max(np.abs(rec.xi_mesh[si] - want_xi)))
+        errors.append((err_psi, err_xi))
+    assert errors[0][0] <= 5e-9, errors
+    assert errors[1][0] <= 0.3 * errors[0][0], errors
+    assert errors[1][1] <= 0.3 * errors[0][1], errors
+
+
+def test_pointwise_blowup_stops_at_the_step_start():
+    # x -> (exp(x_0), 0) on a box: the second Heun step overflows, and the
+    # run stops at the grid time that step began
+    def grow(x):
+        out = np.zeros(x.shape)
+        with np.errstate(over="ignore"):
+            out[..., 0] = np.exp(x[..., 0])
+        return out
+
+    fields = VectorFieldSet.from_callables(2, [grow])
+    pair = ComplementaryPair(horizontal=Distribution.constant(np.eye(2)[:, :1]),
+                             vertical=Distribution.constant(np.eye(2)[:, 1:]))
+    chart = MeshChart.box(((0.0, 1.0), (0.0, 1.0)), (5, 5))
+    grid = np.linspace(0.0, 1.0, 3)
+    driver = deterministic_path(grid, 2.0 * grid)
+    rec = decompose_pointwise(fields, pair, driver, chart,
+                              np.array([[0.5, 0.5]]))
+    assert rec.tau_reason == "blowup"
+    assert rec.tau == 0.5
+    assert rec.times.tolist() == [0.0, 0.5]
+    assert np.isfinite(rec.psi_probes).all()
 
 
 def test_pointwise_stage_interpolates_evaluates_and_splits_once(monkeypatch):
