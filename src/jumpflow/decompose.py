@@ -16,13 +16,14 @@ discretizations are provided:
   deformed mesh, psi at probe points by its own projected equation, and
   the factorization is verified by composing interpolants.
 
-Both take Heun steps over continuous stretches and carry their factors
-across a jump with odeflow's one fictitious-time RK4.  Both stop at the
-first time the transversality data degenerates, by ``GeometryConfig``'s
-one rule: a frame [B_H | B_V] whose scaled determinant |det| / prod_j
-|S e_j| is at most ``eps_det`` or whose 2-norm condition number is at
-least ``cond_cap`` (``split_frame``), or a Jacobian block whose |det| is
-at most ``eps_det``.  Each reports how the stop was detected.
+Each mode steps one right-hand side by odeflow's Heun step ``_heun`` over
+continuous stretches and by its fictitious-time RK4 ``_rk4`` across a
+jump.  Both stop at the first time the transversality data degenerates,
+by ``GeometryConfig``'s one rule: a frame [B_H | B_V] whose scaled
+determinant |det| / prod_j |S e_j| is at most ``eps_det`` or whose 2-norm
+condition number is at least ``cond_cap`` (``split_frame``), or a
+Jacobian block whose |det| is at most ``eps_det``.  Each reports how the
+stop was detected.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import DegeneracyError, IntegrationFailure, MeshInversionError
 from .geometry import (DEFAULT_GEOMETRY, ComplementaryPair,
                        GeometryConfig, split_frame)
 from .mesh import MeshChart, interp_mesh, invert_mesh_map, mesh_jacobian
-from .odeflow import MarcusConfig, VectorFieldSet, _rk4, expm
+from .odeflow import MarcusConfig, VectorFieldSet, _heun, _rk4, expm
 from .semimartingale import JumpPath
 
 TAU_REASONS = ("horizon", "split_degenerate", "det_block_zero",
@@ -159,19 +160,20 @@ def decompose_linear_sde(system: LinearSystem, driver: JumpPath,
                          ) -> DecompositionRecord:
     """Integrate the coupled factor equations for a linear jump diffusion.
 
-    Heun steps over continuous stretches, RK4 in fictitious time across
-    jumps, and an independent reference fundamental matrix Phi (matrix
-    Heun plus exact exponential jumps).  The loop only steps and stores
-    Xi, Psi, Phi and each step's two Heun-stage frames W = Xi[:p, p:],
-    stops on a non-finite step and settles each jump's outcome.  One
-    batched pass after it computes the diagnostics (stage conditions, det
-    of Phi's lower-right block, |Xi Psi - Phi|) and the first stop; within
-    a step a failed stage frame (split_degenerate at its start) comes
-    first, then a blow-up, a jump outcome, det_block_zero at its end.  The
-    loop checks neither frame nor determinant, so such a run may be
-    integrated past its stop before the pass truncates it.  The structural
-    blocks are never renormalized (see ``_structured_rhs``); the pass
-    measures their deviation, renorm_deviation.
+    One right-hand side over (Xi, Psi, Phi) takes Heun steps over
+    continuous stretches, and over (Xi, Psi) RK4 in fictitious time across
+    jumps, where the independent reference fundamental matrix Phi takes
+    the exact exponential.  The loop only steps and stores Xi, Psi, Phi
+    and each step's two Heun-stage frames W = Xi[:p, p:], stops on a
+    non-finite step and settles each jump's outcome.  One batched pass
+    after it computes the diagnostics (stage conditions, det of Phi's
+    lower-right block, |Xi Psi - Phi|) and the first stop; within a step a
+    failed stage frame (split_degenerate at its start) comes first, then a
+    blow-up, a jump outcome, det_block_zero at its end.  The loop checks
+    neither frame nor determinant, so such a run may be integrated past
+    its stop before the pass truncates it.  The structural blocks are
+    never renormalized (see ``_structured_rhs``); the pass measures their
+    deviation, renorm_deviation.
     """
     cfg = cfg or MarcusConfig()
     A = system.matrices
@@ -185,26 +187,27 @@ def decompose_linear_sde(system: LinearSystem, driver: JumpPath,
     jump_mask = driver.jump_mask
     jump_sizes = driver.jump_size_at_grid()
 
+    def rhs(state):
+        # increments under the current matrix M; each stage's W to ``seen``
+        Xi, Psi, *Phi = state
+        seen.append(Xi[:p, p:])
+        dXi, dPsi = _structured_rhs(Xi, Psi, M, p)
+        return (dXi, dPsi, M @ Phi[0]) if Phi else (dXi, dPsi)
+
     # Xi, Psi, Phi at each grid time, the frames of each step's Heun
     # stages, and the last-stage condition of each jump's RK4
     F = np.empty((K, 3, n, n))
     F[0] = np.eye(n)
-    Xi, Psi, Phi = F[0]
+    state = F[0]
     frames = np.empty((K - 1, 2, p, n - p))
     jump_cond = np.zeros(K)
     # candidate stops as (step, order within the step, tau, reason, rows)
     stops = [(K, 0, driver.horizon, "horizon", K)]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, A_dz in enumerate(A_dz_all):
-            frames[k, 0] = Xi[:p, p:]
-            k0x, k0p = _structured_rhs(Xi, Psi, A_dz, p)
-            Xi1 = Xi + k0x
-            frames[k, 1] = Xi1[:p, p:]
-            k1x, k1p = _structured_rhs(Xi1, Psi + k0p, A_dz, p)
-            F[k + 1, 0] = Xi = Xi + 0.5 * (k0x + k1x)
-            F[k + 1, 1] = Psi = Psi + 0.5 * (k0p + k1p)
-            AP = A_dz @ Phi
-            F[k + 1, 2] = Phi = Phi + 0.5 * (AP + A_dz @ (Phi + AP))
+        for k, M in enumerate(A_dz_all):
+            seen = []
+            state = F[k + 1] = _heun(rhs, state)
+            frames[k] = seen
             if not np.isfinite(F[k + 1]).all():
                 stops.append((k, 1, float(grid[k]), "blowup", k + 1))
                 break
@@ -213,8 +216,8 @@ def decompose_linear_sde(system: LinearSystem, driver: JumpPath,
             # across the jump Phi moves exactly and the factors by RK4 in
             # fictitious time; a stop here keeps the pre-jump factors
             t_jump = float(grid[k + 1])
-            A_j = np.einsum("i,ijk->jk", jump_sizes[k + 1], A)
-            Phi_target = expm(A_j) @ Phi
+            M = np.einsum("i,ijk->jk", jump_sizes[k + 1], A)
+            Phi_target = expm(M) @ F[k + 1, 2]
             if not np.isfinite(Phi_target).all():
                 stops.append((k, 1, t_jump, "blowup", k + 2))  # left limit
                 break
@@ -222,23 +225,18 @@ def decompose_linear_sde(system: LinearSystem, driver: JumpPath,
             if abs(np.linalg.det(Phi_target[p:, p:])) <= geo.eps_det:
                 stops.append((k, 1, t_jump, "jump_target_degenerate", k + 2))
                 break
-
             # the frame of every RK4 stage, checked in one batch after it
-            W = []
-
-            def rhs(state):
-                W.append(state[0][:p, p:])
-                return _structured_rhs(*state, A_j, p)
-
+            seen = []
             try:
-                Xi, Psi = _rk4(rhs, (Xi, Psi), 1.0, cfg.substeps)
-                cond = _frame_cond(np.array(W), geo)
-                if np.isnan(cond).any():
-                    raise DegeneracyError("frame matrix degenerate")
-            except (DegeneracyError, IntegrationFailure):
+                factors = _rk4(rhs, F[k + 1, :2], 1.0, cfg.substeps)
+                cond = _frame_cond(np.array(seen), geo)
+            except IntegrationFailure:
+                cond = np.nan  # a flow that blows up stops as a bad frame
+            if np.isnan(cond).any():
                 stops.append((k, 1, t_jump, "jump_path_degenerate", k + 2))
                 break
-            F[k + 1, 0], F[k + 1, 1], Phi = Xi, Psi, Phi_target
+            F[k + 1, :2] = factors
+            state = F[k + 1]
             jump_cond[k + 1] = cond[-1]
 
         # the first stop over the steps the loop took
@@ -319,83 +317,51 @@ def validity_monitor(trajectory, horizontal_dim: int,
 
 
 def verify_composition(record: DecompositionRecord, probes) -> np.ndarray:
-    """Composition residual sup_probes |xi(psi(x)) - phi(x)| per time."""
+    """Composition residual sup_probes |xi(psi(x)) - phi(x)| per time of a
+    linear-mode record.  A mesh record carries its own, ``residual_sup``,
+    and raises ValueError here."""
+    if record.mode != "linear":
+        raise ValueError("verify_composition takes a linear-mode record")
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    if record.mode == "linear":
-        inner = np.einsum("kij,qj->kqi", record.psi, probes)
-        outer = np.einsum("kij,kqj->kqi", record.xi, inner)
-        direct = np.einsum("kij,qj->kqi", record.phi, probes)
-        return np.max(np.abs(outer - direct), axis=(1, 2))
-    return record.residual_sup.copy()
+    inner = np.einsum("kij,qj->kqi", record.psi, probes)
+    outer = np.einsum("kij,kqj->kqi", record.xi, inner)
+    direct = np.einsum("kij,qj->kqi", record.phi, probes)
+    return np.max(np.abs(outer - direct), axis=(1, 2))
 
 
-class _PointwiseState:
-    """Mutable integration state for the mesh-based decomposition."""
+def _pointwise_rhs(fields, pair, chart, geo, seen):
+    """The mesh factorization's right-hand side ``rhs(state, dz)``: the
+    increments of the state (xi_mesh, phi, psi) under the increment dz.
 
-    def __init__(self, fields, pair, chart, probes, geo):
-        self.fields, self.pair, self.chart, self.geo = fields, pair, chart, geo
-        self.base = chart.base_points()
-        self.xi_mesh = self.base.copy()
-        self.probes = np.atleast_2d(np.asarray(probes, dtype=float))
-        self.phi, self.psi = self.probes.copy(), self.probes.copy()
-        # vertical frame at the frozen base points of the mesh
-        self.BV_base = pair.vertical.basis_batch(self.base)
+    One interpolation (xi and D xi at psi), one field evaluation and one
+    split of [B_H | D xi B_V] serve the nodes and probes together.  Each
+    split appends its (det, cond) to ``seen`` or raises DegeneracyError.
+    """
+    # vertical frame at the frozen base points of the mesh
+    BV_base = pair.vertical.basis(chart.base_points())
+    kH = pair.horizontal.rank
 
-    def rhs(self, xi_mesh, phi, psi, dz):
-        # one interpolation (xi and D xi at the probes), one field evaluation
-        # and one split of [B_H | D xi B_V] for the nodes and probes together
-        chart, pair, (R, C, _) = self.chart, self.pair, xi_mesh.shape
-        N, Q, kH = R * C, psi.shape[0], pair.horizontal.rank
+    def rhs(state, dz):
+        xi_mesh, phi, psi = state
+        R, C, _ = xi_mesh.shape
+        N, Q = R * C, psi.shape[0]
         Dxi = mesh_jacobian(chart, xi_mesh)
         at = interp_mesh(chart, np.concatenate(
             [xi_mesh, Dxi.reshape(R, C, 4)], axis=-1), chart.to_chart(psi))
         points = np.concatenate([xi_mesh.reshape(N, 2), at[:, :2], phi])
-        F = self.fields.field_matrix(points) @ dz
-        BH = pair.horizontal.basis_batch(points[:N + Q])
-        BVq = pair.vertical.basis_batch(psi)
-        BV = np.concatenate([(Dxi @ self.BV_base).reshape(N, 2, -1),
+        F = fields.field_matrix(points) @ dz
+        BH = pair.horizontal.basis(points[:N + Q])
+        BVq = pair.vertical.basis(psi)
+        BV = np.concatenate([(Dxi @ BV_base).reshape(N, 2, -1),
                              at[:, 2:].reshape(Q, 2, 2) @ BVq])
         coeff, det, cond = split_frame(np.concatenate([BH, BV], axis=-1),
-                                       F[:N + Q], self.geo)
+                                       F[:N + Q], geo)
+        seen.append((det, cond))
         f_xi = np.einsum("...ik,...k->...i", BH[:N], coeff[:N, :kH])
         f_psi = np.einsum("...ik,...k->...i", BVq, coeff[N:, kH:])
-        return f_xi.reshape(R, C, 2), F[N + Q:], f_psi, det, cond
+        return f_xi.reshape(R, C, 2), F[N + Q:], f_psi
 
-    def heun_step(self, dz):
-        f_xi, f_phi, f_psi, det0, cond0 = self.rhs(self.xi_mesh, self.phi,
-                                                   self.psi, dz)
-        g_xi, g_phi, g_psi, det1, cond1 = self.rhs(self.xi_mesh + f_xi,
-                                                   self.phi + f_phi,
-                                                   self.psi + f_psi, dz)
-        self.xi_mesh = self.xi_mesh + 0.5 * (f_xi + g_xi)
-        self.phi = self.phi + 0.5 * (f_phi + g_phi)
-        self.psi = self.psi + 0.5 * (f_psi + g_psi)
-        if not all(np.isfinite(a).all()
-                   for a in (self.xi_mesh, self.phi, self.psi)):
-            raise IntegrationFailure("pointwise factor blow-up")
-        return min(det0, det1), max(cond0, cond1)
-
-    def jump_step(self, dzj, substeps):
-        """RK4 across one jump; the worst det and cond over all stages."""
-        worst = [np.inf, 1.0]
-
-        def rhs(state):
-            *f, det, cond = self.rhs(*state, dzj)
-            worst[:] = min(worst[0], det), max(worst[1], cond)
-            return f
-
-        self.xi_mesh, self.phi, self.psi = _rk4(
-            rhs, (self.xi_mesh, self.phi, self.psi), 1.0, substeps)
-        return worst[0], worst[1]
-
-    def composition_residual(self):
-        qc = self.chart.to_chart(self.psi)
-        xi_at = interp_mesh(self.chart, self.xi_mesh, qc)
-        return float(np.max(np.abs(xi_at - self.phi)))
-
-    def invert_at_phi(self):
-        coords = invert_mesh_map(self.chart, self.xi_mesh, self.phi)
-        return self.chart.to_cartesian(coords)
+    return rhs
 
 
 def decompose_pointwise(fields: VectorFieldSet, pair: ComplementaryPair,
@@ -407,96 +373,88 @@ def decompose_pointwise(fields: VectorFieldSet, pair: ComplementaryPair,
 
     The horizontal factor is advanced as a deformed mesh (its motion is
     the horizontal part of the driving fields read off at the current
-    image), the full flow and the vertical factor at probe points.
-    Snapshots every ``snapshot_stride`` accepted steps store the mesh, the
-    probes and the Newton inverse psi = xi^{-1} o phi; the composition
-    residual doubles as the factorization check.
+    image), the full flow and the vertical factor at probe points, all by
+    one right-hand side (``_pointwise_rhs``).  Each step records the worst
+    det and cond of its splits and the composition residual
+    sup |xi(psi) - phi| at the probes, the factorization check.  Snapshots
+    every ``snapshot_stride`` steps, at each jump and at the end store the
+    mesh, the probes and the Newton inverse psi = xi^{-1} o phi.
     """
     cfg = cfg or MarcusConfig()
     if pair.horizontal.dimension != 2:
         raise ValueError("pointwise mode is implemented for 2-D states")
-    state = _PointwiseState(fields, pair, chart, probes, geo)
+    probes = np.atleast_2d(np.asarray(probes, dtype=float))
+    seen = []
+    rhs = _pointwise_rhs(fields, pair, chart, geo, seen)
     grid = driver.grid
     K = grid.shape[0]
     dzc = np.diff(driver.continuous_values, axis=0)
     jump_mask = driver.jump_mask
     jump_sizes = driver.jump_size_at_grid()
 
-    times = [float(grid[0])]
-    is_jump = [False]
-    det_series = [np.nan]
-    cond_series = [1.0]
-    resid_series = [0.0]
-    snap_times = [float(grid[0])]
-    snap_mesh = [state.xi_mesh.copy()]
-    snap_psi = [state.psi.copy()]
-    snap_phi = [state.phi.copy()]
-    snap_inv = [state.invert_at_phi()]
-    tau = driver.horizon
-    reason = "horizon"
+    def snapshot(t, state):
+        xi_mesh, phi, psi = state
+        inv = chart.to_cartesian(invert_mesh_map(chart, xi_mesh, phi))
+        return t, xi_mesh, psi, phi, inv
 
-    det0, cond0 = None, None
+    state = (chart.base_points(), probes, probes)
+    # rows of (t, is_jump, det, cond, residual) and snapshots
+    rows = [(float(grid[0]), False, np.nan, 1.0, 0.0)]
+    snaps = [snapshot(float(grid[0]), state)]
+    tau, reason = driver.horizon, "horizon"
     for k in range(K - 1):
+        seen.clear()
         try:
-            if np.any(dzc[k] != 0.0):
-                det0, cond0 = state.heun_step(dzc[k])
-            else:
-                det0, cond0 = det_series[-1], cond_series[-1]
+            state = _heun(lambda s: rhs(s, dzc[k]), state)
         except DegeneracyError:
             tau, reason = float(grid[k]), "split_degenerate"
             break
-        except IntegrationFailure:
+        if not all(np.isfinite(a).all() for a in state):
             tau, reason = float(grid[k]), "blowup"
             break
-        jumped = bool(jump_mask[k + 1])
+        t, jumped = float(grid[k + 1]), bool(jump_mask[k + 1])
         if jumped:
             try:
-                dj, cj = state.jump_step(jump_sizes[k + 1], cfg.substeps)
+                state = _rk4(lambda s: rhs(s, jump_sizes[k + 1]), state,
+                             1.0, cfg.substeps)
             except (DegeneracyError, IntegrationFailure):
                 # as in linear mode: stop at the jump time, and the row
-                # there keeps the pre-jump state
-                tau, reason = float(grid[k + 1]), "jump_path_degenerate"
-            else:
-                det0 = min(det0 if np.isfinite(det0) else dj, dj)
-                cond0 = max(cond0, cj)
-        times.append(float(grid[k + 1]))
-        is_jump.append(jumped)
-        det_series.append(det0)
-        cond_series.append(cond0)
-        resid_series.append(state.composition_residual())
+                # there keeps the pre-jump state and the Heun stages
+                tau, reason = t, "jump_path_degenerate"
+                del seen[2:]
+        xi_mesh, phi, psi = state
+        resid = np.max(np.abs(interp_mesh(chart, xi_mesh,
+                                          chart.to_chart(psi)) - phi))
+        det, cond = zip(*seen)
+        rows.append((t, jumped, min(det), max(cond), float(resid)))
         if reason != "horizon":
             break
-        take_snap = ((k + 1) % snapshot_stride == 0 or jumped or k == K - 2)
-        if take_snap:
+        if (k + 1) % snapshot_stride == 0 or jumped or k == K - 2:
             try:
-                inv = state.invert_at_phi()
+                snaps.append(snapshot(t, state))
             except MeshInversionError:
-                tau, reason = float(grid[k + 1]), "mesh_inversion_failure"
+                tau, reason = t, "mesh_inversion_failure"
                 break
-            snap_times.append(float(grid[k + 1]))
-            snap_mesh.append(state.xi_mesh.copy())
-            snap_psi.append(state.psi.copy())
-            snap_phi.append(state.phi.copy())
-            snap_inv.append(inv)
 
-    det_arr = np.array(det_series)
-    if det_arr.shape[0] > 1 and np.isnan(det_arr[0]):
-        det_arr[0] = det_arr[1]
+    times, is_jump, det, cond, resid = map(np.array, zip(*rows))
+    if det.shape[0] > 1 and np.isnan(det[0]):
+        det[0] = det[1]
+    snap_times, xi_mesh, psi, phi, inv = map(np.array, zip(*snaps))
     return DecompositionRecord(
         mode="mesh",
         horizontal_dim=pair.horizontal.rank,
-        times=np.array(times),
-        is_jump=np.array(is_jump, dtype=bool),
+        times=times,
+        is_jump=is_jump,
         tau=tau,
         tau_reason=reason,
-        det_block=det_arr,
-        condition=np.array(cond_series),
-        residual_sup=np.array(resid_series),
+        det_block=det,
+        condition=cond,
+        residual_sup=resid,
         renorm_deviation=np.zeros(len(times)),
-        snapshot_times=np.array(snap_times),
-        xi_mesh=np.array(snap_mesh),
-        psi_probes=np.array(snap_psi),
-        psi_probes_inverse=np.array(snap_inv),
-        phi_probes=np.array(snap_phi),
-        probes=state.probes.copy(),
+        snapshot_times=snap_times,
+        xi_mesh=xi_mesh,
+        psi_probes=psi,
+        psi_probes_inverse=inv,
+        phi_probes=phi,
+        probes=probes.copy(),
     )

@@ -67,10 +67,6 @@ class Distribution:
             raise ValueError("basis map returned the wrong shape")
         return B
 
-    def basis_batch(self, X) -> np.ndarray:
-        """``basis`` at a batch of points."""
-        return self.basis(X)
-
 
 @dataclass(frozen=True)
 class ComplementaryPair:

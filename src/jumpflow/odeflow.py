@@ -8,8 +8,9 @@ asked for) take it: a linear set by the exact Pade-13 ``expm`` (validated
 against the generic stepper in the tests), any other set by one
 fixed-step classical RK4 over a tuple of arrays, ``_rk4``, at
 ``MarcusConfig.substeps`` steps per unit of flow time.  The orbit of
-``curve_average`` is stepped by ``flow``; the factor equations that
-``decompose`` carries across a jump go through ``_rk4`` as well.
+``curve_average`` is stepped by ``flow``.  ``decompose`` steps its factor
+equations by ``_heun``, one Heun step, and carries them across a jump by
+``_rk4``, both over one right-hand side per mode.
 """
 
 from __future__ import annotations
@@ -177,6 +178,18 @@ def _combined(fields: VectorFieldSet, weights):
         return np.einsum("...im,...m->...i", fields.field_matrix(X), w)
 
     return W
+
+
+def _heun(rhs, state):
+    """One Heun (explicit trapezoid) step over a sequence of arrays.
+
+    ``rhs`` maps such a sequence to the sequence of their increments over
+    the step, so the step size is in it: k0 = rhs(s), k1 = rhs(s + k0),
+    and the result is the list s + (k0 + k1) / 2.
+    """
+    k0 = rhs(state)
+    k1 = rhs([s + d for s, d in zip(state, k0)])
+    return [s + 0.5 * (a + b) for s, a, b in zip(state, k0, k1)]
 
 
 def _rk4(rhs, state, u, nsteps, strict=True):

@@ -10,7 +10,7 @@ from jumpflow import decompose
 from jumpflow.config import (build_driver, build_geometry_config,
                              build_marcus_config, build_problem, load_config)
 from jumpflow.decompose import (TAU_REASONS, LinearSystem, _frame_cond,
-                                _PointwiseState, _structured_rhs,
+                                _pointwise_rhs, _structured_rhs,
                                 decompose_linear_sde, decompose_pointwise,
                                 validity_monitor, verify_composition)
 from jumpflow.geometry import ComplementaryPair, Distribution, GeometryConfig
@@ -368,8 +368,9 @@ def test_pointwise_blowup_stops_at_the_step_start():
         return out
 
     fields = VectorFieldSet.from_callables(2, [grow])
-    pair = ComplementaryPair(horizontal=Distribution.constant(np.eye(2)[:, :1]),
-                             vertical=Distribution.constant(np.eye(2)[:, 1:]))
+    pair = ComplementaryPair(
+        horizontal=Distribution.constant(np.eye(2)[:, :1]),
+        vertical=Distribution.constant(np.eye(2)[:, 1:]))
     chart = MeshChart.box(((0.0, 1.0), (0.0, 1.0)), (5, 5))
     grid = np.linspace(0.0, 1.0, 3)
     driver = deterministic_path(grid, 2.0 * grid)
@@ -384,9 +385,9 @@ def test_pointwise_blowup_stops_at_the_step_start():
 def test_pointwise_stage_interpolates_evaluates_and_splits_once(monkeypatch):
     A = np.array([[0.25, 0.1], [0.0, 0.15]])
     fields = VectorFieldSet.linear(A[None])
-    state = _PointwiseState(fields, _radial_pair(),
-                            MeshChart.annulus((0.5, 2.0), (12, 10)),
-                            _unit_circle_probes(), GeometryConfig())
+    chart = MeshChart.annulus((0.5, 2.0), (12, 10))
+    probes = _unit_circle_probes()
+    rhs = _pointwise_rhs(fields, _radial_pair(), chart, GeometryConfig(), [])
     calls = {}
 
     def counted(name, fn):
@@ -400,8 +401,21 @@ def test_pointwise_stage_interpolates_evaluates_and_splits_once(monkeypatch):
                             counted(name, getattr(decompose, name)))
     monkeypatch.setattr(fields, "field_matrix",
                         counted("field_matrix", fields.field_matrix))
-    state.rhs(state.xi_mesh, state.phi, state.psi, np.array([0.01]))
+    rhs((chart.base_points(), probes, probes), np.array([0.01]))
     assert calls == {"interp_mesh": 1, "split_frame": 1, "field_matrix": 1}
+
+
+def test_verify_composition_rejects_a_mesh_record():
+    # a mesh record carries its residual; verify_composition is linear-only
+    fields = VectorFieldSet.linear(np.array([[[0.25, 0.1], [0.0, 0.15]]]))
+    grid = np.linspace(0.0, 0.1, 3)
+    rec = decompose_pointwise(fields, _radial_pair(),
+                              deterministic_path(grid, grid.copy()),
+                              MeshChart.annulus((0.5, 2.0), (8, 8)),
+                              _unit_circle_probes())
+    assert rec.mode == "mesh" and rec.tau_reason == "horizon"
+    with pytest.raises(ValueError, match="linear-mode record"):
+        verify_composition(rec, rec.probes)
 
 
 def test_pointwise_contraction_escapes_chart_and_stops():
