@@ -220,6 +220,21 @@ def test_composite_orbit_matches_full_sweep(pair):
         assert np.array_equal(orbit.hop[k], hop_from_pre)
 
 
+def test_reports_sum_their_terms_exactly():
+    # value == ito_term + qv_term + jump_term is an accumulator identity, not
+    # a tolerance, with a jump at the last grid index included
+    outer, inner = _scenario_sets("ivk-generic")
+    driver = _two_jump_path()
+    x0, cfg = np.array([0.4, -0.3]), MarcusConfig()
+    H, dH = field_matrix_map(inner)
+    for rep in (marcus_integral(H, inner, driver, x0, cfg, dH=dH),
+                pushforward_integral(outer, inner, driver, x0, cfg)):
+        assert rep.diagnostics["n_jumps"] == 2
+        assert np.array_equal(rep.value,
+                              rep.ito_term + rep.qv_term + rep.jump_term)
+        assert np.array_equal(rep.value, rep.partial[-1])
+
+
 @_PAIRS
 def test_ladder_flows_only_for_concat_residual(pair, monkeypatch):
     # the integral reports read their jump hops from the sweep; only the
