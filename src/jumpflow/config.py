@@ -343,16 +343,9 @@ def _vec2(a, b):
 
 
 def _constant_jacobian(M):
-    """Jacobian callable of x -> M x: zeros, then M's nonzero entries."""
-    entries = [(i, j, v) for (i, j), v in np.ndenumerate(M) if v]
-
-    def jac(p):
-        J = np.zeros(np.shape(p)[:-1] + np.shape(M))
-        for i, j, v in entries:
-            J[..., i, j] = v
-        return J
-
-    return jac
+    """Jacobian callable of x -> M x: a read-only broadcast of M."""
+    M = np.asarray(M, dtype=float)
+    return lambda p: np.broadcast_to(M, np.shape(p)[:-1] + M.shape)
 
 
 def _sphere_tangent_fields() -> VectorFieldSet:

@@ -14,6 +14,9 @@ Three accumulators live here, all sharing the same driver conventions:
   composition of two flows driven by the same path, over a dyadic
   refinement ladder.  The rungs advance in lockstep: each steps its own
   grid between jumps, and the rows of every rung cross a jump in one flow.
+  On each rung one pass over the composite orbit (``_orbit_reports``)
+  yields both sides' integrals: I1, the line integral of the outer fields
+  along the composite orbit, and I2, the pushforward integral.
 
 Every report satisfies value == ito_term + qv_term + jump_term as an exact
 accumulator identity (identical float additions, not a tolerance).
@@ -85,19 +88,13 @@ def _directional(H, dH, g, v, m):
 
 
 def _assemble(times, inc_ito, inc_qv, inc_jump, diagnostics):
-    cum_ito = np.concatenate([np.zeros((1,) + inc_ito.shape[1:]),
-                              np.cumsum(inc_ito, axis=0)])
-    cum_qv = np.concatenate([np.zeros((1,) + inc_qv.shape[1:]),
-                             np.cumsum(inc_qv, axis=0)])
-    cum_jump = np.concatenate([np.zeros((1,) + inc_jump.shape[1:]),
-                               np.cumsum(inc_jump, axis=0)])
-    partial = cum_ito + cum_qv + cum_jump
-    ito = cum_ito[-1]
-    qv = cum_qv[-1]
-    jump = cum_jump[-1]
-    return IntegralReport(times=times, partial=partial, value=ito + qv + jump,
-                          ito_term=ito, qv_term=qv, jump_term=jump,
-                          diagnostics=diagnostics)
+    cum_ito, cum_qv, cum_jump = (
+        np.concatenate([np.zeros((1,) + inc.shape[1:]), np.cumsum(inc, axis=0)])
+        for inc in (inc_ito, inc_qv, inc_jump))
+    return IntegralReport(times=times, partial=cum_ito + cum_qv + cum_jump,
+                          value=cum_ito[-1] + cum_qv[-1] + cum_jump[-1],
+                          ito_term=cum_ito[-1], qv_term=cum_qv[-1],
+                          jump_term=cum_jump[-1], diagnostics=diagnostics)
 
 
 def marcus_integral(H, fields: VectorFieldSet, driver: JumpPath, g0,
@@ -187,31 +184,51 @@ def _composite_orbits(outer: VectorFieldSet, inner: VectorFieldSet, drivers,
     return orbits
 
 
-def _pushforward_report(outer: VectorFieldSet, inner: VectorFieldSet,
-                        orbit: _CompositeOrbit) -> IntegralReport:
+def _orbit_reports(outer: VectorFieldSet, inner: VectorFieldSet,
+                   orbit: _CompositeOrbit) -> tuple:
+    """(I1, I2) along one composite orbit F = psi(q) of the inner orbit q.
+
+    I1, the Heun-consistent line integral of the outer fields along F:
+    left-point sums, the Heun corrector correction 0.5 (X(F_hat) - X(F)) dZ,
+    and per jump the exact unit-time jump displacement minus the linear
+    atom.  The predictor F_hat follows the composite motion (outer fields
+    plus the pushforward K = Dpsi Y(q) of the inner ones), because the
+    covariation of X(F) with the driver runs along the full orbit; when the
+    inner fields vanish the increments telescope to the outer Marcus solve.
+
+    I2, the integral of K: see ``pushforward_integral``.  Both read the
+    driver increments, the jumps and K at the grid times once, and one loop
+    over the jumps adds both atoms.
+    """
     driver = orbit.driver
     xi = orbit.inner_traj
     m = driver.dimension
-    K = driver.grid.shape[0]
-    n = inner.dimension
     dzc = np.diff(driver.continuous_values, axis=0)
     qv = quadratic_variation_c(driver)
     sizes = driver.jump_size_at_grid()
-    mask = driver.jump_mask
+    jump_idx = np.nonzero(driver.jump_mask)[0]
 
     # left-point pushforward integrand at grid times (post side)
     Y_post = inner.field_matrix(xi.post)                      # (K, n, m)
     Kmat_post = np.einsum("kab,kbm->kam", orbit.Dpsi_post, Y_post)
 
-    # midpoint quantities on continuous segments
+    # I1: left sums and the Heun corrector along the composite predictor
+    F0 = orbit.F_post[:-1]
+    FM0 = outer.field_matrix(F0)
+    pred = F0 + np.einsum("kam,km->ka", FM0 + Kmat_post[:-1], dzc)
+    FM1 = outer.field_matrix(pred)
+    line_ito = np.einsum("kam,km->ka", FM0, dzc)
+    line_qv = 0.5 * np.einsum("kam,km->ka", FM1 - FM0, dzc)
+
+    # I2: left sums and the finite-variation correction at segment midpoints
     q_mid = 0.5 * (xi.post[:-1] + xi.pre[1:])
     F_mid = 0.5 * (orbit.F_post[:-1] + orbit.F_pre[1:])
     D_mid = 0.5 * (orbit.Dpsi_post[:-1] + orbit.Dpsi_pre[1:])
     Y_mid = inner.field_matrix(q_mid)                         # (K-1, n, m)
     K_mid = np.einsum("kab,kbm->kam", D_mid, Y_mid)
 
-    inc_ito = np.einsum("kam,km->ka", Kmat_post[:-1], dzc)
-    inc_qv = np.zeros((K - 1, n))
+    push_ito = np.einsum("kam,km->ka", Kmat_post[:-1], dzc)
+    push_qv = np.zeros_like(push_ito)
     for i in range(m):
         JX = outer.jacobian_batch(i, F_mid)                   # (K-1, n, n)
         JY = inner.jacobian_batch(i, q_mid)
@@ -219,16 +236,23 @@ def _pushforward_report(outer: VectorFieldSet, inner: VectorFieldSet,
             term = (np.einsum("kab,kb->ka", JX, K_mid[:, :, j])
                     + np.einsum("kab,kb->ka", D_mid,
                                 np.einsum("kab,kb->ka", JY, Y_mid[:, :, j])))
-            inc_qv += 0.5 * qv[:, i, j, None] * term
-    inc_jump = np.zeros((K - 1, n))
-    for k in np.nonzero(mask)[0]:
+            push_qv += 0.5 * qv[:, i, j, None] * term
+    line_jump = np.zeros_like(line_ito)
+    push_jump = np.zeros_like(push_ito)
+    for k in jump_idx:
         dz = sizes[k]
-        y_pre = inner.field_matrix(xi.pre[k])
-        atom = (orbit.Dpsi_pre[k] @ y_pre) @ dz
-        inc_ito[k - 1] += atom
-        inc_jump[k - 1] += -atom + orbit.F_post[k] - orbit.hop[int(k)]
-    return _assemble(driver.grid.copy(), inc_ito, inc_qv, inc_jump,
-                     {"n_jumps": int(mask.sum()), "kind": "pushforward_integral"})
+        hop = orbit.hop[int(k)]
+        f_pre = orbit.F_pre[k]
+        atom = outer.field_matrix(f_pre) @ dz
+        line_ito[k - 1] += atom
+        line_jump[k - 1] += hop - f_pre - atom
+        atom = (orbit.Dpsi_pre[k] @ inner.field_matrix(xi.pre[k])) @ dz
+        push_ito[k - 1] += atom
+        push_jump[k - 1] += -atom + orbit.F_post[k] - hop
+    return (_assemble(driver.grid.copy(), line_ito, line_qv, line_jump,
+                      {"n_jumps": len(jump_idx), "kind": "orbit_line_integral"}),
+            _assemble(driver.grid.copy(), push_ito, push_qv, push_jump,
+                      {"n_jumps": len(jump_idx), "kind": "pushforward_integral"}))
 
 
 def pushforward_integral(outer: VectorFieldSet, inner: VectorFieldSet,
@@ -244,45 +268,7 @@ def pushforward_integral(outer: VectorFieldSet, inner: VectorFieldSet,
     psi-jump of the left limit (the first summand cancels the Ito atom).
     """
     orbit, = _composite_orbits(outer, inner, [driver], x0, cfg)
-    return _pushforward_report(outer, inner, orbit)
-
-
-def _line_integral_report(outer: VectorFieldSet, inner: VectorFieldSet,
-                          orbit: _CompositeOrbit) -> IntegralReport:
-    """Heun-consistent line integral of the outer fields along F.
-
-    Ito part: left-point sums; QV part: the Heun corrector correction
-    0.5 (X(F_hat) - X(F)) dZ.  The predictor F_hat follows the composite
-    motion (outer fields plus the pushforward of the inner ones), because
-    the covariation of X(F) with the driver runs along the full orbit;
-    jump part: exact unit-time jump displacement minus the linear atom.
-    When the inner fields vanish the predictor reduces to the solver's own
-    and the increments telescope to the outer Marcus solve itself.
-    """
-    driver = orbit.driver
-    K = driver.grid.shape[0]
-    n = orbit.F_post.shape[1]
-    dzc = np.diff(driver.continuous_values, axis=0)
-    sizes = driver.jump_size_at_grid()
-    mask = driver.jump_mask
-
-    F0 = orbit.F_post[:-1]
-    FM0 = outer.field_matrix(F0)
-    Y_post = inner.field_matrix(orbit.inner_traj.post[:-1])
-    Kmat = np.einsum("kab,kbm->kam", orbit.Dpsi_post[:-1], Y_post)
-    pred = F0 + np.einsum("kam,km->ka", FM0 + Kmat, dzc)
-    FM1 = outer.field_matrix(pred)
-    inc_ito = np.einsum("kam,km->ka", FM0, dzc)
-    inc_qv = 0.5 * np.einsum("kam,km->ka", FM1 - FM0, dzc)
-    inc_jump = np.zeros((K - 1, n))
-    for k in np.nonzero(mask)[0]:
-        dz = sizes[k]
-        f_pre = orbit.F_pre[k]
-        atom = outer.field_matrix(f_pre) @ dz
-        inc_ito[k - 1] += atom
-        inc_jump[k - 1] += orbit.hop[int(k)] - f_pre - atom
-    return _assemble(driver.grid.copy(), inc_ito, inc_qv, inc_jump,
-                     {"n_jumps": int(mask.sum()), "kind": "orbit_line_integral"})
+    return _orbit_reports(outer, inner, orbit)[1]
 
 
 @dataclass(frozen=True)
@@ -311,8 +297,7 @@ class CompositionReport:
 
 
 def _one_rung(outer, inner, orbit, x0):
-    i1 = _line_integral_report(outer, inner, orbit)
-    i2 = _pushforward_report(outer, inner, orbit)
+    i1, i2 = _orbit_reports(outer, inner, orbit)
     rhs = np.asarray(x0, dtype=float)[None, :] + i1.partial + i2.partial
     resid = np.max(np.abs(orbit.F_post - rhs), axis=1)
     return LadderRung(

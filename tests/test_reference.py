@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from jumpflow.reference import (matrix_exp, radial_decomposition,
-                                rotation_decomposition)
+from jumpflow.reference import (linear_marcus_mean, matrix_exp,
+                                radial_decomposition, rotation_decomposition)
 
 
 def test_exp_zero_is_identity():
@@ -97,3 +97,30 @@ def test_radial_rejects_singular():
     with pytest.raises(ValueError):
         radial_decomposition(np.array([[1.0, 0.0], [1.0, 0.0]]),
                              np.array([[1.0, 0.0]]))
+
+
+def test_marcus_mean_scalar_closed_forms():
+    # dX = a X o dZ, m_t = exp(t (b a + s^2 a^2 / 2 + lam (E[exp(a J)] - 1)))
+    a, b, s, lam, t = 0.7, 0.2, 0.3, 2.0, 0.8
+    laws = {("uniform", -0.4, 0.9):
+            (np.exp(0.9 * a) - np.exp(-0.4 * a)) / (1.3 * a),
+            ("gaussian", 0.1, 0.5): np.exp(0.1 * a + 0.125 * a * a),
+            ("constant", 0.6): np.exp(0.6 * a)}
+    for law, e_jump in laws.items():
+        got = linear_marcus_mean([[[a]]], [1.5], [0.0, t], b, s, lam, law)
+        want = 1.5 * np.exp(t * (b * a + 0.5 * s * s * a * a
+                                 + lam * (e_jump - 1.0)))
+        assert got.value[0, 0] == 1.5
+        assert abs(got.value[1, 0] - want) < 1e-12, law
+
+
+def test_marcus_mean_zero_width_law_is_the_constant_law():
+    A = np.array([[[0.0, -0.3, 0.0], [0.3, 0.0, 0.1], [0.0, -0.1, 0.0]],
+                  [[0.1, 0.0, 0.2], [0.0, -0.1, 0.0], [-0.2, 0.0, 0.1]]])
+    x0, times = [1.0, 0.5, -0.25], np.linspace(0.0, 1.0, 11)
+    const = linear_marcus_mean(A, x0, times, 0.1, 0.25, 3.0,
+                               ("constant", [0.2, -0.1])).value
+    for law in (("uniform", [0.2, -0.1], [0.2, -0.1]),
+                ("gaussian", [0.2, -0.1], [0.0, 0.0])):
+        got = linear_marcus_mean(A, x0, times, 0.1, 0.25, 3.0, law).value
+        assert np.array_equal(got, const)
