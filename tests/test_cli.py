@@ -685,6 +685,36 @@ def test_geometry_imports_no_solver_and_all_names_resolve():
         assert hasattr(jumpflow, name), name
 
 
+PUBLIC_NAMES = [
+    "ComplementaryPair", "CompositionReport", "ConfigError",
+    "DecompositionRecord", "DegeneracyError", "DiffeoProbe", "Distribution",
+    "EnsembleSummary", "GeometryConfig", "IntegralReport",
+    "IntegrationFailure", "JumpLaw", "JumpPath", "LinearSystem",
+    "MarcusConfig", "MeshChart", "MeshInversionError", "OracleResult",
+    "PathParams", "Trajectory", "VectorFieldSet", "__version__",
+    "adjoint_distribution", "curve_average", "decompose_linear_sde",
+    "decompose_pointwise", "deterministic_path", "fit_order", "flow",
+    "flow_with_jacobian", "interp_mesh", "invert_mesh_map", "marcus_integral",
+    "matrix_exp", "mesh_jacobian", "prefix", "pushforward_integral",
+    "quadratic_variation_c", "radial_decomposition", "refine",
+    "rotation_decomposition", "sample_levy_jump_diffusion", "solve_ensemble",
+    "solve_point", "solve_with_jacobian", "split_field", "split_frame",
+    "subspace_projector", "subspaces_equal", "validity_monitor",
+    "verify_composition", "verify_ivk",
+]
+
+
+def test_public_names_are_pinned_and_star_import_binds_them():
+    probe = ("import json, jumpflow\n"
+             "ns = {}\n"
+             "exec('from jumpflow import *', ns)\n"
+             "print(json.dumps([sorted(jumpflow.__all__), sorted(\n"
+             "    k for k in ns if k != '__builtins__')]))")
+    names, bound = json.loads(_fresh_python(probe))
+    assert names == PUBLIC_NAMES
+    assert bound == PUBLIC_NAMES
+
+
 def test_dump_config_round_trips(tmp_path, capsys):
     assert main(["simulate", "--config", _cfg("rotation.yaml"),
                  "--dump-config"]) == 0
