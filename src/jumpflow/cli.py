@@ -17,8 +17,17 @@ Each runner computes and returns ``(exit code, {file name: payload})``;
 JSON document (``format_version`` and ``scenario`` added), a list is JSONL,
 a callable writes a CSV table.  A non-finite number is ``null`` in every
 JSON and JSONL artifact.  Every run then writes ``run_meta.txt`` (argument
-vector, version, setup, run and wall seconds); all other outputs are
-byte-stable for a fixed config and seed.
+vector, version, BLAS thread setting, setup, run and wall seconds); all
+other outputs are byte-stable for a fixed config and seed.
+
+BLAS threads: every BLAS call here is on stacks of 2x2 and 3x3 matrices,
+yet numpy's OpenBLAS starts one worker per core, each spin-waiting until its
+timeout (about 0.13 s of CPU per run on a 2-core host).  So this module sets
+``OPENBLAS_NUM_THREADS=1`` before it imports numpy, unless the caller has
+set ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``.
+It acts because ``import jumpflow`` loads no numpy, so ``python -m
+jumpflow.cli`` and the ``jumpflow`` script reach this module first; the
+package and its other submodules leave the environment alone.
 """
 
 from __future__ import annotations
@@ -29,6 +38,16 @@ import os
 import sys
 import time
 
+# OpenBLAS reads its thread variables once, when numpy loads it; the first
+# one set, in OpenBLAS's order of precedence, decides (run_meta.txt names it)
+_BLAS_THREADS = next(("%s=%s" % (name, os.environ[name]) for name in (
+    "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    if name in os.environ), None)
+if _BLAS_THREADS is None:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    _BLAS_THREADS = "OPENBLAS_NUM_THREADS=1 (set by jumpflow)"
+
+# numpy, and every module that imports it, only after the thread setting
 import numpy as np
 
 from . import __version__
@@ -76,6 +95,7 @@ def _write_meta(outdir, argv, started, set_up):
     with open(outdir + "/run_meta.txt", "w") as fh:
         fh.write("argv: %s\n" % " ".join(argv))
         fh.write("version: %s\n" % __version__)
+        fh.write("blas_threads: %s\n" % _BLAS_THREADS)
         fh.write("setup_seconds: %.3f\n" % (set_up - started))
         fh.write("run_seconds: %.3f\n" % (ran - set_up))
         fh.write("wall_seconds: %.3f\n" % (ran - started))
@@ -234,7 +254,11 @@ def main(argv=None) -> int:
             return 0
         problem = build_problem(cfg)
         set_up = time.monotonic()
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("--out: cannot create output directory: %s"
+                              % exc) from exc
         code, artifacts = _RUNNERS[args.command](cfg, problem,
                                                  build_marcus_config(cfg))
         for payload in artifacts.values():

@@ -654,10 +654,18 @@ def test_nonlinear_jump_blowup_reports_grid_time(tmp_path, capsys):
     assert "flow time 0.96875" in err
 
 
-def _fresh_python(probe):
-    """stdout of ``probe`` run in a fresh interpreter on this source tree."""
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                    "OMP_NUM_THREADS")
+
+
+def _fresh_python(probe, **caller):
+    """stdout of ``probe`` run in a fresh interpreter on this source tree.
+
+    The child sees none of OpenBLAS's thread variables but those in
+    ``caller``: importing ``jumpflow.cli`` has set one in this process."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(caller, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                           capture_output=True, text=True).stdout.strip()
@@ -715,6 +723,45 @@ def test_public_names_are_pinned_and_star_import_binds_them():
     assert bound == PUBLIC_NAMES
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="no /proc/self/task to count threads")
+def test_cli_process_runs_one_thread():
+    probe = ("import os, jumpflow.cli; "
+             "print(len(os.listdir('/proc/self/task')))")
+    assert _fresh_python(probe) == "1"
+
+
+@pytest.mark.parametrize("caller, meta", [
+    ({}, "OPENBLAS_NUM_THREADS=1 (set by jumpflow)"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "OPENBLAS_NUM_THREADS=2"),
+    ({"GOTO_NUM_THREADS": "2"}, "GOTO_NUM_THREADS=2"),
+    ({"OMP_NUM_THREADS": "2"}, "OMP_NUM_THREADS=2"),
+    ({"OMP_NUM_THREADS": "3", "GOTO_NUM_THREADS": "2"}, "GOTO_NUM_THREADS=2"),
+])
+def test_cli_thread_setting_yields_to_the_caller(tmp_path, caller, meta):
+    out = str(tmp_path / "run")
+    probe = ("import json, os, jumpflow.cli\n"
+             "jumpflow.cli.main(['simulate', '--config', %r, '--out', %r])\n"
+             "print(json.dumps({k: os.environ.get(k) for k in %r}))"
+             % (_cfg("rotation.yaml"), out, BLAS_THREAD_VARS))
+    want = dict.fromkeys(BLAS_THREAD_VARS)
+    want.update(caller or {"OPENBLAS_NUM_THREADS": "1"})
+    assert json.loads(_fresh_python(probe, **caller)) == want
+    text = _read(os.path.join(out, "run_meta.txt")).decode()
+    assert "blas_threads: %s\n" % meta in text
+
+
+def test_library_import_loads_nothing_and_leaves_the_environment():
+    probe = ("import json, os, sys\n"
+             "before = dict(os.environ)\n"
+             "import jumpflow\n"
+             "loaded = sorted(m for m in sys.modules\n"
+             "                if m.startswith('jumpflow.') or m == 'numpy')\n"
+             "jumpflow.solve_point\n"
+             "print(json.dumps([loaded, dict(os.environ) == before]))")
+    assert json.loads(_fresh_python(probe)) == [[], True]
+
+
 def test_dump_config_round_trips(tmp_path, capsys):
     assert main(["simulate", "--config", _cfg("rotation.yaml"),
                  "--dump-config"]) == 0
@@ -750,6 +797,18 @@ def test_bad_seed_override_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "o"), "--seed", "-3"]) == 2
 
 
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    for out in (taken, taken / "below"):
+        assert main(["simulate", "--config", _cfg("rotation.yaml"),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "config error: --out: cannot create output directory: ")
+    assert taken.read_text() == "kept\n"
+
+
 def test_run_meta_records_command(tmp_path):
     out = str(tmp_path / "run")
     assert main(["simulate", "--config", _cfg("rotation.yaml"),
@@ -757,6 +816,10 @@ def test_run_meta_records_command(tmp_path):
     meta = _read(os.path.join(out, "run_meta.txt")).decode()
     assert "simulate" in meta
     fields = dict(line.split(": ", 1) for line in meta.splitlines())
+    # the variable that decides OpenBLAS's thread count in this process
+    name, _, value = fields["blas_threads"].partition("=")
+    assert name in BLAS_THREAD_VARS
+    assert value.removesuffix(" (set by jumpflow)") == os.environ[name]
     setup, run, wall = (float(fields[key]) for key in (
         "setup_seconds", "run_seconds", "wall_seconds"))
     assert min(setup, run) >= 0.0
