@@ -193,6 +193,61 @@ def test_path_csv_reads_back_bit_for_bit():
     assert [row[3] for row in rows[1:]] == ["0", "0", "0", "1", "0"]
 
 
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+def _layout_drivers():
+    """(label, path): the driver of every shipped config, a refined and two
+    prefixed Levy paths, and a path with a -0.0 jump."""
+    from jumpflow.config import build_driver, load_config
+    out = [(name, build_driver(load_config(os.path.join(CONFIGS, name))))
+           for name in sorted(os.listdir(CONFIGS))]
+    levy = sample_levy_jump_diffusion(_params(
+        dimension=2, jump_intensity=6.0, seed=5,
+        jump_law=JumpLaw.gaussian([0.0, 1.0], [1.0, 0.5])))
+    t = float(levy.jump_times[1])
+    out += [("refined", refine(levy, 3)),
+            ("prefix-with-jump", prefix(levy, t)),
+            ("prefix-without-jump", prefix(levy, t, include_jump_at_end=False))]
+    grid = np.linspace(0.0, 1.0, 11)
+    out.append(("negative-zero-jump", deterministic_path(
+        grid, np.outer(grid, [0.5, -1.0]),
+        [(grid[3], [-0.0, 0.25]), (grid[7], [1.5, -0.0])])))
+    return out
+
+
+@pytest.mark.parametrize("label, path", _layout_drivers())
+def test_driver_layout_matches_an_explicit_recomputation(label, path):
+    # the jump rows, their running sums (one float addition per grid point)
+    # and the values and left limits built from them, bit for bit
+    cont, grid = path.continuous_values, path.grid
+    index = [int(np.flatnonzero(grid == t)[0]) for t in path.jump_times]
+    mask = np.zeros(grid.shape[0], dtype=bool)
+    mask[index] = True
+    rows = np.zeros_like(cont)
+    for k, size in zip(index, path.jump_sizes):
+        rows[k] = size
+    cum = np.empty_like(cont)
+    cum[0] = rows[0]
+    for k in range(1, grid.shape[0]):
+        cum[k] = cum[k - 1] + rows[k]
+    assert path.jump_mask.dtype == bool
+    assert path.jump_mask.tobytes() == mask.tobytes()
+    assert path.jump_size_at_grid().tobytes() == rows.tobytes()
+    assert path.values.tobytes() == (cont + cum).tobytes()
+    assert path.left_values.tobytes() == (cont + (cum - rows)).tobytes()
+
+
+def test_negative_zero_jump_keeps_its_sign_in_the_csv():
+    path = dict(_layout_drivers())["negative-zero-jump"]
+    buf = io.StringIO()
+    path_to_csv(path, buf)
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))
+    assert rows[0][-2:] == ["dz_1", "dz_2"]
+    assert rows[1 + 3][-3:] == ["1", "-0.0", "0.25"]
+    assert rows[1 + 7][-3:] == ["1", "1.5", "-0.0"]
+
+
 def test_multichannel_brownian_channels_independent():
     p = sample_levy_jump_diffusion(_params(dimension=3, step=0.01, seed=8))
     incs = np.diff(p.continuous_values, axis=0)
