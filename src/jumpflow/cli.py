@@ -102,7 +102,7 @@ def _write_meta(outdir, argv, started, set_up):
 
 
 def _run_simulate(cfg, problem, mcfg):
-    driver = build_driver(cfg, cfg.get("_seed_override"))
+    driver = build_driver(cfg)
     with_jacobian = cfg["solver"]["record_jacobian"]
     solve = solve_with_jacobian if with_jacobian else solve_point
     traj = solve(problem["fields"], driver, problem["x0"], mcfg)
@@ -118,7 +118,7 @@ def _run_simulate(cfg, problem, mcfg):
 
 
 def _run_decompose(cfg, problem, mcfg):
-    driver = build_driver(cfg, cfg.get("_seed_override"))
+    driver = build_driver(cfg)
     geo = build_geometry_config(cfg)
     if problem["kind"] == "linear":
         n = problem["matrices"].shape[1]
@@ -154,7 +154,7 @@ def _run_decompose(cfg, problem, mcfg):
 def _run_verify_ivk(cfg, problem, mcfg):
     if problem["kind"] != "ivk":
         raise ConfigError("scenario: verify-ivk needs an ivk-* scenario")
-    driver = build_driver(cfg, cfg.get("_seed_override"))
+    driver = build_driver(cfg)
     report = verify_ivk(problem["fields"], problem["inner_fields"], driver,
                         problem["x0"], mcfg, ladder=cfg["ladder"])
     ratio_ok = all(r <= RATIO_BOUND for r in report.ratios) \
@@ -174,7 +174,7 @@ def _run_verify_ivk(cfg, problem, mcfg):
 
 
 def _run_convergence(cfg, problem, mcfg):
-    base = build_driver(cfg, cfg.get("_seed_override"))
+    base = build_driver(cfg)
     levels = cfg["ladder"]
     fields, x0 = problem["fields"], problem["x0"]
     finals, steps = [], []
@@ -194,7 +194,7 @@ def _run_ensemble(cfg, problem, mcfg):
         raise ConfigError("driver.type: ensemble needs a levy driver")
     if "ensemble" not in cfg:
         raise ConfigError("ensemble: section required for this subcommand")
-    params = build_path_params(cfg, cfg.get("_seed_override"))
+    params = build_path_params(cfg)
     name = cfg["ensemble"]["observable"]
     observables = {"norm": lambda t, x: np.linalg.norm(x, axis=-1),
                    "first": lambda t, x: x[..., 0]}
@@ -249,8 +249,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         apply_overrides(cfg, args.seed, args.ladder)
         if args.dump_config:
-            shown = {k: v for k, v in cfg.items() if not k.startswith("_")}
-            sys.stdout.write(dump_config(shown))
+            sys.stdout.write(dump_config(cfg))
             return 0
         problem = build_problem(cfg)
         set_up = time.monotonic()

@@ -236,11 +236,14 @@ def normalize_config(raw: dict) -> dict:
 
 
 def apply_overrides(cfg: dict, seed=None, ladder=None) -> None:
-    """Apply ``--seed`` and ``--ladder``, checked as the table checks
-    ``driver.seed`` and ``ladder``, to a normalized config."""
+    """Write ``--seed`` into ``driver.seed`` and ``--ladder`` into
+    ``ladder`` of a normalized config, each checked as the table checks
+    that key.  A deterministic driver has no seed: it ignores ``--seed``
+    once the value has passed the check."""
     if seed is not None:
         _DRIVERS["levy"]["seed"][1](seed, "--seed")
-        cfg["_seed_override"] = seed
+        if cfg["driver"]["type"] == "levy":
+            cfg["driver"]["seed"] = seed
     if ladder is not None:
         _SCHEMA["ladder"][1](ladder, "--ladder")
         cfg["ladder"] = ladder
@@ -301,8 +304,9 @@ def dump_config(cfg: dict) -> str:
     return yaml.safe_dump(cfg, sort_keys=True, default_flow_style=None)
 
 
-def build_path_params(cfg: dict, seed_override=None) -> PathParams:
-    """Sampling parameters of the config's levy driver."""
+def build_path_params(cfg: dict) -> PathParams:
+    """Sampling parameters of the config's levy driver, seed included (see
+    ``apply_overrides`` for ``--seed``)."""
     drv = cfg["driver"]
     law = drv.get("jump_law")
     if law is not None:
@@ -315,15 +319,17 @@ def build_path_params(cfg: dict, seed_override=None) -> PathParams:
         horizon=float(drv["horizon"]), step=float(drv["step"]),
         brownian_scale=drv["brownian_scale"], drift=drv["drift"],
         jump_intensity=drv["jump_intensity"], jump_law=law,
-        seed=int(drv["seed"] if seed_override is None else seed_override),
+        seed=int(drv["seed"]),
         dimension=int(drv["dimension"]))
 
 
-def build_driver(cfg: dict, seed_override=None):
-    """Realize the config's driving path."""
+def build_driver(cfg: dict):
+    """Realize the config's driving path: a levy driver sampled with its
+    ``build_path_params``, or the deterministic ramp and its jumps.  The
+    config alone decides the path."""
     drv = cfg["driver"]
     if drv["type"] == "levy":
-        return sample_levy_jump_diffusion(build_path_params(cfg, seed_override))
+        return sample_levy_jump_diffusion(build_path_params(cfg))
     horizon, step = float(drv["horizon"]), float(drv["step"])
     grid = _grid_for(horizon, step)
     values = np.outer(grid / horizon, np.asarray(drv["ramp_to"], dtype=float))

@@ -182,8 +182,7 @@ def decompose_linear_sde(system: LinearSystem, driver: JumpPath,
     n, p = system.dimension, system.horizontal_dim
     grid = driver.grid
     K = grid.shape[0]
-    A_dz_all = np.einsum("ki,ijl->kjl",
-                         np.diff(driver.continuous_values, axis=0), A)
+    A_dz_all = np.einsum("ki,ijl->kjl", driver.increments, A)
     jump_mask = driver.jump_mask
     jump_sizes = driver.jump_size_at_grid()
 
@@ -388,7 +387,7 @@ def decompose_pointwise(fields: VectorFieldSet, pair: ComplementaryPair,
     rhs = _pointwise_rhs(fields, pair, chart, geo, seen)
     grid = driver.grid
     K = grid.shape[0]
-    dzc = np.diff(driver.continuous_values, axis=0)
+    dzc = driver.increments
     jump_mask = driver.jump_mask
     jump_sizes = driver.jump_size_at_grid()
 

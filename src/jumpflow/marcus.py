@@ -95,9 +95,8 @@ def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
     """
     if isinstance(driver, JumpPath):
         sizes = driver.jump_size_at_grid()
-        times, dzc = driver.grid, np.diff(driver.continuous_values, axis=0)
-        jumps = {k: (Ellipsis, sizes[k])
-                 for k in np.flatnonzero(driver.jump_mask)}
+        times, dzc = driver.grid, driver.increments
+        jumps = {k: (Ellipsis, sizes[k]) for k in driver.jump_index}
         failed = None
     else:
         (times, dzc, jumps), failed = driver, np.zeros(len(x), dtype=bool)

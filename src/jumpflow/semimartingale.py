@@ -1,9 +1,12 @@
 """Cadlag driving paths: jump-diffusion sampling and path algebra.
 
 A path is stored as a continuous piecewise-linear part sampled on a grid plus
-a finite ledger of jumps whose times are themselves grid points.  All solvers
-downstream consume this representation, so the conventions here (left limits,
-realized quadratic variation, jump atoms) are the single source of truth.
+a finite ledger of jumps whose times are themselves grid points.  A
+``JumpPath`` derives its step layout once, when it is built: the continuous
+increments, the jumps' grid indices and mask, the per-grid jump rows and
+their running sums.  Every solver and integral downstream reads that layout,
+so the conventions here (left limits, realized quadratic variation, jump
+atoms) are the single source of truth.
 """
 
 from __future__ import annotations
@@ -134,8 +137,12 @@ class JumpPath:
     """Piecewise-linear continuous part on a grid plus a finite jump ledger.
 
     grid[0] == 0, grid is strictly increasing, and every jump time is a grid
-    point, so Z_{t-} and Z_t are both exactly representable.  Arrays are
-    locked read-only after construction.
+    point, so Z_{t-} and Z_t are both exactly representable.  The four
+    inputs are copied, so the caller's arrays stay its own.  The step layout
+    is derived here, once: ``increments`` (the continuous increment over
+    each grid interval), ``jump_index`` (the grid index of each jump),
+    ``jump_mask`` and, through ``jump_size_at_grid``, the jump at each grid
+    point.  Every array is read-only.
     """
 
     grid: np.ndarray
@@ -144,13 +151,13 @@ class JumpPath:
     jump_sizes: np.ndarray | None = None
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        cont = np.asarray(self.continuous_values, dtype=float)
+        grid = np.array(self.grid, dtype=float)
+        cont = np.array(self.continuous_values, dtype=float)
         if cont.ndim == 1:
             cont = cont[:, None]
-        jt = np.asarray(self.jump_times, dtype=float)
+        jt = np.array(self.jump_times, dtype=float)
         js = self.jump_sizes
-        js = np.zeros((0, cont.shape[1])) if js is None else np.asarray(js, dtype=float)
+        js = np.zeros((0, cont.shape[1])) if js is None else np.array(js, dtype=float)
         if js.ndim == 1:
             js = js[:, None]
         if grid.ndim != 1 or grid.shape[0] < 2:
@@ -176,20 +183,17 @@ class JumpPath:
                 and np.all(np.isfinite(js))):
             raise ValueError("path data must be finite")
 
-        at_grid = np.zeros_like(cont)
-        np.add.at(at_grid, idx, js)
-        cum = np.cumsum(at_grid, axis=0)
-        strict = cum - at_grid
-
-        for arr in (grid, cont, jt, js, cum, strict):
+        mask = np.zeros(grid.shape[0], dtype=bool)
+        mask[idx] = True
+        rows = np.zeros_like(cont)  # assigned, so a -0.0 jump keeps its sign
+        rows[idx] = js
+        layout = dict(grid=grid, continuous_values=cont, jump_times=jt,
+                      jump_sizes=js, increments=np.diff(cont, axis=0),
+                      jump_index=idx, jump_mask=mask, _jump_rows=rows,
+                      _cum_jumps=np.cumsum(rows, axis=0))
+        for name, arr in layout.items():
             arr.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "continuous_values", cont)
-        object.__setattr__(self, "jump_times", jt)
-        object.__setattr__(self, "jump_sizes", js)
-        object.__setattr__(self, "_jump_grid_index", idx)
-        object.__setattr__(self, "_cum_jumps", cum)
-        object.__setattr__(self, "_cum_jumps_strict", strict)
+            object.__setattr__(self, name, arr)
 
     @property
     def dimension(self) -> int:
@@ -207,19 +211,11 @@ class JumpPath:
     @property
     def left_values(self) -> np.ndarray:
         """Left limits at grid points (jump at t excluded)."""
-        return self.continuous_values + self._cum_jumps_strict
-
-    @property
-    def jump_mask(self) -> np.ndarray:
-        mask = np.zeros(self.grid.shape[0], dtype=bool)
-        mask[self._jump_grid_index] = True
-        return mask
+        return self.continuous_values + (self._cum_jumps - self._jump_rows)
 
     def jump_size_at_grid(self) -> np.ndarray:
         """(len(grid), m) array: the jump at each grid point, zero elsewhere."""
-        out = np.zeros_like(self.continuous_values)
-        out[self._jump_grid_index] = self.jump_sizes
-        return out
+        return self._jump_rows
 
 
 def _grid_for(horizon: float, step: float) -> np.ndarray:
@@ -289,19 +285,11 @@ def deterministic_path(times, values, jumps=()) -> JumpPath:
     between); ``jumps`` is a sequence of (time, size) pairs whose times must
     already be grid points in (0, horizon].
     """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
     pairs = list(jumps)
-    if pairs:
-        jt = np.asarray([p[0] for p in pairs], dtype=float)
-        js = np.asarray([np.atleast_1d(np.asarray(p[1], dtype=float)) for p in pairs])
-    else:
-        jt = np.empty(0)
-        js = np.zeros((0, values.shape[1]))
     return JumpPath(grid=times, continuous_values=values,
-                    jump_times=jt, jump_sizes=js)
+                    jump_times=[t for t, _ in pairs],
+                    jump_sizes=[np.atleast_1d(np.asarray(s, dtype=float))
+                                for _, s in pairs] if pairs else None)
 
 
 def quadratic_variation_c(path: JumpPath) -> np.ndarray:
@@ -310,8 +298,7 @@ def quadratic_variation_c(path: JumpPath) -> np.ndarray:
     Returns (len(grid)-1, m, m): the outer product of the continuous
     increment over each grid interval.  Jumps never enter by construction.
     """
-    dc = np.diff(path.continuous_values, axis=0)
-    return np.einsum("ki,kj->kij", dc, dc)
+    return np.einsum("ki,kj->kij", path.increments, path.increments)
 
 
 def refine(path: JumpPath, factor: int) -> JumpPath:

@@ -111,7 +111,7 @@ def marcus_integral(H, fields: VectorFieldSet, driver: JumpPath, g0,
     traj = solve_point(fields, driver, g0, cfg)
     K = traj.times.shape[0]
     d = _as_matrix_output(H(traj.post[0]), m).shape[0]
-    dzc = np.diff(driver.continuous_values, axis=0)
+    dzc = driver.increments
     qv = quadratic_variation_c(driver)
     sizes = driver.jump_size_at_grid()
     mask = driver.jump_mask
@@ -163,7 +163,7 @@ def _composite_orbits(outer: VectorFieldSet, inner: VectorFieldSet, drivers,
     in lockstep.  It raises what the drivers taken one at a time would raise
     first: the lowest that fails, its inner sweep before its outer one."""
     xis, failure = _serve([_sweep(inner, d, x0, cfg, False) for d in drivers])
-    jumps = [np.nonzero(d.jump_mask)[0] for d in drivers]
+    jumps = [d.jump_index for d in drivers]
     done, outer_failure = _serve([_sweep(
         outer, d, np.concatenate([xi.post, xi.pre[j], xi.pre[j]]), cfg, True,
         np.concatenate([np.arange(len(d.grid)), j, j]),
@@ -203,10 +203,10 @@ def _orbit_reports(outer: VectorFieldSet, inner: VectorFieldSet,
     driver = orbit.driver
     xi = orbit.inner_traj
     m = driver.dimension
-    dzc = np.diff(driver.continuous_values, axis=0)
+    dzc = driver.increments
     qv = quadratic_variation_c(driver)
     sizes = driver.jump_size_at_grid()
-    jump_idx = np.nonzero(driver.jump_mask)[0]
+    jump_idx = driver.jump_index
 
     # left-point pushforward integrand at grid times (post side)
     Y_post = inner.field_matrix(xi.post)                      # (K, n, m)
@@ -316,12 +316,11 @@ def _concat_residual(outer, inner, orbit: _CompositeOrbit, cfg) -> float | None:
     is the one independent check of the sweep's jump rows (the jump hops).
     """
     driver = orbit.driver
-    jump_idx = np.nonzero(driver.jump_mask)[0]
-    if jump_idx.shape[0] == 0:
+    if driver.jump_index.shape[0] == 0:
         return None
     worst = 0.0
     sizes = driver.jump_size_at_grid()
-    for k in jump_idx:
+    for k in driver.jump_index:
         t = float(driver.grid[k])
         dz = sizes[k]
         hopped = flow(inner, dz, orbit.inner_traj.pre[k], 1.0, cfg)

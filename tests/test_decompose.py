@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from jumpflow import decompose
-from jumpflow.config import (build_driver, build_geometry_config,
-                             build_marcus_config, build_problem, load_config)
+from jumpflow.config import (apply_overrides, build_driver,
+                             build_geometry_config, build_marcus_config,
+                             build_problem, load_config)
 from jumpflow.decompose import (TAU_REASONS, LinearSystem, _frame_cond,
                                 _pointwise_rhs, _structured_rhs,
                                 decompose_linear_sde, decompose_pointwise,
@@ -135,7 +136,8 @@ def test_custom_linear_record_is_consistent_with_its_factors():
     # structural blocks of xi and psi are exact
     cfg = load_config(os.path.join(CONFIGS, "custom_linear.yaml"))
     problem = build_problem(cfg)
-    driver = build_driver(cfg, 2)
+    apply_overrides(cfg, seed=2)
+    driver = build_driver(cfg)
     assert int(np.sum(driver.jump_mask)) == 7
     p = problem["horizontal_dim"]
     rec = decompose_linear_sde(LinearSystem(problem["matrices"], p), driver,
@@ -165,7 +167,8 @@ def test_verify_composition_at_identity_probes_is_residual_sup(name, seed):
     cfg = load_config(os.path.join(CONFIGS, name))
     problem = build_problem(cfg)
     system = LinearSystem(problem["matrices"], problem["horizontal_dim"])
-    rec = decompose_linear_sde(system, build_driver(cfg, seed),
+    apply_overrides(cfg, seed=seed)
+    rec = decompose_linear_sde(system, build_driver(cfg),
                                build_marcus_config(cfg),
                                build_geometry_config(cfg))
     resid = verify_composition(rec, np.eye(system.dimension))
