@@ -24,10 +24,12 @@ BLAS threads: every BLAS call here is on stacks of 2x2 and 3x3 matrices,
 yet numpy's OpenBLAS starts one worker per core, each spin-waiting until its
 timeout (about 0.13 s of CPU per run on a 2-core host).  So this module sets
 ``OPENBLAS_NUM_THREADS=1`` before it imports numpy, unless the caller has
-set ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``.
-It acts because ``import jumpflow`` loads no numpy, so ``python -m
-jumpflow.cli`` and the ``jumpflow`` script reach this module first; the
-package and its other submodules leave the environment alone.
+set ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``,
+or has loaded numpy already: OpenBLAS then runs its own count, and the
+variable would only reach the caller's child processes.  It acts because
+``import jumpflow`` loads no numpy, so ``python -m jumpflow.cli`` and the
+``jumpflow`` script reach this module first; the package and its other
+submodules leave the environment alone.
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ import time
 _BLAS_THREADS = next(("%s=%s" % (name, os.environ[name]) for name in (
     "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
     if name in os.environ), None)
-if _BLAS_THREADS is None:
+if _BLAS_THREADS is None and "numpy" in sys.modules:
+    _BLAS_THREADS = "none set (numpy was loaded before jumpflow.cli)"
+elif _BLAS_THREADS is None:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     _BLAS_THREADS = "OPENBLAS_NUM_THREADS=1 (set by jumpflow)"
 

@@ -656,13 +656,14 @@ def test_nonlinear_jump_blowup_reports_grid_time(tmp_path, capsys):
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                     "OMP_NUM_THREADS")
+NUMPY_FIRST = "none set (numpy was loaded before jumpflow.cli)"
 
 
 def _fresh_python(probe, **caller):
     """stdout of ``probe`` run in a fresh interpreter on this source tree.
 
     The child sees none of OpenBLAS's thread variables but those in
-    ``caller``: importing ``jumpflow.cli`` has set one in this process."""
+    ``caller``, whatever this process was started with."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     env.update(caller, PYTHONPATH=os.pathsep.join(
@@ -751,6 +752,21 @@ def test_cli_thread_setting_yields_to_the_caller(tmp_path, caller, meta):
     assert "blas_threads: %s\n" % meta in text
 
 
+def test_cli_after_numpy_leaves_the_environment(tmp_path):
+    # OpenBLAS has read its variables when numpy loaded: setting one now
+    # would change nothing but the environment of child processes
+    out = str(tmp_path / "run")
+    probe = ("import json, os, numpy\n"
+             "before = dict(os.environ)\n"
+             "import jumpflow.cli\n"
+             "jumpflow.cli.main(['simulate', '--config', %r, '--out', %r])\n"
+             "print(json.dumps(dict(os.environ) == before))"
+             % (_cfg("rotation.yaml"), out))
+    assert json.loads(_fresh_python(probe)) is True
+    text = _read(os.path.join(out, "run_meta.txt")).decode()
+    assert "blas_threads: %s\n" % NUMPY_FIRST in text
+
+
 def test_library_import_loads_nothing_and_leaves_the_environment():
     probe = ("import json, os, sys\n"
              "before = dict(os.environ)\n"
@@ -760,6 +776,35 @@ def test_library_import_loads_nothing_and_leaves_the_environment():
              "jumpflow.solve_point\n"
              "print(json.dumps([loaded, dict(os.environ) == before]))")
     assert json.loads(_fresh_python(probe)) == [[], True]
+
+
+def test_dump_config_shows_the_seed_and_reproduces_the_run(tmp_path, capsys):
+    # the dumped config of a --seed run is that run, without --seed
+    args = ["simulate", "--config", _cfg("ivk_jump.yaml"), "--seed", "5"]
+    assert load_config(_cfg("ivk_jump.yaml"))["driver"]["seed"] != 5
+    assert main(args + ["--ladder", "4", "--dump-config"]) == 0
+    dumped = yaml.safe_load(capsys.readouterr().out)
+    assert (dumped["driver"]["seed"], dumped["ladder"]) == (5, 4)
+    assert main(args + ["--dump-config"]) == 0
+    dumped = tmp_path / "dumped.yaml"
+    dumped.write_text(capsys.readouterr().out)
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    assert main(["simulate", "--config", str(dumped),
+                 "--out", str(tmp_path / "b")]) == 0
+    names = sorted(os.listdir(tmp_path / "a"))
+    assert names == sorted(os.listdir(tmp_path / "b"))
+    for name in names:
+        if name != "run_meta.txt":
+            assert _read(tmp_path / "a" / name) == _read(tmp_path / "b" / name)
+
+
+def test_seed_leaves_a_deterministic_driver_alone(capsys):
+    args = ["simulate", "--config", _cfg("rotation.yaml"), "--dump-config"]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    assert main(args + ["--seed", "5"]) == 0
+    assert capsys.readouterr().out == plain
+    assert "seed" not in plain
 
 
 def test_dump_config_round_trips(tmp_path, capsys):
@@ -816,10 +861,11 @@ def test_run_meta_records_command(tmp_path):
     meta = _read(os.path.join(out, "run_meta.txt")).decode()
     assert "simulate" in meta
     fields = dict(line.split(": ", 1) for line in meta.splitlines())
-    # the variable that decides OpenBLAS's thread count in this process
-    name, _, value = fields["blas_threads"].partition("=")
-    assert name in BLAS_THREAD_VARS
-    assert value.removesuffix(" (set by jumpflow)") == os.environ[name]
+    # this module imported numpy before jumpflow.cli: the first thread
+    # variable this process was started with decided, and jumpflow set none
+    given = [name for name in BLAS_THREAD_VARS if name in os.environ]
+    assert fields["blas_threads"] == ("%s=%s" % (given[0], os.environ[given[0]])
+                                      if given else NUMPY_FIRST)
     setup, run, wall = (float(fields[key]) for key in (
         "setup_seconds", "run_seconds", "wall_seconds"))
     assert min(setup, run) >= 0.0

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from jumpflow.semimartingale import (JumpLaw, PathParams,
+from jumpflow.semimartingale import (JumpLaw, JumpPath, PathParams,
                                      deterministic_path, path_to_csv, prefix,
                                      quadratic_variation_c, refine,
                                      sample_levy_jump_diffusion)
@@ -246,6 +246,34 @@ def test_negative_zero_jump_keeps_its_sign_in_the_csv():
     assert rows[0][-2:] == ["dz_1", "dz_2"]
     assert rows[1 + 3][-3:] == ["1", "-0.0", "0.25"]
     assert rows[1 + 7][-3:] == ["1", "1.5", "-0.0"]
+
+
+def test_driver_layout_is_stored_once_and_read_only():
+    path = dict(_layout_drivers())["refined"]
+    assert path.increments.tobytes() == np.diff(path.continuous_values,
+                                                axis=0).tobytes()
+    assert np.array_equal(path.jump_index,
+                          np.searchsorted(path.grid, path.jump_times))
+    assert path.jump_size_at_grid() is path.jump_size_at_grid()
+    for arr in (path.increments, path.jump_index, path.jump_mask,
+                path.jump_size_at_grid()):
+        with pytest.raises(ValueError):
+            arr[-1] = arr[0]
+
+
+def test_path_copies_the_callers_arrays():
+    grid = np.linspace(0.0, 1.0, 11)
+    cont = np.outer(grid, [1.0, -2.0])
+    times, sizes = grid[[3, 8]], np.array([[0.5, 1.0], [-1.0, 0.25]])
+    path = JumpPath(grid, cont, times, sizes)
+    made = deterministic_path(grid, cont, zip(times, sizes))
+    kept = [a.copy() for a in (grid, cont, times, sizes)]
+    for arr in (grid, cont, times, sizes):
+        arr[0] = 9.0  # the caller's arrays stay writable
+    for p in (path, made):
+        for arr, old in zip((p.grid, p.continuous_values, p.jump_times,
+                             p.jump_sizes), kept):
+            assert arr.tobytes() == old.tobytes()
 
 
 def test_multichannel_brownian_channels_independent():
