@@ -236,7 +236,7 @@ def _build_parser():
         p.add_argument("--config", required=True, help="YAML run config")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None,
-                       help="override the driver seed")
+                       help="set driver.seed of a levy driver")
         p.add_argument("--ladder", type=int, default=None,
                        help="override the refinement depth")
         p.add_argument("--dump-config", action="store_true",

@@ -780,14 +780,15 @@ def test_library_import_loads_nothing_and_leaves_the_environment():
 
 def test_dump_config_shows_the_seed_and_reproduces_the_run(tmp_path, capsys):
     # the dumped config of a --seed run is that run, without --seed
-    args = ["simulate", "--config", _cfg("ivk_jump.yaml"), "--seed", "5"]
+    args = ["simulate", "--config", _cfg("ivk_jump.yaml"), "--seed", "5",
+            "--ladder", "4"]
     assert load_config(_cfg("ivk_jump.yaml"))["driver"]["seed"] != 5
-    assert main(args + ["--ladder", "4", "--dump-config"]) == 0
-    dumped = yaml.safe_load(capsys.readouterr().out)
-    assert (dumped["driver"]["seed"], dumped["ladder"]) == (5, 4)
     assert main(args + ["--dump-config"]) == 0
+    text = capsys.readouterr().out
+    cfg = yaml.safe_load(text)
+    assert (cfg["driver"]["seed"], cfg["ladder"]) == (5, 4)
     dumped = tmp_path / "dumped.yaml"
-    dumped.write_text(capsys.readouterr().out)
+    dumped.write_text(text)
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
     assert main(["simulate", "--config", str(dumped),
                  "--out", str(tmp_path / "b")]) == 0
@@ -863,9 +864,9 @@ def test_run_meta_records_command(tmp_path):
     fields = dict(line.split(": ", 1) for line in meta.splitlines())
     # this module imported numpy before jumpflow.cli: the first thread
     # variable this process was started with decided, and jumpflow set none
-    given = [name for name in BLAS_THREAD_VARS if name in os.environ]
-    assert fields["blas_threads"] == ("%s=%s" % (given[0], os.environ[given[0]])
-                                      if given else NUMPY_FIRST)
+    given = ["%s=%s" % (name, os.environ[name]) for name in BLAS_THREAD_VARS
+             if name in os.environ]
+    assert fields["blas_threads"] == (given + [NUMPY_FIRST])[0]
     setup, run, wall = (float(fields[key]) for key in (
         "setup_seconds", "run_seconds", "wall_seconds"))
     assert min(setup, run) >= 0.0

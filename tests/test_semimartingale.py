@@ -208,7 +208,8 @@ def _layout_drivers():
     t = float(levy.jump_times[1])
     out += [("refined", refine(levy, 3)),
             ("prefix-with-jump", prefix(levy, t)),
-            ("prefix-without-jump", prefix(levy, t, include_jump_at_end=False))]
+            ("prefix-without-jump",
+             prefix(levy, t, include_jump_at_end=False))]
     grid = np.linspace(0.0, 1.0, 11)
     out.append(("negative-zero-jump", deterministic_path(
         grid, np.outer(grid, [0.5, -1.0]),
