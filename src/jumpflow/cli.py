@@ -57,7 +57,7 @@ import numpy as np
 from . import __version__
 from .config import (apply_overrides, build_driver, build_geometry_config,
                      build_marcus_config, build_path_params, build_problem,
-                     dump_config, load_config)
+                     check_subcommand, dump_config, load_config)
 from .convergence import fit_order
 from .decompose import (LinearSystem, decompose_linear_sde,
                         decompose_pointwise)
@@ -125,20 +125,13 @@ def _run_decompose(cfg, problem, mcfg):
     driver = build_driver(cfg)
     geo = build_geometry_config(cfg)
     if problem["kind"] == "linear":
-        n = problem["matrices"].shape[1]
-        if problem["horizontal_dim"] >= n:
-            raise ConfigError("horizontal_dim: must be below the state "
-                              "dimension %d" % n)
         system = LinearSystem(problem["matrices"], problem["horizontal_dim"])
         record = decompose_linear_sde(system, driver, mcfg, geo)
-    elif problem["kind"] == "mesh":
+    else:
         record = decompose_pointwise(problem["fields"], problem["pair"],
                                      driver, problem["chart"],
                                      problem["probes"], mcfg, geo,
                                      snapshot_stride=cfg["snapshot_stride"])
-    else:
-        raise ConfigError("scenario: scenario %r has no decomposition mode"
-                          % problem["scenario"])
     header = {"format_version": 1, "kind": "decomposition-diagnostics",
               "mode": record.mode, "tau": record.tau,
               "tau_reason": record.tau_reason}
@@ -156,8 +149,6 @@ def _run_decompose(cfg, problem, mcfg):
 
 
 def _run_verify_ivk(cfg, problem, mcfg):
-    if problem["kind"] != "ivk":
-        raise ConfigError("scenario: verify-ivk needs an ivk-* scenario")
     driver = build_driver(cfg)
     report = verify_ivk(problem["fields"], problem["inner_fields"], driver,
                         problem["x0"], mcfg, ladder=cfg["ladder"])
@@ -194,10 +185,6 @@ def _run_convergence(cfg, problem, mcfg):
 
 
 def _run_ensemble(cfg, problem, mcfg):
-    if cfg["driver"]["type"] != "levy":
-        raise ConfigError("driver.type: ensemble needs a levy driver")
-    if "ensemble" not in cfg:
-        raise ConfigError("ensemble: section required for this subcommand")
     params = build_path_params(cfg)
     name = cfg["ensemble"]["observable"]
     observables = {"norm": lambda t, x: np.linalg.norm(x, axis=-1),
@@ -252,6 +239,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         apply_overrides(cfg, args.seed, args.ladder)
+        check_subcommand(cfg, args.command)
         if args.dump_config:
             sys.stdout.write(dump_config(cfg))
             return 0

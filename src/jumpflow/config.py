@@ -249,6 +249,23 @@ def apply_overrides(cfg: dict, seed=None, ladder=None) -> None:
         cfg["ladder"] = ladder
 
 
+def check_subcommand(cfg: dict, command: str) -> None:
+    """The rules a subcommand adds to a normalized config."""
+    _expect(command != "verify-ivk" or cfg["scenario"].startswith("ivk-"),
+            "scenario", "verify-ivk needs an ivk-* scenario")
+    if command == "decompose":  # the linear and mesh kinds of build_problem
+        full, fields, inner = _scenario(cfg)
+        _expect(inner is None and fields.is_linear, "scenario",
+                "scenario %r has no decomposition mode" % cfg["scenario"])
+        n = fields.dimension
+        _expect(cfg["scenario"] == "radial-linear" or full["horizontal_dim"] < n,
+                "horizontal_dim", "must be below the state dimension %d" % n)
+    if command == "ensemble":
+        _expect(cfg["driver"]["type"] == "levy", "driver.type",
+                "ensemble needs a levy driver")
+        _expect("ensemble" in cfg, "ensemble", "section required for this subcommand")
+
+
 def _check_across(cfg):
     """The rules that relate keys to each other, on a walked config."""
     drv = cfg["driver"]

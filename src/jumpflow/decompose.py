@@ -44,7 +44,7 @@ TAU_REASONS = ("horizon", "split_degenerate", "det_block_zero",
                "blowup", "mesh_inversion_failure")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSystem:
     """Linear driving fields x -> A_i x plus the coordinate splitting."""
 
@@ -64,7 +64,7 @@ class LinearSystem:
         return self.matrices.shape[1]
 
 
-@dataclass
+@dataclass(eq=False)
 class DecompositionRecord:
     """Output of either decomposition driver.
 
@@ -275,7 +275,7 @@ def decompose_linear_sde(system: LinearSystem, driver: JumpPath,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValidityReport:
     """Degeneracy scan of a solved flow's Jacobian block determinant."""
 

@@ -32,7 +32,7 @@ from .semimartingale import (JumpPath, PathParams, _grid_for, _levy_arrays,
                              _substream, _write_csv)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Solution samples aligned with the driving path's grid.
 
@@ -281,7 +281,7 @@ def solve_map_batch(fields: VectorFieldSet, driver: JumpPath, bases,
                        freeze_side))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleSummary:
     """Per-time first and second moments across an ensemble of paths."""
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import MeshInversionError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeshChart:
     """Structured chart: per-axis coordinate arrays plus the embedding."""
 

@@ -58,16 +58,17 @@ def expm(A) -> np.ndarray:
 
 
 def _fd_jacobian(fn, X, eps_base: float = 1e-6):
-    """Central-difference Jacobian of ``fn`` at each point of X (..., n)."""
+    """Central-difference Jacobian of ``fn`` at each point of X (..., n):
+    the value shape of ``fn`` there plus a trailing n."""
     X = np.asarray(X, dtype=float)
-    n = X.shape[-1]
-    J = np.empty(X.shape + (n,))
-    for j in range(n):
+    cols = []
+    for j in range(X.shape[-1]):
         e = eps_base * (1.0 + np.abs(X[..., j]))
         step = np.zeros_like(X)
         step[..., j] = e
-        J[..., j] = (fn(X + step) - fn(X - step)) / (2 * e[..., None])
-    return J
+        diff = np.subtract(fn(X + step), fn(X - step))
+        cols.append(diff / (2 * e.reshape(e.shape + (1,) * (diff.ndim - e.ndim))))
+    return np.stack(cols, axis=-1)
 
 
 class VectorFieldSet:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleResult:
     """Value of a closed-form evaluation plus how it was obtained."""
 

@@ -29,7 +29,7 @@ def _substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JumpLaw:
     """Distribution of a single jump's m-vector size.
 
@@ -132,7 +132,7 @@ class PathParams:
                                (self.dimension,)).copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JumpPath:
     """Piecewise-linear continuous part on a grid plus a finite jump ledger.
 
@@ -142,7 +142,10 @@ class JumpPath:
     is derived here, once: ``increments`` (the continuous increment over
     each grid interval), ``jump_index`` (the grid index of each jump),
     ``jump_mask`` and, through ``jump_size_at_grid``, the jump at each grid
-    point.  Every array is read-only.
+    point.  Every array is read-only.  A non-finite grid, jump time or jump
+    size raises ValueError; a value or left limit that is not finite (the
+    continuous part or the running jump sum overflowed) raises
+    IntegrationFailure at its first grid time.
     """
 
     grid: np.ndarray
@@ -179,18 +182,24 @@ class JumpPath:
             # np.isin would import numpy.ma; a NaN time sorts past the end
             if not np.all(grid[idx.clip(max=grid.shape[0] - 1)] == jt):
                 raise ValueError("every jump time must be a grid point")
-        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(cont))
-                and np.all(np.isfinite(js))):
+        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(js))):
             raise ValueError("path data must be finite")
 
         mask = np.zeros(grid.shape[0], dtype=bool)
         mask[idx] = True
         rows = np.zeros_like(cont)  # assigned, so a -0.0 jump keeps its sign
         rows[idx] = js
+        with np.errstate(over="ignore", invalid="ignore"):
+            cum = np.cumsum(rows, axis=0)
+            bad = ~(np.isfinite(cont + cum)
+                    & np.isfinite(cont + (cum - rows))).all(axis=1)
+        if bad.any():
+            raise IntegrationFailure("driver path overflowed",
+                                     time=float(grid[np.argmax(bad)]))
         layout = dict(grid=grid, continuous_values=cont, jump_times=jt,
                       jump_sizes=js, increments=np.diff(cont, axis=0),
                       jump_index=idx, jump_mask=mask, _jump_rows=rows,
-                      _cum_jumps=np.cumsum(rows, axis=0))
+                      _cum_jumps=cum)
         for name, arr in layout.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -260,20 +269,11 @@ def _levy_arrays(params: PathParams, seed: int, base: np.ndarray):
 
 
 def sample_levy_jump_diffusion(params: PathParams) -> JumpPath:
-    """Draw one jump-diffusion driver path (see ``_levy_arrays``); raise
-    IntegrationFailure at its first grid time whose value or left limit
-    overflowed to inf/NaN."""
+    """Draw one jump-diffusion driver path (see ``_levy_arrays``); a path
+    that overflowed raises IntegrationFailure (see ``JumpPath``)."""
     with np.errstate(over="ignore", invalid="ignore"):
         grid, cont, jump_times, jump_sizes = _levy_arrays(
             params, params.seed, _grid_for(params.horizon, params.step))
-        at_grid = np.zeros_like(cont)
-        at_grid[np.searchsorted(grid, jump_times)] = jump_sizes
-        cum = np.cumsum(at_grid, axis=0)
-        bad = ~(np.isfinite(cont + cum)
-                & np.isfinite(cont + (cum - at_grid))).all(axis=1)
-    if bad.any():
-        t = float(grid[np.argmax(bad)])
-        raise IntegrationFailure("driver path overflowed while sampling", time=t)
     return JumpPath(grid=grid, continuous_values=cont,
                     jump_times=jump_times, jump_sizes=jump_sizes)
 

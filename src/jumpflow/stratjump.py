@@ -29,11 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .marcus import MarcusConfig, Trajectory, _serve, _sweep, solve_point
-from .odeflow import VectorFieldSet, curve_average, flow
+from .odeflow import VectorFieldSet, _fd_jacobian, curve_average, flow
 from .semimartingale import JumpPath, prefix, quadratic_variation_c, refine
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntegralReport:
     """Value, per-time partial sums, and the three-way term breakdown."""
 
@@ -49,8 +49,9 @@ class IntegralReport:
 def field_matrix_map(fields: VectorFieldSet):
     """(H, dH) pair reading out a field set's matrix [X_1(x) .. X_m(x)].
 
-    dH returns the (n, m, n) derivative tensor stacked from the field
-    Jacobians, which keeps quadratic-variation corrections analytic.
+    H maps points (..., n) to (..., n, m) and dH to the (..., n, m, n)
+    derivative stacked from the field Jacobians, which keeps
+    quadratic-variation corrections analytic.
     """
 
     def H(x):
@@ -58,33 +59,9 @@ def field_matrix_map(fields: VectorFieldSet):
 
     def dH(x):
         return np.stack([fields.jacobian_batch(i, x) for i in range(fields.count)],
-                        axis=1)
+                        axis=-2)
 
     return H, dH
-
-
-def _as_matrix_output(val, m):
-    out = np.asarray(val, dtype=float)
-    if out.ndim == 1:
-        if m != 1:
-            raise ValueError("H must return an (d, m) array for m > 1")
-        out = out[:, None]
-    if out.ndim != 2 or out.shape[1] != m:
-        raise ValueError("H must return an (d, m) array")
-    return out
-
-
-def _directional(H, dH, g, v, m):
-    """Directional derivative of H at g along v, (d, m)."""
-    if dH is not None:
-        return np.einsum("aij,j->ai", np.asarray(dH(g), dtype=float), v)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return np.zeros_like(_as_matrix_output(H(g), m))
-    e = 1e-6 * (1.0 + np.linalg.norm(g)) / nv
-    hp = _as_matrix_output(H(g + e * v), m)
-    hm = _as_matrix_output(H(g - e * v), m)
-    return (hp - hm) / (2.0 * e)
 
 
 def _assemble(times, inc_ito, inc_qv, inc_jump, diagnostics):
@@ -101,48 +78,38 @@ def marcus_integral(H, fields: VectorFieldSet, driver: JumpPath, g0,
                     cfg: MarcusConfig, dH=None) -> IntegralReport:
     """Integral of H along the solution of dg = sum_i X_i(g) o dZ_i.
 
+    H maps points (..., n) to (..., d, m), any other shape a ValueError, and
+    dH to the (..., d, m, n) derivative, else taken by central differences.
+
     Ito part: left-point sums H(g_{s-}) dZ with exact atoms at jumps.
     QV part: 1/2 trace correction against the realized continuous QV,
     evaluated at interval-midpoint states (continuous segments only).
     Jump part: for each jump, the average of H along the fictitious
     unit-time jump orbit minus H at the left limit, applied to the jump size.
     """
-    m = driver.dimension
     traj = solve_point(fields, driver, g0, cfg)
-    K = traj.times.shape[0]
-    d = _as_matrix_output(H(traj.post[0]), m).shape[0]
-    dzc = driver.increments
-    qv = quadratic_variation_c(driver)
-    sizes = driver.jump_size_at_grid()
-    mask = driver.jump_mask
-
-    inc_ito = np.zeros((K - 1, d))
-    inc_qv = np.zeros((K - 1, d))
-    inc_jump = np.zeros((K - 1, d))
-    for k in range(K - 1):
-        h_left = _as_matrix_output(H(traj.post[k]), m)
-        inc_ito[k] = h_left @ dzc[k]
-        mid = 0.5 * (traj.post[k] + traj.pre[k + 1])
-        acc = np.zeros(d)
-        F_mid = fields.field_matrix(mid)
-        for j in range(m):
-            dh = _directional(H, dH, mid, F_mid[:, j], m)
-            acc += dh @ qv[k, :, j]
-        inc_qv[k] += 0.5 * acc
-        if mask[k + 1]:
-            dz = sizes[k + 1]
-            g_pre = traj.pre[k + 1]
-            h_pre = _as_matrix_output(H(g_pre), m)
-            inc_ito[k] += h_pre @ dz
-            avg = _as_matrix_output(
-                curve_average(H, fields, dz, g_pre, cfg,
-                              quad_nodes=cfg.substeps), m)
-            inc_jump[k] += (avg - h_pre) @ dz
+    left = traj.post[:-1]
+    h_left = np.asarray(H(left), dtype=float)
+    if h_left.shape[:1] + h_left.shape[2:] != (len(left), driver.dimension):
+        raise ValueError("H: shape %s, not (%d, d, %d)"
+                         % (h_left.shape, len(left), driver.dimension))
+    mid = 0.5 * (left + traj.pre[1:])
+    dh = _fd_jacobian(H, mid) if dH is None else dH(mid)
+    inc_ito = np.einsum("kdm,km->kd", h_left, driver.increments)
+    inc_qv = 0.5 * np.einsum("kdin,knj,kij->kd", dh, fields.field_matrix(mid),
+                             quadratic_variation_c(driver))
+    inc_jump = np.zeros_like(inc_ito)
+    for k in driver.jump_index:
+        dz, g_pre = driver.jump_size_at_grid()[k], traj.pre[k]
+        h_pre = H(g_pre)
+        inc_ito[k - 1] += h_pre @ dz
+        avg = curve_average(H, fields, dz, g_pre, cfg, quad_nodes=cfg.substeps)
+        inc_jump[k - 1] += (avg - h_pre) @ dz
     return _assemble(traj.times, inc_ito, inc_qv, inc_jump,
-                     {"n_jumps": int(mask.sum()), "kind": "marcus_integral"})
+                     {"n_jumps": len(driver.jump_index), "kind": "marcus_integral"})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _CompositeOrbit:
     """What the composition checks need, from one sweep of K + 2J rows: K post
     rows, then a pre and a hop row per jump (psi_k(q_k) is ``F_post[k]``)."""
@@ -271,7 +238,7 @@ def pushforward_integral(outer: VectorFieldSet, inner: VectorFieldSet,
     return _orbit_reports(outer, inner, orbit)[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LadderRung:
     """One refinement level of a residual study."""
 

@@ -396,6 +396,26 @@ def test_overflowing_jump_sum_exits_3(tmp_path, capsys):
     assert abs(t - jump_times[1]) < 1e-6
 
 
+def test_overflowing_deterministic_driver_exits_3(tmp_path, capsys):
+    # two finite jumps of 1e308 whose running sum is not: no driver.csv of
+    # inf under exit 0, but a failure at the second jump
+    path = tmp_path / "simulate.yaml"
+    path.write_text(yaml.safe_dump({
+        "scenario": "custom-linear", "x0": [1.0],
+        "fields": {"matrices": [[[0.0]]]},
+        "driver": {"type": "deterministic", "horizon": 1.0, "step": 0.1,
+                   "jumps": [{"time": 0.5, "size": [1.0e+308]},
+                             {"time": 0.6, "size": [1.0e+308]}]}}))
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(path), "--out",
+                     str(out)]) == 3
+    assert not out.exists() or os.listdir(out) == []
+    assert capsys.readouterr().err.startswith(
+        "integration failure at t=0.6: driver path overflowed")
+
+
 def test_overflowing_driver_samples_are_ensemble_failures(tmp_path, capsys):
     with open(_cfg("ensemble_linear.yaml")) as fh:
         cfg = yaml.safe_load(fh)
@@ -621,6 +641,40 @@ def test_bad_value_exits_2(tmp_path, capsys, command, cfg, where):
     assert main([command, "--config", str(path), "--out",
                  str(tmp_path / "o")]) == 2
     assert "config error: %s:" % where in capsys.readouterr().err
+
+
+def _shipped(name, edit=lambda cfg: None):
+    with open(_cfg(name)) as fh:
+        cfg = yaml.safe_load(fh)
+    edit(cfg)
+    return cfg
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("ensemble", _shipped("rotation.yaml"),
+     "driver.type: ensemble needs a levy driver"),
+    ("ensemble", _shipped("ensemble_linear.yaml",
+                          lambda cfg: cfg.pop("ensemble")),
+     "ensemble: section required for this subcommand"),
+    ("verify-ivk", _shipped("rotation.yaml"),
+     "scenario: verify-ivk needs an ivk-* scenario"),
+    ("decompose", _shipped("sphere_tangent.yaml"),
+     "scenario: scenario 'sphere-tangent' has no decomposition mode"),
+    ("decompose", _shipped("rotation.yaml",
+                           lambda cfg: cfg.update(horizontal_dim=2)),
+     "horizontal_dim: must be below the state dimension 2"),
+])
+def test_subcommand_requirement_exits_2_before_any_output(
+        tmp_path, capsys, command, cfg, message):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "out"
+    args = [command, "--config", str(path), "--out", str(out)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == "config error: %s\n" % message
+    assert not out.exists()
+    assert main(args + ["--dump-config"]) == 2
+    assert capsys.readouterr() == ("", "config error: %s\n" % message)
 
 
 @pytest.mark.parametrize("scenario, dimension", [("ivk-commuting", 1),

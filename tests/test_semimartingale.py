@@ -9,6 +9,10 @@ import sys
 import numpy as np
 import pytest
 
+from jumpflow.errors import IntegrationFailure
+from jumpflow.marcus import MarcusConfig, solve_point
+from jumpflow.mesh import MeshChart
+from jumpflow.odeflow import VectorFieldSet
 from jumpflow.semimartingale import (JumpLaw, JumpPath, PathParams,
                                      deterministic_path, path_to_csv, prefix,
                                      quadratic_variation_c, refine,
@@ -146,6 +150,12 @@ def test_validation_rejects_bad_grids():
         # jump not on the grid
         deterministic_path(np.array([0.0, 1.0]), np.zeros((2, 1)),
                            jumps=[(0.37, np.array([1.0]))])
+    for grid, times, sizes in [([0.0, 0.5, np.inf], [], None),
+                               ([0.0, 0.5, 1.0], [np.nan], [[1.0]]),
+                               ([0.0, 0.5, 1.0], [0.5], [[np.inf]]),
+                               ([0.0, 0.5, 1.0], [0.5], [[np.nan]])]:
+        with pytest.raises(ValueError):  # non-finite, not an overflow
+            JumpPath(np.array(grid), np.zeros(3), np.array(times), sizes)
 
 
 def test_params_validation():
@@ -275,6 +285,34 @@ def test_path_copies_the_callers_arrays():
         for arr, old in zip((p.grid, p.continuous_values, p.jump_times,
                              p.jump_sizes), kept):
             assert arr.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("cont, jumps, time", [
+    (np.zeros(11), [(0.5, 1e308), (0.6, 1e308)], 0.6),  # the running sum
+    (np.zeros(11), [(0.5, 1e308), (0.6, 1e308), (0.7, -1e308)], 0.6),
+    (np.r_[np.zeros(7), np.inf, np.zeros(3)], [], 0.7),  # the continuous part
+    (np.r_[np.zeros(4), np.nan, np.zeros(6)], [(0.2, 1.0)], 0.4),
+])
+def test_overflowed_path_fails_at_its_first_bad_time(cont, jumps, time):
+    grid = np.round(np.linspace(0.0, 1.0, 11), 12)
+    with pytest.raises(IntegrationFailure, match="driver path overflowed") \
+            as exc:
+        deterministic_path(grid, cont, jumps)
+    assert exc.value.time == time
+
+
+def test_array_records_compare_by_identity_and_hash():
+    g = np.linspace(0.0, 1.0, 3)
+    a, b = deterministic_path(g, g), deterministic_path(g, g)
+    assert a == a and a != b and not a == b
+    law = JumpLaw.uniform([0.0], [1.0])
+    traj = solve_point(VectorFieldSet.linear([[[1.0]]]), a, [1.0],
+                       MarcusConfig())
+    chart = MeshChart.annulus((0.5, 2.0), (4, 4))
+    for record in (a, law, traj, chart):
+        assert {record: 1}[record] == 1
+    assert law != JumpLaw.uniform([0.0], [1.0])
+    assert _params(seed=4) == _params(seed=4)
 
 
 def test_multichannel_brownian_channels_independent():

@@ -9,7 +9,7 @@ from jumpflow import odeflow, stratjump
 from jumpflow.config import build_problem
 from jumpflow.errors import IntegrationFailure
 from jumpflow.marcus import MarcusConfig, solve_map_batch, solve_point
-from jumpflow.odeflow import VectorFieldSet, flow
+from jumpflow.odeflow import VectorFieldSet, curve_average, flow
 from jumpflow.semimartingale import (JumpLaw, PathParams, deterministic_path,
                                      refine, sample_levy_jump_diffusion)
 from jumpflow.stratjump import (_composite_orbits, field_matrix_map,
@@ -31,13 +31,47 @@ def test_constant_integrand_telescopes_exactly():
     path = _ramp(0.05, jumps=[(0.5, 0.7), (0.75, -0.4)])
 
     def H(x):
-        return np.array([[2.0]])
+        return np.full(np.shape(x)[:-1] + (1, 1), 2.0)
 
     rep = marcus_integral(H, fields, path, np.array([1.0]), MarcusConfig())
     total = float(path.values[-1, 0] - path.values[0, 0])
     assert abs(float(rep.value[0]) - 2.0 * total) < 1e-14
     assert abs(float(rep.jump_term[0])) < 1e-14
     assert abs(float(rep.qv_term[0])) < 1e-14
+
+
+def test_integrand_is_called_on_all_left_points_at_once():
+    # one H call on the 500 left points of a jump-free ramp, none per step
+    fields = _scalar_growth()
+    path = _ramp(2e-3)
+    H0, dH = field_matrix_map(fields)
+    calls = []
+
+    def H(x):
+        calls.append(np.shape(x))
+        return H0(x)
+
+    marcus_integral(H, fields, path, np.array([1.0]), MarcusConfig(), dH=dH)
+    assert path.grid.shape == (501,)
+    assert 1 <= len(calls) <= 2 and (500, 1) in calls
+
+
+def test_integrand_of_the_wrong_shape_raises():
+    fields = _scalar_growth()
+    with pytest.raises(ValueError, match=r"H: shape \(10, 1\), not \(10, d, 1\)"):
+        marcus_integral(lambda x: 2.0 * x, fields, _ramp(0.1),
+                        np.array([1.0]), MarcusConfig())
+
+
+def test_field_matrix_map_broadcasts_over_points():
+    _, inner = _scenario_sets("ivk-generic")
+    H, dH = field_matrix_map(inner)
+    pts = np.array([[0.4, -0.3], [1.2, 0.5], [-0.7, 2.0]])
+    assert H(pts).shape == (3, 2, 2) and dH(pts).shape == (3, 2, 2, 2)
+    for p, h, dh in zip(pts, H(pts), dH(pts)):
+        assert np.array_equal(H(p), h) and np.array_equal(dH(p), dh)
+    fd = odeflow._fd_jacobian(H, pts)
+    assert fd.shape == (3, 2, 2, 2) and np.allclose(fd, dH(pts), atol=1e-8)
 
 
 def test_exponential_readout_matches_closed_form():
@@ -233,6 +267,29 @@ def test_reports_sum_their_terms_exactly():
         assert np.array_equal(rep.value,
                               rep.ito_term + rep.qv_term + rep.jump_term)
         assert np.array_equal(rep.value, rep.partial[-1])
+
+
+def test_one_pass_integral_matches_the_per_step_loop():
+    # the step-by-step sums that the one-pass form replaced; the order of
+    # the additions differs, so equal to rounding over 20 steps
+    _, inner = _scenario_sets("ivk-generic")
+    driver = _two_jump_path()
+    x0, cfg = np.array([0.4, -0.3]), MarcusConfig()
+    H, dH = field_matrix_map(inner)
+    traj = solve_point(inner, driver, x0, cfg)
+    inc = np.zeros((driver.grid.shape[0] - 1, 2))
+    for k, dzc in enumerate(driver.increments):
+        inc[k] = H(traj.post[k]) @ dzc
+        mid = 0.5 * (traj.post[k] + traj.pre[k + 1])
+        for j in range(2):
+            dh_j = dH(mid) @ inner.field_matrix(mid)[:, j]
+            inc[k] += 0.5 * (dh_j @ dzc) * dzc[j]
+        if driver.jump_mask[k + 1]:
+            dz = driver.jump_size_at_grid()[k + 1]
+            inc[k] += curve_average(H, inner, dz, traj.pre[k + 1], cfg,
+                                    quad_nodes=cfg.substeps) @ dz
+    rep = marcus_integral(H, inner, driver, x0, cfg, dH=dH)
+    assert np.max(np.abs(rep.partial[1:] - np.cumsum(inc, axis=0))) < 1e-14
 
 
 @_PAIRS
