@@ -239,11 +239,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         apply_overrides(cfg, args.seed, args.ladder)
-        check_subcommand(cfg, args.command)
+        problem = build_problem(cfg)
+        check_subcommand(cfg, problem, args.command)
         if args.dump_config:
             sys.stdout.write(dump_config(cfg))
             return 0
-        problem = build_problem(cfg)
         set_up = time.monotonic()
         try:
             os.makedirs(args.out, exist_ok=True)

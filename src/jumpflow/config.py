@@ -6,12 +6,13 @@ check is a callable ``check(value, path)`` that raises ``ConfigError``,
 ``None`` for a value nothing reads, a nested table for a section, a list of
 one table for a list of sections, or ``_Variants``: the key's value picks
 extra keys for its section (``driver.type``, ``driver.jump_law.kind``).
+
 ``normalize_config`` walks the table: it fills defaults, rejects an unknown
-key by its path and runs each key's check; ``_check_across`` then applies
-the rules that relate keys.  The result round-trips through YAML (the
-reproducibility contract for configs).  The keys a scenario reads (``x0``,
-``fields``, ...) have a table per scenario in ``_SCENARIOS``, whose
-defaults ``build_problem`` fills on a copy: they stay out of the result.
+key by its path, runs each key's check and the driver's cross-key rules.
+The result round-trips through YAML (the reproducibility contract for
+configs).  The keys a scenario reads (``x0``, ``fields``, ...) have a table
+per scenario in ``_SCENARIOS``: ``build_problem``, the scenario pass, fills
+its defaults on a copy (they stay out of the result) and checks them.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ _SCENARIOS = {
 _SCHEMA = {
     "format_version": (1, _choice(1)),
     "scenario": ("rotation", _choice(*_SCENARIOS)),
-    **dict.fromkeys(_BASE, (_OPTIONAL, None)),  # checked by _scenario
+    **dict.fromkeys(_BASE, (_OPTIONAL, None)),  # checked by build_problem
     "driver": ({}, {"type": ("deterministic", _DRIVERS),
                     "horizon": (1.0, _POSITIVE), "step": (0.01, _POSITIVE)}),
     "solver": ({}, {"substeps": (64, _integer(1, MAX_SIZE)),
@@ -215,7 +216,7 @@ def _walk(raw, table, path=""):
 
 
 def load_config(path: str) -> dict:
-    """Parse and validate a YAML config file."""
+    """Parse a YAML config file and ``normalize_config`` it."""
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
@@ -229,9 +230,45 @@ def load_config(path: str) -> dict:
 
 
 def normalize_config(raw: dict) -> dict:
-    """Fill defaults and validate; the result round-trips through YAML."""
+    """Fill defaults, check each key and the rules relating the driver's
+    keys; the result round-trips through YAML.  The scenario's keys and
+    rules are ``build_problem``'s."""
     cfg = _walk(raw, _SCHEMA)
-    _check_across(cfg)
+    drv = cfg["driver"]
+    horizon, step = drv["horizon"], drv["step"]
+    _expect(step <= horizon, "driver.step", "must not exceed the horizon")
+    _expect(horizon / step <= MAX_SIZE, "driver.horizon",
+            "must be at most %d steps (horizon / step)" % MAX_SIZE)
+    if drv["type"] == "levy":
+        m = drv["dimension"]
+        law = drv.get("jump_law", {})
+        for key in ("brownian_scale", "drift"):
+            _expect(not isinstance(drv[key], list) or len(drv[key]) == m,
+                    "driver." + key, "must be a number or a list of %d "
+                    "numbers (driver.dimension)" % m)
+        for key in _LAW_KINDS.get(law.get("kind"), ()):
+            _expect(len(law[key]) == m if isinstance(law[key], list) else m == 1,
+                    "driver.jump_law." + key,
+                    "must be a list of %d numbers (driver.dimension)" % m)
+        _expect(law or drv["jump_intensity"] == 0, "driver.jump_law",
+                "required when jump_intensity > 0")
+        _expect(drv["jump_intensity"] * horizon <= MAX_SIZE,
+                "driver.jump_intensity", "must expect at most %d jumps "
+                "(jump_intensity * horizon)" % MAX_SIZE)
+        build_path_params(cfg)  # the jump law's own rules (low <= high, ...)
+    else:
+        m, taken = len(drv["ramp_to"]), set()
+        for j, jump in enumerate(drv["jumps"]):
+            where = "driver.jumps[%d]" % j
+            _expect(jump["time"] <= horizon, where + ".time",
+                    "must lie in (0, horizon]")
+            k = round(jump["time"] / step)
+            _expect(k >= 1 and abs(jump["time"] / step - k) < 1e-9
+                    and k not in taken, where + ".time",
+                    "must be a multiple of step no other jump has")
+            taken.add(k)
+            _expect(len(jump["size"]) == m, where + ".size",
+                    "must be a list of %d numbers (the driver dimension)" % m)
     return cfg
 
 
@@ -249,72 +286,20 @@ def apply_overrides(cfg: dict, seed=None, ladder=None) -> None:
         cfg["ladder"] = ladder
 
 
-def check_subcommand(cfg: dict, command: str) -> None:
-    """The rules a subcommand adds to a normalized config."""
-    _expect(command != "verify-ivk" or cfg["scenario"].startswith("ivk-"),
-            "scenario", "verify-ivk needs an ivk-* scenario")
-    if command == "decompose":  # the linear and mesh kinds of build_problem
-        full, fields, inner = _scenario(cfg)
-        _expect(inner is None and fields.is_linear, "scenario",
+def check_subcommand(cfg: dict, problem: dict, command: str) -> None:
+    """The rules a subcommand adds to a config and its built problem."""
+    _expect(command != "verify-ivk" or problem["kind"] == "ivk", "scenario",
+            "verify-ivk needs an ivk-* scenario")
+    if command == "decompose":
+        _expect(problem["kind"] in ("linear", "mesh"), "scenario",
                 "scenario %r has no decomposition mode" % cfg["scenario"])
-        n = fields.dimension
-        _expect(cfg["scenario"] == "radial-linear" or full["horizontal_dim"] < n,
+        n = problem["fields"].dimension
+        _expect(problem["kind"] == "mesh" or problem["horizontal_dim"] < n,
                 "horizontal_dim", "must be below the state dimension %d" % n)
     if command == "ensemble":
         _expect(cfg["driver"]["type"] == "levy", "driver.type",
                 "ensemble needs a levy driver")
         _expect("ensemble" in cfg, "ensemble", "section required for this subcommand")
-
-
-def _check_across(cfg):
-    """The rules that relate keys to each other, on a walked config."""
-    drv = cfg["driver"]
-    horizon, step = drv["horizon"], drv["step"]
-    _expect(step <= horizon, "driver.step", "must not exceed the horizon")
-    _expect(horizon / step <= MAX_SIZE, "driver.horizon",
-            "must be at most %d steps (horizon / step)" % MAX_SIZE)
-    levy = drv["type"] == "levy"
-    if levy:
-        m = drv["dimension"]
-        law = drv.get("jump_law", {})
-        for key in ("brownian_scale", "drift"):
-            _expect(not isinstance(drv[key], list) or len(drv[key]) == m,
-                    "driver." + key, "must be a number or a list of %d "
-                    "numbers (driver.dimension)" % m)
-        for key in _LAW_KINDS.get(law.get("kind"), ()):
-            _expect(len(law[key]) == m if isinstance(law[key], list) else m == 1,
-                    "driver.jump_law." + key,
-                    "must be a list of %d numbers (driver.dimension)" % m)
-        _expect(law or drv["jump_intensity"] == 0, "driver.jump_law",
-                "required when jump_intensity > 0")
-        _expect(drv["jump_intensity"] * horizon <= MAX_SIZE,
-                "driver.jump_intensity", "must expect at most %d jumps "
-                "(jump_intensity * horizon)" % MAX_SIZE)
-    else:
-        m = len(drv["ramp_to"])
-        taken = set()
-        for j, jump in enumerate(drv["jumps"]):
-            where = "driver.jumps[%d]" % j
-            _expect(jump["time"] <= horizon, where + ".time",
-                    "must lie in (0, horizon]")
-            k = round(jump["time"] / step)
-            _expect(k >= 1 and abs(jump["time"] / step - k) < 1e-9
-                    and k not in taken, where + ".time",
-                    "must be a multiple of step no other jump has")
-            taken.add(k)
-            _expect(len(jump["size"]) == m, where + ".size",
-                    "must be a list of %d numbers (the driver dimension)" % m)
-    full, fields, _ = _scenario(cfg)
-    _expect(len(full["x0"]) == fields.dimension, "x0", "must be a list of "
-            "%d numbers (the state dimension)" % fields.dimension)
-    _expect(m == fields.count, "driver.dimension" if levy else "driver.ramp_to",
-            "must match the scenario's %d driving field(s)" % fields.count)
-    if cfg["scenario"] == "radial-linear":
-        inner, outer = full["mesh"]["radii"]
-        _expect(0 < inner < outer, "mesh.radii",
-                "must be an inner and an outer radius, 0 < inner < outer")
-    if levy:
-        build_path_params(cfg)  # the jump law's own rules (low <= high, ...)
 
 
 def dump_config(cfg: dict) -> str:
@@ -446,8 +431,7 @@ def _scenario(cfg):
         fields, inner = (VectorFieldSet.linear(np.array([float(rate) * eye]))
                          for rate in (fields_cfg["outer_rate"],
                                       fields_cfg["inner_rate"]))
-        if "x0" not in full:
-            full["x0"] = [1.0] * fields_cfg["dimension"]
+        full.setdefault("x0", [1.0] * fields_cfg["dimension"])
     else:
         mats = ([[[0.0, -1.0], [1.0, 0.0]]] if scenario == "rotation"
                 else fields_cfg["matrices"])
@@ -456,7 +440,10 @@ def _scenario(cfg):
 
 
 def build_problem(cfg: dict) -> dict:
-    """Turn a normalized config into library objects for the CLI runners.
+    """Build the scenario of a normalized config (or of a bare
+    ``{"scenario": ...}``) once, and check it: its keys against its table,
+    ``x0`` against the state dimension, a driver's channels against the
+    fields, ``mesh.radii`` and each probe inside them (``ConfigError``).
 
     Returns a dict with scenario-dependent keys: always ``kind``, ``fields``
     and ``x0``; linear scenarios add ``matrices`` and ``horizontal_dim``,
@@ -465,20 +452,32 @@ def build_problem(cfg: dict) -> dict:
     """
     scenario = cfg["scenario"]
     full, fields, inner = _scenario(cfg)
+    _expect(len(full["x0"]) == fields.dimension, "x0", "must be a list of "
+            "%d numbers (the state dimension)" % fields.dimension)
+    if "driver" in cfg:
+        drv, levy = cfg["driver"], cfg["driver"]["type"] == "levy"
+        _expect((drv["dimension"] if levy else len(drv["ramp_to"]))
+                == fields.count,
+                "driver.dimension" if levy else "driver.ramp_to",
+                "must match the scenario's %d driving field(s)" % fields.count)
     out = {"scenario": scenario, "fields": fields,
            "x0": np.asarray(full["x0"], dtype=float)}
     if inner is not None:
         out.update(kind="ivk", inner_fields=inner)
     elif scenario == "radial-linear":
-        probes = full.get("probes")
-        if probes is None:
-            angles = np.linspace(0, 2 * np.pi, 8, endpoint=False)
-            probes = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
         mesh = full["mesh"]
+        low, high = mesh["radii"]
+        _expect(0 < low < high, "mesh.radii",
+                "must be an inner and an outer radius, 0 < inner < outer")
+        angles = np.linspace(0, 2 * np.pi, 8, endpoint=False)
+        probes = np.asarray(full.get("probes") or _vec2(
+            np.cos(angles), np.sin(angles)), dtype=float)
+        for i, radius in enumerate(np.hypot(probes[:, 0], probes[:, 1])):
+            _expect(low <= radius <= high, "probes[%d]" % i, "radius %g is "
+                    "outside mesh.radii [%g, %g]" % (radius, low, high))
         out.update(kind="mesh", matrices=fields.matrices, pair=_radial_pair(),
-                   chart=MeshChart.annulus(tuple(map(float, mesh["radii"])),
-                                           tuple(mesh["shape"])),
-                   probes=np.asarray(probes, dtype=float))
+                   chart=MeshChart.annulus(mesh["radii"], mesh["shape"]),
+                   probes=probes)
     elif fields.is_linear:
         out.update(kind="linear", matrices=fields.matrices,
                    horizontal_dim=full["horizontal_dim"])

@@ -677,6 +677,55 @@ def test_subcommand_requirement_exits_2_before_any_output(
     assert capsys.readouterr() == ("", "config error: %s\n" % message)
 
 
+@pytest.mark.parametrize("probes, message", [
+    ([[0.0, 0.0]], "probes[0]: radius 0 is outside mesh.radii [0.5, 2]"),
+    ([[1.0, 0.0], [10.0, 0.0]],
+     "probes[1]: radius 10 is outside mesh.radii [0.5, 2]"),
+    ([[0.49, 0.0]], "probes[0]: radius 0.49 is outside mesh.radii [0.5, 2]"),
+    (None, "probes[0]: radius 1 is outside mesh.radii [1.5, 3]"),
+])
+def test_probe_off_the_chart_exits_2_before_any_output(
+        tmp_path, capsys, probes, message):
+    # a probe outside the closed annulus would fail its time-0 inversion;
+    # the default probes lie on the unit circle
+    edit = {"probes": probes} if probes else {"mesh": {"radii": [1.5, 3.0]}}
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(_shipped("radial_linear.yaml",
+                                            lambda cfg: cfg.update(edit))))
+    out = tmp_path / "out"
+    for command, extra in (("decompose", []), ("simulate", []),
+                           ("decompose", ["--dump-config"])):
+        assert main([command, "--config", str(path), "--out", str(out)]
+                    + extra) == 2
+        assert capsys.readouterr() == ("", "config error: %s\n" % message)
+    assert not out.exists()
+
+
+def test_probes_on_the_annulus_boundary_are_accepted():
+    cfg = load_config(_cfg("radial_linear.yaml"))
+    cfg["probes"] = [[0.5, 0.0], [0.0, -2.0]]
+    assert build_problem(cfg)["probes"].tolist() == cfg["probes"]
+
+
+@pytest.mark.parametrize("dump", [False, True])
+@pytest.mark.parametrize("command, name", [
+    ("simulate", "rotation.yaml"), ("decompose", "rotation.yaml"),
+    ("verify-ivk", "ivk_commuting.yaml"),
+    ("convergence", "convergence_linear.yaml"),
+    ("ensemble", "ensemble_linear.yaml")])
+def test_each_run_builds_its_scenario_once(tmp_path, capsys, monkeypatch,
+                                           command, name, dump):
+    # one scenario pass builds the problem and checks the config against it
+    calls = []
+    build = config._scenario
+    monkeypatch.setattr(config, "_scenario",
+                        lambda cfg: calls.append(cfg) or build(cfg))
+    args = [command, "--config", _cfg(name), "--out", str(tmp_path / "o"),
+            "--ladder", "1"]
+    assert main(args + ["--dump-config"] * dump) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("scenario, dimension", [("ivk-commuting", 1),
                                                  ("ivk-generic", 2)])
 def test_unknown_jump_law_key_exits_2(tmp_path, capsys, scenario, dimension):
