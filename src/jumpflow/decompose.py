@@ -399,9 +399,13 @@ def decompose_pointwise(fields: VectorFieldSet, pair: ComplementaryPair,
     state = (chart.base_points(), probes, probes)
     # rows of (t, is_jump, det, cond, residual) and snapshots
     rows = [(float(grid[0]), False, np.nan, 1.0, 0.0)]
-    snaps = [snapshot(float(grid[0]), state)]
+    snaps = []
     tau, reason = driver.horizon, "horizon"
-    for k in range(K - 1):
+    try:
+        snaps.append(snapshot(float(grid[0]), state))
+    except MeshInversionError:  # the chart is too coarse for a probe
+        tau, reason = float(grid[0]), "mesh_inversion_failure"
+    for k in range(K - 1 if snaps else 0):
         seen.clear()
         try:
             state = _heun(lambda s: rhs(s, dzc[k]), state)
@@ -438,7 +442,12 @@ def decompose_pointwise(fields: VectorFieldSet, pair: ComplementaryPair,
     times, is_jump, det, cond, resid = map(np.array, zip(*rows))
     if det.shape[0] > 1 and np.isnan(det[0]):
         det[0] = det[1]
-    snap_times, xi_mesh, psi, phi, inv = map(np.array, zip(*snaps))
+    if snaps:
+        snap_times, xi_mesh, psi, phi, inv = map(np.array, zip(*snaps))
+    else:  # no snapshot: empty stacks of each snapshot's shape
+        snap_times, xi_mesh, psi, phi, inv = (np.empty((0,) + np.shape(a))
+                                              for a in (0.0, state[0], probes,
+                                                        probes, probes))
     return DecompositionRecord(
         mode="mesh",
         horizontal_dim=pair.horizontal.rank,

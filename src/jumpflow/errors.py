@@ -14,17 +14,7 @@ class IntegrationFailure(RuntimeError):
 
 
 class DegeneracyError(RuntimeError):
-    """A transversality split degenerated (near-singular frame).
-
-    Carries the determinant and condition number of the offending frame so
-    callers can convert the failure into a validity horizon.
-    """
-
-    def __init__(self, message: str, det: float | None = None,
-                 condition: float | None = None):
-        super().__init__(message)
-        self.det = det
-        self.condition = condition
+    """A transversality split degenerated (near-singular frame)."""
 
 
 class MeshInversionError(RuntimeError):
@@ -33,10 +23,6 @@ class MeshInversionError(RuntimeError):
     Reported separately from genuine degeneracy: a failed inversion may be a
     resolution problem, not a geometric one.
     """
-
-    def __init__(self, message: str, target=None):
-        super().__init__(message)
-        self.target = target
 
 
 class ConfigError(ValueError):

@@ -165,8 +165,7 @@ def split_frame(S, rhs, geo: GeometryConfig = DEFAULT_GEOMETRY):
         worst_det, worst_cond = float(np.min(scaled)), float(np.max(cond))
         if not (np.isfinite(det).all() and worst_det > geo.eps_det
                 and worst_cond < geo.cond_cap):
-            raise DegeneracyError("transversal frame degenerated",
-                                  det=worst_det, condition=worst_cond)
+            raise DegeneracyError("transversal frame degenerated")
         if closed:
             inv_det = 1.0 / det
             c0 = (S[..., 1, 1] * rhs[..., 0] - S[..., 0, 1] * rhs[..., 1]) * inv_det

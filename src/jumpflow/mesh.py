@@ -259,7 +259,5 @@ def invert_mesh_map(chart: MeshChart, values, targets, tol: float = 1e-10,
             coords[:, 1] = np.mod(coords[:, 1], 2 * np.pi)
         if not np.all(np.isfinite(coords)):
             break
-    bad = int(np.argmax(err))
-    raise MeshInversionError(
-        "mesh inversion did not converge (worst residual %g)" % float(err.max()),
-        target=targets[bad])
+    raise MeshInversionError("mesh inversion did not converge (worst "
+                             "residual %g)" % float(err.max()))

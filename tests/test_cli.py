@@ -377,6 +377,27 @@ def test_overflowing_driver_sample_exits_3(tmp_path, capsys, seed):
     assert 0 < t <= 1.0 and abs(t / 0.02 - round(t / 0.02)) < 1e-9
 
 
+def test_decompose_mesh_coarse_chart_stops_at_time_zero(tmp_path):
+    # on a 3x3 chart Newton cannot invert the mesh at the probe (worst
+    # residual 0.027), already at t = 0
+    edit = {"mesh": {"radii": [0.5, 2.0], "shape": [3, 3]},
+            "probes": [[0.0, 2.0]]}
+    path = tmp_path / "coarse.yaml"
+    path.write_text(yaml.safe_dump(_shipped("radial_linear.yaml",
+                                            lambda cfg: cfg.update(edit))))
+    out = tmp_path / "run"
+    assert main(["decompose", "--config", str(path), "--out", str(out)]) == 4
+    assert sorted(os.listdir(out)) == ["diagnostics.jsonl", "run_meta.txt",
+                                       "summary.json"]
+    summary = _strict_loads(_read(out / "summary.json"))
+    assert (summary["tau"], summary["tau_reason"], summary["stopped_early"]) \
+        == (0.0, "mesh_inversion_failure", True)
+    header, *rows = map(_strict_loads, _read(out / "diagnostics.jsonl")
+                        .splitlines())
+    assert header["tau_reason"] == "mesh_inversion_failure"
+    assert [r["t"] for r in rows] == [0.0]
+
+
 def test_overflowing_jump_sum_exits_3(tmp_path, capsys):
     # each jump of 1e308 is finite, but the driver's running sum of them is
     # not: the sample fails at the second jump, where the sum overflows
@@ -762,8 +783,8 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
 NUMPY_FIRST = "none set (numpy was loaded before jumpflow.cli)"
 
 
-def _fresh_python(probe, **caller):
-    """stdout of ``probe`` run in a fresh interpreter on this source tree.
+def _python(args, **caller):
+    """A fresh interpreter on this source tree, run with ``args``.
 
     The child sees none of OpenBLAS's thread variables but those in
     ``caller``, whatever this process was started with."""
@@ -771,8 +792,15 @@ def _fresh_python(probe, **caller):
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     env.update(caller, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                          capture_output=True, text=True).stdout.strip()
+    return subprocess.run([sys.executable] + args, env=env,
+                          capture_output=True, text=True)
+
+
+def _fresh_python(probe, **caller):
+    """stdout of ``probe`` run in a fresh interpreter on this source tree."""
+    proc = _python(["-c", probe], **caller)
+    proc.check_returncode()
+    return proc.stdout.strip()
 
 
 def test_cli_import_does_not_load_scipy():
@@ -981,6 +1009,58 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_cli_process_skips_finalization_after_flushing(tmp_path):
+    # the process entry flushes what is buffered, then ends without
+    # interpreter finalization: the caller's atexit handler does not run
+    out = str(tmp_path / "run")
+    probe = ("import atexit, runpy, sys\n"
+             "atexit.register(print, 'atexit ran')\n"
+             "print('buffered')\n"
+             "sys.argv = ['jumpflow', 'simulate', '--config', %r,\n"
+             "            '--out', %r]\n"
+             "runpy.run_module('jumpflow.cli', run_name='__main__')\n"
+             % (_cfg("rotation.yaml"), out))
+    proc = _python(["-c", probe])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "buffered\n", "")
+    assert sorted(os.listdir(out)) == ["driver.csv", "run_meta.txt",
+                                       "summary.json", "trajectory.csv"]
+
+
+def test_cli_process_dump_config_matches_main(capsys):
+    args = ["simulate", "--config", _cfg("ivk_jump.yaml"), "--seed", "5",
+            "--dump-config"]
+    assert main(args) == 0
+    dumped = capsys.readouterr().out
+    proc = _python(["-m", "jumpflow.cli"] + args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, dumped, "")
+
+
+def test_cli_process_keeps_failure_messages(tmp_path, capsys):
+    # exit 2 (no config file) and exit 3 (the driver's jump sum overflows)
+    cfg = _shipped("ivk_jump.yaml", lambda cfg: cfg["driver"].update(
+        jump_law={"kind": "constant", "value": [1e308, 0.0]}))
+    path = tmp_path / "overflow.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    for config, code in ((tmp_path / "none.yaml", 2), (path, 3)):
+        args = ["simulate", "--config", str(config), "--out",
+                str(tmp_path / "o")]
+        assert main(args) == code
+        err = capsys.readouterr().err
+        assert err.startswith(("config error: ", "integration failure"))
+        proc = _python(["-m", "jumpflow.cli"] + args)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+
+
+def test_cli_process_under_a_profiler_exits_normally(tmp_path):
+    out = str(tmp_path / "run")
+    proc = _python(["-m", "cProfile", "-m", "jumpflow.cli", "simulate",
+                    "--config", _cfg("rotation.yaml"), "--out", out])
+    assert proc.returncode == 0
+    assert "function calls" in proc.stdout
+    assert "Ordered by: " in proc.stdout
+    assert os.path.exists(os.path.join(out, "run_meta.txt"))
 
 
 # shipped (config, subcommand) pairs for the mutation fuzz test

@@ -351,6 +351,20 @@ def test_pointwise_matches_radial_closed_form():
         assert np.max(np.abs(rec.psi_probes_inverse[si] - got)) < 1e-3
 
 
+def _radial_snapshot_errors(rec, A, driver, probes, base):
+    """Largest |psi - psi*| at the probes and |xi - xi*| on the mesh over
+    every snapshot, against the closed form at exp(A Z_t)."""
+    err_psi = err_xi = 0.0
+    for si, t in enumerate(rec.snapshot_times):
+        z = float(driver.values[np.searchsorted(driver.grid, t), 0])
+        psi, xi = radial_decomposition(matrix_exp(A, z).value, probes)
+        want_psi = np.array([psi(p) for p in probes])
+        want_xi = np.array([[xi(y) for y in row] for row in base])
+        err_psi = max(err_psi, np.max(np.abs(rec.psi_probes[si] - want_psi)))
+        err_xi = max(err_xi, np.max(np.abs(rec.xi_mesh[si] - want_xi)))
+    return err_psi, err_xi
+
+
 def test_pointwise_matches_radial_oracle_at_second_order():
     # criterion 7's circle/ray pair on radial_linear's matrix: every
     # snapshot of psi at the probes and of the xi mesh against the closed
@@ -368,19 +382,51 @@ def test_pointwise_matches_radial_oracle_at_second_order():
                                   probes, cfg=MarcusConfig(substeps=32),
                                   snapshot_stride=50)
         assert rec.tau_reason == "horizon"
-        err_psi = err_xi = 0.0
-        for si, t in enumerate(rec.snapshot_times):
-            z = float(driver.values[np.searchsorted(grid, t), 0])
-            psi, xi = radial_decomposition(matrix_exp(A, z).value, probes)
-            want_psi = np.array([psi(p) for p in probes])
-            want_xi = np.array([[xi(y) for y in row] for row in base])
-            err_psi = max(err_psi, np.max(np.abs(rec.psi_probes[si]
-                                                 - want_psi)))
-            err_xi = max(err_xi, np.max(np.abs(rec.xi_mesh[si] - want_xi)))
-        errors.append((err_psi, err_xi))
+        errors.append(_radial_snapshot_errors(rec, A, driver, probes, base))
     assert errors[0][0] <= 5e-9, errors
     assert errors[1][0] <= 0.3 * errors[0][0], errors
     assert errors[1][1] <= 0.3 * errors[0][1], errors
+
+
+def test_pointwise_matches_radial_oracle_on_a_brownian_driver():
+    # one driving field, so phi_t = exp(A Z_t) on any path: a Brownian
+    # continuous part (scale 0.3) exercises the Stratonovich form of the
+    # factor equations, which a ramp, with zero quadratic variation, cannot
+    A = np.array([[0.25, 0.1], [0.0, 0.15]])
+    chart = MeshChart.annulus((0.5, 2.0), (40, 40))
+    probes = _unit_circle_probes()
+    step = 1 / 400
+    grid = np.round(np.arange(0.0, 1.0 + step / 2, step), 12)
+    dw = np.random.default_rng(0).normal(0.0, np.sqrt(step), grid.size - 1)
+    brownian = 0.3 * np.concatenate([[0.0], np.cumsum(dw)])
+    driver = deterministic_path(grid, brownian[:, None], [(0.5, 0.1)])
+    rec = decompose_pointwise(VectorFieldSet.linear(A[None]), _radial_pair(),
+                              driver, chart, probes,
+                              cfg=MarcusConfig(substeps=32),
+                              snapshot_stride=50)
+    assert rec.tau_reason == "horizon"
+    assert rec.snapshot_times.size == 9   # every 50 steps, and t = 0
+    err_psi, err_xi = _radial_snapshot_errors(rec, A, driver, probes,
+                                              chart.base_points())
+    # measured 6.3e-7 and 9.4e-8; an Euler mesh step, which drops the
+    # Stratonovich correction, gives 2.7e-3 and 1.3e-3
+    assert err_psi <= 5e-6 and err_xi <= 1e-6, (err_psi, err_xi)
+
+
+def test_pointwise_inversion_failure_at_time_zero_stops_there():
+    # a 3x3 chart is too coarse to invert at the probe: the run stops at
+    # t = 0 with one diagnostic row and empty snapshot stacks
+    A = np.array([[0.25, 0.1], [0.0, 0.15]])
+    chart = MeshChart.annulus((0.5, 2.0), (3, 3))
+    grid = np.linspace(0.0, 1.0, 11)
+    rec = decompose_pointwise(VectorFieldSet.linear(A[None]), _radial_pair(),
+                              deterministic_path(grid, 0.3 * grid), chart,
+                              [[0.0, 2.0]])
+    assert (rec.tau, rec.tau_reason) == (0.0, "mesh_inversion_failure")
+    assert rec.times.tolist() == [0.0]
+    assert rec.snapshot_times.shape == (0,)
+    assert rec.xi_mesh.shape == (0, 3, 3, 2)
+    assert rec.psi_probes.shape == rec.psi_probes_inverse.shape == (0, 1, 2)
 
 
 def test_pointwise_blowup_stops_at_the_step_start():
