@@ -183,7 +183,7 @@ def _run_convergence(cfg, problem, mcfg):
     fields, x0 = problem["fields"], problem["x0"]
     finals, steps = [], []
     for k in range(levels):
-        drv = refine(base, 2 ** k) if k else base
+        drv = refine(base, 2 ** k)
         finals.append(solve_point(fields, drv, x0, mcfg).final_state())
         steps.append(cfg["driver"]["step"] / 2 ** k)
     ref_driver = refine(base, 2 ** (levels + 1))

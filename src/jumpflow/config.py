@@ -350,58 +350,51 @@ def _vec2(a, b):
     return out
 
 
-def _constant_jacobian(M):
-    """Jacobian callable of x -> M x: a read-only broadcast of M."""
-    M = np.asarray(M, dtype=float)
-    return lambda p: np.broadcast_to(M, np.shape(p)[:-1] + M.shape)
+def _mat2(a, b, c, d):
+    """[[a, b], [c, d]] at each point of four arrays of one shape."""
+    out = np.empty(a.shape + (2, 2))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+    return out
 
 
 def _sphere_tangent_fields() -> VectorFieldSet:
-    def x1(p):
-        return _vec2(-p[..., 1], p[..., 0])
-
-    def x2(p):
+    def H(p):
         s = np.sin(p[..., 0])
-        return _vec2(-p[..., 1] * s, p[..., 0] * s)
+        return _mat2(-p[..., 1], -p[..., 1] * s, p[..., 0], p[..., 0] * s)
 
-    def j2(p):
+    def dH(p):
         s, c = np.sin(p[..., 0]), np.cos(p[..., 0])
-        J = np.zeros(p.shape[:-1] + (2, 2))
-        J[..., 0, 0] = -p[..., 1] * c
-        J[..., 0, 1] = -s
-        J[..., 1, 0] = s + p[..., 0] * c
-        return J
+        D = np.zeros(p.shape[:-1] + (2, 2, 2))
+        D[..., 0, 0, 1], D[..., 1, 0, 0] = -1.0, 1.0
+        D[..., 0, 1, 0] = -p[..., 1] * c
+        D[..., 0, 1, 1] = -s
+        D[..., 1, 1, 0] = s + p[..., 0] * c
+        return D
 
-    j1 = _constant_jacobian([[0.0, -1.0], [1.0, 0.0]])
-    return VectorFieldSet.from_callables(2, [x1, x2], [j1, j2])
+    return VectorFieldSet.from_callable(2, 2, H, dH)
 
 
 def _ivk_generic_fields():
-    def outer1(p):
-        return _vec2(np.sin(p[..., 1]), p[..., 0])
+    def outer(p):
+        return _mat2(np.sin(p[..., 1]), 0.3 * p[..., 1],
+                     p[..., 0], -0.2 * p[..., 0])
 
-    def outer_j1(p):
-        J = np.zeros(p.shape[:-1] + (2, 2))
-        J[..., 0, 1] = np.cos(p[..., 1])
-        J[..., 1, 0] = 1.0
-        return J
+    def outer_d(p):
+        D = np.zeros(p.shape[:-1] + (2, 2, 2))
+        D[..., 0, 0, 1] = np.cos(p[..., 1])
+        D[..., 1, 0, 0], D[..., 0, 1, 1], D[..., 1, 1, 0] = 1.0, 0.3, -0.2
+        return D
 
-    def outer2(p):
-        return _vec2(0.3 * p[..., 1], -0.2 * p[..., 0])
+    def inner(p):
+        return _mat2(p[..., 1], 0.2 * p[..., 0],
+                     -0.5 * p[..., 0], 0.3 * p[..., 1])
 
-    def inner1(p):
-        return _vec2(p[..., 1], -0.5 * p[..., 0])
-
-    def inner2(p):
-        return _vec2(0.2 * p[..., 0], 0.3 * p[..., 1])
-
-    outer = VectorFieldSet.from_callables(
-        2, [outer1, outer2],
-        [outer_j1, _constant_jacobian([[0.0, 0.3], [-0.2, 0.0]])])
-    inner = VectorFieldSet.from_callables(
-        2, [inner1, inner2], [_constant_jacobian([[0.0, 1.0], [-0.5, 0.0]]),
-                              _constant_jacobian([[0.2, 0.0], [0.0, 0.3]])])
-    return outer, inner
+    # the inner fields are linear: a read-only broadcast of their derivative
+    inner_d = np.array([[[0.0, 1.0], [0.2, 0.0]], [[-0.5, 0.0], [0.0, 0.3]]])
+    return (VectorFieldSet.from_callable(2, 2, outer, outer_d),
+            VectorFieldSet.from_callable(
+                2, 2, inner, lambda p: np.broadcast_to(
+                    inner_d, p.shape[:-1] + inner_d.shape)))
 
 
 def _radial_pair() -> ComplementaryPair:

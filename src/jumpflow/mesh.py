@@ -223,14 +223,14 @@ def interp_mesh(chart: MeshChart, values, queries, derivative: bool = False):
     return out, grad
 
 
-def invert_mesh_map(chart: MeshChart, values, targets, tol: float = 1e-10,
-                    maxiter: int = 50):
+def invert_mesh_map(chart: MeshChart, values, targets):
     """Solve mesh_map(p) = target for the base chart coordinates p.
 
     ``values`` holds the mapped node positions ((R, C, 2) Cartesian).  Each
     query seeds at the nearest node's chart coordinates and runs Newton on
-    the interpolant.  Returns (Q, 2) chart coordinates; raises
-    ``MeshInversionError`` when any query fails to converge.
+    the interpolant, at most 50 steps to a residual of 1e-10.  Returns
+    (Q, 2) chart coordinates; raises ``MeshInversionError`` when any query
+    fails to converge.
     """
     values = np.asarray(values, dtype=float)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -245,11 +245,11 @@ def invert_mesh_map(chart: MeshChart, values, targets, tol: float = 1e-10,
     lo0 = chart.coords0[0] - 0.75 * chart.spacing[0]
     hi0 = chart.coords0[-1] + 0.75 * chart.spacing[0]
     active = np.ones(targets.shape[0], dtype=bool)
-    for _ in range(maxiter):
+    for _ in range(50):
         pos, grad = interp_mesh(chart, values, coords, derivative=True)
         resid = targets - pos
         err = np.max(np.abs(resid), axis=1)
-        active = err > tol
+        active = err > 1e-10
         if not np.any(active):
             return coords
         step = np.linalg.solve(grad[active], resid[active][..., None])[..., 0]

@@ -1,5 +1,8 @@
 """Vector-field sets and fixed-step flow maps.
 
+A field set is m matrices for linear fields, else one callable H that maps
+points (..., n) to the field matrix [X_1 .. X_m] (..., n, m), with its
+derivative dH (..., n, m, n): the rule of a ``marcus_integral`` integrand.
 The unit-time flow of a weighted field combination is the jump primitive of
 the whole library: a jump of size dz is realized as the time-1 flow of
 sum_i X_i * dz_i.  The field set alone picks how ``flow`` and
@@ -57,13 +60,13 @@ def expm(A) -> np.ndarray:
     return E.reshape(shape)
 
 
-def _fd_jacobian(fn, X, eps_base: float = 1e-6):
+def _fd_jacobian(fn, X):
     """Central-difference Jacobian of ``fn`` at each point of X (..., n):
     the value shape of ``fn`` there plus a trailing n."""
     X = np.asarray(X, dtype=float)
     cols = []
     for j in range(X.shape[-1]):
-        e = eps_base * (1.0 + np.abs(X[..., j]))
+        e = 1e-6 * (1.0 + np.abs(X[..., j]))
         step = np.zeros_like(X)
         step[..., j] = e
         diff = np.subtract(fn(X + step), fn(X - step))
@@ -72,46 +75,38 @@ def _fd_jacobian(fn, X, eps_base: float = 1e-6):
 
 
 class VectorFieldSet:
-    """m vector fields on R^n with value and Jacobian access.
+    """m vector fields on R^n as one field-matrix map with its derivative.
 
     Linear sets carry their matrices explicitly (``matrices`` is (m, n, n))
-    which unlocks exact exponential jumps.  Nonlinear sets supply callables
-    that broadcast over leading axes ((..., n) -> (..., n) values,
-    (..., n) -> (..., n, n) Jacobians); a value of any other shape than its
-    points' raises ValueError.  Missing Jacobians fall back to central
-    differences.
+    which unlocks exact exponential jumps.  A nonlinear set is one callable
+    ``H`` that broadcasts over leading axes, points (..., n) to the field
+    matrix [X_1 .. X_m] (..., n, m), and ``dH``, points to its derivative
+    (..., n, m, n), else taken by central differences: the rule of a
+    ``marcus_integral`` integrand.  A value of any other shape raises
+    ValueError.
     """
 
-    def __init__(self, dimension, evals=None, jacobians=None, matrices=None):
+    def __init__(self, dimension, count=None, H=None, dH=None, matrices=None):
         self.dimension = int(dimension)
+        self.matrices = None
         if matrices is not None:
             mats = np.asarray(matrices, dtype=float)
             if mats.ndim != 3 or mats.shape[1:] != (self.dimension, self.dimension):
                 raise ValueError("matrices must be (m, n, n)")
             self.matrices = mats
-            self.count = mats.shape[0]
-            self._evals = None
-            self._jacs = None
-            return
-        if not evals:
-            raise ValueError("need either matrices or eval callables")
-        self.matrices = None
-        self._evals = list(evals)
-        self.count = len(self._evals)
-        if jacobians is None:
-            self._jacs = [None] * self.count
-        else:
-            self._jacs = list(jacobians)
-            if len(self._jacs) != self.count:
-                raise ValueError("one jacobian per field (or None)")
+            count = mats.shape[0]
+        elif H is None:
+            raise ValueError("need either matrices or a field-matrix callable")
+        self.count = int(count)
+        self.H, self.dH = H, dH
 
     @classmethod
     def linear(cls, matrices):
         return cls(dimension=np.asarray(matrices[0]).shape[0], matrices=matrices)
 
     @classmethod
-    def from_callables(cls, dimension, evals, jacobians=None):
-        return cls(dimension=dimension, evals=evals, jacobians=jacobians)
+    def from_callable(cls, dimension, count, H, dH=None):
+        return cls(dimension=dimension, count=count, H=H, dH=dH)
 
     @property
     def is_linear(self) -> bool:
@@ -124,40 +119,40 @@ class VectorFieldSet:
         X = np.asarray(X, dtype=float)
         if self.is_linear:
             return np.einsum("mij,...j->...im", self.matrices, X)
-        out = np.empty(X.shape + (self.count,))
-        for i, f in enumerate(self._evals):
-            if np.shape(val := f(X)) != X.shape:
-                raise ValueError("field %d: shape %s, not %s"
-                                 % (i, np.shape(val), X.shape))
-            out[..., i] = val
-        return out
+        val = np.asarray(self.H(X), dtype=float)
+        if val.shape != X.shape + (self.count,):
+            raise ValueError("field matrix: shape %s, not %s (..., n, m)"
+                             % (val.shape, X.shape + (self.count,)))
+        return val
 
-    def jacobian_batch(self, i: int, X) -> np.ndarray:
-        """Jacobian of field i at each point: (..., n, n)."""
+    def field_jacobian(self, X) -> np.ndarray:
+        """Derivative of the field matrix at each point: (..., n, m, n), the
+        Jacobian of X_i at [..., i, :]."""
         X = np.asarray(X, dtype=float)
         if self.is_linear:
-            return np.broadcast_to(self.matrices[i], X.shape[:-1] + self.matrices[i].shape)
-        if self._jacs[i] is not None:
-            return np.asarray(self._jacs[i](X), dtype=float)
-        return _fd_jacobian(self._evals[i], X)
+            D = self.matrices.transpose(1, 0, 2)
+            return np.broadcast_to(D, X.shape[:-1] + D.shape)
+        if self.dH is not None:
+            return np.asarray(self.dH(X), dtype=float)
+        return _fd_jacobian(self.H, X)
 
     def combo_jacobian(self, X, weights) -> np.ndarray:
-        """sum_i weights_i * DX_i at each point: (..., n, n)."""
+        """sum_i weights_i * DX_i at each point: (..., n, n); a field of
+        weight 0 adds nothing, not even a non-finite Jacobian."""
         X = np.asarray(X, dtype=float)
         w = np.asarray(weights, dtype=float)
         if self.is_linear:
             A = np.einsum("m,mij->ij", w, self.matrices)
             return np.broadcast_to(A, X.shape[:-1] + A.shape)
-        out = None
+        out = D = None
         for i in range(self.count):
             if w[i] == 0.0:
                 continue
-            term = w[i] * self.jacobian_batch(i, X)
+            if D is None:
+                D = self.field_jacobian(X)
+            term = w[i] * D[..., i, :]
             out = term if out is None else out + term
-        if out is None:
-            n = self.dimension
-            return np.broadcast_to(np.zeros((n, n)), X.shape[:-1] + (n, n))
-        return out
+        return np.zeros(X.shape + (self.dimension,)) if out is None else out
 
 
 @dataclass(frozen=True)

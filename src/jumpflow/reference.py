@@ -160,3 +160,32 @@ def linear_marcus_mean(matrices, x0, times, drift=0.0, brownian_scale=0.0,
     value = np.array([matrix_exp(G, float(t)).value @ x0 for t in times])
     return OracleResult(value=value, method="marcus-generator-exponential",
                         error_bound=1e-12 * max(1.0, np.max(np.abs(value))))
+
+
+def _commuting_exp(D, z):
+    """exp(z_1 D + z_2 D^2) at each row of z (K, 2)."""
+    D = np.asarray(D, dtype=float)
+    return np.array([matrix_exp(z1 * D + z2 * (D @ D)).value for z1, z2 in z])
+
+
+def composite_orbit_linear(B, D, z, x0):
+    """(F, Dpsi) along the composite orbit F = psi(q) at each row of
+    z = Z_t - Z_0 (K, 2), for outer fields (B x, B^2 x) and inner fields
+    (D x, D^2 x).  Each set commutes, so on any path, jumps included,
+    psi_t = Dpsi_t = exp(z_1 B + z_2 B^2) and q_t = exp(z_1 D + z_2 D^2) x0,
+    though [B, D] != 0."""
+    Dpsi = _commuting_exp(B, z)
+    return np.einsum("kab,kbc,c->ka", Dpsi, _commuting_exp(D, z), x0), Dpsi
+
+
+def composite_orbit_shear(c, D, z, x0):
+    """The same for the outer shear X_1(x) = (1 + x_2^2, 0), X_2(x) = (c, 0)
+    on R^2, whose fields commute: psi_t(x) = (x_1 + z_1 (1 + x_2^2) + c z_2,
+    x_2) and Dpsi_t(x) = [[1, 2 z_1 x_2], [0, 1]], so D^2 psi != 0."""
+    z = np.asarray(z, dtype=float)
+    q = _commuting_exp(D, z) @ x0
+    F = np.stack([q[:, 0] + z[:, 0] * (1.0 + q[:, 1] ** 2) + c * z[:, 1],
+                  q[:, 1]], axis=1)
+    Dpsi = np.tile(np.eye(2), (len(z), 1, 1))
+    Dpsi[:, 0, 1] = 2.0 * z[:, 0] * q[:, 1]
+    return F, Dpsi

@@ -46,24 +46,6 @@ class IntegralReport:
     diagnostics: dict
 
 
-def field_matrix_map(fields: VectorFieldSet):
-    """(H, dH) pair reading out a field set's matrix [X_1(x) .. X_m(x)].
-
-    H maps points (..., n) to (..., n, m) and dH to the (..., n, m, n)
-    derivative stacked from the field Jacobians, which keeps
-    quadratic-variation corrections analytic.
-    """
-
-    def H(x):
-        return fields.field_matrix(x)
-
-    def dH(x):
-        return np.stack([fields.jacobian_batch(i, x) for i in range(fields.count)],
-                        axis=-2)
-
-    return H, dH
-
-
 def _assemble(times, inc_ito, inc_qv, inc_jump, diagnostics):
     cum_ito, cum_qv, cum_jump = (
         np.concatenate([np.zeros((1,) + inc.shape[1:]), np.cumsum(inc, axis=0)])
@@ -196,13 +178,13 @@ def _orbit_reports(outer: VectorFieldSet, inner: VectorFieldSet,
 
     push_ito = np.einsum("kam,km->ka", Kmat_post[:-1], dzc)
     push_qv = np.zeros_like(push_ito)
+    DX = outer.field_jacobian(F_mid)                          # (K-1, n, m, n)
+    DY = inner.field_jacobian(q_mid)
     for i in range(m):
-        JX = outer.jacobian_batch(i, F_mid)                   # (K-1, n, n)
-        JY = inner.jacobian_batch(i, q_mid)
         for j in range(m):
-            term = (np.einsum("kab,kb->ka", JX, K_mid[:, :, j])
-                    + np.einsum("kab,kb->ka", D_mid,
-                                np.einsum("kab,kb->ka", JY, Y_mid[:, :, j])))
+            term = (np.einsum("kab,kb->ka", DX[:, :, i], K_mid[:, :, j])
+                    + np.einsum("kab,kb->ka", D_mid, np.einsum(
+                        "kab,kb->ka", DY[:, :, i], Y_mid[:, :, j])))
             push_qv += 0.5 * qv[:, i, j, None] * term
     line_jump = np.zeros_like(line_ito)
     push_jump = np.zeros_like(push_ito)

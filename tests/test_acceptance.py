@@ -25,8 +25,8 @@ from jumpflow.mesh import MeshChart
 from jumpflow.odeflow import VectorFieldSet
 from jumpflow.reference import matrix_exp, rotation_decomposition
 from jumpflow.semimartingale import deterministic_path
-from jumpflow.stratjump import (field_matrix_map, marcus_integral,
-                                pushforward_integral, verify_ivk)
+from jumpflow.stratjump import (marcus_integral, pushforward_integral,
+                                verify_ivk)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -74,14 +74,11 @@ def test_criterion_1_marcus_exactness_and_order(capsys):
 def test_criterion_2_circle_invariance_across_jumps(capsys):
     started = time.monotonic()
 
-    def f1(x):
-        return np.stack([-x[..., 1], x[..., 0]], axis=-1)
+    def H(x):
+        rot = np.stack([-x[..., 1], x[..., 0]], axis=-1)
+        return np.stack([rot, np.sin(x[..., 0])[..., None] * rot], axis=-1)
 
-    def f2(x):
-        return np.sin(x[..., 0])[..., None] * np.stack(
-            [-x[..., 1], x[..., 0]], axis=-1)
-
-    fields = VectorFieldSet.from_callables(2, [f1, f2])
+    fields = VectorFieldSet.from_callable(2, 2, H)
     grid = np.linspace(0.0, 1.0, 501)
     rng = np.random.default_rng(5)
     cont = np.stack([0.4 * grid, 0.2 * np.sin(2 * np.pi * grid)], axis=1)
@@ -136,13 +133,12 @@ def test_criterion_3_composition_ladder_three_fixtures(capsys):
 def test_criterion_4_degenerate_collapses(capsys):
     outer_zero = VectorFieldSet.linear(np.zeros((2, 2, 2)))
 
-    def y1(x):
-        return np.stack([np.sin(x[..., 1]), x[..., 0]], axis=-1)
+    def Y(x):
+        return np.stack([np.stack([np.sin(x[..., 1]), x[..., 0]], axis=-1),
+                         np.stack([0.3 * x[..., 1], -0.2 * x[..., 0]], axis=-1)],
+                        axis=-1)
 
-    def y2(x):
-        return np.stack([0.3 * x[..., 1], -0.2 * x[..., 0]], axis=-1)
-
-    inner = VectorFieldSet.from_callables(2, [y1, y2])
+    inner = VectorFieldSet.from_callable(2, 2, Y)
     grid = np.round(np.arange(0.0, 1.0 + 2.5e-3, 5e-3), 12)
     cont = np.stack([0.5 * grid, 0.3 * grid], axis=1)
     jumps = [(0.25, np.array([0.4, -0.2])), (0.75, np.array([-0.3, 0.3]))]
@@ -150,8 +146,8 @@ def test_criterion_4_degenerate_collapses(capsys):
     x0 = np.array([0.6, -0.2])
     cfg = MarcusConfig(substeps=128)
     push = pushforward_integral(outer_zero, inner, path, x0, cfg)
-    H, dH = field_matrix_map(inner)
-    direct = marcus_integral(H, inner, path, x0, cfg, dH=dH)
+    direct = marcus_integral(inner.field_matrix, inner, path, x0, cfg,
+                             dH=inner.field_jacobian)
     collapse_gap = float(np.max(np.abs(push.partial - direct.partial)))
 
     smooth = deterministic_path(grid, cont)

@@ -149,17 +149,18 @@ def test_scenario_jacobians_match_central_differences(name, which):
     rng = np.random.default_rng(7)
     X = rng.uniform(-2.0, 2.0, (50, fields.dimension))
     h = 1e-6
+    assert fields.dH is not None
+    want = np.empty(X.shape + (fields.count, fields.dimension))
+    for j in range(fields.dimension):
+        e = np.zeros(fields.dimension)
+        e[j] = h
+        want[..., j] = (fields.field_matrix(X + e)
+                        - fields.field_matrix(X - e)) / (2 * h)
+    got = fields.field_jacobian(X)
+    assert got.shape == want.shape
     for i in range(fields.count):
-        assert fields._jacs[i] is not None
-        want = np.empty(X.shape + (fields.dimension,))
-        for j in range(fields.dimension):
-            e = np.zeros(fields.dimension)
-            e[j] = h
-            want[..., j] = (fields.field_matrix(X + e)[..., i]
-                            - fields.field_matrix(X - e)[..., i]) / (2 * h)
-        got = fields.jacobian_batch(i, X)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-8, (name, which, i)
+        assert np.max(np.abs(got[..., i, :] - want[..., i, :])) <= 1e-8, \
+            (name, which, i)
 
 
 def test_convergence_reports_second_order(tmp_path):

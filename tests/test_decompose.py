@@ -433,12 +433,12 @@ def test_pointwise_blowup_stops_at_the_step_start():
     # x -> (exp(x_0), 0) on a box: the second Heun step overflows, and the
     # run stops at the grid time that step began
     def grow(x):
-        out = np.zeros(x.shape)
+        out = np.zeros(x.shape + (1,))
         with np.errstate(over="ignore"):
-            out[..., 0] = np.exp(x[..., 0])
+            out[..., 0, 0] = np.exp(x[..., 0])
         return out
 
-    fields = VectorFieldSet.from_callables(2, [grow])
+    fields = VectorFieldSet.from_callable(2, 1, grow)
     pair = ComplementaryPair(
         horizontal=Distribution.constant(np.eye(2)[:, :1]),
         vertical=Distribution.constant(np.eye(2)[:, 1:]))

@@ -75,14 +75,11 @@ def test_single_jump_is_exact_exponential():
 
 
 def test_sphere_invariance_through_large_jumps():
-    def f1(x):
-        return np.stack([-x[..., 1], x[..., 0]], axis=-1)
+    def H(x):
+        rot = np.stack([-x[..., 1], x[..., 0]], axis=-1)
+        return np.stack([rot, np.sin(x[..., 0])[..., None] * rot], axis=-1)
 
-    def f2(x):
-        return np.sin(x[..., 0])[..., None] * np.stack(
-            [-x[..., 1], x[..., 0]], axis=-1)
-
-    fields = VectorFieldSet.from_callables(2, [f1, f2])
+    fields = VectorFieldSet.from_callable(2, 2, H)
     grid = np.linspace(0.0, 1.0, 201)
     rng = np.random.default_rng(5)
     cont = np.stack([0.4 * grid, 0.2 * np.sin(2 * np.pi * grid)], axis=1)
@@ -106,10 +103,10 @@ def test_jacobian_matches_linear_flow():
 
 
 def test_jacobian_matches_finite_differences_nonlinear():
-    def f(x):
-        return np.stack([np.sin(x[..., 1]), np.cos(x[..., 0])], axis=-1)
+    def H(x):
+        return np.stack([np.sin(x[..., 1]), np.cos(x[..., 0])], axis=-1)[..., None]
 
-    fields = VectorFieldSet.from_callables(2, [f])
+    fields = VectorFieldSet.from_callable(2, 1, H)
     path = _ramp_with_jumps(2e-3)
     x0 = np.array([0.3, -0.2])
     cfg = MarcusConfig()
@@ -126,12 +123,12 @@ def test_jacobian_matches_finite_differences_nonlinear():
 
 
 def _field_kinds():
-    """One field set of each kind: callables, and linear (exponential
+    """One field set of each kind: a callable, and linear (exponential
     jumps)."""
-    def f(x):
-        return np.stack([x[..., 1], -np.sin(x[..., 0])], axis=-1)
+    def H(x):
+        return np.stack([x[..., 1], -np.sin(x[..., 0])], axis=-1)[..., None]
 
-    return [VectorFieldSet.from_callables(2, [f]),
+    return [VectorFieldSet.from_callable(2, 1, H),
             VectorFieldSet.linear(np.array([[[0.1, -0.6], [0.6, 0.1]]]))]
 
 
@@ -434,7 +431,7 @@ def test_nonlinear_ensemble_fails_only_the_rows_that_blow_up():
     # x' = x^2 dz: a jump dz >= 1/x has a pole inside its unit-time flow.
     # On a 4-step grid up to 8 paths jump at one step index, some of them
     # past the pole and some not; only the former may fail
-    fields = VectorFieldSet.from_callables(1, [lambda x: x * x])
+    fields = VectorFieldSet.from_callable(1, 1, lambda x: (x * x)[..., None])
     params = PathParams(horizon=1.0, step=0.25, brownian_scale=0.1,
                         jump_intensity=3.0,
                         jump_law=JumpLaw.gaussian([0.0], [300.0]), seed=3)

@@ -13,13 +13,15 @@ from jumpflow.reference import matrix_exp
 ROT = np.array([[[0.0, -1.0], [1.0, 0.0]]])
 
 
-def _as_callables(mats):
-    """The linear set of ``mats`` given as callables x -> M x with constant
-    Jacobians: the same fields, flowed by RK4 instead of the exponential."""
-    return VectorFieldSet.from_callables(
-        mats.shape[1], [lambda X, M=M: X @ M.T for M in mats],
-        [lambda X, M=M: np.broadcast_to(M, np.shape(X)[:-1] + M.shape)
-         for M in mats])
+def _as_callable(mats):
+    """The linear set of ``mats`` given as one callable x -> [M_1 x .. M_m x]
+    with its constant derivative: the same fields, flowed by RK4 instead of
+    the exponential."""
+    D = mats.transpose(1, 0, 2)
+    return VectorFieldSet.from_callable(
+        mats.shape[1], mats.shape[0],
+        lambda X: np.einsum("mij,...j->...im", mats, X),
+        lambda X: np.broadcast_to(D, np.shape(X)[:-1] + D.shape))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -84,7 +86,7 @@ def test_linear_flow_uses_exponential():
 
 
 def test_generic_rk4_matches_exponential():
-    fields = _as_callables(ROT)
+    fields = _as_callable(ROT)
     cfg = MarcusConfig(substeps=256)
     x = flow(fields, np.array([np.pi / 2]), np.array([1.0, 0.0]), 1.0, cfg)
     assert np.max(np.abs(x - [0.0, 1.0])) < 1e-10
@@ -97,7 +99,7 @@ def test_two_field_linear_flow_against_oracle():
     x0 = np.array([1.0, -0.5, 0.25])
     combo = np.einsum("i,ijk->jk", w, A)
     expect = matrix_exp(combo).value @ x0
-    got = flow(_as_callables(A), w, x0, 1.0, MarcusConfig(substeps=64))
+    got = flow(_as_callable(A), w, x0, 1.0, MarcusConfig(substeps=64))
     assert np.max(np.abs(got - expect)) < 1e-9
     fast = flow(VectorFieldSet.linear(A), w, x0, 1.0, MarcusConfig())
     assert np.max(np.abs(fast - expect)) < 1e-12
@@ -105,13 +107,7 @@ def test_two_field_linear_flow_against_oracle():
 
 def test_rk4_order_on_riccati():
     # x' = x^2, x(0) = 0.5 has the exact solution 1/(2 - t); at t = 1, x = 1
-    def f(x):
-        return x * x
-
-    def jac(x):
-        return (2.0 * x)[..., None, None] * 0 + np.diag(2.0 * np.ravel(x))
-
-    fields = VectorFieldSet.from_callables(1, [f])
+    fields = VectorFieldSet.from_callable(1, 1, lambda x: (x * x)[..., None])
     errs = []
     for sub in (4, 8, 16):
         x = flow(fields, np.array([1.0]), np.array([0.5]), 1.0,
@@ -131,11 +127,10 @@ def test_flow_on_batch_of_points():
 
 
 def test_variational_jacobian_matches_fd():
-    def f(p):
-        p = np.asarray(p, dtype=float)
-        return np.stack([np.sin(p[..., 1]), p[..., 0] ** 2], axis=-1)
+    def H(p):
+        return np.stack([np.sin(p[..., 1]), p[..., 0] ** 2], axis=-1)[..., None]
 
-    fields = VectorFieldSet.from_callables(2, [f])
+    fields = VectorFieldSet.from_callable(2, 1, H)
     x0 = np.array([0.4, 0.3])
     w = np.array([0.7])
     cfg = MarcusConfig(substeps=64)
@@ -152,22 +147,28 @@ def test_variational_jacobian_matches_fd():
 
 
 def test_flow_equals_state_of_flow_with_jacobian():
-    def f(p):
-        return np.stack([np.sin(p[..., 1]), p[..., 0] ** 2], axis=-1)
+    def H(p):
+        return np.stack([np.sin(p[..., 1]), p[..., 0] ** 2], axis=-1)[..., None]
 
-    def g(p):
-        return np.array([np.sin(p[1]), p[0] ** 2])
+    def point_only(p):
+        return np.array([[np.sin(p[1])], [p[0] ** 2]])
 
-    kinds = [VectorFieldSet.from_callables(2, [f]),
-             VectorFieldSet.linear(ROT), _as_callables(ROT),
-             VectorFieldSet.from_callables(2, [g])]
+    kinds = [VectorFieldSet.from_callable(2, 1, H),
+             VectorFieldSet.linear(ROT), _as_callable(ROT)]
     X0 = np.array([[0.4, 0.3], [-0.2, 0.1]])
-    cfg = MarcusConfig(substeps=16)
+    w, cfg = np.array([0.7]), MarcusConfig(substeps=16)
     for fields in kinds:
         for x0 in (X0[0], X0):
-            x = flow(fields, np.array([0.7]), x0, 1.0, cfg)
-            xj, _ = flow_with_jacobian(fields, np.array([0.7]), x0, 1.0, cfg)
+            x = flow(fields, w, x0, 1.0, cfg)
+            xj, _ = flow_with_jacobian(fields, w, x0, 1.0, cfg)
             assert np.array_equal(x, xj)
+    # a callable written for one point flows one point; on a batch its value
+    # has the wrong shape, an error rather than a wrong flow
+    fields = VectorFieldSet.from_callable(2, 1, point_only)
+    x = flow(fields, w, X0[0], 1.0, cfg)
+    assert np.array_equal(x, flow_with_jacobian(fields, w, X0[0], 1.0, cfg)[0])
+    with pytest.raises(ValueError):
+        flow(fields, w, X0, 1.0, cfg)
 
 
 def test_linear_jacobian_is_exponential():
@@ -200,9 +201,9 @@ def test_curve_average_steps_substeps_per_unit_time():
 
     def square(x):
         calls.append(1)
-        return x * x
+        return (x * x)[..., None]
 
-    fields = VectorFieldSet.from_callables(1, [square])
+    fields = VectorFieldSet.from_callable(1, 1, square)
     curve_average(lambda x: x, fields, np.array([1.0]), np.array([0.5]),
                   MarcusConfig(substeps=64), quad_nodes=16)
     assert len(calls) == 256
@@ -222,10 +223,7 @@ def test_curve_average_constant_is_identity():
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_blowup_raises_with_time():
-    def f(x):
-        return x * x
-
-    fields = VectorFieldSet.from_callables(1, [f])
+    fields = VectorFieldSet.from_callable(1, 1, lambda x: (x * x)[..., None])
     with pytest.raises(IntegrationFailure) as err:
         flow(fields, np.array([1.0]), np.array([2.0]), 1.0,
              MarcusConfig(substeps=64))
@@ -241,15 +239,53 @@ def test_field_matrix_shapes():
 
 
 def test_vectorized_field_output_must_match_point_shape():
-    # a (n,) value for a (B, n) batch would broadcast silently into the
-    # preallocated field matrix
-    def good(x):
-        return -x
-
+    # an (n, m) value for a (B, n) batch would broadcast silently into
+    # whatever consumes the field matrix
     def single(x):
-        return np.array([1.0, 0.0])
+        return np.array([[1.0, 0.0], [0.0, 1.0]])
 
-    fields = VectorFieldSet.from_callables(2, [good, single])
+    fields = VectorFieldSet.from_callable(2, 2, single)
     assert fields.field_matrix(np.array([1.0, 2.0])).shape == (2, 2)
-    with pytest.raises(ValueError, match="field 1: shape"):
+    with pytest.raises(ValueError,
+                       match=r"shape \(2, 2\), not \(5, 2, 2\) \(\.\.\., n, m\)"):
         fields.field_matrix(np.ones((5, 2)))
+
+
+def test_field_jacobian_of_each_kind():
+    # [..., a, i, b] is d(X_i)_a / dx_b: the matrices of a linear set, the
+    # given derivative, or central differences of the field matrix
+    A = np.array([[[0.0, -1.0], [1.0, 0.0]], [[0.5, 0.2], [0.0, -0.3]]])
+    X = np.array([[0.4, -0.3], [1.2, 0.5], [-0.7, 2.0]])
+    want = np.broadcast_to(A.transpose(1, 0, 2), (3, 2, 2, 2))
+    exact = _as_callable(A)
+    fd = VectorFieldSet.from_callable(2, 2, exact.H)
+    assert np.array_equal(VectorFieldSet.linear(A).field_jacobian(X), want)
+    assert np.array_equal(exact.field_jacobian(X), want)
+    assert np.max(np.abs(fd.field_jacobian(X) - want)) < 1e-9
+    for i in range(2):
+        assert np.array_equal(exact.combo_jacobian(X, np.eye(2)[i]), want[:, :, i])
+
+
+def test_combo_jacobian_skips_fields_of_weight_zero():
+    # field 0 is x^(1/3), its derivative infinite at 0: with weight 0 it adds
+    # nothing there, not the NaN of 0 * inf; the derivative is taken once,
+    # and not at all when every weight is 0
+    calls = []
+
+    def H(x):
+        return np.stack([np.cbrt(x), 2.0 * x], axis=-1)
+
+    def dH(x):
+        calls.append(1)
+        with np.errstate(divide="ignore"):
+            return np.stack([np.abs(x) ** (-2.0 / 3) / 3.0,
+                             np.full(x.shape, 2.0)], axis=-1)[..., None]
+
+    fields = VectorFieldSet.from_callable(1, 2, H, dH)
+    X = np.array([[0.0], [8.0]])
+    assert not np.isfinite(fields.field_jacobian(X)[0, 0, 0, 0])
+    calls.clear()
+    got = fields.combo_jacobian(X, [0.0, 1.5])
+    assert np.array_equal(got, [[[3.0]], [[3.0]]]) and len(calls) == 1
+    assert np.array_equal(fields.combo_jacobian(X, [0.0, 0.0]), np.zeros((2, 1, 1)))
+    assert len(calls) == 1

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from jumpflow.reference import (linear_marcus_mean, matrix_exp,
+from jumpflow.reference import (composite_orbit_linear, composite_orbit_shear,
+                                linear_marcus_mean, matrix_exp,
                                 radial_decomposition, rotation_decomposition)
 
 
@@ -124,3 +125,25 @@ def test_marcus_mean_zero_width_law_is_the_constant_law():
                 ("gaussian", [0.2, -0.1], [0.0, 0.0])):
         got = linear_marcus_mean(A, x0, times, 0.1, 0.25, 3.0, law).value
         assert np.array_equal(got, const)
+
+
+@pytest.mark.parametrize("family", ["linear", "shear"])
+def test_composite_orbit_derivative_is_chain_rule(family):
+    # F(x0) = psi(q(x0)) with q linear in x0: dF/dx0 = Dpsi(q) exp(z_1 D + z_2 D^2)
+    B = np.array([[0.1, -0.6], [0.6, 0.1]])
+    D = np.array([[0.2, 0.3], [0.0, -0.4]])
+    z = np.array([[0.0, 0.0], [0.7, -0.4], [-1.2, 0.5]])
+    x0 = np.array([0.4, 0.2])
+
+    def orbit(x):
+        if family == "linear":
+            return composite_orbit_linear(B, D, z, x)
+        return composite_orbit_shear(0.5, D, z, x)
+
+    F, Dpsi = orbit(x0)
+    assert np.array_equal(F[0], x0) and np.array_equal(Dpsi[0], np.eye(2))
+    h = 1e-6
+    fd = np.stack([(orbit(x0 + h * e)[0] - orbit(x0 - h * e)[0]) / (2 * h)
+                   for e in np.eye(2)], axis=-1)
+    E = np.array([matrix_exp(z1 * D + z2 * D @ D).value for z1, z2 in z])
+    assert np.max(np.abs(fd - Dpsi @ E)) < 1e-8

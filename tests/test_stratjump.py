@@ -5,16 +5,15 @@ import itertools
 import numpy as np
 import pytest
 
-from jumpflow import odeflow, stratjump
+from jumpflow import odeflow, reference, stratjump
 from jumpflow.config import build_problem
 from jumpflow.errors import IntegrationFailure
 from jumpflow.marcus import MarcusConfig, solve_map_batch, solve_point
 from jumpflow.odeflow import VectorFieldSet, curve_average, flow
 from jumpflow.semimartingale import (JumpLaw, PathParams, deterministic_path,
                                      refine, sample_levy_jump_diffusion)
-from jumpflow.stratjump import (_composite_orbits, field_matrix_map,
-                                marcus_integral, pushforward_integral,
-                                verify_ivk)
+from jumpflow.stratjump import (_composite_orbits, marcus_integral,
+                                pushforward_integral, verify_ivk)
 
 
 def _ramp(step=1e-2, slope=0.8, jumps=()):
@@ -44,7 +43,7 @@ def test_integrand_is_called_on_all_left_points_at_once():
     # one H call on the 500 left points of a jump-free ramp, none per step
     fields = _scalar_growth()
     path = _ramp(2e-3)
-    H0, dH = field_matrix_map(fields)
+    H0, dH = fields.field_matrix, fields.field_jacobian
     calls = []
 
     def H(x):
@@ -63,9 +62,9 @@ def test_integrand_of_the_wrong_shape_raises():
                         np.array([1.0]), MarcusConfig())
 
 
-def test_field_matrix_map_broadcasts_over_points():
+def test_field_matrix_and_jacobian_broadcast_over_points():
     _, inner = _scenario_sets("ivk-generic")
-    H, dH = field_matrix_map(inner)
+    H, dH = inner.field_matrix, inner.field_jacobian
     pts = np.array([[0.4, -0.3], [1.2, 0.5], [-0.7, 2.0]])
     assert H(pts).shape == (3, 2, 2) and dH(pts).shape == (3, 2, 2, 2)
     for p, h, dh in zip(pts, H(pts), dH(pts)):
@@ -79,7 +78,7 @@ def test_exponential_readout_matches_closed_form():
     # against Z is then e^{z_T} - 1 for a smooth ramp
     fields = _scalar_growth()
     path = _ramp(1e-3, slope=0.8)
-    H, dH = field_matrix_map(fields)
+    H, dH = fields.field_matrix, fields.field_jacobian
     rep = marcus_integral(H, fields, path, np.array([1.0]), MarcusConfig(),
                           dH=dH)
     assert abs(float(rep.value[0]) - (np.exp(0.8) - 1.0)) < 1e-6
@@ -92,7 +91,7 @@ def test_pure_jump_integral_matches_closed_form():
     fields = _scalar_growth()
     grid = np.linspace(0.0, 1.0, 5)
     path = deterministic_path(grid, np.zeros(5), [(0.5, 1.3)])
-    H, dH = field_matrix_map(fields)
+    H, dH = fields.field_matrix, fields.field_jacobian
     rep = marcus_integral(H, fields, path, np.array([1.0]), MarcusConfig(),
                           dH=dH)
     assert abs(float(rep.value[0]) - (np.exp(1.3) - 1.0)) < 1e-8
@@ -102,7 +101,7 @@ def test_pure_jump_integral_matches_closed_form():
 def test_finite_difference_directional_matches_analytic():
     fields = VectorFieldSet.linear(np.array([[[0.2, -0.5], [0.5, 0.2]]]))
     path = _ramp(2e-3, slope=1.1, jumps=[(0.5, 0.6)])
-    H, dH = field_matrix_map(fields)
+    H, dH = fields.field_matrix, fields.field_jacobian
     x0 = np.array([1.0, -0.5])
     with_dh = marcus_integral(H, fields, path, x0, MarcusConfig(), dH=dH)
     without = marcus_integral(H, fields, path, x0, MarcusConfig())
@@ -112,13 +111,12 @@ def test_finite_difference_directional_matches_analytic():
 def test_zero_outer_collapses_to_orbit_integral():
     outer = VectorFieldSet.linear(np.zeros((2, 2, 2)))
 
-    def y1(x):
-        return np.stack([np.sin(x[..., 1]), x[..., 0]], axis=-1)
+    def Y(x):
+        return np.stack([np.stack([np.sin(x[..., 1]), x[..., 0]], axis=-1),
+                         np.stack([0.3 * x[..., 1], -0.2 * x[..., 0]], axis=-1)],
+                        axis=-1)
 
-    def y2(x):
-        return np.stack([0.3 * x[..., 1], -0.2 * x[..., 0]], axis=-1)
-
-    inner = VectorFieldSet.from_callables(2, [y1, y2])
+    inner = VectorFieldSet.from_callable(2, 2, Y)
     params = PathParams(horizon=1.0, step=5e-3, brownian_scale=(0.4, 0.3),
                         drift=(0.1, 0.0), jump_intensity=2.0,
                         jump_law=JumpLaw.uniform([-0.4, -0.4], [0.4, 0.4]),
@@ -127,7 +125,7 @@ def test_zero_outer_collapses_to_orbit_integral():
     x0 = np.array([0.6, -0.2])
     cfg = MarcusConfig(substeps=128)
     push = pushforward_integral(outer, inner, path, x0, cfg)
-    H, dH = field_matrix_map(inner)
+    H, dH = inner.field_matrix, inner.field_jacobian
     direct = marcus_integral(H, inner, path, x0, cfg, dH=dH)
     assert np.max(np.abs(push.partial - direct.partial)) < 1e-8
 
@@ -149,50 +147,33 @@ def _commuting_sets():
 
 
 def _generic_sets():
-    def x1(p):
-        return np.stack([np.sin(p[..., 1]), p[..., 0]], axis=-1)
+    # derivatives [..., a, i, b] = d(X_i)_a / dp_b
+    def X(p):
+        return np.stack([np.stack([np.sin(p[..., 1]), p[..., 0]], axis=-1),
+                         np.stack([0.3 * p[..., 1], -0.2 * p[..., 0]], axis=-1)],
+                        axis=-1)
 
-    def jx1(p):
-        p = np.asarray(p, dtype=float)
-        z = np.zeros(p.shape[:-1])
-        c = np.cos(p[..., 1])
-        o = np.ones_like(z)
-        return np.stack([np.stack([z, c], axis=-1),
-                         np.stack([o, z], axis=-1)], axis=-2)
-
-    def x2(p):
-        return np.stack([0.3 * p[..., 1], -0.2 * p[..., 0]], axis=-1)
-
-    def jx2(p):
-        p = np.asarray(p, dtype=float)
+    def dX(p):
         z = np.zeros(p.shape[:-1])
         o = np.ones_like(z)
-        return np.stack([np.stack([z, 0.3 * o], axis=-1),
-                         np.stack([-0.2 * o, z], axis=-1)], axis=-2)
+        return np.moveaxis(np.array([[[z, np.cos(p[..., 1])], [z, 0.3 * o]],
+                                     [[o, z], [-0.2 * o, z]]]),
+                           (0, 1, 2), (-3, -2, -1))
 
-    def y1(p):
-        return np.stack([p[..., 1], -0.5 * p[..., 0]], axis=-1)
+    def Y(p):
+        return np.stack([np.stack([p[..., 1], -0.5 * p[..., 0]], axis=-1),
+                         np.stack([0.2 * p[..., 0], 0.3 * p[..., 1]], axis=-1)],
+                        axis=-1)
 
-    def jy1(p):
-        p = np.asarray(p, dtype=float)
+    def dY(p):
         z = np.zeros(p.shape[:-1])
         o = np.ones_like(z)
-        return np.stack([np.stack([z, o], axis=-1),
-                         np.stack([-0.5 * o, z], axis=-1)], axis=-2)
+        return np.moveaxis(np.array([[[z, o], [0.2 * o, z]],
+                                     [[-0.5 * o, z], [z, 0.3 * o]]]),
+                           (0, 1, 2), (-3, -2, -1))
 
-    def y2(p):
-        return np.stack([0.2 * p[..., 0], 0.3 * p[..., 1]], axis=-1)
-
-    def jy2(p):
-        p = np.asarray(p, dtype=float)
-        z = np.zeros(p.shape[:-1])
-        o = np.ones_like(z)
-        return np.stack([np.stack([0.2 * o, z], axis=-1),
-                         np.stack([z, 0.3 * o], axis=-1)], axis=-2)
-
-    outer = VectorFieldSet.from_callables(2, [x1, x2], jacobians=[jx1, jx2])
-    inner = VectorFieldSet.from_callables(2, [y1, y2], jacobians=[jy1, jy2])
-    return outer, inner
+    return (VectorFieldSet.from_callable(2, 2, X, dX),
+            VectorFieldSet.from_callable(2, 2, Y, dY))
 
 
 def _linear_sets():
@@ -254,13 +235,71 @@ def test_composite_orbit_matches_full_sweep(pair):
         assert np.array_equal(orbit.hop[k], hop_from_pre)
 
 
+# closed-form composite orbits: outer (B x, B^2 x) or the shear
+# ((1 + x_2^2, 0), (C, 0)), inner (D x, D^2 x), with [B, D] != 0
+_B = np.array([[0.1, -0.6], [0.6, 0.1]])
+_D = np.array([[0.2, 0.3], [0.0, -0.4]])
+_C = 0.5
+
+
+def _shear():
+    def H(x):
+        out = np.zeros(x.shape + (2,))
+        out[..., 0, 0] = 1.0 + x[..., 1] ** 2
+        out[..., 0, 1] = _C
+        return out
+
+    def dH(x):
+        out = np.zeros(x.shape + (2, 2))
+        out[..., 0, 0, 1] = 2.0 * x[..., 1]
+        return out
+
+    return VectorFieldSet.from_callable(2, 2, H, dH)
+
+
+def _brownian_one_jump(seed, scale, steps=200):
+    """A 2-channel Brownian path on [0, 1] with one jump at t = 0.5."""
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(0.0, 1.0, steps + 1)
+    cont = np.zeros((steps + 1, 2))
+    cont[1:] = np.cumsum(scale * np.sqrt(1.0 / steps)
+                         * rng.standard_normal((steps, 2)), axis=0)
+    return deterministic_path(grid, cont, [(grid[steps // 2], [0.3, -0.2])])
+
+
+@pytest.mark.parametrize("family, scale, bound", [
+    # sup errors measured at 200 steps: 4.8e-5 (F) and 7.4e-5 (Dpsi) for the
+    # linear pair, 2.9e-4 and 4.8e-4 for the shear
+    ("linear", 0.5, 2e-4), ("shear", 1.0, 1e-3)])
+def test_composite_orbit_matches_closed_form(family, scale, bound):
+    # F = psi(q) and Dpsi(q) at every grid time, both sides of the jump,
+    # against the orbits of fields that commute within each set
+    x0 = np.array([0.4, 0.2])
+    driver = _brownian_one_jump(0, scale)
+    inner = VectorFieldSet.linear(np.stack([_D, _D @ _D]))
+    if family == "linear":
+        outer = VectorFieldSet.linear(np.stack([_B, _B @ _B]))
+        exact = lambda z: reference.composite_orbit_linear(_B, _D, z, x0)
+    else:
+        outer = _shear()
+        exact = lambda z: reference.composite_orbit_shear(_C, _D, z, x0)
+    orbit, = _composite_orbits(outer, inner, [driver], x0, MarcusConfig())
+    k = driver.jump_index[0]
+    F_post, D_post = exact(driver.values - driver.values[0])
+    F_pre, D_pre = exact(driver.left_values - driver.values[0])
+    assert np.max(np.abs(F_post[k] - F_pre[k])) > 10 * bound  # a real jump
+    for got, want in ((orbit.F_post, F_post), (orbit.F_pre, F_pre),
+                      (orbit.Dpsi_post, D_post), (orbit.Dpsi_pre, D_pre)):
+        assert np.max(np.abs(got - want)) <= bound
+
+
 def test_reports_sum_their_terms_exactly():
     # value == ito_term + qv_term + jump_term is an accumulator identity, not
     # a tolerance, with a jump at the last grid index included
     outer, inner = _scenario_sets("ivk-generic")
     driver = _two_jump_path()
     x0, cfg = np.array([0.4, -0.3]), MarcusConfig()
-    H, dH = field_matrix_map(inner)
+    H, dH = inner.field_matrix, inner.field_jacobian
     for rep in (marcus_integral(H, inner, driver, x0, cfg, dH=dH),
                 pushforward_integral(outer, inner, driver, x0, cfg)):
         assert rep.diagnostics["n_jumps"] == 2
@@ -275,7 +314,7 @@ def test_one_pass_integral_matches_the_per_step_loop():
     _, inner = _scenario_sets("ivk-generic")
     driver = _two_jump_path()
     x0, cfg = np.array([0.4, -0.3]), MarcusConfig()
-    H, dH = field_matrix_map(inner)
+    H, dH = inner.field_matrix, inner.field_jacobian
     traj = solve_point(inner, driver, x0, cfg)
     inc = np.zeros((driver.grid.shape[0] - 1, 2))
     for k, dzc in enumerate(driver.increments):
@@ -423,12 +462,12 @@ def test_ladder_takes_one_flow_per_jump_in_each_phase(monkeypatch):
 def _trap(rate, cap):
     """The 1-D field rate * x below ``cap``, infinite from it on."""
     def field(x):
-        return np.where(x < cap, rate * x, np.inf)
+        return np.where(x < cap, rate * x, np.inf)[..., None]
 
     def jac(x):
-        return np.full(np.shape(x)[:-1] + (1, 1), rate)
+        return np.full(np.shape(x)[:-1] + (1, 1, 1), rate)
 
-    return VectorFieldSet.from_callables(1, [field], [jac])
+    return VectorFieldSet.from_callable(1, 1, field, jac)
 
 
 @pytest.mark.parametrize("inner_cap, outer_cap, why, t", [
