@@ -31,9 +31,9 @@ _EXPORTS = {name: module for module, names in {
                  "GeometryConfig", "adjoint_distribution", "split_field",
                  "split_frame", "subspace_projector", "subspaces_equal"],
     "mesh": ["MeshChart", "interp_mesh", "invert_mesh_map", "mesh_jacobian"],
-    "decompose": ["DecompositionRecord", "LinearSystem",
-                  "decompose_linear_sde", "decompose_pointwise",
-                  "validity_monitor", "verify_composition"],
+    "decompose": ["DecompositionRecord", "decompose_linear_sde",
+                  "decompose_pointwise", "validity_monitor",
+                  "verify_composition"],
     "reference": ["OracleResult", "matrix_exp", "radial_decomposition",
                   "rotation_decomposition"],
     "convergence": ["fit_order"],

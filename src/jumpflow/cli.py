@@ -68,8 +68,7 @@ from .config import (apply_overrides, build_driver, build_geometry_config,
                      build_marcus_config, build_path_params, build_problem,
                      check_subcommand, dump_config, load_config)
 from .convergence import fit_order
-from .decompose import (LinearSystem, decompose_linear_sde,
-                        decompose_pointwise)
+from .decompose import decompose_linear_sde, decompose_pointwise
 from .errors import ConfigError, IntegrationFailure
 from .marcus import solve_ensemble, solve_point, solve_with_jacobian, \
     trajectory_to_csv
@@ -121,8 +120,7 @@ def _run_simulate(cfg, problem, mcfg):
     traj = solve(problem["fields"], driver, problem["x0"], mcfg)
     return 0, {
         "driver.csv": lambda fh: path_to_csv(driver, fh),
-        "trajectory.csv": lambda fh: trajectory_to_csv(
-            traj, fh, include_jacobian=with_jacobian),
+        "trajectory.csv": lambda fh: trajectory_to_csv(traj, fh),
         "summary.json": {"horizon": driver.horizon,
                          "n_steps": driver.grid.shape[0] - 1,
                          "n_jumps": driver.jump_times.shape[0],
@@ -134,8 +132,8 @@ def _run_decompose(cfg, problem, mcfg):
     driver = build_driver(cfg)
     geo = build_geometry_config(cfg)
     if problem["kind"] == "linear":
-        system = LinearSystem(problem["matrices"], problem["horizontal_dim"])
-        record = decompose_linear_sde(system, driver, mcfg, geo)
+        record = decompose_linear_sde(
+            problem["fields"], problem["horizontal_dim"], driver, mcfg, geo)
     else:
         record = decompose_pointwise(problem["fields"], problem["pair"],
                                      driver, problem["chart"],

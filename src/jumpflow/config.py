@@ -439,9 +439,9 @@ def build_problem(cfg: dict) -> dict:
     fields, ``mesh.radii`` and each probe inside them (``ConfigError``).
 
     Returns a dict with scenario-dependent keys: always ``kind``, ``fields``
-    and ``x0``; linear scenarios add ``matrices`` and ``horizontal_dim``,
-    the mesh scenario ``matrices``/``pair``/``chart``/``probes``, the
-    verification scenarios ``inner_fields``.
+    and ``x0``; linear scenarios add ``horizontal_dim`` (their fields are a
+    ``VectorFieldSet.linear``), the mesh scenario ``pair``/``chart``/
+    ``probes``, the verification scenarios ``inner_fields``.
     """
     scenario = cfg["scenario"]
     full, fields, inner = _scenario(cfg)
@@ -468,12 +468,10 @@ def build_problem(cfg: dict) -> dict:
         for i, radius in enumerate(np.hypot(probes[:, 0], probes[:, 1])):
             _expect(low <= radius <= high, "probes[%d]" % i, "radius %g is "
                     "outside mesh.radii [%g, %g]" % (radius, low, high))
-        out.update(kind="mesh", matrices=fields.matrices, pair=_radial_pair(),
-                   chart=MeshChart.annulus(mesh["radii"], mesh["shape"]),
-                   probes=probes)
+        out.update(kind="mesh", pair=_radial_pair(), probes=probes,
+                   chart=MeshChart.annulus(mesh["radii"], mesh["shape"]))
     elif fields.is_linear:
-        out.update(kind="linear", matrices=fields.matrices,
-                   horizontal_dim=full["horizontal_dim"])
+        out.update(kind="linear", horizontal_dim=full["horizontal_dim"])
     else:
         out.update(kind="nonlinear")
     return out

@@ -44,26 +44,6 @@ TAU_REASONS = ("horizon", "split_degenerate", "det_block_zero",
                "blowup", "mesh_inversion_failure")
 
 
-@dataclass(frozen=True, eq=False)
-class LinearSystem:
-    """Linear driving fields x -> A_i x plus the coordinate splitting."""
-
-    matrices: np.ndarray
-    horizontal_dim: int
-
-    def __post_init__(self):
-        A = np.asarray(self.matrices, dtype=float)
-        if A.ndim != 3 or A.shape[1] != A.shape[2]:
-            raise ValueError("matrices must be (m, n, n)")
-        if not 0 < self.horizontal_dim < A.shape[1]:
-            raise ValueError("horizontal_dim must split the state space")
-        object.__setattr__(self, "matrices", A)
-
-    @property
-    def dimension(self):
-        return self.matrices.shape[1]
-
-
 @dataclass(eq=False)
 class DecompositionRecord:
     """Output of either decomposition driver.
@@ -154,11 +134,13 @@ def _det_block_hits(det, prev, geo):
     return (np.abs(det) <= geo.eps_det) | (det * prev < 0)
 
 
-def decompose_linear_sde(system: LinearSystem, driver: JumpPath,
-                         cfg: MarcusConfig = None,
+def decompose_linear_sde(fields: VectorFieldSet, horizontal_dim: int,
+                         driver: JumpPath, cfg: MarcusConfig = None,
                          geo: GeometryConfig = DEFAULT_GEOMETRY
                          ) -> DecompositionRecord:
-    """Integrate the coupled factor equations for a linear jump diffusion.
+    """Integrate the coupled factor equations for a linear jump diffusion:
+    the fields x -> A_i x of the linear set ``fields`` (its ``matrices``),
+    split as R^n = R^p x R^(n-p) at p = ``horizontal_dim``, 0 < p < n.
 
     One right-hand side over (Xi, Psi, Phi) takes Heun steps over
     continuous stretches, and over (Xi, Psi) RK4 in fictitious time across
@@ -176,10 +158,13 @@ def decompose_linear_sde(system: LinearSystem, driver: JumpPath,
     deviation, renorm_deviation.
     """
     cfg = cfg or MarcusConfig()
-    A = system.matrices
+    if not fields.is_linear:
+        raise ValueError("decompose_linear_sde takes a linear field set")
+    A, n, p = fields.matrices, fields.dimension, horizontal_dim
+    if not 0 < p < n:
+        raise ValueError("horizontal_dim must split the state space")
     if A.shape[0] != driver.dimension:
         raise ValueError("driver dimension must match the number of fields")
-    n, p = system.dimension, system.horizontal_dim
     grid = driver.grid
     K = grid.shape[0]
     A_dz_all = np.einsum("ki,ijl->kjl", driver.increments, A)
@@ -382,6 +367,8 @@ def decompose_pointwise(fields: VectorFieldSet, pair: ComplementaryPair,
     cfg = cfg or MarcusConfig()
     if pair.horizontal.dimension != 2:
         raise ValueError("pointwise mode is implemented for 2-D states")
+    if not (float(snapshot_stride).is_integer() and snapshot_stride >= 1):
+        raise ValueError("snapshot_stride must be a whole number >= 1")
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     seen = []
     rhs = _pointwise_rhs(fields, pair, chart, geo, seen)

@@ -87,8 +87,10 @@ def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
     descending, so the live rows at step k are a prefix ``X[:L]``, the rows
     that hop a jump at k a shorter prefix, and the rows that stop at
     (k, side) a contiguous range, stored straight into the caller's rows.
-    A non-finite state raises IntegrationFailure at its grid time, but a
-    block row leaves the live set; a block returns (post, failed rows).
+    A non-finite state raises IntegrationFailure at its grid time, except
+    in a block, which returns its post states and never raises: a row that
+    leaves the finite range stays non-finite (a Heun step and RK4 add to
+    every component, and 0 * inf in E x is NaN), for the caller to find.
     At a jump this generator yields ((fields, size, cfg, jacobian),
     hop rows) and is sent their (states, flow Jacobians or None), or thrown
     the flow's exception.
@@ -97,9 +99,9 @@ def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
         sizes = driver.jump_size_at_grid()
         times, dzc = driver.grid, driver.increments
         jumps = {k: (Ellipsis, sizes[k]) for k in driver.jump_index}
-        failed = None
     else:
-        (times, dzc, jumps), failed = driver, np.zeros(len(x), dtype=bool)
+        times, dzc, jumps = driver
+    block = times is None
     if fields.count != dzc.shape[-1]:
         raise ValueError("field count must match driver dimension")
     X = np.array(x, dtype=float, order="C")  # strided rows round differently
@@ -110,7 +112,7 @@ def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
     record = freeze_index is None
     if record:
         # slot 0: left limits, slot -1: cadlag values; a block keeps only -1
-        states = np.empty((1 + (failed is None), K) + X.shape)
+        states = np.empty((2 - block, K) + X.shape)
         jacs = np.empty((2, K) + J.shape) if jacobian else None
     else:
         fidx = np.asarray(freeze_index, dtype=int)
@@ -137,9 +139,7 @@ def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
             jacs[dst] = J[src]
 
     def check(k, rows, why=None):
-        if failed is not None:
-            failed[rows] |= ~np.isfinite(X[rows]).all(axis=-1)
-        elif why or not np.all(np.isfinite(X[rows])):
+        if not block and (why or not np.all(np.isfinite(X[rows]))):
             t = float(times[k])
             raise IntegrationFailure(why or "state blew up at t=%g" % t, time=t)
 
@@ -152,10 +152,8 @@ def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
             live = slice(ends[2 * k])
             if not ends[2 * k]:
                 break
-        elif failed is not None and failed.any():
-            live = ~failed
-        dz = dzc[k - 1] if dzc.ndim == 2 else dzc[k - 1][live]
-        xs, js = _heun(fields, X[live], J[live] if jacobian else None, dz)
+        xs, js = _heun(fields, X[live], J[live] if jacobian else None,
+                       dzc[k - 1])
         X[live] = xs
         if jacobian:
             J[live] = js
@@ -165,8 +163,6 @@ def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
             hop, size = jumps[k]
             if not record:
                 hop = slice(ends[2 * k + 1])
-            elif failed is not None:
-                hop, size = hop[~failed[hop]], size[~failed[hop]]
         if k in jumps and X[hop].size:
             why = None
             try:
@@ -181,8 +177,8 @@ def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
         store(k, 1)
     if not record:
         return states, jacs
-    if failed is not None:
-        return states[0], failed
+    if block:
+        return states[0]
     return Trajectory(times=driver.grid.copy(), pre=states[0], post=states[1],
                       is_jump=driver.jump_mask,
                       jacobians_pre=jacs[0] if jacobian else None,
@@ -339,9 +335,9 @@ def solve_ensemble(fields: VectorFieldSet, params: PathParams, x0,
             driver, at = _pack((_levy_arrays(
                 params, int(_substream(params.seed, 3, r).integers(0, 2 ** 63)),
                 base) for r in range(start, min(start + block, n_paths))), base)
-            post, failed = _run(_sweep(fields, driver, np.broadcast_to(
+            post = _run(_sweep(fields, driver, np.broadcast_to(
                 x0, (at.shape[0],) + np.shape(x0)), cfg, False))
-            for r in np.flatnonzero(~failed):
+            for r in range(at.shape[0]):
                 vals = [post[at[r], r]]
                 vals += [np.asarray(fn(base, vals[0]), dtype=float)
                          for fn in observables.values()]
@@ -366,13 +362,14 @@ def solve_ensemble(fields: VectorFieldSet, params: PathParams, x0,
                            observable_variance=dict(zip(observables, var[1:])))
 
 
-def trajectory_to_csv(traj: Trajectory, fh, include_jacobian: bool = False) -> None:
-    """Write `time, pre_*, post_*, is_jump[, jac_* row-major]` rows."""
+def trajectory_to_csv(traj: Trajectory, fh) -> None:
+    """Write `time, pre_*, post_*, is_jump[, jac_* row-major]` rows, the
+    ``jac_*`` columns exactly when the trajectory carries Jacobians."""
     n = traj.dimension
     head = (["time"] + ["pre_%d" % (i + 1) for i in range(n)]
             + ["post_%d" % (i + 1) for i in range(n)] + ["is_jump"])
     columns = [traj.times, *traj.pre.T, *traj.post.T, traj.is_jump]
-    if include_jacobian and traj.jacobians_post is not None:
+    if traj.jacobians_post is not None:
         head += ["jac_%d%d" % (i + 1, j + 1) for i in range(n) for j in range(n)]
         columns += list(traj.jacobians_post.reshape(traj.times.shape[0], -1).T)
     _write_csv(fh, head, columns)

@@ -307,8 +307,8 @@ def refine(path: JumpPath, factor: int) -> JumpPath:
     The continuous part is interpolated linearly, so the refined object is
     the same path; jump times and sizes are untouched.
     """
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
+    if not (float(factor).is_integer() and factor >= 1):
+        raise ValueError("factor must be a whole number >= 1")
     if factor == 1:
         return path
     g, cont = path.grid, path.continuous_values

@@ -15,8 +15,8 @@ from jumpflow.cli import main as cli_main
 from jumpflow.config import (build_driver, build_marcus_config,
                              build_problem, load_config, normalize_config)
 from jumpflow.convergence import fit_order
-from jumpflow.decompose import (LinearSystem, decompose_linear_sde,
-                                decompose_pointwise, validity_monitor)
+from jumpflow.decompose import (decompose_linear_sde, decompose_pointwise,
+                                validity_monitor)
 from jumpflow.geometry import (ComplementaryPair, DiffeoProbe, Distribution,
                                adjoint_distribution, split_field,
                                subspace_projector)
@@ -166,10 +166,10 @@ def test_criterion_4_degenerate_collapses(capsys):
 def test_criterion_5_rotation_decomposition_and_stop(capsys):
     started = time.monotonic()
     step = 1e-3
-    rot = np.array([[[0.0, -1.0], [1.0, 0.0]]])
+    rot = VectorFieldSet.linear(np.array([[[0.0, -1.0], [1.0, 0.0]]]))
     grid = np.round(np.arange(0.0, 1.0 + step / 2, step), 12)
     driver = deterministic_path(grid, 1.2 * grid)
-    rec = decompose_linear_sde(LinearSystem(rot, horizontal_dim=1), driver)
+    rec = decompose_linear_sde(rot, 1, driver)
     worst = 0.0
     for k in range(0, len(rec.times), 100):
         zk = 1.2 * float(rec.times[k])
@@ -179,8 +179,7 @@ def test_criterion_5_rotation_decomposition_and_stop(capsys):
 
     jump_driver = deterministic_path(grid, np.zeros_like(grid),
                                      [(0.5, np.pi / 2)])
-    jump_rec = decompose_linear_sde(LinearSystem(rot, horizontal_dim=1),
-                                    jump_driver)
+    jump_rec = decompose_linear_sde(rot, 1, jump_driver)
     stop_exact = jump_rec.tau == 0.5
     flagged = (jump_rec.degenerate_jump_target
                and jump_rec.tau_reason == "jump_target_degenerate")
@@ -209,7 +208,7 @@ def test_criterion_6_determinant_criterion(capsys):
     mon = validity_monitor(
         solve_with_jacobian(fields, crossing, np.array([1.0, 0.0]),
                             MarcusConfig()), horizontal_dim=1)
-    dec = decompose_linear_sde(LinearSystem(rot, horizontal_dim=1), crossing)
+    dec = decompose_linear_sde(fields, 1, crossing)
     tau_gap = abs(mon.tau - dec.tau)
     ok = det_gap <= 1e-6 and tau_gap <= step + 1e-12
     _say(capsys, 6, ok,

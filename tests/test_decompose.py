@@ -10,10 +10,10 @@ from jumpflow import decompose
 from jumpflow.config import (apply_overrides, build_driver,
                              build_geometry_config, build_marcus_config,
                              build_problem, load_config)
-from jumpflow.decompose import (TAU_REASONS, LinearSystem, _frame_cond,
-                                _pointwise_rhs, _structured_rhs,
-                                decompose_linear_sde, decompose_pointwise,
-                                validity_monitor, verify_composition)
+from jumpflow.decompose import (TAU_REASONS, _frame_cond, _pointwise_rhs,
+                                _structured_rhs, decompose_linear_sde,
+                                decompose_pointwise, validity_monitor,
+                                verify_composition)
 from jumpflow.geometry import ComplementaryPair, Distribution, GeometryConfig
 from jumpflow.marcus import MarcusConfig, solve_with_jacobian
 from jumpflow.mesh import MeshChart
@@ -45,9 +45,9 @@ def _radial_pair():
 
 
 def test_rotation_factors_match_closed_form():
-    system = LinearSystem(ROT[None], horizontal_dim=1)
+    fields = VectorFieldSet.linear(ROT[None])
     driver = _rotation_driver(1e-3)
-    rec = decompose_linear_sde(system, driver)
+    rec = decompose_linear_sde(fields, 1, driver)
     assert rec.tau_reason == "horizon"
     assert not rec.stopped_early
     worst = 0.0
@@ -60,8 +60,8 @@ def test_rotation_factors_match_closed_form():
 
 
 def test_rotation_composition_residual_and_renorm():
-    system = LinearSystem(ROT[None], horizontal_dim=1)
-    rec = decompose_linear_sde(system, _rotation_driver(2e-3))
+    fields = VectorFieldSet.linear(ROT[None])
+    rec = decompose_linear_sde(fields, 1, _rotation_driver(2e-3))
     resid = verify_composition(rec, np.eye(2))
     assert float(np.max(resid)) < 1e-4
     # the structural blocks of the factors never move
@@ -71,8 +71,8 @@ def test_rotation_composition_residual_and_renorm():
 def test_rotation_jump_onto_degenerate_target():
     grid = np.linspace(0.0, 1.0, 11)
     driver = deterministic_path(grid, np.zeros(11), [(0.5, np.pi / 2)])
-    system = LinearSystem(ROT[None], horizontal_dim=1)
-    rec = decompose_linear_sde(system, driver)
+    fields = VectorFieldSet.linear(ROT[None])
+    rec = decompose_linear_sde(fields, 1, driver)
     assert rec.tau == 0.5
     assert rec.tau_reason == "jump_target_degenerate"
     assert rec.degenerate_jump_target
@@ -86,8 +86,8 @@ def test_rotation_jump_path_degenerate_keeps_pre_jump_factors():
     # it crosses cond_cap = 10: the run stops at the jump time with the
     # pre-jump factors and the target's determinant
     driver = _rotation_driver(0.01, slope=0.1, jumps=[(0.5, 1.4)])
-    system = LinearSystem(ROT[None], horizontal_dim=1)
-    rec = decompose_linear_sde(system, driver,
+    fields = VectorFieldSet.linear(ROT[None])
+    rec = decompose_linear_sde(fields, 1, driver,
                                geo=GeometryConfig(cond_cap=10.0))
     assert rec.tau_reason == "jump_path_degenerate"
     assert rec.tau == 0.5
@@ -100,11 +100,11 @@ def test_rotation_jump_path_degenerate_keeps_pre_jump_factors():
 
 def test_rotation_factor_error_is_second_order():
     # xi against the sec/tan closed form at the horizon, halving the step
-    system = LinearSystem(ROT[None], horizontal_dim=1)
+    fields = VectorFieldSet.linear(ROT[None])
     xi_ref, _ = rotation_decomposition(1.2)
     errors = []
     for step in (0.01, 0.005, 0.0025, 0.00125):
-        rec = decompose_linear_sde(system, _rotation_driver(step))
+        rec = decompose_linear_sde(fields, 1, _rotation_driver(step))
         assert rec.tau_reason == "horizon"
         errors.append(float(np.max(np.abs(rec.xi[-1] - xi_ref))))
     ratios = [b / a for a, b in zip(errors[:-1], errors[1:])]
@@ -126,7 +126,7 @@ def test_commuting_factors_match_the_exponential_on_a_brownian_driver(seed):
     cont[1:] = np.cumsum(rng.normal(0.0, np.sqrt(1e-3), (1000, 2)),
                          axis=0) * [0.8, 0.5]
     driver = deterministic_path(grid, cont, [(grid[500], [0.7, -0.4])])
-    rec = decompose_linear_sde(LinearSystem(A, horizontal_dim=1), driver)
+    rec = decompose_linear_sde(VectorFieldSet.linear(A), 1, driver)
     assert rec.tau_reason == "horizon"
     flow = [matrix_exp(np.einsum("i,ijl->jl", z, A)).value
             for z in driver.values]
@@ -135,8 +135,8 @@ def test_commuting_factors_match_the_exponential_on_a_brownian_driver(seed):
 
 def test_rotation_smooth_crossing_stops_near_quarter_turn():
     step = 1e-3
-    system = LinearSystem(ROT[None], horizontal_dim=1)
-    rec = decompose_linear_sde(system, _rotation_driver(step, slope=2.0))
+    fields = VectorFieldSet.linear(ROT[None])
+    rec = decompose_linear_sde(fields, 1, _rotation_driver(step, slope=2.0))
     assert rec.tau_reason == "det_block_zero"
     assert abs(rec.tau - np.pi / 4) <= 2 * step
 
@@ -144,8 +144,8 @@ def test_rotation_smooth_crossing_stops_near_quarter_turn():
 def test_rotation_continuous_stage_stops_split_degenerate():
     # no jumps: |W| = tan z grows until a Heun stage frame crosses
     # cond_cap = 3, and the run stops at the grid time that step began
-    system = LinearSystem(ROT[None], horizontal_dim=1)
-    rec = decompose_linear_sde(system, _rotation_driver(0.01),
+    fields = VectorFieldSet.linear(ROT[None])
+    rec = decompose_linear_sde(fields, 1, _rotation_driver(0.01),
                                geo=GeometryConfig(cond_cap=3.0))
     assert rec.tau_reason == "split_degenerate"
     assert rec.tau == 0.71
@@ -162,7 +162,7 @@ def test_custom_linear_record_is_consistent_with_its_factors():
     driver = build_driver(cfg)
     assert int(np.sum(driver.jump_mask)) == 7
     p = problem["horizontal_dim"]
-    rec = decompose_linear_sde(LinearSystem(problem["matrices"], p), driver,
+    rec = decompose_linear_sde(problem["fields"], p, driver,
                                build_marcus_config(cfg))
     assert rec.tau_reason == "horizon"
     n = rec.xi.shape[1]
@@ -188,12 +188,12 @@ def test_verify_composition_at_identity_probes_is_residual_sup(name, seed):
     # as the record's own residual, which the CLI summary reads
     cfg = load_config(os.path.join(CONFIGS, name))
     problem = build_problem(cfg)
-    system = LinearSystem(problem["matrices"], problem["horizontal_dim"])
+    fields, p = problem["fields"], problem["horizontal_dim"]
     apply_overrides(cfg, seed=seed)
-    rec = decompose_linear_sde(system, build_driver(cfg),
+    rec = decompose_linear_sde(fields, p, build_driver(cfg),
                                build_marcus_config(cfg),
                                build_geometry_config(cfg))
-    resid = verify_composition(rec, np.eye(system.dimension))
+    resid = verify_composition(rec, np.eye(fields.dimension))
     assert resid.tobytes() == rec.residual_sup.tobytes()
 
 
@@ -221,8 +221,8 @@ def test_validity_monitor_stops_with_decomposition():
     traj = solve_with_jacobian(fields, driver, np.array([1.0, 0.0]),
                                MarcusConfig())
     rep = validity_monitor(traj, horizontal_dim=1)
-    system = LinearSystem(ROT[None], horizontal_dim=1)
-    rec = decompose_linear_sde(system, driver)
+    fields = VectorFieldSet.linear(ROT[None])
+    rec = decompose_linear_sde(fields, 1, driver)
     assert rep.tau_reason == "det_block_zero"
     assert abs(rep.tau - rec.tau) <= step + 1e-12
 
@@ -240,8 +240,8 @@ def test_validity_monitor_flags_jump_trigger():
 
 
 def test_linear_record_rows_are_json_safe():
-    system = LinearSystem(ROT[None], horizontal_dim=1)
-    rec = decompose_linear_sde(system, _rotation_driver(0.05))
+    fields = VectorFieldSet.linear(ROT[None])
+    rec = decompose_linear_sde(fields, 1, _rotation_driver(0.05))
     rows = rec.jsonl_rows()
     assert len(rows) == rec.times.shape[0]
     text = "\n".join(json.dumps(r) for r in rows)
@@ -311,13 +311,22 @@ def test_frame_cond_applies_the_scaled_determinant():
     assert abs(cond - np.linalg.cond(S)) <= 1e-10 * cond
 
 
-def test_linear_system_validation():
-    with pytest.raises(ValueError):
-        LinearSystem(np.zeros((1, 2, 3)), horizontal_dim=1)
-    with pytest.raises(ValueError):
-        LinearSystem(np.zeros((1, 2, 2)), horizontal_dim=2)
-    with pytest.raises(ValueError):
-        LinearSystem(np.zeros((1, 2, 2)), horizontal_dim=0)
+def test_decompose_linear_sde_validation():
+    # a nonlinear set, a split outside (0, n) and a driver whose channels
+    # do not match the fields are rejected before any step
+    driver = _rotation_driver(0.1)
+    fields = VectorFieldSet.linear(ROT[None])
+    assert decompose_linear_sde(fields, 1, driver).tau_reason == "horizon"
+    rotate = VectorFieldSet.from_callable(
+        2, 1, lambda p: np.einsum("ij,...j->...i", ROT, p)[..., None])
+    with pytest.raises(ValueError, match="linear field set"):
+        decompose_linear_sde(rotate, 1, driver)
+    for p in (0, 2):
+        with pytest.raises(ValueError, match="horizontal_dim"):
+            decompose_linear_sde(fields, p, driver)
+    two = VectorFieldSet.linear(np.array([ROT, np.eye(2)]))
+    with pytest.raises(ValueError, match="driver dimension"):
+        decompose_linear_sde(two, 1, driver)
 
 
 def _unit_circle_probes(count=8, radius=1.0):
@@ -487,6 +496,21 @@ def test_verify_composition_rejects_a_mesh_record():
     assert rec.mode == "mesh" and rec.tau_reason == "horizon"
     with pytest.raises(ValueError, match="linear-mode record"):
         verify_composition(rec, rec.probes)
+
+
+@pytest.mark.parametrize("stride", [0, -1, 2.5, 1.5])
+def test_pointwise_rejects_a_stride_that_is_not_a_whole_number(stride):
+    # 0 used to divide by zero after the first step, -1 to snapshot every
+    # step and 2.5 every 5 steps
+    fields = VectorFieldSet.linear(np.array([[[0.25, 0.1], [0.0, 0.15]]]))
+    grid = np.linspace(0.0, 0.1, 7)
+    args = (fields, _radial_pair(), deterministic_path(grid, grid.copy()),
+            MeshChart.annulus((0.5, 2.0), (8, 8)), _unit_circle_probes())
+    with pytest.raises(ValueError, match="snapshot_stride"):
+        decompose_pointwise(*args, snapshot_stride=stride)
+    # a numpy integer is a whole number: snapshots at 0, 2, 4 and 6
+    rec = decompose_pointwise(*args, snapshot_stride=np.int64(2))
+    assert rec.snapshot_times.tolist() == grid[::2].tolist()
 
 
 def test_pointwise_contraction_escapes_chart_and_stops():

@@ -12,13 +12,14 @@ import jumpflow.odeflow as odeflow
 from jumpflow.config import (build_driver, build_marcus_config, build_problem,
                              load_config)
 from jumpflow.errors import IntegrationFailure
-from jumpflow.marcus import (MarcusConfig, solve_ensemble, solve_map_batch,
-                             solve_point, solve_with_jacobian,
-                             trajectory_to_csv)
+from jumpflow.marcus import (MarcusConfig, _pack, _run, _sweep,
+                             solve_ensemble, solve_map_batch, solve_point,
+                             solve_with_jacobian, trajectory_to_csv)
 from jumpflow.odeflow import VectorFieldSet
 from jumpflow.reference import linear_marcus_mean, matrix_exp
 from jumpflow.semimartingale import (JumpLaw, PathParams, _grid_for,
-                                     _substream, deterministic_path, prefix,
+                                     _levy_arrays, _substream,
+                                     deterministic_path, prefix,
                                      sample_levy_jump_diffusion)
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -406,6 +407,37 @@ def test_ensemble_with_failing_rows_gives_survivor_moments():
     got = _assert_ensemble_is_sum_of_points(fields, params, np.array([1.0]),
                                             20)
     assert 0 < got.n_failures < 20
+
+
+def test_block_row_that_overflows_stays_non_finite():
+    # x_1' = x_1 dz, x_2' = 0 with a jump of 800: a row that jumps
+    # overflows there to (inf, x_2), and the next Heun step makes x_2 NaN
+    # too (0 * inf).  The block sweep has no failure mask and never raises;
+    # that row stays non-finite up to the block's last step, every other
+    # row keeps the bits of its own solve_point run
+    params = PathParams(horizon=1.0, step=2.0 ** -6, brownian_scale=0.5,
+                        jump_intensity=1.0, jump_law=JumpLaw.constant([800.0]),
+                        seed=13)
+    fields = VectorFieldSet.linear(np.array([[[1.0, 0.0], [0.0, 0.0]]]))
+    base = _grid_for(params.horizon, params.step)
+    seeds = [int(_substream(13, 3, r).integers(0, 2 ** 63)) for r in range(8)]
+    block, _ = _pack([_levy_arrays(params, s, base) for s in seeds], base)
+    post = _run(_sweep(fields, block, np.ones((8, 2)), MarcusConfig(), False))
+    failing = 0
+    for r, seed in enumerate(seeds):
+        path = sample_levy_jump_diffusion(replace(params, seed=seed))
+        try:
+            traj = solve_point(fields, path, np.ones(2), MarcusConfig())
+        except IntegrationFailure as exc:
+            k = int(np.searchsorted(path.grid, exc.time))
+            assert np.isfinite(post[:k, r]).all()
+            assert not np.isfinite(post[k:, r]).all(axis=-1).any()
+            assert not np.isfinite(post[k + 1:, r]).any()
+            failing += 1
+        else:
+            assert (post[:path.grid.shape[0], r].tobytes()
+                    == traj.post.tobytes())
+    assert 0 < failing < 8
 
 
 def test_ensemble_path_with_overflowing_squares_fails():

@@ -130,6 +130,19 @@ def test_refine_preserves_endpoint_values_and_jumps():
     assert np.max(np.abs(fine.values[::4] - p.values)) < 1e-14
 
 
+@pytest.mark.parametrize("factor", [2.5, 1.5, 0, -1, 0.5])
+def test_refine_rejects_a_factor_that_is_not_a_whole_number(factor):
+    # on a 0.25 grid, 2.5 used to give 0, 0.1, 0.2, 0.25, ... and 1.5 one
+    # point at 2/3 of each interval
+    grid = np.linspace(0.0, 1.0, 5)
+    p = deterministic_path(grid, grid.copy())
+    with pytest.raises(ValueError, match="whole number"):
+        refine(p, factor)
+    # numpy integers and the 2 ** k of a refinement ladder keep working
+    assert np.array_equal(refine(p, np.int64(2)).grid, np.linspace(0, 1, 9))
+    assert np.array_equal(refine(p, 2 ** 2).grid, np.linspace(0, 1, 17))
+
+
 def test_prefix_stops_before_or_at_jump():
     grid = np.linspace(0.0, 1.0, 11)
     path = deterministic_path(grid, np.zeros((11, 1)),
