@@ -34,7 +34,7 @@ _EXPORTS = {name: module for module, names in {
     "decompose": ["DecompositionRecord", "decompose_linear_sde",
                   "decompose_pointwise", "validity_monitor",
                   "verify_composition"],
-    "reference": ["OracleResult", "matrix_exp", "radial_decomposition",
+    "reference": ["matrix_exp", "radial_decomposition",
                   "rotation_decomposition"],
     "convergence": ["fit_order"],
 }.items() for name in names}

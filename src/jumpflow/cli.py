@@ -197,9 +197,10 @@ def _run_ensemble(cfg, problem, mcfg):
     observables = {"norm": lambda t, x: np.linalg.norm(x, axis=-1),
                    "first": lambda t, x: x[..., 0]}
     observables = {name: observables[name]} if name in observables else {}
+    n_paths = cfg["ensemble"]["n_paths"]
     ens = solve_ensemble(problem["fields"], params, problem["x0"], mcfg,
-                         cfg["ensemble"]["n_paths"], observables=observables)
-    payload = {"n_paths": ens.n_paths, "n_failures": ens.n_failures,
+                         n_paths, observables=observables)
+    payload = {"n_paths": n_paths, "n_failures": ens.n_failures,
                "times": ens.times.tolist(), "mean": ens.mean.tolist(),
                "variance": ens.variance.tolist()}
     if observables:

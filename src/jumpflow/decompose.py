@@ -54,7 +54,6 @@ class DecompositionRecord:
     """
 
     mode: str
-    horizontal_dim: int
     times: np.ndarray
     is_jump: np.ndarray
     tau: float
@@ -70,8 +69,6 @@ class DecompositionRecord:
     xi_mesh: np.ndarray = None
     psi_probes: np.ndarray = None
     psi_probes_inverse: np.ndarray = None
-    phi_probes: np.ndarray = None
-    probes: np.ndarray = None
 
     @property
     def stopped_early(self) -> bool:
@@ -82,13 +79,12 @@ class DecompositionRecord:
         return self.tau_reason == "jump_target_degenerate"
 
     def jsonl_rows(self):
-        """Diagnostic rows (plain-python values, a non-finite number as
-        None) for streaming output."""
-        nums = [np.where(np.isfinite(a), a, None).tolist() for a in
-                (self.det_block, self.condition, self.residual_sup)]
+        """Diagnostic rows of plain-python values for streaming output; a
+        non-finite number stays a float (the CLI writer makes it null)."""
         keys = ("t", "det_block", "condition", "residual_sup", "is_jump")
-        return [dict(zip(keys, row)) for row in zip(
-            self.times.tolist(), *nums, self.is_jump.tolist())]
+        return [dict(zip(keys, row)) for row in zip(*(a.tolist() for a in (
+            self.times, self.det_block, self.condition, self.residual_sup,
+            self.is_jump)))]
 
 
 def _structured_rhs(Xi, Psi, A_dz, p):
@@ -243,7 +239,6 @@ def decompose_linear_sde(fields: VectorFieldSet, horizontal_dim: int,
     I = np.eye(n)
     return DecompositionRecord(
         mode="linear",
-        horizontal_dim=p,
         times=grid[:rows].copy(),
         is_jump=jump_mask[:rows],
         tau=tau,
@@ -264,8 +259,6 @@ def decompose_linear_sde(fields: VectorFieldSet, horizontal_dim: int,
 class ValidityReport:
     """Degeneracy scan of a solved flow's Jacobian block determinant."""
 
-    times: np.ndarray
-    det_pre: np.ndarray
     det_post: np.ndarray
     tau: float
     tau_reason: str
@@ -295,8 +288,7 @@ def validity_monitor(trajectory, horizontal_dim: int,
         k = hits[0]
         tau, reason = float(times[k]), "det_block_zero"
         by_jump = bool(trajectory.is_jump[k] & hit_post[k] & ~hit_pre[k])
-    return ValidityReport(times=times, det_pre=det_pre, det_post=det_post,
-                          tau=tau, tau_reason=reason,
+    return ValidityReport(det_post=det_post, tau=tau, tau_reason=reason,
                           triggered_by_jump=by_jump)
 
 
@@ -362,7 +354,8 @@ def decompose_pointwise(fields: VectorFieldSet, pair: ComplementaryPair,
     det and cond of its splits and the composition residual
     sup |xi(psi) - phi| at the probes, the factorization check.  Snapshots
     every ``snapshot_stride`` steps, at each jump and at the end store the
-    mesh, the probes and the Newton inverse psi = xi^{-1} o phi.
+    mesh, psi at the probes and psi again as the Newton inverse
+    xi^{-1} o phi (phi at the probes is computed for that, not stored).
     """
     cfg = cfg or MarcusConfig()
     if pair.horizontal.dimension != 2:
@@ -381,7 +374,7 @@ def decompose_pointwise(fields: VectorFieldSet, pair: ComplementaryPair,
     def snapshot(t, state):
         xi_mesh, phi, psi = state
         inv = chart.to_cartesian(invert_mesh_map(chart, xi_mesh, phi))
-        return t, xi_mesh, psi, phi, inv
+        return t, xi_mesh, psi, inv
 
     state = (chart.base_points(), probes, probes)
     # rows of (t, is_jump, det, cond, residual) and snapshots
@@ -430,14 +423,12 @@ def decompose_pointwise(fields: VectorFieldSet, pair: ComplementaryPair,
     if det.shape[0] > 1 and np.isnan(det[0]):
         det[0] = det[1]
     if snaps:
-        snap_times, xi_mesh, psi, phi, inv = map(np.array, zip(*snaps))
+        snap_times, xi_mesh, psi, inv = map(np.array, zip(*snaps))
     else:  # no snapshot: empty stacks of each snapshot's shape
-        snap_times, xi_mesh, psi, phi, inv = (np.empty((0,) + np.shape(a))
-                                              for a in (0.0, state[0], probes,
-                                                        probes, probes))
+        snap_times, xi_mesh, psi, inv = (np.empty((0,) + np.shape(a)) for a
+                                         in (0.0, state[0], probes, probes))
     return DecompositionRecord(
         mode="mesh",
-        horizontal_dim=pair.horizontal.rank,
         times=times,
         is_jump=is_jump,
         tau=tau,
@@ -450,6 +441,4 @@ def decompose_pointwise(fields: VectorFieldSet, pair: ComplementaryPair,
         xi_mesh=xi_mesh,
         psi_probes=psi,
         psi_probes_inverse=inv,
-        phi_probes=phi,
-        probes=probes.copy(),
     )

@@ -8,8 +8,8 @@ it rejects a frame S = [B_H | B_V] whose scaled determinant
 number is at least ``cond_cap``, with ``DegeneracyError``, so flow-level
 callers can turn it into a validity horizon instead of silently producing
 garbage.
-Diffeomorphisms enter as ``DiffeoProbe`` handles built from explicit maps
-(identity, linear or custom); the module integrates no flows itself.
+Diffeomorphisms enter as ``DiffeoProbe`` handles: a Jacobian and an inverse
+map (identity, linear or custom); the module integrates no flows itself.
 
 Subspace comparisons always go through orthogonal projectors, never raw
 basis arrays, because a basis is only determined up to column mixing.
@@ -83,25 +83,22 @@ class ComplementaryPair:
 
 
 class DiffeoProbe:
-    """A diffeomorphism handle: forward map, Jacobian and inverse."""
+    """A diffeomorphism handle: its Jacobian and inverse maps."""
 
-    def __init__(self, forward, jacobian, inverse):
-        self.forward = forward
+    def __init__(self, jacobian, inverse):
         self.jacobian = jacobian
         self.inverse = inverse
 
     @classmethod
     def identity(cls, dimension):
         eye = np.eye(dimension)
-        return cls(forward=lambda x: np.asarray(x, dtype=float).copy(),
-                   jacobian=lambda x: eye.copy(),
+        return cls(jacobian=lambda x: eye.copy(),
                    inverse=lambda y: np.asarray(y, dtype=float).copy())
 
     @classmethod
     def linear(cls, matrix):
         M = np.asarray(matrix, dtype=float)
-        return cls(forward=lambda x: M @ np.asarray(x, dtype=float),
-                   jacobian=lambda x: M.copy(),
+        return cls(jacobian=lambda x: M.copy(),
                    inverse=lambda y: np.linalg.solve(M, np.asarray(y, dtype=float)))
 
 

@@ -284,7 +284,6 @@ class EnsembleSummary:
     times: np.ndarray
     mean: np.ndarray
     variance: np.ndarray
-    n_paths: int
     n_failures: int
     observable_mean: dict
     observable_variance: dict
@@ -357,7 +356,7 @@ def solve_ensemble(fields: VectorFieldSet, params: PathParams, x0,
         t = float(base[np.argmax(bad)])
         raise IntegrationFailure("ensemble moments overflowed", time=t)
     return EnsembleSummary(times=base, mean=mean[0], variance=var[0],
-                           n_paths=n_paths, n_failures=n_paths - done,
+                           n_failures=n_paths - done,
                            observable_mean=dict(zip(observables, mean[1:])),
                            observable_variance=dict(zip(observables, var[1:])))
 

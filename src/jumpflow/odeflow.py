@@ -10,10 +10,10 @@ sum_i X_i * dz_i.  The field set alone picks how ``flow`` and
 asked for) take it: a linear set by the exact Pade-13 ``expm`` (validated
 against the generic stepper in the tests), any other set by one
 fixed-step classical RK4 over a tuple of arrays, ``_rk4``, at
-``MarcusConfig.substeps`` steps per unit of flow time.  The orbit of
-``curve_average`` is stepped by ``flow``.  ``decompose`` steps its factor
-equations by ``_heun``, one Heun step, and carries them across a jump by
-``_rk4``, both over one right-hand side per mode.
+``MarcusConfig.substeps`` steps per unit of flow time; ``curve_average``
+takes one Simpson interval per substep (an even count, rounded up).
+``decompose`` steps its factor equations by ``_heun``, one Heun step, and
+carries them across a jump by ``_rk4``, over one right-hand side per mode.
 """
 
 from __future__ import annotations
@@ -263,20 +263,17 @@ def flow_with_jacobian(fields: VectorFieldSet, weights, x0, u: float,
     return _flow(fields, weights, x0, u, cfg, jacobian=True)
 
 
-def curve_average(H, fields: VectorFieldSet, weights, x0, cfg: MarcusConfig,
-                  quad_nodes: int = 16) -> np.ndarray:
+def curve_average(H, fields: VectorFieldSet, weights, x0,
+                  cfg: MarcusConfig) -> np.ndarray:
     """Average of H along the unit-time flow orbit from x0.
 
-    Composite Simpson on [0, 1] with an even node count derived from
-    ``quad_nodes``; the orbit is advanced between nodes by ``flow``, for a
-    nonlinear set at ``cfg.substeps`` RK4 steps per unit time and at least
-    one per interval, so quadrature nodes and integration substeps share
-    the same grid.  H may return any array shape; the average is taken
-    componentwise.
+    Composite Simpson on [0, 1] over ``cfg.substeps`` intervals, rounded up
+    to an even count; the orbit is advanced between nodes by ``flow``, for
+    a nonlinear set by one RK4 step per interval, so quadrature nodes and
+    integration substeps share one grid.  H may return any array shape;
+    the average is taken componentwise.
     """
-    if quad_nodes < 2:
-        raise ValueError("quad_nodes must be >= 2")
-    nint = quad_nodes + (quad_nodes % 2)
+    nint = cfg.substeps + cfg.substeps % 2
     x = np.asarray(x0, dtype=float)
     du = 1.0 / nint
 

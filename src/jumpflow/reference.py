@@ -2,28 +2,18 @@
 
 Everything in this module is deliberately self-contained: no imports from the
 solver modules, so an oracle can never inherit a bug from the code it is
-meant to check.
+meant to check.  Each oracle returns plain arrays (or callables).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True, eq=False)
-class OracleResult:
-    """Value of a closed-form evaluation plus how it was obtained."""
-
-    value: np.ndarray
-    method: str
-    error_bound: float
-
-
-def matrix_exp(A, t: float = 1.0) -> OracleResult:
-    """exp(t*A) by Taylor series with scaling and squaring.
+def matrix_exp(A, t: float = 1.0) -> np.ndarray:
+    """exp(t*A), an (n, n) array, by Taylor series with scaling and squaring.
 
     The argument is scaled by a power of two until its 1-norm is below 1/4,
     the series is summed until terms fall under 1e-18 relative, and the
@@ -49,8 +39,7 @@ def matrix_exp(A, t: float = 1.0) -> OracleResult:
             break
     for _ in range(nsq):
         E = E @ E
-    return OracleResult(value=E, method="taylor-scaling-squaring",
-                        error_bound=1e-12 * max(1.0, np.linalg.norm(E, 1)))
+    return E
 
 
 def rotation_decomposition(z: float, eps_det: float = 1e-12):
@@ -111,14 +100,14 @@ def radial_decomposition(mat, probes, tol: float = 1e-12):
 
 def linear_marcus_mean(matrices, x0, times, drift=0.0, brownian_scale=0.0,
                        jump_intensity=0.0,
-                       jump_law=("constant", 0.0)) -> OracleResult:
+                       jump_law=("constant", 0.0)) -> np.ndarray:
     """Mean E[X_t] of the linear Marcus SDE dX = sum_i A_i X o dZ_i.
 
     Z_i = b_i t + s_i W_i + a compound Poisson sum (intensity lam, jump law
     nu), with independent standard Brownian motions W_i.  The mean solves
     dm/dt = G m with G = sum_i b_i A_i + 1/2 sum_i s_i^2 A_i^2
     + lam (E_nu[exp(sum_i A_i J_i)] - I), the last term being the Marcus jump
-    rule, so m_t = exp(t G) x0 at each of ``times`` (rows of the value).
+    rule, so m_t = exp(t G) x0 at each of ``times`` (rows of the result).
 
     ``jump_law`` is ("constant", value), ("uniform", low, high) or
     ("gaussian", mean, std), each per channel with independent channels.
@@ -151,21 +140,19 @@ def linear_marcus_mean(matrices, x0, times, drift=0.0, brownian_scale=0.0,
     for combo in itertools.product(*rules):
         J, weight = zip(*combo)
         E_jump = E_jump + np.prod(weight) * matrix_exp(
-            np.einsum("i,ijk->jk", np.array(J), A)).value
+            np.einsum("i,ijk->jk", np.array(J), A))
     b = np.broadcast_to(np.asarray(drift, dtype=float), (m,))
     s2 = np.broadcast_to(np.asarray(brownian_scale, dtype=float), (m,)) ** 2
     G = (np.einsum("i,ijk->jk", b, A) + 0.5 * np.einsum("i,ijk->jk", s2, A @ A)
          + float(jump_intensity) * (E_jump - np.eye(n)))
     x0 = np.asarray(x0, dtype=float)
-    value = np.array([matrix_exp(G, float(t)).value @ x0 for t in times])
-    return OracleResult(value=value, method="marcus-generator-exponential",
-                        error_bound=1e-12 * max(1.0, np.max(np.abs(value))))
+    return np.array([matrix_exp(G, float(t)) @ x0 for t in times])
 
 
 def _commuting_exp(D, z):
     """exp(z_1 D + z_2 D^2) at each row of z (K, 2)."""
     D = np.asarray(D, dtype=float)
-    return np.array([matrix_exp(z1 * D + z2 * (D @ D)).value for z1, z2 in z])
+    return np.array([matrix_exp(z1 * D + z2 * (D @ D)) for z1, z2 in z])
 
 
 def composite_orbit_linear(B, D, z, x0):

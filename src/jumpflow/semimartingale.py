@@ -46,7 +46,10 @@ class JumpLaw:
 
     @classmethod
     def constant(cls, value):
-        return cls(kind="constant", value=np.atleast_1d(np.asarray(value, dtype=float)))
+        value = np.atleast_1d(np.asarray(value, dtype=float))
+        if not np.isfinite(value).all():
+            raise ValueError("constant jump law needs a finite value")
+        return cls(kind="constant", value=value)
 
     @classmethod
     def uniform(cls, low, high):
@@ -63,8 +66,10 @@ class JumpLaw:
     def gaussian(cls, mean, std):
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
         std = np.atleast_1d(np.asarray(std, dtype=float))
-        if mean.shape != std.shape or np.any(std < 0):
+        if mean.shape != std.shape or not np.all(std >= 0):
             raise ValueError("gaussian jump law needs std >= 0 of mean's shape")
+        if not np.isfinite([mean, std]).all():
+            raise ValueError("gaussian jump law needs a finite mean and std")
         return cls(kind="gaussian", mean=mean, std=std)
 
     @property

@@ -35,25 +35,23 @@ from .semimartingale import JumpPath, prefix, quadratic_variation_c, refine
 
 @dataclass(frozen=True, eq=False)
 class IntegralReport:
-    """Value, per-time partial sums, and the three-way term breakdown."""
+    """Value, per-grid-time partial sums, and the three-way term breakdown."""
 
-    times: np.ndarray
     partial: np.ndarray
     value: np.ndarray
     ito_term: np.ndarray
     qv_term: np.ndarray
     jump_term: np.ndarray
-    diagnostics: dict
 
 
-def _assemble(times, inc_ito, inc_qv, inc_jump, diagnostics):
+def _assemble(inc_ito, inc_qv, inc_jump):
     cum_ito, cum_qv, cum_jump = (
         np.concatenate([np.zeros((1,) + inc.shape[1:]), np.cumsum(inc, axis=0)])
         for inc in (inc_ito, inc_qv, inc_jump))
-    return IntegralReport(times=times, partial=cum_ito + cum_qv + cum_jump,
+    return IntegralReport(partial=cum_ito + cum_qv + cum_jump,
                           value=cum_ito[-1] + cum_qv[-1] + cum_jump[-1],
                           ito_term=cum_ito[-1], qv_term=cum_qv[-1],
-                          jump_term=cum_jump[-1], diagnostics=diagnostics)
+                          jump_term=cum_jump[-1])
 
 
 def marcus_integral(H, fields: VectorFieldSet, driver: JumpPath, g0,
@@ -67,7 +65,8 @@ def marcus_integral(H, fields: VectorFieldSet, driver: JumpPath, g0,
     QV part: 1/2 trace correction against the realized continuous QV,
     evaluated at interval-midpoint states (continuous segments only).
     Jump part: for each jump, the average of H along the fictitious
-    unit-time jump orbit minus H at the left limit, applied to the jump size.
+    unit-time jump orbit (``curve_average``, on the ``cfg.substeps`` grid)
+    minus H at the left limit, applied to the jump size.
     """
     traj = solve_point(fields, driver, g0, cfg)
     left = traj.post[:-1]
@@ -85,10 +84,9 @@ def marcus_integral(H, fields: VectorFieldSet, driver: JumpPath, g0,
         dz, g_pre = driver.jump_size_at_grid()[k], traj.pre[k]
         h_pre = H(g_pre)
         inc_ito[k - 1] += h_pre @ dz
-        avg = curve_average(H, fields, dz, g_pre, cfg, quad_nodes=cfg.substeps)
+        avg = curve_average(H, fields, dz, g_pre, cfg)
         inc_jump[k - 1] += (avg - h_pre) @ dz
-    return _assemble(traj.times, inc_ito, inc_qv, inc_jump,
-                     {"n_jumps": len(driver.jump_index), "kind": "marcus_integral"})
+    return _assemble(inc_ito, inc_qv, inc_jump)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,10 +196,8 @@ def _orbit_reports(outer: VectorFieldSet, inner: VectorFieldSet,
         atom = (orbit.Dpsi_pre[k] @ inner.field_matrix(xi.pre[k])) @ dz
         push_ito[k - 1] += atom
         push_jump[k - 1] += -atom + orbit.F_post[k] - hop
-    return (_assemble(driver.grid.copy(), line_ito, line_qv, line_jump,
-                      {"n_jumps": len(jump_idx), "kind": "orbit_line_integral"}),
-            _assemble(driver.grid.copy(), push_ito, push_qv, push_jump,
-                      {"n_jumps": len(jump_idx), "kind": "pushforward_integral"}))
+    return (_assemble(line_ito, line_qv, line_jump),
+            _assemble(push_ito, push_qv, push_jump))
 
 
 def pushforward_integral(outer: VectorFieldSet, inner: VectorFieldSet,

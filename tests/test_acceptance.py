@@ -55,7 +55,7 @@ def test_criterion_1_marcus_exactness_and_order(capsys):
         path = _ramp_three_jumps(step)
         traj = solve_point(fields, path, x0, MarcusConfig())
         dz = path.values - path.values[0]
-        oracle = np.stack([matrix_exp(A, float(d)).value @ x0
+        oracle = np.stack([matrix_exp(A, float(d)) @ x0
                            for d in dz[:, 0]])
         return float(np.max(np.abs(traj.post - oracle)))
 

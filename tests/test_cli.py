@@ -831,7 +831,7 @@ PUBLIC_NAMES = [
     "DecompositionRecord", "DegeneracyError", "DiffeoProbe", "Distribution",
     "EnsembleSummary", "GeometryConfig", "IntegralReport",
     "IntegrationFailure", "JumpLaw", "JumpPath", "MarcusConfig", "MeshChart",
-    "MeshInversionError", "OracleResult", "PathParams", "Trajectory", "VectorFieldSet", "__version__",
+    "MeshInversionError", "PathParams", "Trajectory", "VectorFieldSet", "__version__",
     "adjoint_distribution", "curve_average", "decompose_linear_sde",
     "decompose_pointwise", "deterministic_path", "fit_order", "flow",
     "flow_with_jacobian", "interp_mesh", "invert_mesh_map", "marcus_integral",

@@ -15,7 +15,7 @@ from jumpflow.decompose import (TAU_REASONS, _frame_cond, _pointwise_rhs,
                                 decompose_pointwise, validity_monitor,
                                 verify_composition)
 from jumpflow.geometry import ComplementaryPair, Distribution, GeometryConfig
-from jumpflow.marcus import MarcusConfig, solve_with_jacobian
+from jumpflow.marcus import MarcusConfig, solve_point, solve_with_jacobian
 from jumpflow.mesh import MeshChart
 from jumpflow.odeflow import VectorFieldSet
 from jumpflow.reference import (matrix_exp, radial_decomposition,
@@ -128,7 +128,7 @@ def test_commuting_factors_match_the_exponential_on_a_brownian_driver(seed):
     driver = deterministic_path(grid, cont, [(grid[500], [0.7, -0.4])])
     rec = decompose_linear_sde(VectorFieldSet.linear(A), 1, driver)
     assert rec.tau_reason == "horizon"
-    flow = [matrix_exp(np.einsum("i,ijl->jl", z, A)).value
+    flow = [matrix_exp(np.einsum("i,ijl->jl", z, A))
             for z in driver.values]
     assert np.max(np.abs(rec.xi @ rec.psi - flow)) < 2e-4
 
@@ -350,7 +350,7 @@ def test_pointwise_matches_radial_closed_form():
     # to the radius of the full image
     for si, t in enumerate(rec.snapshot_times):
         z = 0.3 * float(t) + (0.1 if t >= 0.5 else 0.0)
-        flow_map = matrix_exp(A, z).value
+        flow_map = matrix_exp(A, z)
         expect = np.stack([
             (np.linalg.norm(flow_map @ p) / np.linalg.norm(p)) * p
             for p in probes
@@ -366,7 +366,7 @@ def _radial_snapshot_errors(rec, A, driver, probes, base):
     err_psi = err_xi = 0.0
     for si, t in enumerate(rec.snapshot_times):
         z = float(driver.values[np.searchsorted(driver.grid, t), 0])
-        psi, xi = radial_decomposition(matrix_exp(A, z).value, probes)
+        psi, xi = radial_decomposition(matrix_exp(A, z), probes)
         want_psi = np.array([psi(p) for p in probes])
         want_xi = np.array([[xi(y) for y in row] for row in base])
         err_psi = max(err_psi, np.max(np.abs(rec.psi_probes[si] - want_psi)))
@@ -495,7 +495,7 @@ def test_verify_composition_rejects_a_mesh_record():
                               _unit_circle_probes())
     assert rec.mode == "mesh" and rec.tau_reason == "horizon"
     with pytest.raises(ValueError, match="linear-mode record"):
-        verify_composition(rec, rec.probes)
+        verify_composition(rec, _unit_circle_probes())
 
 
 @pytest.mark.parametrize("stride", [0, -1, 2.5, 1.5])
@@ -543,3 +543,11 @@ def test_pointwise_rejects_wrong_dimension():
     driver = deterministic_path(grid, grid.copy())
     with pytest.raises(ValueError):
         decompose_pointwise(fields, pair, driver, chart, np.zeros((1, 3)))
+
+
+def test_validity_monitor_needs_a_trajectory_with_jacobians():
+    fields = VectorFieldSet.linear(ROT[None])
+    traj = solve_point(fields, _rotation_driver(0.25), np.array([1.0, 0.0]),
+                       MarcusConfig())
+    with pytest.raises(ValueError, match="trajectory must carry Jacobians"):
+        validity_monitor(traj, horizontal_dim=1)

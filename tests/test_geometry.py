@@ -98,16 +98,14 @@ def test_adjoint_of_linear_map_matches_closed_form():
 
 
 def test_adjoint_tracks_base_point_of_nonlinear_probe():
-    def fwd(x):
-        return np.array([x[0] + 0.3 * np.sin(x[1]), x[1]])
-
+    # the shear x -> (x_1 + 0.3 sin x_2, x_2), by its Jacobian and inverse
     def jac(x):
         return np.array([[1.0, 0.3 * np.cos(x[1])], [0.0, 1.0]])
 
     def inv(y):
         return np.array([y[0] - 0.3 * np.sin(y[1]), y[1]])
 
-    probe = DiffeoProbe(fwd, jac, inv)
+    probe = DiffeoProbe(jac, inv)
 
     def basis_fn(x):
         return np.array([[1.0], [x[0]]])
@@ -250,3 +248,8 @@ def test_distribution_shape_guard():
         bad.basis(np.zeros(2))
     with pytest.raises(ValueError):
         Distribution(2, 3, lambda x: np.ones((2, 3)))
+
+
+def test_constant_distribution_needs_a_matrix_basis():
+    with pytest.raises(ValueError, match=r"constant basis must be an \(n, k\)"):
+        Distribution.constant(np.array([1.0, 0.0]))

@@ -27,7 +27,7 @@ CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 def _linear_oracle(A, path, x0):
     dz = path.values - path.values[0]
-    return np.stack([matrix_exp(A, float(d)).value @ x0 for d in dz[:, 0]])
+    return np.stack([matrix_exp(A, float(d)) @ x0 for d in dz[:, 0]])
 
 
 def _ramp_with_jumps(step=1e-2):
@@ -67,7 +67,7 @@ def test_single_jump_is_exact_exponential():
     grid = np.linspace(0.0, 1.0, 11)
     path = deterministic_path(grid, np.zeros(11), [(grid[5], 2.0)])
     traj = solve_point(fields, path, np.array([1.0, 0.0]), MarcusConfig())
-    expect = matrix_exp(A, 2.0).value @ np.array([1.0, 0.0])
+    expect = matrix_exp(A, 2.0) @ np.array([1.0, 0.0])
     assert np.max(np.abs(traj.final_state() - expect)) < 1e-12
     # left limit at the jump index still sits at the initial point
     assert np.max(np.abs(traj.pre[5] - [1.0, 0.0])) < 1e-12
@@ -99,7 +99,7 @@ def test_jacobian_matches_linear_flow():
     traj = solve_with_jacobian(fields, path, np.array([1.0, 0.0]),
                                MarcusConfig())
     dz = float(path.values[-1, 0] - path.values[0, 0])
-    expect = matrix_exp(A, dz).value
+    expect = matrix_exp(A, dz)
     assert np.max(np.abs(traj.jacobians_post[-1] - expect)) < 1e-4
 
 
@@ -218,7 +218,7 @@ def test_commuting_fields_reduce_to_exponential_for_random_driver():
     x0 = np.array([1.0, 2.0])
     traj = solve_point(fields, path, x0, MarcusConfig())
     dz = path.values - path.values[0]
-    expect = np.stack([matrix_exp(A1 * d1 + A2 * d2).value @ x0
+    expect = np.stack([matrix_exp(A1 * d1 + A2 * d2) @ x0
                        for d1, d2 in dz])
     assert np.max(np.abs(traj.post - expect)) < 5e-3
 
@@ -258,10 +258,10 @@ def test_ensemble_mean_follows_the_marcus_generator(seed):
                              MarcusConfig(), n_paths)
     assert summary.n_failures == 0
     marcus = linear_marcus_mean(A, x0, summary.times, 0.0, sigma, lam,
-                                ("uniform", low, high)).value
+                                ("uniform", low, high))
     G_ito = (0.5 * sigma ** 2 * np.einsum("ijk,ikl->jl", A, A)
              + lam * np.einsum("i,ijk->jk", 0.5 * np.add(low, high), A))
-    ito = np.array([matrix_exp(G_ito, t).value @ x0 for t in summary.times])
+    ito = np.array([matrix_exp(G_ito, t) @ x0 for t in summary.times])
     se = np.sqrt(summary.variance[1:] / n_paths)
     stat_marcus = np.max(np.abs(summary.mean[1:] - marcus[1:]) / se)
     stat_ito = np.max(np.abs(summary.mean[1:] - ito[1:]) / se)
@@ -493,3 +493,39 @@ def test_ensemble_makes_one_jump_flow_per_block_step(monkeypatch):
     steps = max(p.grid.shape[0] for p in paths) - 1
     jumps = sum(p.jump_times.shape[0] for p in paths)
     assert 0 < len(calls) <= steps < jumps
+
+
+_ROT = VectorFieldSet.linear(np.array([[[0.0, -1.0], [1.0, 0.0]]]))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: solve_point(VectorFieldSet.linear(np.zeros((2, 2, 2))),
+                         _ramp_with_jumps(0.25), np.ones(2), MarcusConfig()),
+     "field count must match driver dimension"),
+    (lambda: solve_map_batch(_ROT, _ramp_with_jumps(0.25), np.ones((1, 2)),
+                             [5], [0], MarcusConfig()),
+     "freeze_index or freeze_side out of range"),
+    (lambda: solve_map_batch(_ROT, _ramp_with_jumps(0.25), np.ones((1, 2)),
+                             [-1], [0], MarcusConfig()),
+     "freeze_index or freeze_side out of range"),
+    (lambda: solve_map_batch(_ROT, _ramp_with_jumps(0.25), np.ones((1, 2)),
+                             [1], [2], MarcusConfig()),
+     "freeze_index or freeze_side out of range"),
+    (lambda: solve_ensemble(_ROT, PathParams(horizon=1.0, step=0.5),
+                            np.ones(2), MarcusConfig(), n_paths=0),
+     "n_paths must be >= 1"),
+], ids=["field-count", "freeze-past-end", "freeze-negative", "freeze-side-2",
+        "no-paths"])
+def test_argument_checks_name_the_fault(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_map_batch_frozen_at_time_0_returns_its_bases():
+    # every row stops at grid index 0, so the sweep ends before its first
+    # step: the states are the bases and the Jacobians the identity
+    bases = np.array([[1.0, 0.0], [0.3, -0.7], [-2.0, 0.5]])
+    states, jacs = solve_map_batch(_ROT, _ramp_with_jumps(0.25), bases,
+                                   [0, 0, 0], [0, 1, 0], MarcusConfig())
+    assert np.array_equal(states, bases)
+    assert np.array_equal(jacs, np.broadcast_to(np.eye(2), (3, 2, 2)))

@@ -33,10 +33,10 @@ def test_expm_against_oracle(n):
             A *= norm / np.linalg.norm(A, 1)
             ref = matrix_exp(A)
             E = expm(A)
-            assert np.max(np.abs(E - ref.value)) <= ref.error_bound
+            bound = 1e-12 * max(1.0, np.linalg.norm(ref, 1))
+            assert np.max(np.abs(E - ref)) <= bound
             if norm <= 30:
-                rel = (np.linalg.norm(E - ref.value, 1)
-                       / np.linalg.norm(ref.value, 1))
+                rel = np.linalg.norm(E - ref, 1) / np.linalg.norm(ref, 1)
                 assert rel <= 1e-13
 
 
@@ -98,7 +98,7 @@ def test_two_field_linear_flow_against_oracle():
     w = np.array([0.8, -0.6])
     x0 = np.array([1.0, -0.5, 0.25])
     combo = np.einsum("i,ijk->jk", w, A)
-    expect = matrix_exp(combo).value @ x0
+    expect = matrix_exp(combo) @ x0
     got = flow(_as_callable(A), w, x0, 1.0, MarcusConfig(substeps=64))
     assert np.max(np.abs(got - expect)) < 1e-9
     fast = flow(VectorFieldSet.linear(A), w, x0, 1.0, MarcusConfig())
@@ -122,7 +122,7 @@ def test_flow_on_batch_of_points():
     fields = VectorFieldSet.linear(ROT)
     X0 = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]])
     out = flow(fields, np.array([0.3]), X0, 1.0, MarcusConfig())
-    R = matrix_exp(ROT[0], 0.3).value
+    R = matrix_exp(ROT[0], 0.3)
     assert np.max(np.abs(out - X0 @ R.T)) < 1e-12
 
 
@@ -175,7 +175,7 @@ def test_linear_jacobian_is_exponential():
     fields = VectorFieldSet.linear(ROT)
     _, J = flow_with_jacobian(fields, np.array([0.9]), np.array([2.0, -1.0]),
                               1.0, MarcusConfig())
-    assert np.max(np.abs(J - matrix_exp(ROT[0], 0.9).value)) < 1e-12
+    assert np.max(np.abs(J - matrix_exp(ROT[0], 0.9))) < 1e-12
 
 
 def test_curve_average_linear_readout():
@@ -188,15 +188,16 @@ def test_curve_average_linear_readout():
     def H(x):
         return np.asarray(x, dtype=float)
 
-    avg = curve_average(H, fields, np.array([1.0]), x0, MarcusConfig(),
-                        quad_nodes=64)
-    expect = np.linalg.solve(B, (matrix_exp(B).value - np.eye(2)) @ x0)
+    avg = curve_average(H, fields, np.array([1.0]), x0, MarcusConfig())
+    expect = np.linalg.solve(B, (matrix_exp(B) - np.eye(2)) @ x0)
     assert np.max(np.abs(avg - expect)) < 1e-10
 
 
-def test_curve_average_steps_substeps_per_unit_time():
-    # 16 intervals of 1/16 at 64 RK4 steps per unit time: 4 steps of 4
-    # field evaluations each per interval
+@pytest.mark.parametrize("substeps, calls_expected", [(64, 256), (1, 8)])
+def test_curve_average_steps_substeps_per_unit_time(substeps, calls_expected):
+    # one Simpson interval per substep, an even count: 64 intervals of 1/64
+    # at 64 substeps, 2 of 1/2 at 1; one RK4 step of 4 field evaluations
+    # per interval
     calls = []
 
     def square(x):
@@ -205,8 +206,8 @@ def test_curve_average_steps_substeps_per_unit_time():
 
     fields = VectorFieldSet.from_callable(1, 1, square)
     curve_average(lambda x: x, fields, np.array([1.0]), np.array([0.5]),
-                  MarcusConfig(substeps=64), quad_nodes=16)
-    assert len(calls) == 256
+                  MarcusConfig(substeps=substeps))
+    assert len(calls) == calls_expected
 
 
 def test_curve_average_constant_is_identity():
@@ -216,7 +217,7 @@ def test_curve_average_constant_is_identity():
         return np.array([[3.0]])
 
     avg = curve_average(H, fields, np.array([0.5]), np.array([1.0, 0.0]),
-                        MarcusConfig(), quad_nodes=8)
+                        MarcusConfig(substeps=8))
     assert np.max(np.abs(avg - 3.0)) < 1e-14
 
 
@@ -289,3 +290,15 @@ def test_combo_jacobian_skips_fields_of_weight_zero():
     assert np.array_equal(got, [[[3.0]], [[3.0]]]) and len(calls) == 1
     assert np.array_equal(fields.combo_jacobian(X, [0.0, 0.0]), np.zeros((2, 1, 1)))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: VectorFieldSet(2, matrices=np.zeros((1, 2, 3))),
+     r"matrices must be \(m, n, n\)"),
+    (lambda: VectorFieldSet(2, count=1),
+     "need either matrices or a field-matrix callable"),
+    (lambda: MarcusConfig(substeps=0), "substeps must be >= 1"),
+], ids=["matrices-shape", "no-fields", "substeps-0"])
+def test_argument_checks_name_the_fault(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

@@ -350,3 +350,60 @@ def test_sampling_does_not_load_numpy_ma():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: JumpLaw.constant([np.nan]), "constant jump law needs a finite"),
+    (lambda: JumpLaw.constant([0.5, np.inf]),
+     "constant jump law needs a finite"),
+    (lambda: JumpLaw.gaussian([0.0], [np.nan]), "gaussian jump law needs std"),
+    (lambda: JumpLaw.gaussian([np.inf], [1.0]),
+     "gaussian jump law needs a finite"),
+    (lambda: JumpLaw.gaussian([0.0], [np.inf]),
+     "gaussian jump law needs a finite"),
+], ids=["constant-nan", "constant-inf", "gaussian-nan-std", "gaussian-inf-mean",
+        "gaussian-inf-std"])
+def test_jump_law_rejects_non_finite_parameters(make, message):
+    # such a law used to pass, and its first sampled path then failed
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+_GRID = np.array([0.0, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: _params(horizon=np.inf), "horizon must be finite"),
+    (lambda: _params(jump_intensity=-1.0), "jump_intensity must be >= 0"),
+    (lambda: _params(brownian_scale=np.nan),
+     "brownian_scale and drift must be finite"),
+    (lambda: _params(jump_intensity=1.0, jump_law=JumpLaw.constant([1, 2])),
+     "jump law dimension does not match path dimension"),
+    (lambda: JumpPath(np.array([0.0]), np.zeros(1)),
+     "grid needs at least two points"),
+    (lambda: JumpPath(np.array([0.5, 1.0]), np.zeros(2)),
+     "grid must start at 0"),
+    (lambda: JumpPath(_GRID, np.zeros(2)),
+     "continuous_values must have one row per grid point"),
+    (lambda: JumpPath(_GRID, np.zeros(3), np.array([0.5]), [[1.0], [2.0]]),
+     "jump ledger shapes are inconsistent"),
+    (lambda: JumpPath(_GRID, np.zeros(3), np.array([0.5]), [[1.0, 2.0]]),
+     "jump ledger shapes are inconsistent"),
+    (lambda: JumpPath(_GRID, np.zeros(3), np.array([1.0, 0.5]), [[1.0], [2.0]]),
+     "jump times must be strictly increasing"),
+    (lambda: JumpPath(_GRID, np.zeros(3), np.array([0.0]), [[1.0]]),
+     r"jump times must lie in \(0, horizon\]"),
+    (lambda: JumpPath(_GRID, np.zeros(3), np.array([1.5]), [[1.0]]),
+     r"jump times must lie in \(0, horizon\]"),
+    (lambda: prefix(deterministic_path(_GRID, np.zeros(3)), 0.25),
+     "t_end must be a grid point"),
+    (lambda: prefix(deterministic_path(_GRID, np.zeros(3)), 0.0),
+     "prefix needs t_end > 0"),
+], ids=["params-horizon-inf", "params-negative-intensity", "params-scale-nan",
+        "params-law-dimension", "path-one-point", "path-start", "path-rows",
+        "path-ledger-count", "path-ledger-width", "path-jump-order",
+        "path-jump-at-0", "path-jump-past-horizon", "prefix-off-grid",
+        "prefix-at-0"])
+def test_argument_checks_name_the_fault(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
