@@ -78,15 +78,18 @@ from .stratjump import verify_ivk
 RATIO_BOUND = 0.6
 RESIDUAL_FLOOR = 1e-12
 CONCAT_BOUND = 1e-8
+# one encoder per indent: json.dumps with keywords builds one per call
+_ENCODERS = {indent: json.JSONEncoder(sort_keys=True, indent=indent,
+                                      allow_nan=False) for indent in (None, 2)}
 
 
 def _dumps(obj, indent=None):
     """Sorted JSON text, with each non-finite number written as null."""
     try:
-        return json.dumps(obj, sort_keys=True, indent=indent, allow_nan=False)
+        return _ENCODERS[indent].encode(obj)
     except ValueError:  # a NaN or infinity: strict JSON has only null
         obj = json.loads(json.dumps(obj), parse_constant=lambda name: None)
-        return json.dumps(obj, sort_keys=True, indent=indent)
+        return _ENCODERS[indent].encode(obj)
 
 
 def _write(outdir, artifacts):

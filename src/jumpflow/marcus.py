@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import IntegrationFailure
 from .odeflow import MarcusConfig, VectorFieldSet, flow, flow_with_jacobian
-from .semimartingale import (JumpPath, PathParams, _grid_for, _levy_arrays,
+from .semimartingale import (JumpPath, PathParams, _grid_for, _sample_block,
                              _substream, _write_csv)
 
 
@@ -77,8 +77,8 @@ def _sweep(fields, driver, x, cfg, jacobian, freeze_index=None,
            freeze_side=None):
     """Advance a state (n,) or a batch (B, n) along the driver grid.
 
-    ``driver`` is a JumpPath that every row follows, or a block from
-    ``_pack``.  With ``jacobian`` the derivative with respect to ``x`` rides
+    ``driver`` is a JumpPath that every row follows, or a block of
+    ``_driver_block``.  With ``jacobian`` the derivative in ``x`` rides
     along.  Without freeze indices every grid time is recorded, pre and post
     jump, and a Trajectory is returned.  With them, row r stops at grid
     index ``freeze_index[r]`` on side ``freeze_side[r]`` (0: the left limit,
@@ -289,22 +289,13 @@ class EnsembleSummary:
     observable_variance: dict
 
 
-def _pack(paths, base):
-    """Step-aligned block (None, dz, {step: (rows, sizes)}) of drivers given
-    as ``_levy_arrays`` tuples, each row padded at the end with zero
-    increments, and their ``base`` time indices."""
-    dzs, jumps, at = [], {}, []
-    for r, (grid, cont, jump_times, jump_sizes) in enumerate(paths):
-        dzs.append(np.diff(cont, axis=0))
-        for k, size in zip(np.searchsorted(grid, jump_times), jump_sizes):
-            jumps.setdefault(k, []).append((r, size))
-        at.append(np.searchsorted(grid, base))
-    dz = np.zeros((max(d.shape[0] for d in dzs), len(dzs), dzs[0].shape[1]))
-    for r, d in enumerate(dzs):
-        dz[:d.shape[0], r] = d
-    jumps = {k: (np.array([r for r, _ in hops]), np.array([s for _, s in hops]))
-             for k, hops in jumps.items()}
-    return (None, dz, jumps), np.array(at)
+def _driver_block(params, seeds, base):
+    """Step-aligned block (None, dz, {step: (rows, sizes)}) of the drivers
+    of ``_sample_block``, its rows padded with zero increments, and ``at``."""
+    _, cont, at, (rows, steps, _, sizes) = _sample_block(params, seeds, base)
+    jumps = {k: (rows[steps == k], sizes[steps == k])
+             for k in set(steps.tolist())}
+    return (None, np.diff(cont, axis=0), jumps), at
 
 
 def solve_ensemble(fields: VectorFieldSet, params: PathParams, x0,
@@ -313,9 +304,9 @@ def solve_ensemble(fields: VectorFieldSet, params: PathParams, x0,
 
     Per-path seeds derive from params.seed through the documented substream
     scheme (purpose key 3), so the ensemble is reproducible and insensitive
-    to n_paths changes path-by-path.  Blocks of paths, drawn straight into
-    arrays, are stepped together, each row exactly as ``solve_point`` steps
-    it, and moments are summed per path in path order.  A path whose
+    to n_paths changes path-by-path.  Blocks of paths, drawn by
+    ``_sample_block``, are stepped together, each row as ``solve_point``
+    steps it, and moments are summed per path in path order.  A path whose
     states, observable series or their squares are not finite is counted as
     a failure and skipped, never fatal.  ``observables`` maps name ->
     f(times, states) returning a per-time scalar series.
@@ -331,9 +322,9 @@ def solve_ensemble(fields: VectorFieldSet, params: PathParams, x0,
     # an overflowed sample, state or sum is a failure, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_paths, block):
-            driver, at = _pack((_levy_arrays(
-                params, int(_substream(params.seed, 3, r).integers(0, 2 ** 63)),
-                base) for r in range(start, min(start + block, n_paths))), base)
+            driver, at = _driver_block(params, [
+                int(_substream(params.seed, 3, r).integers(0, 2 ** 63))
+                for r in range(start, min(start + block, n_paths))], base)
             post = _run(_sweep(fields, driver, np.broadcast_to(
                 x0, (at.shape[0],) + np.shape(x0)), cfg, False))
             for r in range(at.shape[0]):

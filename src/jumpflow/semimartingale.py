@@ -83,8 +83,8 @@ class JumpLaw:
         m = self.dimension
         if self.kind == "constant":
             return np.tile(self.value, (count, 1))
-        if self.kind == "uniform":
-            return rng.uniform(self.low, self.high, size=(count, m))
+        if self.kind == "uniform":  # rng.uniform's bits, without its broadcast
+            return self.low + (self.high - self.low) * rng.random((count, m))
         if self.kind == "gaussian":
             return self.mean + self.std * rng.standard_normal((count, m))
         raise ValueError("unknown jump law kind %r" % self.kind)
@@ -239,48 +239,64 @@ def _grid_for(horizon: float, step: float) -> np.ndarray:
     return np.concatenate([grid, [horizon]])
 
 
-def _levy_arrays(params: PathParams, seed: int, base: np.ndarray):
-    """(grid, continuous values, jump times, jump sizes) drawn by ``params``
-    with ``seed`` for ``params.seed``; ``base`` is their ``_grid_for``.
-
-    The base grid is augmented with the sampled jump times; Brownian
-    increments are then drawn per channel over the merged grid, so the
-    continuous part is exact at every grid point.  Bit-identical output for
-    identical inputs (see the substream scheme on ``_substream``).
-    """
-    T, m = params.horizon, params.dimension
-    jump_times = np.empty(0)
-    jump_sizes = np.zeros((0, m))
-    if params.jump_intensity > 0:
-        rng_t = _substream(seed, 1)
-        count = int(rng_t.poisson(params.jump_intensity * T))
+def _sample_block(params: PathParams, seeds, base: np.ndarray):
+    """The drivers that ``params`` draws with each of ``seeds`` for its
+    seed, one column each, on ``base = _grid_for(...)``: grid (K, R) and
+    continuous values (K, R, m), each column padded with its last row; the
+    index of each base time in its path's grid, ``at`` (R, len(base)); and
+    each jump's (row, step, time, size), in path and then time order.
+    Only the draws are made path by path, from the substreams (see
+    ``_substream``); the grids, their steps and the sums of the scaled
+    normals are built in arrays, so each column holds its path's bits."""
+    T, m, nb, R = params.horizon, params.dimension, base.shape[0], len(seeds)
+    draws = [np.empty(0)] * R
+    for r, seed in enumerate(seeds if params.jump_intensity > 0 else ()):
+        rng = _substream(seed, 1)
+        draws[r] = np.sort(rng.uniform(0.0, T, size=rng.poisson(
+            params.jump_intensity * T)))
+    rows = np.repeat(np.arange(R), [d.shape[0] for d in draws])
+    times = np.concatenate(draws)
+    # distinct and positive per path; np.unique would import numpy.ma
+    keep = times > np.where(np.diff(rows, prepend=-1), 0.0, np.roll(times, 1))
+    rows, times = rows[keep], times[keep]
+    b = np.searchsorted(base, times)
+    off = base[b] != times  # a jump between base points adds a grid point
+    added = np.bincount(rows[off], minlength=R)
+    steps = b + np.cumsum(off) - off - (np.cumsum(added) - added)[rows]
+    at = np.arange(nb) + np.cumsum(np.bincount(
+        rows[off] * nb + b[off], minlength=R * nb).reshape(R, nb), axis=1)
+    grid = np.full((at[:, -1].max() + 1, R), T)
+    grid[at, np.arange(R)[:, None]] = base
+    grid[steps, rows] = times
+    cont = np.zeros(grid.shape + (m,))
+    scale, sizes = params.scale_vector(), [np.zeros((0, m))]
+    for r, (seed, count, n) in enumerate(zip(seeds, np.bincount(
+            rows, minlength=R).tolist(), at[:, -1].tolist())):
         if count:
-            jump_times = np.sort(rng_t.uniform(0.0, T, size=count))
-            # distinct and positive; np.unique would import numpy.ma
-            jump_times = jump_times[np.diff(jump_times, prepend=0.0) > 0]
-            jump_sizes = params.jump_law.sample(_substream(seed, 2),
-                                                jump_times.shape[0])
-
-    grid = np.sort(np.concatenate([base, jump_times]))
-    grid = grid[np.diff(grid, prepend=-1.0) > 0]
-    dt = np.diff(grid)
-    scale = params.scale_vector()
-    bm = np.zeros((grid.shape[0], m))
-    for c in np.flatnonzero(scale):
-        db = _substream(seed, 0, c).standard_normal(dt.shape[0]) * np.sqrt(dt)
-        np.cumsum(db, out=bm[1:, c])
-    cont = params.drift_vector() * grid[:, None] + scale * bm
-    return grid, cont, jump_times, jump_sizes
+            sizes.append(params.jump_law.sample(_substream(seed, 2), count))
+        for c in np.flatnonzero(scale).tolist():
+            cont[1:n + 1, r, c] = _substream(seed, 0, c).standard_normal(n)
+    cont[1:] *= np.sqrt(np.diff(grid, axis=0))[..., None]
+    np.cumsum(cont[1:], axis=0, out=cont[1:])
+    cont *= scale
+    cont += params.drift_vector() * grid[..., None]
+    return grid, cont, at, (rows, steps, times, np.concatenate(sizes))
 
 
 def sample_levy_jump_diffusion(params: PathParams) -> JumpPath:
-    """Draw one jump-diffusion driver path (see ``_levy_arrays``); a path
-    that overflowed raises IntegrationFailure (see ``JumpPath``)."""
+    """Draw one jump-diffusion driver path, a block of one (see
+    ``_sample_block``).  A path that overflowed raises IntegrationFailure
+    at its first non-finite time, a jump of non-finite size included."""
     with np.errstate(over="ignore", invalid="ignore"):
-        grid, cont, jump_times, jump_sizes = _levy_arrays(
-            params, params.seed, _grid_for(params.horizon, params.step))
-    return JumpPath(grid=grid, continuous_values=cont,
-                    jump_times=jump_times, jump_sizes=jump_sizes)
+        grid, cont, _, (_, _, times, sizes) = _sample_block(
+            params, [params.seed], _grid_for(params.horizon, params.step))
+    # JumpPath rejects a non-finite size: fail at its jump, or before it
+    for j in np.flatnonzero(~np.isfinite(sizes).all(axis=1))[:1].tolist():
+        k = int(np.searchsorted(grid[:, 0], times[j])) + 1
+        JumpPath(grid[:k, 0], cont[:k, 0], times[:j], sizes[:j])
+        raise IntegrationFailure("driver path overflowed", time=times[j])
+    return JumpPath(grid=grid[:, 0], continuous_values=cont[:, 0],
+                    jump_times=times, jump_sizes=sizes)
 
 
 def deterministic_path(times, values, jumps=()) -> JumpPath:

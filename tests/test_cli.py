@@ -20,6 +20,7 @@ from jumpflow.cli import main
 from jumpflow.config import (build_driver, build_marcus_config, build_problem,
                              load_config)
 from jumpflow.marcus import solve_with_jacobian
+from jumpflow.semimartingale import _substream
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -438,6 +439,38 @@ def test_overflowing_deterministic_driver_exits_3(tmp_path, capsys):
         "integration failure at t=0.6: driver path overflowed")
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_overflowing_gaussian_jump_draw_exits_3(tmp_path, capsys, seed):
+    # a finite law whose draws overflow: the driver fails at its first jump
+    # of non-finite size, as an overflowed Brownian part does; an ensemble
+    # counts such paths as failures
+    with open(_cfg("ensemble_linear.yaml")) as fh:
+        cfg = yaml.safe_load(fh)
+    cfg["driver"].update(jump_intensity=3.0, jump_law={
+        "kind": "gaussian", "mean": [1e308], "scale": [1e308]})
+    path = tmp_path / "overflow.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    child = _substream(seed, 1)
+    times = np.sort(child.uniform(0.0, 1.0, size=child.poisson(3.0)))
+    with np.errstate(over="ignore"):
+        sizes = 1e308 + 1e308 * _substream(seed, 2).standard_normal(
+            times.shape[0])
+    assert not np.isfinite(sizes).all()
+    t = times[np.argmin(np.isfinite(sizes))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(path), "--seed", str(seed),
+                     "--out", str(tmp_path / "sim")]) == 3
+        assert capsys.readouterr().err.startswith(
+            "integration failure at t=%g: driver path overflowed" % t)
+        cfg["ensemble"]["n_paths"] = 40
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["ensemble", "--config", str(path), "--seed", str(seed),
+                     "--out", str(tmp_path / "ens")]) == 0
+    with open(tmp_path / "ens" / "ensemble.json") as fh:
+        assert 0 < json.load(fh)["n_failures"] < 40
+
+
 def test_overflowing_driver_samples_are_ensemble_failures(tmp_path, capsys):
     with open(_cfg("ensemble_linear.yaml")) as fh:
         cfg = yaml.safe_load(fh)
@@ -853,6 +886,15 @@ def test_public_names_are_pinned_and_star_import_binds_them():
     names, bound = json.loads(_fresh_python(probe))
     assert names == PUBLIC_NAMES
     assert bound == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("name", ["solve", "_EXPORTS_", "cli_main"])
+def test_unknown_package_name_raises_attribute_error(name):
+    import jumpflow
+    with pytest.raises(AttributeError, match="module 'jumpflow' has no "
+                       "attribute '%s'" % name):
+        getattr(jumpflow, name)
+    assert not hasattr(jumpflow, name)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),

@@ -253,3 +253,23 @@ def test_distribution_shape_guard():
 def test_constant_distribution_needs_a_matrix_basis():
     with pytest.raises(ValueError, match=r"constant basis must be an \(n, k\)"):
         Distribution.constant(np.array([1.0, 0.0]))
+
+
+_LINE2, _PLANE3 = np.eye(2)[:, :1], np.eye(3)[:, 1:]
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ComplementaryPair(Distribution.constant(_LINE2),
+                               Distribution.constant(_PLANE3)),
+     "pair lives on different spaces"),
+    (lambda: ComplementaryPair(Distribution.constant(_LINE2),
+                               Distribution.constant(np.eye(2))),
+     "ranks must sum to the dimension"),
+    (lambda: Distribution.constant(np.ones(3)),
+     r"constant basis must be an \(n, k\) array"),
+    (lambda: Distribution(2, 3, lambda x: np.eye(2)),
+     "rank must be between 1 and the dimension"),
+], ids=["pair-spaces", "pair-ranks", "basis-shape", "rank-too-high"])
+def test_argument_checks_name_the_fault(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

@@ -12,13 +12,13 @@ import jumpflow.odeflow as odeflow
 from jumpflow.config import (build_driver, build_marcus_config, build_problem,
                              load_config)
 from jumpflow.errors import IntegrationFailure
-from jumpflow.marcus import (MarcusConfig, _pack, _run, _sweep,
+from jumpflow.marcus import (MarcusConfig, _driver_block, _run, _sweep,
                              solve_ensemble, solve_map_batch, solve_point,
                              solve_with_jacobian, trajectory_to_csv)
 from jumpflow.odeflow import VectorFieldSet
 from jumpflow.reference import linear_marcus_mean, matrix_exp
 from jumpflow.semimartingale import (JumpLaw, PathParams, _grid_for,
-                                     _levy_arrays, _substream,
+                                     _substream,
                                      deterministic_path, prefix,
                                      sample_levy_jump_diffusion)
 
@@ -409,6 +409,102 @@ def test_ensemble_with_failing_rows_gives_survivor_moments():
     assert 0 < got.n_failures < 20
 
 
+def _one_path(params, seed, base):
+    """(grid, continuous values, jump times, jump sizes) of the driver that
+    ``params`` draws with ``seed`` on ``base``, recomputed alone from its
+    substreams: purpose 1 the Poisson count and sorted times, purpose 2 the
+    sizes, purpose 0 one normal per interval of each scaled channel."""
+    T, m = params.horizon, params.dimension
+    times, sizes = np.empty(0), np.zeros((0, m))
+    if params.jump_intensity > 0:
+        rng = _substream(seed, 1)
+        count = int(rng.poisson(params.jump_intensity * T))
+        times = np.sort(rng.uniform(0.0, T, size=count))
+        times = times[np.diff(times, prepend=0.0) > 0]
+        law, shape = params.jump_law, (times.shape[0], m)
+        if times.shape[0] and law.kind == "constant":
+            sizes = np.tile(law.value, (shape[0], 1))
+        elif times.shape[0] and law.kind == "uniform":
+            sizes = _substream(seed, 2).uniform(law.low, law.high, size=shape)
+        elif times.shape[0]:
+            sizes = law.mean + law.std * _substream(seed, 2).standard_normal(
+                shape)
+    grid = np.sort(np.concatenate([base, times]))
+    grid = grid[np.diff(grid, prepend=-1.0) > 0]
+    dt = np.diff(grid)
+    bm = np.zeros((grid.shape[0], m))
+    for c in np.flatnonzero(params.scale_vector()):
+        bm[1:, c] = np.cumsum(
+            _substream(seed, 0, c).standard_normal(dt.shape[0]) * np.sqrt(dt))
+    cont = params.drift_vector() * grid[:, None] + params.scale_vector() * bm
+    return grid, cont, times, sizes
+
+
+_SAMPLED = {
+    "m1-constant": PathParams(
+        horizon=1.0, step=0.05, brownian_scale=0.4, drift=0.3,
+        jump_intensity=1.0, jump_law=JumpLaw.constant([0.2]), seed=11),
+    "m2-uniform-zero-scale": PathParams(
+        horizon=1.0, step=0.1, brownian_scale=(0.25, 0.0), drift=(0.0, -0.5),
+        jump_intensity=3.0,
+        jump_law=JumpLaw.uniform([-0.3, -0.3], [0.3, 0.3]), seed=14,
+        dimension=2),
+    "m3-gaussian-zero-scale": PathParams(
+        horizon=2.0, step=0.125, brownian_scale=(0.3, 0.0, 1.5),
+        drift=(0.1, -0.2, 0.0), jump_intensity=1.5,
+        jump_law=JumpLaw.gaussian([0.0, 1.0, -1.0], [0.5, 0.0, 2.0]),
+        seed=17, dimension=3),
+    "m2-intensity-0": PathParams(
+        horizon=0.7, step=0.1, brownian_scale=(1.0, 0.5), drift=0.2,
+        seed=15, dimension=2),
+}
+
+
+@pytest.mark.parametrize("on_base", [False, True],
+                         ids=["base-grid", "jump-on-base-point"])
+@pytest.mark.parametrize("name", list(_SAMPLED))
+def test_sampled_rows_equal_one_path_draws_bitwise(name, on_base):
+    # every row of a block, and the one-path sampler, holds the bits of
+    # its driver recomputed alone; on_base puts a base point on a drawn
+    # jump time, which the merged grid then holds once
+    params = _SAMPLED[name]
+    seeds = [int(_substream(params.seed, 3, r).integers(0, 2 ** 63))
+             for r in range(12)]
+    base = _grid_for(params.horizon, params.step)
+    ref = [_one_path(params, s, base) for s in seeds]
+    counts = [times.shape[0] for _, _, times, _ in ref]
+    if params.jump_intensity:
+        assert min(counts) == 0 and max(counts) >= 2
+    else:
+        assert max(counts) == 0
+    if on_base and max(counts):
+        t = next(times[-1] for _, _, times, _ in ref if times.shape[0])
+        base = np.sort(np.r_[base, t])
+        ref = [_one_path(params, s, base) for s in seeds]
+        assert any(t in grid for grid, _, _, _ in ref)
+    (_, dz, jumps), at = _driver_block(params, seeds, base)
+    hops = {r: [] for r in range(len(seeds))}
+    for k, (rows, sizes) in jumps.items():
+        for r, size in zip(rows.tolist(), sizes):
+            hops[r].append((int(k), size.tobytes()))
+    for r, (grid, cont, times, sizes) in enumerate(ref):
+        n = grid.shape[0]
+        assert dz[:n - 1, r].tobytes() == np.diff(cont, axis=0).tobytes()
+        assert not dz[n - 1:, r].any()
+        assert sorted(hops[r]) == [
+            (k, size.tobytes())
+            for k, size in zip(np.searchsorted(grid, times).tolist(), sizes)]
+        assert at[r].tolist() == np.searchsorted(grid, base).tolist()
+    base = _grid_for(params.horizon, params.step)
+    for seed in seeds:
+        path = sample_levy_jump_diffusion(replace(params, seed=seed))
+        for got, want in zip((path.grid, path.continuous_values,
+                              path.jump_times, path.jump_sizes),
+                             _one_path(params, seed, base)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_block_row_that_overflows_stays_non_finite():
     # x_1' = x_1 dz, x_2' = 0 with a jump of 800: a row that jumps
     # overflows there to (inf, x_2), and the next Heun step makes x_2 NaN
@@ -421,7 +517,7 @@ def test_block_row_that_overflows_stays_non_finite():
     fields = VectorFieldSet.linear(np.array([[[1.0, 0.0], [0.0, 0.0]]]))
     base = _grid_for(params.horizon, params.step)
     seeds = [int(_substream(13, 3, r).integers(0, 2 ** 63)) for r in range(8)]
-    block, _ = _pack([_levy_arrays(params, s, base) for s in seeds], base)
+    block, _ = _driver_block(params, seeds, base)
     post = _run(_sweep(fields, block, np.ones((8, 2)), MarcusConfig(), False))
     failing = 0
     for r, seed in enumerate(seeds):

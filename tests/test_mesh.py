@@ -186,3 +186,18 @@ def test_embedding_jacobian_matches_fd():
         fd[:, j] = ((chart.to_cartesian(c + d) - chart.to_cartesian(c - d))
                     / (2 * eps))[0]
     assert np.max(np.abs(J - fd)) < 1e-6
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: mesh_jacobian(MeshChart.box(((0.0, 1.0), (0.0, 1.0)), (2, 5)),
+                           np.zeros((2, 5, 2))),
+     "need at least 3 nodes per bounded axis"),
+    (lambda: mesh_jacobian(MeshChart.annulus((0.5, 1.0), (2, 8)),
+                           np.zeros((2, 8, 2))),
+     "need at least 3 nodes per bounded axis"),
+    (lambda: MeshChart.annulus((0.0, 1.0), (4, 8)),
+     "annulus must avoid the origin"),
+], ids=["box-2-nodes", "annulus-2-radii", "annulus-origin"])
+def test_argument_checks_name_the_fault(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

@@ -146,3 +146,28 @@ def test_composite_orbit_derivative_is_chain_rule(family):
                    for e in np.eye(2)], axis=-1)
     E = np.array([matrix_exp(z1 * D + z2 * D @ D) for z1, z2 in z])
     assert np.max(np.abs(fd - Dpsi @ E)) < 1e-8
+
+
+_M = np.array([[2.0, 1.0], [0.3, 3.0]])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: matrix_exp(np.ones((2, 3))), "matrix_exp expects a square matrix"),
+    (lambda: radial_decomposition(np.ones(3), [[1.0, 0.0, 0.0]]),
+     "radial_decomposition expects a square matrix"),
+    (lambda: radial_decomposition(np.zeros((2, 2)), [[1.0, 0.0]]),
+     "matrix must be invertible"),
+    (lambda: radial_decomposition(_M, [[1.0, 0.0]])[0]([0.0, 0.0]),
+     "radial map undefined at the origin"),
+    (lambda: radial_decomposition(_M, [[1.0, 0.0]])[1]([0.0, 0.0]),
+     "sphere map undefined at the origin"),
+    (lambda: radial_decomposition(_M, [[0.7, -1.3]], tol=-1.0),
+     r"radial decomposition self-check failed at probe \[ 0.7 -1.3\]"),
+    (lambda: linear_marcus_mean([[[1.0]]], [1.0], [0.0],
+                                jump_law=("poisson", 1.0)),
+     "unknown jump law kind 'poisson'"),
+], ids=["exp-square", "radial-square", "radial-singular", "psi-origin",
+        "xi-origin", "self-check", "mean-law-kind"])
+def test_argument_checks_name_the_fault(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

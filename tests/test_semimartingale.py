@@ -399,11 +399,19 @@ _GRID = np.array([0.0, 0.5, 1.0])
      "t_end must be a grid point"),
     (lambda: prefix(deterministic_path(_GRID, np.zeros(3)), 0.0),
      "prefix needs t_end > 0"),
+    (lambda: JumpLaw.uniform([0.5], [0.25]),
+     "uniform jump law needs low <= high of equal shape"),
+    (lambda: JumpLaw.uniform([0.0], [1.0, 2.0]),
+     "uniform jump law needs low <= high of equal shape"),
+    (lambda: JumpLaw(kind="constant").dimension, "jump law has no parameters"),
+    (lambda: JumpLaw(kind="poisson", value=np.ones(1)).sample(
+        np.random.default_rng(0), 1), "unknown jump law kind 'poisson'"),
 ], ids=["params-horizon-inf", "params-negative-intensity", "params-scale-nan",
         "params-law-dimension", "path-one-point", "path-start", "path-rows",
         "path-ledger-count", "path-ledger-width", "path-jump-order",
         "path-jump-at-0", "path-jump-past-horizon", "prefix-off-grid",
-        "prefix-at-0"])
+        "prefix-at-0", "law-low-above-high", "law-shapes",
+        "bare-law-no-parameters", "bare-law-unknown-kind"])
 def test_argument_checks_name_the_fault(make, message):
     with pytest.raises(ValueError, match=message):
         make()

@@ -11,8 +11,12 @@ generated workload configs), plus ``simulate`` on ``rotation_jump.yaml``,
 configs written into the scratch directory (``EXTRA_EDITED``):
 ``custom_linear.yaml`` simulated with ``solver.record_jacobian: true``,
 ``radial_linear.yaml`` decomposed with ``geometry.cond_cap: 1.0`` (a NaN
-``det_block`` at tau 0) and ``rotation.yaml`` simulated with a jump of
-``[1e308]`` (exit 3, no artifacts).  Each run is a fresh
+``det_block`` at tau 0), ``rotation.yaml`` simulated with a jump of
+``[1e308]`` (exit 3, no artifacts), and two ensembles whose blocks reach
+the sampler's edge cases: ``ensemble_linear.yaml`` with drift, gaussian
+jumps and 700 paths (three blocks, the last one partial) and
+``custom_linear.yaml`` with 40 paths and ``brownian_scale: [0.25, 0.0]``
+(a channel with no draws, two blocks).  Each run is a fresh
 ``python -m jumpflow.cli`` process on the checkout's ``src``.  The output
 maps each run's label to its exit code, its stderr, the SHA-256 of every
 file it wrote, except ``run_meta.txt`` (which holds timings), and the
@@ -48,6 +52,16 @@ EXTRA_EDITED = (
     ("simulate:rotation-jump-1e308", "simulate", "rotation.yaml",
      lambda cfg: cfg["driver"].update(
          jumps=[{"time": 0.5, "size": [1e308]}])),
+    ("ensemble:ensemble_linear-gaussian-700", "ensemble",
+     "ensemble_linear.yaml",
+     lambda cfg: (cfg["driver"].update(drift=0.3, jump_intensity=2.0,
+                                       jump_law={"kind": "gaussian",
+                                                 "mean": [0.1],
+                                                 "scale": [0.2]}),
+                  cfg["ensemble"].update(n_paths=700))),
+    ("ensemble:custom_linear-scale-0", "ensemble", "custom_linear.yaml",
+     lambda cfg: (cfg["driver"].update(brownian_scale=[0.25, 0.0]),
+                  cfg.update(ensemble={"n_paths": 40, "observable": "norm"}))),
 )
 
 
