@@ -296,6 +296,13 @@ def check_subcommand(cfg: dict, problem: dict, command: str) -> None:
         n = problem["fields"].dimension
         _expect(problem["kind"] == "mesh" or problem["horizontal_dim"] < n,
                 "horizontal_dim", "must be below the state dimension %d" % n)
+    # convergence's reference and verify-ivk's finest rung refine the grid
+    finest = {"convergence": 1, "verify-ivk": -1}.get(command)
+    if finest is not None:
+        drv = cfg["driver"]
+        _expect(drv["horizon"] / drv["step"] * 2 ** (cfg["ladder"] + finest)
+                <= MAX_SIZE, "ladder", "must keep the refined grid at most %d "
+                "steps (horizon / step * 2^(ladder%+d))" % (MAX_SIZE, finest))
     if command == "ensemble":
         _expect(cfg["driver"]["type"] == "levy", "driver.type",
                 "ensemble needs a levy driver")

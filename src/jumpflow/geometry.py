@@ -83,7 +83,9 @@ class ComplementaryPair:
 
 
 class DiffeoProbe:
-    """A diffeomorphism handle: its Jacobian and inverse maps."""
+    """A diffeomorphism handle: its Jacobian and inverse maps, which
+    broadcast over leading axes ((..., n) -> (..., n, n) and (..., n)).
+    The `identity` and `linear` maps return fresh, writable arrays."""
 
     def __init__(self, jacobian, inverse):
         self.jacobian = jacobian
@@ -92,14 +94,17 @@ class DiffeoProbe:
     @classmethod
     def identity(cls, dimension):
         eye = np.eye(dimension)
-        return cls(jacobian=lambda x: eye.copy(),
-                   inverse=lambda y: np.asarray(y, dtype=float).copy())
+        return cls(jacobian=lambda x: np.array(np.broadcast_to(
+                       eye, np.shape(x)[:-1] + eye.shape)),
+                   inverse=lambda y: np.array(y, dtype=float))
 
     @classmethod
     def linear(cls, matrix):
         M = np.asarray(matrix, dtype=float)
-        return cls(jacobian=lambda x: M.copy(),
-                   inverse=lambda y: np.linalg.solve(M, np.asarray(y, dtype=float)))
+        return cls(jacobian=lambda x: np.array(np.broadcast_to(
+                       M, np.shape(x)[:-1] + M.shape)),
+                   inverse=lambda y: np.linalg.solve(
+                       M, np.asarray(y, dtype=float)[..., None])[..., 0])
 
 
 def subspace_projector(basis) -> np.ndarray:

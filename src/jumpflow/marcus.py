@@ -11,8 +11,8 @@ Every solver is one sweep, ``_sweep``, over one grid loop: it advances a
 state or a batch of states and carries the flow Jacobian only when asked.
 ``solve_point`` and ``solve_with_jacobian`` record every grid time;
 ``solve_map_batch`` stops each row at its own time; ``solve_ensemble``
-steps blocks of drivers, one per row, each row as ``solve_point`` would,
-with one per-row weighted flow for all the jumps at a grid step.
+steps a block of drivers, one per row, with one weighted flow for all the
+jumps at a grid step, then observes and screens the block's states once.
 
 The sweep is a generator that hands over the rows hopping a jump and resumes
 with their flowed states.  ``_serve`` runs sweeps whose drivers share their
@@ -304,12 +304,12 @@ def solve_ensemble(fields: VectorFieldSet, params: PathParams, x0,
 
     Per-path seeds derive from params.seed through the documented substream
     scheme (purpose key 3), so the ensemble is reproducible and insensitive
-    to n_paths changes path-by-path.  Blocks of paths, drawn by
-    ``_sample_block``, are stepped together, each row as ``solve_point``
-    steps it, and moments are summed per path in path order.  A path whose
-    states, observable series or their squares are not finite is counted as
-    a failure and skipped, never fatal.  ``observables`` maps name ->
-    f(times, states) returning a per-time scalar series.
+    to n_paths changes path-by-path.  A block of paths (``_sample_block``)
+    is stepped as ``solve_point`` steps each row, then observed and screened
+    once: a path whose states, observable series or their squares are not
+    finite is a failure; the others' moments are summed in path order.
+    ``observables`` maps name -> f(times (K,), states (..., K, n)) -> (..., K);
+    any other shape raises ValueError.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -325,17 +325,21 @@ def solve_ensemble(fields: VectorFieldSet, params: PathParams, x0,
             driver, at = _driver_block(params, [
                 int(_substream(params.seed, 3, r).integers(0, 2 ** 63))
                 for r in range(start, min(start + block, n_paths))], base)
-            post = _run(_sweep(fields, driver, np.broadcast_to(
-                x0, (at.shape[0],) + np.shape(x0)), cfg, False))
-            for r in range(at.shape[0]):
-                vals = [post[at[r], r]]
-                vals += [np.asarray(fn(base, vals[0]), dtype=float)
-                         for fn in observables.values()]
-                squares = [v ** 2 for v in vals]
-                if all(np.all(np.isfinite(sq)) for sq in squares):
-                    acc = [a + v for a, v in zip(acc, vals)]
-                    acc2 = [a + sq for a, sq in zip(acc2, squares)]
-                    done += 1
+            rows = np.arange(len(at))[:, None]
+            states = _run(_sweep(fields, driver, np.broadcast_to(
+                x0, (len(at),) + np.shape(x0)), cfg, False))[at, rows]
+            vals = [states] + [np.asarray(fn(base, states), dtype=float)
+                               for fn in observables.values()]
+            for v in vals[1:]:
+                if v.shape != states.shape[:-1]:
+                    raise ValueError("observable: shape %s, not %s (..., K)"
+                                     % (v.shape, states.shape[:-1]))
+            ok = np.all([np.isfinite(v ** 2).reshape(len(v), -1).all(axis=1)
+                         for v in vals], axis=0)
+            for r in np.flatnonzero(ok).tolist():
+                acc = [a + v[r] for a, v in zip(acc, vals)]
+                acc2 = [a + v[r] ** 2 for a, v in zip(acc2, vals)]
+            done += int(ok.sum())
     if done == 0:
         raise IntegrationFailure("every path in the ensemble failed")
     mean = [a / done for a in acc]

@@ -732,6 +732,58 @@ def test_subcommand_requirement_exits_2_before_any_output(
     assert capsys.readouterr() == ("", "config error: %s\n" % message)
 
 
+def _long_driver(horizon, step):
+    """An edit that sets the driver's horizon and step (and drops the
+    deterministic jumps, which would fall off the new grid)."""
+    def edit(cfg):
+        cfg["driver"].update(horizon=horizon, step=step)
+        if cfg["driver"]["type"] == "deterministic":
+            cfg["driver"]["jumps"] = []
+    return edit
+
+
+_REFINED = ("ladder: must keep the refined grid at most 10000000 steps "
+            "(horizon / step * 2^(ladder%s))")
+
+
+@pytest.mark.parametrize("command, name, edit, extra, message", [
+    # a 5.12e8-step reference grid, with the ladder in the config
+    ("convergence", "convergence_linear.yaml",
+     lambda cfg: (_long_driver(1.0, 1.0e-6)(cfg), cfg.update(ladder=8)),
+     [], _REFINED % "+1"),
+    ("convergence", "convergence_linear.yaml", _long_driver(78126.0, 1.0),
+     ["--ladder", "6"], _REFINED % "+1"),
+    ("verify-ivk", "ivk_jump.yaml", _long_driver(1.0, 1.0e-5),
+     ["--ladder", "8"], _REFINED % "-1"),
+    ("verify-ivk", "ivk_commuting.yaml", _long_driver(78126.0, 1.0),
+     ["--ladder", "8"], _REFINED % "-1"),
+    # the largest refined grids allowed, 78125 * 2^7 = 10^7 steps
+    ("convergence", "convergence_linear.yaml", _long_driver(78125.0, 1.0),
+     ["--ladder", "6"], None),
+    ("verify-ivk", "ivk_commuting.yaml", _long_driver(78125.0, 1.0),
+     ["--ladder", "8"], None),
+    ("simulate", "convergence_linear.yaml", _long_driver(1.0, 1.0e-6),
+     ["--ladder", "8"], None),
+], ids=["convergence-config", "convergence", "verify-ivk-levy", "verify-ivk",
+        "convergence-at-bound", "verify-ivk-at-bound", "simulate-unrefined"])
+def test_refined_grid_is_bounded_before_any_output(
+        tmp_path, capsys, command, name, edit, extra, message):
+    # checked through --dump-config first, so a config that slips through
+    # is never run
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(_shipped(name, edit)))
+    args = [command, "--config", str(path)] + extra
+    assert main(args + ["--dump-config"]) == (2 if message else 0)
+    out, err = capsys.readouterr()
+    if message is None:
+        assert err == "" and "\nladder: %s\n" % extra[1] in out
+        return
+    assert (out, err) == ("", "config error: %s\n" % message)
+    assert main(args + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", "config error: %s\n" % message)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("probes, message", [
     ([[0.0, 0.0]], "probes[0]: radius 0 is outside mesh.radii [0.5, 2]"),
     ([[1.0, 0.0], [10.0, 0.0]],

@@ -97,6 +97,28 @@ def test_adjoint_of_linear_map_matches_closed_form():
     assert np.max(np.abs(moved.basis(x) - M @ B)) < 1e-10
 
 
+@pytest.mark.parametrize("batch", [(5, 3), (3, 3), (2, 4, 3)])
+@pytest.mark.parametrize("probe", ["identity", "linear"])
+def test_adjoint_basis_of_a_batch_is_each_point_basis(batch, probe):
+    # a radial distribution, so each fiber depends on its own base point;
+    # a square batch (3, 3) must not be read as one matrix right-hand side
+    rng = np.random.default_rng(14)
+    M = rng.standard_normal((3, 3)) + 2 * np.eye(3)
+    probe = (DiffeoProbe.identity(3) if probe == "identity"
+             else DiffeoProbe.linear(M))
+    delta = Distribution(3, 1, lambda x: x[..., None])
+    moved = adjoint_distribution(probe, delta)
+    X = rng.standard_normal(batch)
+    got = moved.basis(X)
+    assert got.shape == batch + (1,)
+    assert probe.jacobian(X).shape == batch + (3,)
+    # a fresh array, not a read-only view, for one point and for a batch
+    assert probe.jacobian(X[0]).flags.writeable
+    assert probe.jacobian(X).flags.writeable
+    each = np.array([moved.basis(x) for x in X.reshape(-1, 3)])
+    assert np.max(np.abs(got - each.reshape(got.shape))) < 1e-12
+
+
 def test_adjoint_tracks_base_point_of_nonlinear_probe():
     # the shear x -> (x_1 + 0.3 sin x_2, x_2), by its Jacobian and inverse
     def jac(x):

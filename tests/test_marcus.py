@@ -3,6 +3,7 @@
 import csv
 import io
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -227,7 +228,7 @@ def test_ensemble_moments_and_observables():
     params = PathParams(horizon=1.0, step=1e-2, brownian_scale=0.4,
                         drift=0.0, jump_intensity=0.0, seed=11)
     fields = VectorFieldSet.linear(np.array([[[1.0]]]))
-    obs = {"first": lambda t, x: x[:, 0]}
+    obs = {"first": lambda t, x: x[..., 0]}
     summary = solve_ensemble(fields, params, np.array([1.0]), MarcusConfig(),
                              n_paths=400, observables=obs)
     # geometric driver: E x_t = exp(sigma^2 t / 2) for sigma = 0.4
@@ -317,7 +318,8 @@ def test_trajectory_csv_reads_back_bit_for_bit():
 
 def _ensemble_by_points(fields, params, x0, n_paths, observables):
     """The ensemble moments from one solve_point per child driver, summed in
-    path order; a path that raises IntegrationFailure is skipped."""
+    path order; a path that raises IntegrationFailure, or whose states or
+    observable series do not square to finite values, is skipped."""
     base = _grid_for(params.horizon, params.step)
     acc = acc2 = 0.0
     oacc = {name: 0.0 for name in observables}
@@ -331,12 +333,17 @@ def _ensemble_by_points(fields, params, x0, n_paths, observables):
         except IntegrationFailure:
             continue
         states = traj.post[np.searchsorted(traj.times, base)]
+        series = {name: np.asarray(fn(base, states), dtype=float)
+                  for name, fn in observables.items()}
+        with np.errstate(over="ignore"):
+            if not all(np.isfinite(v ** 2).all()
+                       for v in [states, *series.values()]):
+                continue
         acc = acc + states
         acc2 = acc2 + states ** 2
-        for name, fn in observables.items():
-            series = np.asarray(fn(base, states), dtype=float)
-            oacc[name] = oacc[name] + series
-            oacc2[name] = oacc2[name] + series ** 2
+        for name, v in series.items():
+            oacc[name] = oacc[name] + v
+            oacc2[name] = oacc2[name] + v ** 2
         done += 1
     mean = acc / done
     omean = {name: oacc[name] / done for name in observables}
@@ -345,18 +352,22 @@ def _ensemble_by_points(fields, params, x0, n_paths, observables):
              for name in observables}, n_paths - done)
 
 
-def _assert_ensemble_is_sum_of_points(fields, params, x0, n_paths):
-    obs = {"norm": lambda t, x: np.linalg.norm(x, axis=-1),
-           "first": lambda t, x: x[..., 0]}
+def _assert_ensemble_is_sum_of_points(fields, params, x0, n_paths, obs=None):
+    """The ensemble's moments are bit for bit those of one solve_point per
+    path (``tobytes``: -0.0 is not 0.0, and a NaN is compared by its bits)."""
+    obs = obs or {"norm": lambda t, x: np.linalg.norm(x, axis=-1),
+                  "first": lambda t, x: x[..., 0],
+                  "timed": lambda t, x: t * x[..., -1] - t}
     got = solve_ensemble(fields, params, x0, MarcusConfig(), n_paths,
                          observables=obs)
     mean, var, omean, ovar, failures = _ensemble_by_points(
         fields, params, x0, n_paths, obs)
-    assert np.array_equal(got.mean, mean)
-    assert np.array_equal(got.variance, var)
+    assert got.mean.tobytes() == mean.tobytes()
+    assert got.variance.tobytes() == var.tobytes()
     for name in obs:
-        assert np.array_equal(got.observable_mean[name], omean[name])
-        assert np.array_equal(got.observable_variance[name], ovar[name])
+        assert got.observable_mean[name].tobytes() == omean[name].tobytes()
+        assert (got.observable_variance[name].tobytes()
+                == ovar[name].tobytes())
     assert got.n_failures == failures
     return got
 
@@ -407,6 +418,17 @@ def test_ensemble_with_failing_rows_gives_survivor_moments():
     got = _assert_ensemble_is_sum_of_points(fields, params, np.array([1.0]),
                                             20)
     assert 0 < got.n_failures < 20
+
+
+def test_ensemble_path_whose_observable_alone_overflows_fails():
+    # x = exp(0.5 B) squares to finite values, but the observable is 1e200
+    # wherever x > 1.5: those paths fail by their observable alone
+    params = PathParams(horizon=1.0, step=0.05, brownian_scale=0.5, seed=6)
+    fields = VectorFieldSet.linear(np.array([[[1.0]]]))
+    got = _assert_ensemble_is_sum_of_points(
+        fields, params, np.array([1.0]), 30,
+        {"capped": lambda t, x: np.where(x[..., 0] > 1.5, 1e200, x[..., 0])})
+    assert 0 < got.n_failures < 30
 
 
 def _one_path(params, seed, base):
@@ -566,6 +588,40 @@ def test_nonlinear_ensemble_fails_only_the_rows_that_blow_up():
     got = _assert_ensemble_is_sum_of_points(fields, params, np.array([0.01]),
                                             12)
     assert 0 < got.n_failures < 12
+
+
+def test_ensemble_observes_each_block_once():
+    # 20 paths x 1024 steps: blocks of 16 and 4 rows, one call for each
+    shapes = []
+
+    def first(t, x):
+        shapes.append((t.shape, x.shape))
+        return x[..., 0]
+
+    params = PathParams(horizon=1.0, step=2.0 ** -10, brownian_scale=0.25,
+                        jump_intensity=3.0,
+                        jump_law=JumpLaw.uniform([-0.3], [0.3]), seed=5)
+    fields = VectorFieldSet.linear(np.array([[[0.5]]]))
+    solve_ensemble(fields, params, np.array([1.0]), MarcusConfig(), 20,
+                   observables={"first": first})
+    assert shapes == [((1025,), (16, 1025, 1)), ((1025,), (4, 1025, 1))]
+
+
+@pytest.mark.parametrize("fn, shape", [
+    (lambda t, x: x, (3, 5, 1)),
+    (lambda t, x: t, (5,)),
+    (lambda t, x: x[:, 0], (3, 1)),
+    (lambda t, x: np.sum(x), ())], ids=["states", "times", "rows", "scalar"])
+def test_observable_of_the_wrong_shape_raises(fn, shape):
+    # an observable maps states (..., K, n) to (..., K); a block of 3 paths
+    # on a 4-step grid hands it (3, 5, 1)
+    params = PathParams(horizon=1.0, step=0.25, brownian_scale=0.2, seed=2)
+    fields = VectorFieldSet.linear(np.array([[[0.5]]]))
+    with pytest.raises(ValueError, match=re.escape(
+            "observable: shape %s, not (3, 5) (..., K)" % (shape,))):
+        solve_ensemble(fields, params, np.array([1.0]), MarcusConfig(), 3,
+                       observables={"first": lambda t, x: x[..., 0],
+                                    "bad": fn})
 
 
 def test_ensemble_makes_one_jump_flow_per_block_step(monkeypatch):

@@ -12,11 +12,13 @@ configs written into the scratch directory (``EXTRA_EDITED``):
 ``custom_linear.yaml`` simulated with ``solver.record_jacobian: true``,
 ``radial_linear.yaml`` decomposed with ``geometry.cond_cap: 1.0`` (a NaN
 ``det_block`` at tau 0), ``rotation.yaml`` simulated with a jump of
-``[1e308]`` (exit 3, no artifacts), and two ensembles whose blocks reach
-the sampler's edge cases: ``ensemble_linear.yaml`` with drift, gaussian
-jumps and 700 paths (three blocks, the last one partial) and
-``custom_linear.yaml`` with 40 paths and ``brownian_scale: [0.25, 0.0]``
-(a channel with no draws, two blocks).  Each run is a fresh
+``[1e308]`` (exit 3, no artifacts), and three ensembles whose blocks
+reach the sampler's and the screening's edge cases: ``ensemble_linear.yaml``
+with drift, gaussian jumps and 700 paths (three blocks, the last one
+partial), ``custom_linear.yaml`` with 40 paths and ``brownian_scale: [0.25,
+0.0]`` (a channel with no draws, two blocks) and ``ensemble_linear.yaml``
+with a constant jump of ``[800.0]`` at intensity 1 and the ``norm``
+observable (most paths overflow and are screened out).  Each run is a fresh
 ``python -m jumpflow.cli`` process on the checkout's ``src``.  The output
 maps each run's label to its exit code, its stderr, the SHA-256 of every
 file it wrote, except ``run_meta.txt`` (which holds timings), and the
@@ -62,6 +64,12 @@ EXTRA_EDITED = (
     ("ensemble:custom_linear-scale-0", "ensemble", "custom_linear.yaml",
      lambda cfg: (cfg["driver"].update(brownian_scale=[0.25, 0.0]),
                   cfg.update(ensemble={"n_paths": 40, "observable": "norm"}))),
+    ("ensemble:ensemble_linear-constant-800", "ensemble",
+     "ensemble_linear.yaml",
+     lambda cfg: (cfg["driver"].update(jump_intensity=1.0,
+                                       jump_law={"kind": "constant",
+                                                 "value": [800.0]}),
+                  cfg["ensemble"].update(observable="norm"))),
 )
 
 
