@@ -197,7 +197,7 @@ def _run_convergence(cfg, problem, mcfg):
 def _run_ensemble(cfg, problem, mcfg):
     params = build_path_params(cfg)
     name = cfg["ensemble"]["observable"]
-    observables = {"norm": lambda t, x: np.linalg.norm(x, axis=-1),
+    observables = {"norm": lambda t, x: np.sqrt(np.add.reduce(x * x, -1)),
                    "first": lambda t, x: x[..., 0]}
     observables = {name: observables[name]} if name in observables else {}
     n_paths = cfg["ensemble"]["n_paths"]

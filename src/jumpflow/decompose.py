@@ -10,20 +10,21 @@ discretizations are provided:
   R^n = R^p x R^(n-p): xi and psi stay in the complementary affine
   subgroups (their structural rows have zero increments), and the product
   is checked against an independently integrated fundamental matrix.  A
-  loop steps the factors; one batched pass after it computes diagnostics
-  and the first stop, which the loop may have integrated past.
+  loop steps the stored factors in place; one batched pass after it
+  computes diagnostics and the first stop, which the loop may have
+  integrated past.
 * ``decompose_pointwise`` for nonlinear 2-D problems: xi is tracked as a
   deformed mesh, psi at probe points by its own projected equation, and
   the factorization is verified by composing interpolants.
 
-Each mode steps one right-hand side by odeflow's Heun step ``_heun`` over
-continuous stretches and by its fictitious-time RK4 ``_rk4`` across a
-jump.  Both stop at the first time the transversality data degenerates,
-by ``GeometryConfig``'s one rule: a frame [B_H | B_V] whose scaled
-determinant |det| / prod_j |S e_j| is at most ``eps_det`` or whose 2-norm
-condition number is at least ``cond_cap`` (``split_frame``), or a
-Jacobian block whose |det| is at most ``eps_det``.  Each reports how the
-stop was detected.
+Each mode takes Heun steps of one right-hand side over continuous
+stretches (the mesh mode by odeflow's ``_heun``) and its fictitious-time
+RK4 ``_rk4`` across a jump.  Both stop at the first time the
+transversality data degenerates, by ``GeometryConfig``'s one rule: a frame
+[B_H | B_V] whose scaled determinant |det| / prod_j |S e_j| is at most
+``eps_det`` or whose 2-norm condition number is at least ``cond_cap``
+(``split_frame``), or a Jacobian block whose |det| is at most
+``eps_det``.  Each reports how the stop was detected.
 """
 
 from __future__ import annotations
@@ -87,23 +88,24 @@ class DecompositionRecord:
             self.is_jump)))]
 
 
-def _structured_rhs(Xi, Psi, A_dz, p):
-    """Increments (dXi, dPsi) of the factor equations.
+def _structured_rhs(state, M, p, out):
+    """Increments of the factor equations under the matrix M: ``state``
+    stacks (Xi, Psi) or (Xi, Psi, Phi), and ``out``, one slot longer,
+    takes M Xi in out[0] and the increments in out[1:], which it returns.
 
     Both factors split the combined linear field through the moving frame
     S = [E_H | Xi[:, p:]]: the horizontal coefficient feeds xi (top rows
     only) and the vertical one feeds psi (bottom rows only).  The other
-    rows are exact zeros, so the structural blocks Xi[p:] = [0 I] and
-    Psi[:p] = [I 0] never move and S = [[I, W], [0, I]], W = Xi[:p, p:],
-    with S^-1 = [[I, -W], [0, I]].
+    rows of the increments are never written and must be zeros, so the
+    structural blocks Xi[p:] = [0 I] and Psi[:p] = [I 0] never move and
+    S = [[I, W], [0, I]], W = Xi[:p, p:], with S^-1 = [[I, -W], [0, I]].
     """
-    W = Xi[:p, p:]
-    AX = A_dz @ Xi
-    dXi = np.zeros(Xi.shape)
-    dXi[:p] = AX[:p] - W @ AX[p:]
-    dPsi = np.zeros(Psi.shape)
-    dPsi[p:] = AX[p:] @ Psi
-    return dXi, dPsi
+    np.matmul(M, state[::2], out[::3])  # M Xi to out[0], M Phi to out[3]
+    MX_top, MX_bottom, dX = out[0, :p], out[0, p:], out[1, :p]
+    np.matmul(state[0, :p, p:], MX_bottom, dX)
+    np.subtract(MX_top, dX, dX)
+    np.matmul(MX_bottom, state[1], out[2, p:])
+    return out[1:]
 
 
 def _frame_cond(W, geo):
@@ -139,19 +141,21 @@ def decompose_linear_sde(fields: VectorFieldSet, horizontal_dim: int,
     split as R^n = R^p x R^(n-p) at p = ``horizontal_dim``, 0 < p < n.
 
     One right-hand side over (Xi, Psi, Phi) takes Heun steps over
-    continuous stretches, and over (Xi, Psi) RK4 in fictitious time across
-    jumps, where the independent reference fundamental matrix Phi takes
-    the exact exponential.  The loop only steps and stores Xi, Psi, Phi
-    and each step's two Heun-stage frames W = Xi[:p, p:], stops on a
-    non-finite step and settles each jump's outcome.  One batched pass
-    after it computes the diagnostics (stage conditions, det of Phi's
-    lower-right block, |Xi Psi - Phi|) and the first stop; within a step a
-    failed stage frame (split_degenerate at its start) comes first, then a
-    blow-up, a jump outcome, det_block_zero at its end.  The loop checks
-    neither frame nor determinant, so such a run may be integrated past
-    its stop before the pass truncates it.  The structural blocks are
-    never renormalized (see ``_structured_rhs``); the pass measures their
-    deviation, renorm_deviation.
+    continuous stretches, in place in the stored rows, and over (Xi, Psi)
+    RK4 in fictitious time across jumps, where the independent reference
+    fundamental matrix Phi takes the exact exponential.  The loop only
+    steps and stores Xi, Psi, Phi and each step's predictor frame
+    W = Xi[:p, p:] (the first stage's is the stored row), settles each
+    jump's outcome and checks finiteness once per stretch, at its jump or
+    the horizon, where the first non-finite step stops the run.  One
+    batched pass after it computes the diagnostics (stage conditions, det
+    of Phi's lower-right block, |Xi Psi - Phi|) and the first stop; within
+    a step a failed stage frame (split_degenerate at its start) comes
+    first, then a blow-up, a jump outcome, det_block_zero at its end.  The
+    loop checks neither frame nor determinant, so such a run may be
+    integrated past its stop before the pass truncates it.  The structural
+    blocks are never renormalized (see ``_structured_rhs``); the pass
+    measures their deviation, renorm_deviation.
     """
     cfg = cfg or MarcusConfig()
     if not fields.is_linear:
@@ -167,61 +171,71 @@ def decompose_linear_sde(fields: VectorFieldSet, horizontal_dim: int,
     jump_mask = driver.jump_mask
     jump_sizes = driver.jump_size_at_grid()
 
-    def rhs(state):
-        # increments under the current matrix M; each stage's W to ``seen``
-        Xi, Psi, *Phi = state
-        seen.append(Xi[:p, p:])
-        dXi, dPsi = _structured_rhs(Xi, Psi, M, p)
-        return (dXi, dPsi, M @ Phi[0]) if Phi else (dXi, dPsi)
-
-    # Xi, Psi, Phi at each grid time, the frames of each step's Heun
-    # stages, and the last-stage condition of each jump's RK4
+    # Xi, Psi, Phi at each grid time, the predictor frame of each step,
+    # the last-stage condition of each jump's RK4 and the Heun stage buffers
     F = np.empty((K, 3, n, n))
     F[0] = np.eye(n)
-    state = F[0]
-    frames = np.empty((K - 1, 2, p, n - p))
+    frames = np.empty((K - 1, p, n - p))
     jump_cond = np.zeros(K)
+    k0, k1 = np.zeros((2, 4, n, n))
+
+    def jump_rhs(s):
+        # each stage's frame to ``seen``; RK4 keeps its stage increments,
+        # so each stage takes a fresh buffer
+        seen.append(s[0][0, :p, p:])
+        return (_structured_rhs(s[0], M, p, np.zeros((3, n, n))),)
+
     # candidate stops as (step, order within the step, tau, reason, rows)
     stops = [(K, 0, driver.horizon, "horizon", K)]
+    start = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, M in enumerate(A_dz_all):
-            seen = []
-            state = F[k + 1] = _heun(rhs, state)
-            frames[k] = seen
-            if not np.isfinite(F[k + 1]).all():
+        # each continuous stretch ends on a jump or at the horizon; a Heun
+        # step puts its predictor S + d0 and then S + (d0 + d1) / 2 in S1
+        for j in (*np.flatnonzero(jump_mask[1:-1]) + 1, K - 1):
+            for S, S1, A_dz, W in zip(F[start:j], F[start + 1:],
+                                      A_dz_all[start:j], frames[start:j]):
+                d0 = _structured_rhs(S, A_dz, p, k0)
+                np.add(S, d0, out=S1)
+                W[...] = S1[0, :p, p:]
+                d0 += _structured_rhs(S1, A_dz, p, k1)
+                d0 *= 0.5
+                np.add(S, d0, out=S1)
+            bad = ~np.isfinite(F[start + 1:j + 1]).all(axis=(1, 2, 3))
+            if bad.any():
+                k = start + int(bad.argmax())
                 stops.append((k, 1, float(grid[k]), "blowup", k + 1))
                 break
-            if not jump_mask[k + 1]:
-                continue
+            if not jump_mask[j]:
+                break
             # across the jump Phi moves exactly and the factors by RK4 in
             # fictitious time; a stop here keeps the pre-jump factors
-            t_jump = float(grid[k + 1])
-            M = np.einsum("i,ijk->jk", jump_sizes[k + 1], A)
-            Phi_target = expm(M) @ F[k + 1, 2]
+            k, t_jump, start = j - 1, float(grid[j]), j
+            M = np.einsum("i,ijk->jk", jump_sizes[j], A)
+            Phi_target = expm(M) @ F[j, 2]
             if not np.isfinite(Phi_target).all():
-                stops.append((k, 1, t_jump, "blowup", k + 2))  # left limit
+                stops.append((k, 1, t_jump, "blowup", j + 1))  # left limit
                 break
-            F[k + 1, 2] = Phi_target
+            F[j, 2] = Phi_target
             if abs(np.linalg.det(Phi_target[p:, p:])) <= geo.eps_det:
-                stops.append((k, 1, t_jump, "jump_target_degenerate", k + 2))
+                stops.append((k, 1, t_jump, "jump_target_degenerate", j + 1))
                 break
             # the frame of every RK4 stage, checked in one batch after it
             seen = []
             try:
-                factors = _rk4(rhs, F[k + 1, :2], 1.0, cfg.substeps)
+                factors, = _rk4(jump_rhs, (F[j, :2],), 1.0, cfg.substeps)
                 cond = _frame_cond(np.array(seen), geo)
             except IntegrationFailure:
                 cond = np.nan  # a flow that blows up stops as a bad frame
             if np.isnan(cond).any():
-                stops.append((k, 1, t_jump, "jump_path_degenerate", k + 2))
+                stops.append((k, 1, t_jump, "jump_path_degenerate", j + 1))
                 break
-            F[k + 1, :2] = factors
-            state = F[k + 1]
-            jump_cond[k + 1] = cond[-1]
+            F[j, :2] = factors
+            jump_cond[j] = cond[-1]
 
         # the first stop over the steps the loop took
         loop_steps, rows = min(stops[-1][0] + 1, K - 1), stops[-1][4]
-        stage = _frame_cond(frames[:loop_steps], geo)
+        stage = _frame_cond(np.stack([F[:loop_steps, 0, :p, p:],
+                                      frames[:loop_steps]], axis=1), geo)
         det = np.linalg.det(F[:rows, 2, p:, p:])
         frame_bad = np.flatnonzero(np.isnan(stage).any(axis=1))
         det_zero = np.flatnonzero(_det_block_hits(det[1:], det[:-1], geo))

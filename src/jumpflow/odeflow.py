@@ -12,8 +12,8 @@ against the generic stepper in the tests), any other set by one
 fixed-step classical RK4 over a tuple of arrays, ``_rk4``, at
 ``MarcusConfig.substeps`` steps per unit of flow time; ``curve_average``
 takes one Simpson interval per substep (an even count, rounded up).
-``decompose`` steps its factor equations by ``_heun``, one Heun step, and
-carries them across a jump by ``_rk4``, over one right-hand side per mode.
+``decompose`` carries its factor equations across a jump by ``_rk4``; its
+mesh mode takes ``_heun``, one Heun step, and its linear mode steps in place.
 """
 
 from __future__ import annotations

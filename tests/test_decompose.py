@@ -10,17 +10,19 @@ from jumpflow import decompose
 from jumpflow.config import (apply_overrides, build_driver,
                              build_geometry_config, build_marcus_config,
                              build_problem, load_config)
-from jumpflow.decompose import (TAU_REASONS, _frame_cond, _pointwise_rhs,
-                                _structured_rhs, decompose_linear_sde,
-                                decompose_pointwise, validity_monitor,
-                                verify_composition)
+from jumpflow.decompose import (TAU_REASONS, _det_block_hits, _frame_cond,
+                                _pointwise_rhs, _structured_rhs,
+                                decompose_linear_sde, decompose_pointwise,
+                                validity_monitor, verify_composition)
+from jumpflow.errors import IntegrationFailure
 from jumpflow.geometry import ComplementaryPair, Distribution, GeometryConfig
 from jumpflow.marcus import MarcusConfig, solve_point, solve_with_jacobian
 from jumpflow.mesh import MeshChart
-from jumpflow.odeflow import VectorFieldSet
+from jumpflow.odeflow import VectorFieldSet, _heun, _rk4, expm
 from jumpflow.reference import (matrix_exp, radial_decomposition,
                                 rotation_decomposition)
-from jumpflow.semimartingale import deterministic_path
+from jumpflow.semimartingale import (JumpLaw, PathParams, deterministic_path,
+                                     sample_levy_jump_diffusion)
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -274,7 +276,8 @@ def test_structured_rhs_matches_frame_solve(n, p):
         S[:, p:] = Xi[:, p:]
         C = np.linalg.solve(S, np.concatenate([A_dz @ Xi, A_dz @ (Xi @ Psi)],
                                               axis=1))
-        dXi, dPsi = _structured_rhs(Xi, Psi, A_dz, p)
+        dXi, dPsi = _structured_rhs(np.stack([Xi, Psi]), A_dz, p,
+                                    np.zeros((3, n, n)))
         cond = _frame_cond(Xi[:p, p:], geo)
         want_x = np.zeros((n, n))
         want_x[:p] = C[:p, :n]
@@ -327,6 +330,139 @@ def test_decompose_linear_sde_validation():
     two = VectorFieldSet.linear(np.array([ROT, np.eye(2)]))
     with pytest.raises(ValueError, match="driver dimension"):
         decompose_linear_sde(two, 1, driver)
+
+
+def _per_array_rhs(Xi, Psi, M, p):
+    """The factor increments (dXi, dPsi) as two fresh arrays, each with its
+    own zero structural block."""
+    W = Xi[:p, p:]
+    AX = M @ Xi
+    dXi = np.zeros(Xi.shape)
+    dXi[:p] = AX[:p] - W @ AX[p:]
+    dPsi = np.zeros(Psi.shape)
+    dPsi[p:] = AX[p:] @ Psi
+    return dXi, dPsi
+
+
+def _reference_linear_record(fields, p, driver, cfg, geo):
+    """The linear record as one plain loop: odeflow's ``_heun`` over the
+    per-array right-hand side, RK4 across each jump, and every stop rule
+    applied at the step it belongs to (the frames of its stages, a
+    non-finite state, the jump's outcome, then the block determinant)."""
+    A, n, grid = fields.matrices, fields.dimension, driver.grid
+    sizes = driver.jump_size_at_grid()
+    seen = []
+
+    def rhs(state):
+        Xi, Psi, *Phi = state
+        seen.append(Xi[:p, p:])
+        return (*_per_array_rhs(Xi, Psi, M, p), *(M @ P for P in Phi))
+
+    rows = [([np.eye(n)] * 3, 1.0)]
+    tau, reason = driver.horizon, "horizon"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(grid) - 1):
+            M = np.einsum("i,ijl->jl", driver.increments[k], A)
+            seen.clear()
+            state = _heun(rhs, rows[-1][0])
+            cond = _frame_cond(np.array(seen), geo)
+            if np.isnan(cond).any():
+                tau, reason = float(grid[k]), "split_degenerate"
+                break
+            if not all(np.isfinite(a).all() for a in state):
+                tau, reason = float(grid[k]), "blowup"
+                break
+            cond = cond.max()
+            if driver.jump_mask[k + 1]:
+                M = np.einsum("i,ijl->jl", sizes[k + 1], A)
+                Phi = expm(M) @ state[2]
+                seen.clear()
+                if not np.isfinite(Phi).all():
+                    reason = "blowup"
+                elif abs(np.linalg.det(Phi[p:, p:])) <= geo.eps_det:
+                    reason, state[2] = "jump_target_degenerate", Phi
+                else:
+                    try:
+                        factors = _rk4(rhs, state[:2], 1.0, cfg.substeps)
+                        path = _frame_cond(np.array(seen), geo)
+                    except IntegrationFailure:
+                        path = np.array([np.nan])
+                    state[2] = Phi
+                    if np.isnan(path).any():
+                        reason = "jump_path_degenerate"
+                    else:
+                        state[:2], cond = factors, max(cond, path[-1])
+                if reason != "horizon":
+                    tau = float(grid[k + 1])
+            rows.append((state, cond))
+            if reason != "horizon":
+                break
+            det = [np.linalg.det(s[2][p:, p:]) for s, _ in rows[-2:]]
+            if _det_block_hits(det[1], det[0], geo):
+                tau, reason = float(grid[k + 1]), "det_block_zero"
+                break
+    xi, psi, phi = (np.array([s[i] for s, _ in rows]) for i in range(3))
+    R = len(rows)
+    return tau, reason, dict(
+        times=grid[:R], is_jump=driver.jump_mask[:R],
+        det_block=np.array([np.linalg.det(P[p:, p:]) for P in phi]),
+        condition=np.array([c for _, c in rows]),
+        residual_sup=np.array([np.max(np.abs(X @ Y - P))
+                               for X, Y, P in zip(xi, psi, phi)]),
+        renorm_deviation=np.zeros(R), xi=xi, psi=psi, phi=phi)
+
+
+@pytest.mark.parametrize("n, p, seed", [(n, p, seed) for n in (2, 3, 4)
+                                        for p in range(1, n)
+                                        for seed in range(5)])
+def test_linear_record_is_the_reference_loop_bit_for_bit(n, p, seed):
+    # random fields on a Levy driver with jumps, at the default geometry
+    # (horizon and det_block_zero stops) and at cond_cap = 30 (stage and
+    # jump-path frames that fail): every array of the record has the
+    # reference loop's bytes
+    rng = np.random.default_rng(100 * seed + 10 * n + p)
+    fields = VectorFieldSet.linear(rng.standard_normal((2, n, n)))
+    driver = sample_levy_jump_diffusion(PathParams(
+        horizon=1.0, step=0.005, brownian_scale=0.5, jump_intensity=4.0,
+        jump_law=JumpLaw.uniform([-0.6] * 2, [0.6] * 2), seed=seed,
+        dimension=2))
+    cfg = MarcusConfig(substeps=8)
+    for geo in (GeometryConfig(), GeometryConfig(cond_cap=30.0)):
+        rec = decompose_linear_sde(fields, p, driver, cfg, geo)
+        tau, reason, want = _reference_linear_record(fields, p, driver, cfg,
+                                                     geo)
+        assert (rec.tau, rec.tau_reason) == (tau, reason)
+        for name, value in want.items():
+            assert getattr(rec, name).tobytes() == value.tobytes(), name
+
+
+def _overflow_driver(jumps):
+    # the field x -> (0, 40 x_2) on a ramp of slope 1 and step 0.01: each
+    # Heun step multiplies Psi's and Phi's corner by 1 + 0.4 + 0.08, and
+    # with a jump of 0.01 at t = 5 the product overflows in the step that
+    # starts at t = 18.09
+    grid = np.round(np.arange(2001) * 0.01, 12)
+    return VectorFieldSet.linear([[[0.0, 0.0], [0.0, 40.0]]]), \
+        deterministic_path(grid, grid, jumps)
+
+
+def test_linear_blowup_in_the_middle_of_a_stretch():
+    # a small jump first, so the stretch that overflows starts after it
+    fields, driver = _overflow_driver([(5.0, 0.01), (19.0, 0.01)])
+    rec = decompose_linear_sde(fields, 1, driver)
+    assert (rec.tau, rec.tau_reason) == (18.09, "blowup")
+    assert rec.times.shape == (1810,) and float(rec.times[-1]) == 18.09
+    assert np.isfinite(rec.phi).all() and rec.is_jump.sum() == 1
+
+
+def test_linear_blowup_on_the_last_step_before_a_jump():
+    # the overflowing step ends on the jump at t = 18.1, which is never
+    # taken: the stop keeps the step's start and its rows
+    fields, driver = _overflow_driver([(5.0, 0.01), (18.1, 0.01)])
+    rec = decompose_linear_sde(fields, 1, driver)
+    assert (rec.tau, rec.tau_reason) == (18.09, "blowup")
+    assert rec.times.shape == (1810,) and float(rec.times[-1]) == 18.09
+    assert np.isfinite(rec.phi).all() and rec.is_jump.sum() == 1
 
 
 def _unit_circle_probes(count=8, radius=1.0):

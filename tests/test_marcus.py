@@ -1,6 +1,7 @@
 """Canonical jump-SDE solver: exactness, order, invariance, ensembles."""
 
 import csv
+import functools
 import io
 import os
 import re
@@ -240,6 +241,26 @@ def test_ensemble_moments_and_observables():
     assert np.array_equal(summary.observable_mean["first"], summary.mean[:, 0])
 
 
+# the Levy driver of the ensemble oracle tests: uniform jumps in +-0.3 at
+# intensity 3, Brownian scale 0.25, 4,000 paths
+LOW, HIGH, LAM, SIGMA, N_PATHS = [-0.3, -0.3], [0.3, 0.3], 3.0, 0.25, 4000
+
+
+@functools.lru_cache(maxsize=None)
+def _custom_linear_ensemble(seed):
+    """custom_linear's matrices and x0 and the summary of their ensemble
+    under the oracle tests' driver; each seed is solved once."""
+    cfg = load_config(os.path.join(CONFIGS, "custom_linear.yaml"))
+    A = np.array(cfg["fields"]["matrices"], dtype=float)
+    x0 = np.array(cfg["x0"], dtype=float)
+    params = PathParams(horizon=1.0, step=0.02, brownian_scale=SIGMA,
+                        drift=0.0, jump_intensity=LAM,
+                        jump_law=JumpLaw.uniform(LOW, HIGH), seed=seed,
+                        dimension=2)
+    return A, x0, solve_ensemble(VectorFieldSet.linear(A), params, x0,
+                                 MarcusConfig(), N_PATHS)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_ensemble_mean_follows_the_marcus_generator(seed):
     # custom_linear's matrices under a Levy driver: the sampled mean sits
@@ -247,16 +268,8 @@ def test_ensemble_mean_follows_the_marcus_generator(seed):
     # lam (E[exp(sum A_i J_i)] - I), and outside them with the Ito term
     # lam (E[I + sum A_i J_i] - I) (max over t > 0: 2.15, 2.71, 2.23 against
     # 5.20, 7.78, 7.05 for seeds 1-3)
-    cfg = load_config(os.path.join(CONFIGS, "custom_linear.yaml"))
-    A = np.array(cfg["fields"]["matrices"], dtype=float)
-    x0 = np.array(cfg["x0"], dtype=float)
-    low, high, lam, sigma, n_paths = [-0.3, -0.3], [0.3, 0.3], 3.0, 0.25, 4000
-    params = PathParams(horizon=1.0, step=0.02, brownian_scale=sigma,
-                        drift=0.0, jump_intensity=lam,
-                        jump_law=JumpLaw.uniform(low, high), seed=seed,
-                        dimension=2)
-    summary = solve_ensemble(VectorFieldSet.linear(A), params, x0,
-                             MarcusConfig(), n_paths)
+    A, x0, summary = _custom_linear_ensemble(seed)
+    low, high, lam, sigma, n_paths = LOW, HIGH, LAM, SIGMA, N_PATHS
     assert summary.n_failures == 0
     marcus = linear_marcus_mean(A, x0, summary.times, 0.0, sigma, lam,
                                 ("uniform", low, high))
@@ -267,6 +280,37 @@ def test_ensemble_mean_follows_the_marcus_generator(seed):
     stat_marcus = np.max(np.abs(summary.mean[1:] - marcus[1:]) / se)
     stat_ito = np.max(np.abs(summary.mean[1:] - ito[1:]) / se)
     assert stat_marcus <= 4.0 < stat_ito, (stat_marcus, stat_ito)
+
+
+def _kronecker_sum(A, k):
+    """sum_j I x .. x A_i x .. x I (A_i in the j-th of k factors) for each
+    A_i: the fields of the linear Marcus SDE that X^(x k) solves."""
+    eye = np.eye(A.shape[-1])
+    return np.array([sum(functools.reduce(np.kron, [a if i == j else eye
+                                                    for i in range(k)])
+                         for j in range(k)) for a in A])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ensemble_variance_follows_the_kronecker_generator(seed):
+    # E[X_c^k] is a component of E[X^(x k)], the mean of the linear Marcus
+    # SDE with the k-fold Kronecker sums of the A_i from x0^(x k): exact,
+    # since they commute across the factors, so a jump's exponential is
+    # E^(x k).  The sampled variance sits within 4 exact standard errors
+    # sqrt((mu_4 - sigma^4) / N) of the exact one (max over t > 0: 2.40,
+    # 2.92, 1.68 for seeds 1-3; with the variance scaled by 1.2: 10.68,
+    # 10.91, 8.19)
+    A, x0, summary = _custom_linear_ensemble(seed)
+    m1, m2, m3, m4 = (np.einsum(
+        "t" + "i" * k + "->ti", linear_marcus_mean(
+            _kronecker_sum(A, k), functools.reduce(np.kron, [x0] * k),
+            summary.times, 0.0, SIGMA, LAM, ("uniform", LOW, HIGH)
+        ).reshape((-1,) + (len(x0),) * k)) for k in range(1, 5))
+    var = m2 - m1 ** 2
+    mu4 = m4 - 4 * m1 * m3 + 6 * m1 ** 2 * m2 - 3 * m1 ** 4
+    se = np.sqrt((mu4[1:] - var[1:] ** 2) / N_PATHS)
+    stat = np.max(np.abs(summary.variance[1:] - var[1:]) / se)
+    assert stat <= 4.0, stat
 
 
 def test_ensemble_is_reproducible():

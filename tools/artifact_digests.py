@@ -7,18 +7,21 @@ Usage (from any directory):
 The runs are every operation that ``perfbench/workloads.py`` of the checkout
 builds at ``--seed`` (the twelve shipped config/subcommand pairs and the
 generated workload configs), plus ``simulate`` on ``rotation_jump.yaml``,
-``ivk_jump.yaml`` and ``radial_linear.yaml``, plus three edited shipped
+``ivk_jump.yaml`` and ``radial_linear.yaml``, plus seven edited shipped
 configs written into the scratch directory (``EXTRA_EDITED``):
 ``custom_linear.yaml`` simulated with ``solver.record_jacobian: true``,
 ``radial_linear.yaml`` decomposed with ``geometry.cond_cap: 1.0`` (a NaN
 ``det_block`` at tau 0), ``rotation.yaml`` simulated with a jump of
-``[1e308]`` (exit 3, no artifacts), and three ensembles whose blocks
+``[1e308]`` (exit 3, no artifacts), three ensembles whose blocks
 reach the sampler's and the screening's edge cases: ``ensemble_linear.yaml``
 with drift, gaussian jumps and 700 paths (three blocks, the last one
 partial), ``custom_linear.yaml`` with 40 paths and ``brownian_scale: [0.25,
 0.0]`` (a channel with no draws, two blocks) and ``ensemble_linear.yaml``
 with a constant jump of ``[800.0]`` at intensity 1 and the ``norm``
-observable (most paths overflow and are screened out).  Each run is a fresh
+observable (most paths overflow and are screened out), and
+``custom_linear.yaml`` decomposed with the fields ``diag(0.1, 400, 400)``
+and 0, whose Psi and Phi overflow while Xi's frame stays the identity (a
+linear-mode ``blowup`` stop, exit 4).  Each run is a fresh
 ``python -m jumpflow.cli`` process on the checkout's ``src``.  The output
 maps each run's label to its exit code, its stderr, the SHA-256 of every
 file it wrote, except ``run_meta.txt`` (which holds timings), and the
@@ -70,6 +73,10 @@ EXTRA_EDITED = (
                                        jump_law={"kind": "constant",
                                                  "value": [800.0]}),
                   cfg["ensemble"].update(observable="norm"))),
+    ("decompose:custom_linear-blowup", "decompose", "custom_linear.yaml",
+     lambda cfg: cfg["fields"].update(matrices=[
+         [[0.1, 0.0, 0.0], [0.0, 400.0, 0.0], [0.0, 0.0, 400.0]],
+         [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])),
 )
 
 
