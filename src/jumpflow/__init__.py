@@ -29,11 +29,10 @@ _EXPORTS = {name: module for module, names in {
                   "pushforward_integral", "verify_ivk"],
     "geometry": ["ComplementaryPair", "DiffeoProbe", "Distribution",
                  "GeometryConfig", "adjoint_distribution", "split_field",
-                 "split_frame", "subspace_projector", "subspaces_equal"],
+                 "split_frame", "subspace_projector"],
     "mesh": ["MeshChart", "interp_mesh", "invert_mesh_map", "mesh_jacobian"],
     "decompose": ["DecompositionRecord", "decompose_linear_sde",
-                  "decompose_pointwise", "validity_monitor",
-                  "verify_composition"],
+                  "decompose_pointwise", "validity_monitor"],
     "reference": ["matrix_exp", "radial_decomposition",
                   "rotation_decomposition"],
     "convergence": ["fit_order"],

@@ -306,19 +306,6 @@ def validity_monitor(trajectory, horizontal_dim: int,
                           triggered_by_jump=by_jump)
 
 
-def verify_composition(record: DecompositionRecord, probes) -> np.ndarray:
-    """Composition residual sup_probes |xi(psi(x)) - phi(x)| per time of a
-    linear-mode record.  A mesh record carries its own, ``residual_sup``,
-    and raises ValueError here."""
-    if record.mode != "linear":
-        raise ValueError("verify_composition takes a linear-mode record")
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    inner = np.einsum("kij,qj->kqi", record.psi, probes)
-    outer = np.einsum("kij,kqj->kqi", record.xi, inner)
-    direct = np.einsum("kij,qj->kqi", record.phi, probes)
-    return np.max(np.abs(outer - direct), axis=(1, 2))
-
-
 def _pointwise_rhs(fields, pair, chart, geo, seen):
     """The mesh factorization's right-hand side ``rhs(state, dz)``: the
     increments of the state (xi_mesh, phi, psi) under the increment dz.
@@ -399,39 +386,41 @@ def decompose_pointwise(fields: VectorFieldSet, pair: ComplementaryPair,
         snaps.append(snapshot(float(grid[0]), state))
     except MeshInversionError:  # the chart is too coarse for a probe
         tau, reason = float(grid[0]), "mesh_inversion_failure"
-    for k in range(K - 1 if snaps else 0):
-        seen.clear()
-        try:
-            state = _heun(lambda s: rhs(s, dzc[k]), state)
-        except DegeneracyError:
-            tau, reason = float(grid[k]), "split_degenerate"
-            break
-        if not all(np.isfinite(a).all() for a in state):
-            tau, reason = float(grid[k]), "blowup"
-            break
-        t, jumped = float(grid[k + 1]), bool(jump_mask[k + 1])
-        if jumped:
+    # an overflowing state ends the run at its own stop, without warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K - 1 if snaps else 0):
+            seen.clear()
             try:
-                state = _rk4(lambda s: rhs(s, jump_sizes[k + 1]), state,
-                             1.0, cfg.substeps)
-            except (DegeneracyError, IntegrationFailure):
-                # as in linear mode: stop at the jump time, and the row
-                # there keeps the pre-jump state and the Heun stages
-                tau, reason = t, "jump_path_degenerate"
-                del seen[2:]
-        xi_mesh, phi, psi = state
-        resid = np.max(np.abs(interp_mesh(chart, xi_mesh,
-                                          chart.to_chart(psi)) - phi))
-        det, cond = zip(*seen)
-        rows.append((t, jumped, min(det), max(cond), float(resid)))
-        if reason != "horizon":
-            break
-        if (k + 1) % snapshot_stride == 0 or jumped or k == K - 2:
-            try:
-                snaps.append(snapshot(t, state))
-            except MeshInversionError:
-                tau, reason = t, "mesh_inversion_failure"
+                state = _heun(lambda s: rhs(s, dzc[k]), state)
+            except DegeneracyError:
+                tau, reason = float(grid[k]), "split_degenerate"
                 break
+            if not all(np.isfinite(a).all() for a in state):
+                tau, reason = float(grid[k]), "blowup"
+                break
+            t, jumped = float(grid[k + 1]), bool(jump_mask[k + 1])
+            if jumped:
+                try:
+                    state = _rk4(lambda s: rhs(s, jump_sizes[k + 1]), state,
+                                 1.0, cfg.substeps)
+                except (DegeneracyError, IntegrationFailure):
+                    # as in linear mode: stop at the jump time, and the row
+                    # there keeps the pre-jump state and the Heun stages
+                    tau, reason = t, "jump_path_degenerate"
+                    del seen[2:]
+            xi_mesh, phi, psi = state
+            resid = np.max(np.abs(interp_mesh(chart, xi_mesh,
+                                              chart.to_chart(psi)) - phi))
+            det, cond = zip(*seen)
+            rows.append((t, jumped, min(det), max(cond), float(resid)))
+            if reason != "horizon":
+                break
+            if (k + 1) % snapshot_stride == 0 or jumped or k == K - 2:
+                try:
+                    snaps.append(snapshot(t, state))
+                except MeshInversionError:
+                    tau, reason = t, "mesh_inversion_failure"
+                    break
 
     times, is_jump, det, cond, resid = map(np.array, zip(*rows))
     if det.shape[0] > 1 and np.isnan(det[0]):

@@ -113,13 +113,6 @@ def subspace_projector(basis) -> np.ndarray:
     return B @ np.linalg.solve(B.T @ B, B.T)
 
 
-def subspaces_equal(basis_a, basis_b, tol: float = 1e-10) -> bool:
-    """Column spans compared through projectors (basis-mixing invariant)."""
-    Pa = subspace_projector(basis_a)
-    Pb = subspace_projector(basis_b)
-    return bool(np.max(np.abs(Pa - Pb)) <= tol)
-
-
 def adjoint_distribution(probe: DiffeoProbe, delta: Distribution) -> Distribution:
     """Pushforward of a distribution by a diffeomorphism.
 

@@ -9,10 +9,11 @@ downstream integrals can evaluate left limits exactly.
 
 Every solver is one sweep, ``_sweep``, over one grid loop: it advances a
 state or a batch of states and carries the flow Jacobian only when asked.
-``solve_point`` and ``solve_with_jacobian`` record every grid time;
-``solve_map_batch`` stops each row at its own time; ``solve_ensemble``
-steps a block of drivers, one per row, with one weighted flow for all the
-jumps at a grid step, then observes and screens the block's states once.
+``solve_point`` and ``solve_with_jacobian`` record every grid time; with
+freeze indices each row stops at its own time, which serves
+``stratjump._composite_orbits``; ``solve_ensemble`` steps a block of
+drivers, one per row, with one weighted flow for all the jumps at a grid
+step, then observes and screens the block's states once.
 
 The sweep is a generator that hands over the rows hopping a jump and resumes
 with their flowed states.  ``_serve`` runs sweeps whose drivers share their
@@ -255,26 +256,6 @@ def solve_with_jacobian(fields: VectorFieldSet, driver: JumpPath, x0,
     map; jumps compose with the variational jump flow.
     """
     return _run(_sweep(fields, driver, x0, cfg, jacobian=True))
-
-
-def solve_map_batch(fields: VectorFieldSet, driver: JumpPath, bases,
-                    freeze_index, freeze_side, cfg: MarcusConfig):
-    """Evolve many base points under the same flow, each frozen at its own time.
-
-    Row r starts at ``bases[r]`` at time 0 and evolves (state and Jacobian)
-    until grid index ``freeze_index[r]``; ``freeze_side[r]`` 0 freezes at the
-    left limit (before a jump recorded at that time), 1 after it.  Returns
-    (states, jacobians) of shape (B, n) and (B, n, n), in the order of
-    ``bases``, whatever the order of the freeze indices.
-
-    This is the vectorized equivalent of running ``solve_with_jacobian`` on
-    each truncated driver prefix separately (an equivalence the tests pin);
-    it is how pushforward Jacobians along a moving base point are obtained at
-    every grid time in one sweep, whose live rows are a sorted prefix (see
-    ``_sweep``).
-    """
-    return _run(_sweep(fields, driver, bases, cfg, True, freeze_index,
-                       freeze_side))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,12 +1,12 @@
 """2-D mesh charts: finite-difference Jacobians, interpolation, inversion.
 
 The pointwise decomposition mode discretizes a diffeomorphism as the image
-of a structured mesh.  Two chart kinds cover the worked geometries: a
-Cartesian box and a polar annulus (periodic in the angle).  Derivatives use
-4th-order central stencils along periodic axes and 2nd-order (one-sided at
-the edges) along bounded ones; off-node evaluation uses separable
-Catmull-Rom interpolation with linearly extrapolated ghost layers, whose
-analytic derivative also drives Newton inversion of the mesh map.
+of a structured mesh on one chart, a polar annulus: the radius (axis 0) is
+bounded and the angle (axis 1) periodic.  Derivatives use 4th-order central
+stencils along the angle and 2nd-order (one-sided at the edges) along the
+radius; off-node evaluation uses separable Catmull-Rom interpolation with
+linearly extrapolated radial ghost layers, whose analytic derivative also
+drives Newton inversion of the mesh map.
 """
 
 from __future__ import annotations
@@ -21,21 +21,10 @@ from .errors import MeshInversionError
 
 @dataclass(frozen=True, eq=False)
 class MeshChart:
-    """Structured chart: per-axis coordinate arrays plus the embedding."""
+    """Polar annulus chart: node radii ``coords0`` and angles ``coords1``."""
 
-    kind: str
     coords0: np.ndarray
     coords1: np.ndarray
-    periodic: tuple
-
-    @classmethod
-    def box(cls, bounds, shape):
-        (x0, x1), (y0, y1) = bounds
-        r, c = shape
-        return cls(kind="box",
-                   coords0=np.linspace(x0, x1, r),
-                   coords1=np.linspace(y0, y1, c),
-                   periodic=(False, False))
 
     @classmethod
     def annulus(cls, radii, shape):
@@ -43,10 +32,8 @@ class MeshChart:
         nr, nt = shape
         if r0 <= 0:
             raise ValueError("annulus must avoid the origin")
-        return cls(kind="annulus",
-                   coords0=np.linspace(r0, r1, nr),
-                   coords1=np.arange(nt) * (2 * np.pi / nt),
-                   periodic=(False, True))
+        return cls(coords0=np.linspace(r0, r1, nr),
+                   coords1=np.arange(nt) * (2 * np.pi / nt))
 
     @property
     def shape(self):
@@ -54,12 +41,8 @@ class MeshChart:
 
     @property
     def spacing(self):
-        d0 = float(self.coords0[1] - self.coords0[0])
-        if self.periodic[1]:
-            d1 = 2 * np.pi / self.coords1.shape[0]
-        else:
-            d1 = float(self.coords1[1] - self.coords1[0])
-        return (d0, d1)
+        return (float(self.coords0[1] - self.coords0[0]),
+                2 * np.pi / self.coords1.shape[0])
 
     def chart_grid(self) -> np.ndarray:
         """(R, C, 2) chart coordinates of every node."""
@@ -68,15 +51,11 @@ class MeshChart:
 
     def to_cartesian(self, coords) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)
-        if self.kind == "box":
-            return coords.copy()
         r, th = coords[..., 0], coords[..., 1]
         return np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
 
     def to_chart(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        if self.kind == "box":
-            return points.copy()
         x, y = points[..., 0], points[..., 1]
         r = np.hypot(x, y)
         th = np.mod(np.arctan2(y, x), 2 * np.pi)
@@ -85,8 +64,6 @@ class MeshChart:
     def embedding_jacobian(self, coords) -> np.ndarray:
         """d(cartesian)/d(chart) at chart coords, (..., 2, 2)."""
         coords = np.asarray(coords, dtype=float)
-        if self.kind == "box":
-            return np.broadcast_to(np.eye(2), coords.shape[:-1] + (2, 2)).copy()
         r, th = coords[..., 0], coords[..., 1]
         c, s = np.cos(th), np.sin(th)
         J = np.empty(coords.shape[:-1] + (2, 2))
@@ -134,8 +111,8 @@ def mesh_jacobian(chart: MeshChart, values) -> np.ndarray:
     and the analytic embedding Jacobian converts to Cartesian base coords.
     """
     d0, d1 = chart.spacing
-    g0 = _axis_derivative(values, 0, d0, chart.periodic[0])
-    g1 = _axis_derivative(values, 1, d1, chart.periodic[1])
+    g0 = _axis_derivative(values, 0, d0, periodic=False)
+    g1 = _axis_derivative(values, 1, d1, periodic=True)
     dv_dchart = np.stack([g0, g1], axis=-1)                     # (R,C,2,2)
     return dv_dchart @ chart.node_inverse_jacobian
 
@@ -156,8 +133,8 @@ def _pad_axis(values, axis, periodic):
 
 def _cr_weights(f):
     """Catmull-Rom tap weights and their derivatives at fractions f.  Past
-    [0, 1] (beyond a bounded axis's end cell) both continue along the end
-    tangent at c = f clipped to [0, 1]: w(c) + (f - c) w'(c) and w'(c)."""
+    [0, 1] (beyond a radial end cell) both continue along the end tangent
+    at c = f clipped to [0, 1]: w(c) + (f - c) w'(c) and w'(c)."""
     f = np.asarray(f, dtype=float)
     c = np.minimum(np.maximum(f, 0.0), 1.0)
     c2 = c * c
@@ -176,8 +153,8 @@ def _cr_weights(f):
 def _taps(u, n, periodic):
     """Indices of the four Catmull-Rom taps of positions ``u`` (in node
     spacings from the first node) into an axis of ``n`` nodes padded by two
-    on each side, and their fractions.  A periodic axis wraps; a bounded one
-    keeps its end cells, extrapolating past them.  A non-finite ``u`` gets
+    on each side, and their fractions.  The angle wraps; the radius keeps
+    its end cells, extrapolating past them.  A non-finite ``u`` gets
     valid indices and fraction NaN."""
     finite = np.isfinite(u)
     u = np.where(finite, u, 0.0)
@@ -197,17 +174,17 @@ def interp_mesh(chart: MeshChart, values, queries, derivative: bool = False):
 
     ``values`` is (R, C, ...) node data, ``queries`` (Q, 2) chart coords.
     Returns (Q, ...) samples, plus d(sample)/d(chart) of shape (Q, ..., 2)
-    when ``derivative`` is set.  Bounded axes extrapolate linearly through
-    ghost layers; periodic axes wrap.  A non-finite query gives NaN.
+    when ``derivative`` is set.  The radius extrapolates linearly through
+    ghost layers; the angle wraps.  A non-finite query gives NaN.
     """
     values = np.asarray(values, dtype=float)
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     d0, d1 = chart.spacing
-    padded = _pad_axis(_pad_axis(values, 0, chart.periodic[0]), 1, chart.periodic[1])
+    padded = _pad_axis(_pad_axis(values, 0, periodic=False), 1, periodic=True)
     idx0, f0 = _taps((queries[:, 0] - chart.coords0[0]) / d0, chart.shape[0],
-                     chart.periodic[0])
+                     periodic=False)
     idx1, f1 = _taps((queries[:, 1] - chart.coords1[0]) / d1, chart.shape[1],
-                     chart.periodic[1])
+                     periodic=True)
     w0, dw0 = _cr_weights(f0)
     w1, dw1 = _cr_weights(f1)
     block = padded[idx0[:, :, None], idx1[:, None, :]]  # (Q,4,4,...)
@@ -234,7 +211,6 @@ def invert_mesh_map(chart: MeshChart, values, targets):
     """
     values = np.asarray(values, dtype=float)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    R, C = chart.shape
     flat = values.reshape(-1, 2)
     grid = chart.chart_grid().reshape(-1, 2)
     with np.errstate(over="ignore"):  # a far node is as good as inf
@@ -255,8 +231,7 @@ def invert_mesh_map(chart: MeshChart, values, targets):
         step = np.linalg.solve(grad[active], resid[active][..., None])[..., 0]
         coords[active] += step
         coords[:, 0] = np.clip(coords[:, 0], lo0, hi0)
-        if chart.periodic[1]:
-            coords[:, 1] = np.mod(coords[:, 1], 2 * np.pi)
+        coords[:, 1] = np.mod(coords[:, 1], 2 * np.pi)
         if not np.all(np.isfinite(coords)):
             break
     raise MeshInversionError("mesh inversion did not converge (worst "

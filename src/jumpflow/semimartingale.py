@@ -222,11 +222,6 @@ class JumpPath:
         """Cadlag values at grid points (jump at t included in Z_t)."""
         return self.continuous_values + self._cum_jumps
 
-    @property
-    def left_values(self) -> np.ndarray:
-        """Left limits at grid points (jump at t excluded)."""
-        return self.continuous_values + (self._cum_jumps - self._jump_rows)
-
     def jump_size_at_grid(self) -> np.ndarray:
         """(len(grid), m) array: the jump at each grid point, zero elsewhere."""
         return self._jump_rows

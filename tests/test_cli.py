@@ -924,8 +924,7 @@ PUBLIC_NAMES = [
     "quadratic_variation_c", "radial_decomposition", "refine",
     "rotation_decomposition", "sample_levy_jump_diffusion", "solve_ensemble",
     "solve_point", "solve_with_jacobian", "split_field", "split_frame",
-    "subspace_projector", "subspaces_equal", "validity_monitor",
-    "verify_composition", "verify_ivk",
+    "subspace_projector", "validity_monitor", "verify_ivk",
 ]
 
 

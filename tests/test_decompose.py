@@ -13,7 +13,7 @@ from jumpflow.config import (apply_overrides, build_driver,
 from jumpflow.decompose import (TAU_REASONS, _det_block_hits, _frame_cond,
                                 _pointwise_rhs, _structured_rhs,
                                 decompose_linear_sde, decompose_pointwise,
-                                validity_monitor, verify_composition)
+                                validity_monitor)
 from jumpflow.errors import IntegrationFailure
 from jumpflow.geometry import ComplementaryPair, Distribution, GeometryConfig
 from jumpflow.marcus import MarcusConfig, solve_point, solve_with_jacobian
@@ -64,8 +64,7 @@ def test_rotation_factors_match_closed_form():
 def test_rotation_composition_residual_and_renorm():
     fields = VectorFieldSet.linear(ROT[None])
     rec = decompose_linear_sde(fields, 1, _rotation_driver(2e-3))
-    resid = verify_composition(rec, np.eye(2))
-    assert float(np.max(resid)) < 1e-4
+    assert float(np.max(rec.residual_sup)) < 1e-4
     # the structural blocks of the factors never move
     assert float(np.max(rec.renorm_deviation)) == 0.0
 
@@ -186,8 +185,9 @@ def test_custom_linear_record_is_consistent_with_its_factors():
     ("custom_linear.yaml", 2), ("custom_linear.yaml", 3),
     ("rotation_jump.yaml", None)])
 def test_verify_composition_at_identity_probes_is_residual_sup(name, seed):
-    # the probes e_1..e_n give xi psi - phi column by column: the same bits
-    # as the record's own residual, which the CLI summary reads
+    # sup over the probes e_1..e_n of |xi(psi(x)) - phi(x)| gives xi psi - phi
+    # column by column: the same bits as the record's own residual, which
+    # the CLI summary reads
     cfg = load_config(os.path.join(CONFIGS, name))
     problem = build_problem(cfg)
     fields, p = problem["fields"], problem["horizontal_dim"]
@@ -195,7 +195,11 @@ def test_verify_composition_at_identity_probes_is_residual_sup(name, seed):
     rec = decompose_linear_sde(fields, p, build_driver(cfg),
                                build_marcus_config(cfg),
                                build_geometry_config(cfg))
-    resid = verify_composition(rec, np.eye(fields.dimension))
+    probes = np.eye(fields.dimension)
+    inner = np.einsum("kij,qj->kqi", rec.psi, probes)
+    outer = np.einsum("kij,kqj->kqi", rec.xi, inner)
+    direct = np.einsum("kij,qj->kqi", rec.phi, probes)
+    resid = np.max(np.abs(outer - direct), axis=(1, 2))
     assert resid.tobytes() == rec.residual_sup.tobytes()
 
 
@@ -574,28 +578,44 @@ def test_pointwise_inversion_failure_at_time_zero_stops_there():
     assert rec.psi_probes.shape == rec.psi_probes_inverse.shape == (0, 1, 2)
 
 
-def test_pointwise_blowup_stops_at_the_step_start():
-    # x -> (exp(x_0), 0) on a box: the second Heun step overflows, and the
-    # run stops at the grid time that step began
+def _exp_growth_problem():
+    """The field x -> (exp(x_0), 0) with the constant pair e_1 | e_2."""
     def grow(x):
         out = np.zeros(x.shape + (1,))
         with np.errstate(over="ignore"):
             out[..., 0, 0] = np.exp(x[..., 0])
         return out
 
-    fields = VectorFieldSet.from_callable(2, 1, grow)
     pair = ComplementaryPair(
         horizontal=Distribution.constant(np.eye(2)[:, :1]),
         vertical=Distribution.constant(np.eye(2)[:, 1:]))
-    chart = MeshChart.box(((0.0, 1.0), (0.0, 1.0)), (5, 5))
-    grid = np.linspace(0.0, 1.0, 3)
-    driver = deterministic_path(grid, 2.0 * grid)
+    return VectorFieldSet.from_callable(2, 1, grow), pair
+
+
+def test_pointwise_blowup_stops_at_the_step_start():
+    # the second Heun step overflows, and the run stops at the grid time
+    # that step began
+    fields, pair = _exp_growth_problem()
+    chart = MeshChart.annulus((0.5, 2.0), (5, 8))
+    driver = deterministic_path(np.linspace(0.0, 1.0, 3),
+                                np.array([0.0, 0.1, 400.1]))
     rec = decompose_pointwise(fields, pair, driver, chart,
-                              np.array([[0.5, 0.5]]))
+                              np.array([[0.6, 0.0]]))
     assert rec.tau_reason == "blowup"
     assert rec.tau == 0.5
     assert rec.times.tolist() == [0.0, 0.5]
     assert np.isfinite(rec.psi_probes).all()
+
+
+def test_pointwise_overflow_inside_a_step_raises_no_warning():
+    # the mesh state overflows within the second step and the split there
+    # degenerates; the overflow is the stop's, not a RuntimeWarning
+    fields, pair = _exp_growth_problem()
+    chart = MeshChart.annulus((0.5, 2.0), (5, 8))
+    grid = np.linspace(0.0, 1.0, 3)
+    rec = decompose_pointwise(fields, pair, deterministic_path(grid, 2 * grid),
+                              chart, np.array([[0.6, 0.0]]))
+    assert (rec.tau, rec.tau_reason) == (0.5, "split_degenerate")
 
 
 def test_pointwise_stage_interpolates_evaluates_and_splits_once(monkeypatch):
@@ -619,19 +639,6 @@ def test_pointwise_stage_interpolates_evaluates_and_splits_once(monkeypatch):
                         counted("field_matrix", fields.field_matrix))
     rhs((chart.base_points(), probes, probes), np.array([0.01]))
     assert calls == {"interp_mesh": 1, "split_frame": 1, "field_matrix": 1}
-
-
-def test_verify_composition_rejects_a_mesh_record():
-    # a mesh record carries its residual; verify_composition is linear-only
-    fields = VectorFieldSet.linear(np.array([[[0.25, 0.1], [0.0, 0.15]]]))
-    grid = np.linspace(0.0, 0.1, 3)
-    rec = decompose_pointwise(fields, _radial_pair(),
-                              deterministic_path(grid, grid.copy()),
-                              MeshChart.annulus((0.5, 2.0), (8, 8)),
-                              _unit_circle_probes())
-    assert rec.mode == "mesh" and rec.tau_reason == "horizon"
-    with pytest.raises(ValueError, match="linear-mode record"):
-        verify_composition(rec, _unit_circle_probes())
 
 
 @pytest.mark.parametrize("stride", [0, -1, 2.5, 1.5])
@@ -674,7 +681,7 @@ def test_pointwise_rejects_wrong_dimension():
     H = Distribution.constant(np.eye(3)[:, :1])
     V = Distribution.constant(np.eye(3)[:, 1:])
     pair = ComplementaryPair(horizontal=H, vertical=V)
-    chart = MeshChart.box(((0.0, 1.0), (0.0, 1.0)), (4, 4))
+    chart = MeshChart.annulus((0.5, 2.0), (4, 8))
     grid = np.linspace(0.0, 1.0, 5)
     driver = deterministic_path(grid, grid.copy())
     with pytest.raises(ValueError):

@@ -15,8 +15,8 @@ from jumpflow.config import (build_driver, build_marcus_config, build_problem,
                              load_config)
 from jumpflow.errors import IntegrationFailure
 from jumpflow.marcus import (MarcusConfig, _driver_block, _run, _sweep,
-                             solve_ensemble, solve_map_batch, solve_point,
-                             solve_with_jacobian, trajectory_to_csv)
+                             solve_ensemble, solve_point, solve_with_jacobian,
+                             trajectory_to_csv)
 from jumpflow.odeflow import VectorFieldSet
 from jumpflow.reference import linear_marcus_mean, matrix_exp
 from jumpflow.semimartingale import (JumpLaw, PathParams, _grid_for,
@@ -143,7 +143,7 @@ def test_map_batch_equals_prefix_runs():
     fside = np.array([0, 1, 1])
     cfg = MarcusConfig()
     for fields in _field_kinds():
-        states, jacs = solve_map_batch(fields, path, bases, fidx, fside, cfg)
+        states, jacs = _run(_sweep(fields, path, bases, cfg, True, fidx, fside))
         for r in range(3):
             t = float(path.grid[fidx[r]])
             sub = prefix(path, t, include_jump_at_end=bool(fside[r]))
@@ -168,7 +168,7 @@ def test_map_batch_any_row_order_equals_prefix_runs():
     bases = rng.uniform(-0.6, 0.6, size=(fidx.shape[0], 2))
     cfg = MarcusConfig()
     for fields in _field_kinds():
-        states, jacs = solve_map_batch(fields, path, bases, fidx, fside, cfg)
+        states, jacs = _run(_sweep(fields, path, bases, cfg, True, fidx, fside))
         for r in range(fidx.shape[0]):
             if fidx[r] == 0:
                 pick, jpick = bases[r], np.eye(2)
@@ -698,14 +698,14 @@ _ROT = VectorFieldSet.linear(np.array([[[0.0, -1.0], [1.0, 0.0]]]))
     (lambda: solve_point(VectorFieldSet.linear(np.zeros((2, 2, 2))),
                          _ramp_with_jumps(0.25), np.ones(2), MarcusConfig()),
      "field count must match driver dimension"),
-    (lambda: solve_map_batch(_ROT, _ramp_with_jumps(0.25), np.ones((1, 2)),
-                             [5], [0], MarcusConfig()),
+    (lambda: _run(_sweep(_ROT, _ramp_with_jumps(0.25), np.ones((1, 2)),
+                         MarcusConfig(), True, [5], [0])),
      "freeze_index or freeze_side out of range"),
-    (lambda: solve_map_batch(_ROT, _ramp_with_jumps(0.25), np.ones((1, 2)),
-                             [-1], [0], MarcusConfig()),
+    (lambda: _run(_sweep(_ROT, _ramp_with_jumps(0.25), np.ones((1, 2)),
+                         MarcusConfig(), True, [-1], [0])),
      "freeze_index or freeze_side out of range"),
-    (lambda: solve_map_batch(_ROT, _ramp_with_jumps(0.25), np.ones((1, 2)),
-                             [1], [2], MarcusConfig()),
+    (lambda: _run(_sweep(_ROT, _ramp_with_jumps(0.25), np.ones((1, 2)),
+                         MarcusConfig(), True, [1], [2])),
      "freeze_index or freeze_side out of range"),
     (lambda: solve_ensemble(_ROT, PathParams(horizon=1.0, step=0.5),
                             np.ones(2), MarcusConfig(), n_paths=0),
@@ -721,7 +721,7 @@ def test_map_batch_frozen_at_time_0_returns_its_bases():
     # every row stops at grid index 0, so the sweep ends before its first
     # step: the states are the bases and the Jacobians the identity
     bases = np.array([[1.0, 0.0], [0.3, -0.7], [-2.0, 0.5]])
-    states, jacs = solve_map_batch(_ROT, _ramp_with_jumps(0.25), bases,
-                                   [0, 0, 0], [0, 1, 0], MarcusConfig())
+    states, jacs = _run(_sweep(_ROT, _ramp_with_jumps(0.25), bases,
+                               MarcusConfig(), True, [0, 0, 0], [0, 1, 0]))
     assert np.array_equal(states, bases)
     assert np.array_equal(jacs, np.broadcast_to(np.eye(2), (3, 2, 2)))

@@ -18,20 +18,14 @@ def _quadratic_values(chart, coeff=(1.0, 0.5, -0.3, 0.7)):
     return f[..., None] * np.array([1.0, -0.5])
 
 
-def test_box_chart_layout():
-    chart = MeshChart.box(((0.0, 2.0), (-1.0, 1.0)), (5, 9))
-    assert chart.shape == (5, 9)
-    assert not any(chart.periodic)
-    assert np.allclose(chart.spacing, [0.5, 0.25])
-    G = chart.chart_grid()
-    assert G.shape == (5, 9, 2)
-    assert np.array_equal(G[0, 0], [0.0, -1.0])
-    assert np.array_equal(G[-1, -1], [2.0, 1.0])
-
-
 def test_annulus_chart_is_periodic_in_angle():
     chart = MeshChart.annulus((0.5, 2.0), (8, 12))
-    assert chart.periodic == (False, True)
+    assert chart.shape == (8, 12)
+    assert np.allclose(chart.spacing, [1.5 / 7, np.pi / 6])
+    G = chart.chart_grid()
+    assert G.shape == (8, 12, 2)
+    assert np.array_equal(G[0, 0], [0.5, 0.0])
+    assert np.allclose(G[-1, -1], [2.0, 11 * np.pi / 6])
     x = chart.to_cartesian(np.array([[1.0, 0.0], [1.0, np.pi / 2]]))
     assert np.max(np.abs(x - [[1.0, 0.0], [0.0, 1.0]])) < 1e-12
     back = chart.to_chart(x)
@@ -41,10 +35,11 @@ def test_annulus_chart_is_periodic_in_angle():
 
 
 def test_interp_reproduces_quadratics():
-    chart = MeshChart.box(((0.0, 2.0), (-1.0, 1.0)), (25, 21))
+    # quadratic in (r, theta); no tap of these queries wraps the angle seam
+    chart = MeshChart.annulus((0.5, 2.0), (25, 48))
     vals = _quadratic_values(chart)
     rng = np.random.default_rng(0)
-    q = np.stack([rng.uniform(0.2, 1.8, 40), rng.uniform(-0.8, 0.8, 40)],
+    q = np.stack([rng.uniform(0.6, 1.9, 40), rng.uniform(0.5, 5.5, 40)],
                  axis=1)
     got, grad = interp_mesh(chart, vals, q, derivative=True)
     f = (1.0 + 0.5 * q[:, 0] ** 2 - 0.3 * q[:, 1] ** 2
@@ -66,11 +61,14 @@ def test_interp_is_exact_at_nodes():
 
 
 def test_periodic_axis_wraps_consistently():
+    # values and gradients agree a turn either way across the angle seam
     chart = MeshChart.annulus((0.5, 2.0), (10, 16))
     base = chart.base_points()
-    q = np.array([[1.2, 0.01], [1.2, 0.01 + 2 * np.pi]])
-    out = interp_mesh(chart, base, q)
-    assert np.max(np.abs(out[0] - out[1])) < 1e-12
+    q = np.array([[1.2, 0.01], [1.2, 0.01 + 2 * np.pi],
+                  [1.2, 0.01 - 2 * np.pi]])
+    out, grad = interp_mesh(chart, base, q, derivative=True)
+    assert np.max(np.abs(out[1:] - out[0])) < 1e-12
+    assert np.max(np.abs(grad[1:] - grad[0])) < 1e-12
 
 
 def test_identity_map_jacobian_on_annulus():
@@ -91,11 +89,14 @@ def test_mesh_jacobian_caches_the_inverse_embedding():
 
 
 def test_linear_map_jacobian_on_box():
-    chart = MeshChart.box(((0.0, 1.0), (0.0, 1.0)), (9, 9))
+    # values linear in (r, theta); the angle seam breaks linearity, so the
+    # columns whose stencils cross it are left out
+    chart = MeshChart.annulus((0.5, 2.0), (9, 16))
     M = np.array([[1.3, -0.4], [0.2, 0.8]])
-    vals = np.einsum("ij,rcj->rci", M, chart.base_points())
+    vals = np.einsum("ij,rcj->rci", M, chart.chart_grid())
     J = mesh_jacobian(chart, vals)
-    assert np.max(np.abs(J - M)) < 1e-10
+    want = M @ chart.node_inverse_jacobian
+    assert np.max(np.abs(J - want)[:, 2:-2]) < 1e-10
 
 
 def test_inversion_round_trip():
@@ -123,11 +124,9 @@ def test_inversion_fails_for_unreachable_target():
 
 
 def test_interp_at_non_finite_query_is_nan():
-    # each chart kind, each axis, NaN and both infinities; no warning
-    charts = [MeshChart.annulus((0.5, 2.0), (8, 8)),
-              MeshChart.box(((0.0, 2.0), (-1.0, 1.0)), (5, 9))]
-    for chart, axis, bad in itertools.product(charts, (0, 1),
-                                              (np.nan, np.inf, -np.inf)):
+    # each axis, NaN and both infinities; no warning
+    chart = MeshChart.annulus((0.5, 2.0), (8, 8))
+    for axis, bad in itertools.product((0, 1), (np.nan, np.inf, -np.inf)):
         query = np.array([[1.0, 0.5]])
         query[0, axis] = bad
         with warnings.catch_warnings():
@@ -138,40 +137,37 @@ def test_interp_at_non_finite_query_is_nan():
 
 
 def test_box_extrapolates_linear_fields_past_either_axis():
-    # a bounded axis 1 keeps its end cells as axis 0 does, so a linear
-    # field is reproduced more than two spacings past either end of it
-    chart = MeshChart.box(((0.0, 2.0), (-1.0, 1.0)), (5, 9))
+    # the radius keeps its end cells, so a field linear in (r, theta) is
+    # reproduced more than two spacings past either radial end; the angles
+    # keep every tap clear of the seam
+    chart = MeshChart.annulus((0.5, 2.0), (5, 8))
     M = np.array([[2.0, 3.0], [-1.0, 0.5]])
-    q = np.array([[1.0, 1.6], [0.7, -1.6], [2.6, 0.3], [-0.6, 0.4]])
-    got, grad = interp_mesh(chart, chart.base_points() @ M.T, q,
+    q = np.array([[2.9, 2.0], [2.7, 3.5], [-0.4, 2.5], [-0.6, 3.0]])
+    got, grad = interp_mesh(chart, chart.chart_grid() @ M.T, q,
                             derivative=True)
     assert np.max(np.abs(got - q @ M.T)) < 1e-12
     assert np.max(np.abs(grad - M)) < 1e-12
 
 
 def test_far_queries_past_a_bounded_axis_stay_finite_and_linear():
-    # far past a bounded axis the weights continue along the end tangent:
-    # a linear field keeps its value to rounding, with no overflow warning;
-    # at 1e200 spacings the cross-axis derivative cancels, so the gradient
-    # is checked only at 1e6
-    box = MeshChart.box(((0.0, 2.0), (-1.0, 1.0)), (5, 9))
+    # far past the radius's ends the weights continue along the end
+    # tangent: a field linear in (r, theta) keeps its value to rounding,
+    # with no overflow warning; at 1e200 spacings the cross-axis derivative
+    # cancels, so the gradient is checked only at 1e6
+    chart = MeshChart.annulus((0.5, 2.0), (5, 8))
     M = np.array([[2.0, 3.0], [-1.0, 0.5]])
-    annulus = MeshChart.annulus((0.5, 2.0), (8, 8))
-    a = np.array([[1.5, 0.0], [-0.7, 0.0]])  # linear in the radius only
-    cases = [(box, box.base_points() @ M.T, M, axis) for axis in (0, 1)]
-    cases.append((annulus, annulus.chart_grid() @ a.T, a, 0))
-    for (chart, values, lin, axis), k, (end, sign) in itertools.product(
-            cases, (1e6, 1e200), ((0, -1), (-1, 1))):
-        ends = chart.coords0 if axis == 0 else chart.coords1
-        q = np.array([[1.0, 0.3]])
-        q[0, axis] = ends[end] + sign * k * chart.spacing[axis]
+    values = chart.chart_grid() @ M.T
+    for k, (end, sign), theta in itertools.product(
+            (1e6, 1e200), ((0, -1), (-1, 1)), (2.0, 3.5)):
+        q = np.array([[chart.coords0[end] + sign * k * chart.spacing[0],
+                       theta]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got, grad = interp_mesh(chart, values, q, derivative=True)
-        want = q @ lin.T
+        want = q @ M.T
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         if k == 1e6:
-            assert np.max(np.abs(grad - lin)) < 1e-15 * k
+            assert np.max(np.abs(grad - M)) < 1e-15 * k
 
 
 def test_embedding_jacobian_matches_fd():
@@ -189,15 +185,12 @@ def test_embedding_jacobian_matches_fd():
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: mesh_jacobian(MeshChart.box(((0.0, 1.0), (0.0, 1.0)), (2, 5)),
-                           np.zeros((2, 5, 2))),
-     "need at least 3 nodes per bounded axis"),
     (lambda: mesh_jacobian(MeshChart.annulus((0.5, 1.0), (2, 8)),
                            np.zeros((2, 8, 2))),
      "need at least 3 nodes per bounded axis"),
     (lambda: MeshChart.annulus((0.0, 1.0), (4, 8)),
      "annulus must avoid the origin"),
-], ids=["box-2-nodes", "annulus-2-radii", "annulus-origin"])
+], ids=["annulus-2-radii", "annulus-origin"])
 def test_argument_checks_name_the_fault(make, message):
     with pytest.raises(ValueError, match=message):
         make()

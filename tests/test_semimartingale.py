@@ -114,7 +114,8 @@ def test_cadlag_values_include_jumps():
                               jumps=[(grid[3], np.array([1.0])),
                                      (grid[6], np.array([-2.0]))])
     assert path.values[-1, 0] == pytest.approx(-1.0)
-    assert path.left_values[3, 0] == pytest.approx(0.0)
+    left = path.values - path.jump_size_at_grid()
+    assert left[3, 0] == pytest.approx(0.0)
     assert path.values[3, 0] == pytest.approx(1.0)
 
 
@@ -243,7 +244,7 @@ def _layout_drivers():
 @pytest.mark.parametrize("label, path", _layout_drivers())
 def test_driver_layout_matches_an_explicit_recomputation(label, path):
     # the jump rows, their running sums (one float addition per grid point)
-    # and the values and left limits built from them, bit for bit
+    # and the values built from them, bit for bit
     cont, grid = path.continuous_values, path.grid
     index = [int(np.flatnonzero(grid == t)[0]) for t in path.jump_times]
     mask = np.zeros(grid.shape[0], dtype=bool)
@@ -259,7 +260,6 @@ def test_driver_layout_matches_an_explicit_recomputation(label, path):
     assert path.jump_mask.tobytes() == mask.tobytes()
     assert path.jump_size_at_grid().tobytes() == rows.tobytes()
     assert path.values.tobytes() == (cont + cum).tobytes()
-    assert path.left_values.tobytes() == (cont + (cum - rows)).tobytes()
 
 
 def test_negative_zero_jump_keeps_its_sign_in_the_csv():

@@ -8,7 +8,7 @@ import pytest
 from jumpflow import odeflow, reference, stratjump
 from jumpflow.config import build_problem
 from jumpflow.errors import IntegrationFailure
-from jumpflow.marcus import MarcusConfig, solve_map_batch, solve_point
+from jumpflow.marcus import MarcusConfig, _run, _sweep, solve_point
 from jumpflow.odeflow import VectorFieldSet, curve_average, flow
 from jumpflow.semimartingale import (JumpLaw, PathParams, deterministic_path,
                                      refine, sample_levy_jump_diffusion)
@@ -207,7 +207,7 @@ def _reference_orbit(outer, inner, driver, x0, cfg):
     fidx = np.concatenate([np.arange(K), np.arange(K), jump_idx])
     fside = np.concatenate([np.ones(K, dtype=int), np.zeros(K, dtype=int),
                             np.zeros(jump_idx.shape[0], dtype=int)])
-    states, jacs = solve_map_batch(outer, driver, bases, fidx, fside, cfg)
+    states, jacs = _run(_sweep(outer, driver, bases, cfg, True, fidx, fside))
     sizes = driver.jump_size_at_grid()
     hops = {int(k): (flow(outer, sizes[k], states[2 * K + r], 1.0, cfg),
                      flow(outer, sizes[k], states[K + k], 1.0, cfg))
@@ -285,7 +285,8 @@ def test_composite_orbit_matches_closed_form(family, scale, bound):
     orbit, = _composite_orbits(outer, inner, [driver], x0, MarcusConfig())
     k = driver.jump_index[0]
     F_post, D_post = exact(driver.values - driver.values[0])
-    F_pre, D_pre = exact(driver.left_values - driver.values[0])
+    left = driver.values - driver.jump_size_at_grid()
+    F_pre, D_pre = exact(left - driver.values[0])
     assert np.max(np.abs(F_post[k] - F_pre[k])) > 10 * bound  # a real jump
     for got, want in ((orbit.F_post, F_post), (orbit.F_pre, F_pre),
                       (orbit.Dpsi_post, D_post), (orbit.Dpsi_pre, D_pre)):
